@@ -6,6 +6,7 @@ from .clientcentric import (
     ReadVerdict,
     WriteRecord,
     build_clientcentric_report,
+    clientcentric_outputs,
     commit_timestamps,
     detect_mrc,
     detect_mwc,

@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import logio
-from .clientcentric import build_clientcentric_report, read_verdicts
+from .clientcentric import clientcentric_outputs
 from .datacentric import build_datacentric_report, op_records
 from .engine import run_simulation
 from .errors import MalformedLogError
@@ -113,9 +113,9 @@ def _run_one(scenario: Scenario, seed: int, out_dir: Path, stages) -> dict:
                 mean_window_us=g["inconsistency_window_us"]["mean"],
             )
         if 3 in stages:
-            report3 = build_clientcentric_report(log, scenario.strategy)
+            report3, verdicts = clientcentric_outputs(log, scenario.strategy)
             logio.write_json_report(report3, out_dir / "clientcentric.json")
-            logio.write_read_verdicts(read_verdicts(log, scenario.strategy), out_dir / "read_verdicts.csv")
+            logio.write_read_verdicts(verdicts, out_dir / "read_verdicts.csv")
             row.update(
                 stale_read_rate=report3["stale_read_rate"],
                 mrc_violation_probability=report3["mrc_violation_probability"],
@@ -179,8 +179,9 @@ def cmd_analyze(args) -> int:
         logio.write_json_report(build_datacentric_report(log), out / "datacentric.json")
         logio.write_op_table(op_records(log), out / "ops.csv")
     if 3 in stages:
-        logio.write_json_report(build_clientcentric_report(log, strategy), out / "clientcentric.json")
-        logio.write_read_verdicts(read_verdicts(log, strategy), out / "read_verdicts.csv")
+        report3, verdicts = clientcentric_outputs(log, strategy)
+        logio.write_json_report(report3, out / "clientcentric.json")
+        logio.write_read_verdicts(verdicts, out / "read_verdicts.csv")
     _say(args, f"wrote stage {list(stages)} metrics to {out}")
     return EXIT_OK
 

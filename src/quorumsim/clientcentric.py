@@ -16,8 +16,10 @@ every numerator and denominator.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, islice
+from operator import attrgetter
 
 from .engine import (
     APPLY_END,
@@ -200,14 +202,9 @@ def _write_key(strategy: str, w):
     return (0, 0, w.commit_us, w.write_id)
 
 
-def _reflects(strategy, refs, w, commit_map) -> bool:
-    """Does a read result (refs) reflect write w?"""
-    if strategy == WRITE_SET:
-        return any(r.write_id == w.write_id for r in refs)
-    if strategy == COMPETING_WRITES:
-        wv = w.vclock
-        return any(vclock_dominates(r.vclock, wv) for r in refs)
-    return _returned_key(strategy, refs, commit_map) >= _write_key(strategy, w)
+def _covers(refs, vclock) -> bool:
+    """competing_writes: does some returned head dominate-or-equal vclock?"""
+    return any(vclock_dominates(r.vclock, vclock) for r in refs)
 
 
 def judge_staleness(strategy: str, read_start_us: int, returned_refs, key_writes) -> bool:
@@ -223,111 +220,114 @@ def judge_staleness(strategy: str, read_start_us: int, returned_refs, key_writes
         returned_ids = {r.write_id for r in returned_refs}
         return any(w.write_id not in returned_ids for w in fresh)
     if strategy == COMPETING_WRITES:
-        return any(
-            not any(vclock_dominates(r.vclock, w.vclock) for r in returned_refs)
-            for w in fresh
-        )
+        return any(not _covers(returned_refs, w.vclock) for w in fresh)
     commit_map = {w.write_id: w.commit_us for w in key_writes if w.commit_us is not None}
     rkey = _returned_key(strategy, returned_refs, commit_map)
     return rkey < max(_write_key(strategy, w) for w in fresh)
 
 
 # -- internal scans over parsed ops -------------------------------------------
+#
+# Each scan behind the report and the verdicts is linear in the parsed ops
+# plus the returned refs, up to a log factor from sorting and bisection. The
+# exception is competing_writes: vector-clock dominance is only a partial
+# order, so its reflection checks stay pairwise within a key or session.
 
 
 def _commit_map(writes) -> dict[int, int]:
     return {w.write_id: w.commit_us for w in writes.values() if w.commit_us is not None}
 
 
+def _op_order(infos: dict) -> list:
+    """The values of an op-id keyed dict in issue order."""
+    return [infos[op_id] for op_id in sorted(infos)]
+
+
+def _committed_reads(reads) -> list[_ReadInfo]:
+    return [r for r in _op_order(reads) if r.commit_us is not None]
+
+
+_key_of = attrgetter("key")
+_session_of = attrgetter("client", "key")
+
+
 def _sessions(infos):
-    """(client, key) -> infos in session (issue) order."""
+    """(client, key) -> infos, keeping their issue order."""
     out: dict[tuple[int, int], list] = {}
-    for info in sorted(infos, key=lambda i: i.op_id):
-        out.setdefault((info.client, info.key), []).append(info)
+    for info in infos:
+        out.setdefault(_session_of(info), []).append(info)
     return out
 
 
-class _KeyHistory:
-    """Committed writes per key, commit-ordered, with prefix-max order keys."""
+class _CommitOrder:
+    """The committed writes of one key or one session, ordered by (commit, write id).
 
-    def __init__(self, writes, strategy):
-        by_key: dict[int, list[_WriteInfo]] = {}
-        for w in writes.values():
-            if w.commit_us is not None:
-                by_key.setdefault(w.key, []).append(w)
-        self.strategy = strategy
-        self.times: dict[int, list[int]] = {}
-        self.ordered: dict[int, list[_WriteInfo]] = {}
-        self.prefix_max: dict[int, list] = {}
-        lww = strategy in _LWW
-        self._fresh_ids_cache: dict[tuple[int, int], tuple[int, ...]] = {}
-        for key, ws in by_key.items():
-            ws.sort(key=lambda w: (w.commit_us, w.write_id))
-            self.ordered[key] = ws
-            self.times[key] = [w.commit_us for w in ws]
-            if lww:
-                best = None
-                pm = []
-                for w in ws:
-                    k = _write_key(strategy, w)
-                    if best is None or k > best:
-                        best = k
-                    pm.append(best)
-                self.prefix_max[key] = pm
+    ``upto(t)`` counts those committed at or before t. Under the LWW
+    strategies ``prefix_max[i]`` is the largest order key among the first
+    i + 1.
+    """
 
-    def fresh(self, key, start):
-        ws = self.ordered.get(key)
-        if not ws:
-            return []
-        hi = bisect_right(self.times[key], start)
-        return ws[:hi]
+    __slots__ = ("writes", "times", "ids", "prefix_max", "_ids_upto")
 
-    def fresh_ids(self, key, start):
-        times = self.times.get(key)
-        if not times:
-            return ()
-        hi = bisect_right(times, start)
-        cached = self._fresh_ids_cache.get((key, hi))
-        if cached is None:
-            cached = self._fresh_ids_cache[(key, hi)] = tuple(w.write_id for w in self.ordered[key][:hi])
-        return cached
+    def __init__(self, writes: list[_WriteInfo], strategy: str):
+        writes.sort(key=lambda w: (w.commit_us, w.write_id))
+        self.writes = writes
+        self.times = [w.commit_us for w in writes]
+        self.ids = [w.write_id for w in writes]
+        self.prefix_max = None
+        if strategy in _LWW:
+            self.prefix_max = list(accumulate((_write_key(strategy, w) for w in writes), max))
+        self._ids_upto: dict[int, tuple[int, ...]] = {}
 
-    def max_key_upto(self, key, start):
-        times = self.times.get(key)
-        if not times:
-            return None
-        hi = bisect_right(times, start)
-        return self.prefix_max[key][hi - 1] if hi else None
+    def upto(self, t: int) -> int:
+        return bisect_right(self.times, t)
+
+    def ids_upto(self, hi: int) -> tuple[int, ...]:
+        ids = self._ids_upto.get(hi)
+        if ids is None:
+            ids = self._ids_upto[hi] = tuple(self.ids[:hi])
+        return ids
 
 
-def _stale_ids(reads, history, commit_map, strategy) -> set[int]:
-    stale: set[int] = set()
-    committed = [r for r in reads.values() if r.commit_us is not None]
-    if strategy in _LWW:
-        for r in committed:
-            m = history.max_key_upto(r.key, r.start)
-            if m is not None and _returned_key(strategy, r.returned, commit_map) < m:
-                stale.add(r.op_id)
-    elif strategy == WRITE_SET:
-        for r in committed:
-            fresh = history.fresh(r.key, r.start)
-            if fresh:
-                returned_ids = {ref.write_id for ref in r.returned}
-                if any(w.write_id not in returned_ids for w in fresh):
-                    stale.add(r.op_id)
-    else:
-        for r in committed:
-            for w in history.fresh(r.key, r.start):
-                if not any(vclock_dominates(ref.vclock, w.vclock) for ref in r.returned):
-                    stale.add(r.op_id)
-                    break
-    return stale
+def _commit_orders(writes, strategy, group) -> dict:
+    """group(write) -> _CommitOrder of the committed writes in that group."""
+    grouped: dict = {}
+    for w in writes.values():
+        if w.commit_us is not None:
+            grouped.setdefault(group(w), []).append(w)
+    return {g: _CommitOrder(ws, strategy) for g, ws in grouped.items()}
 
 
-def _mrc_ids(reads, commit_map, strategy) -> set[int]:
+def _misses(committed, orders, group, commit_map, strategy):
+    """(op ids of reads failing to reflect a write of their group committed at
+    or before their start, op ids of reads whose group has such a write).
+
+    With groups by key this is staleness; with groups by session it is RYWC.
+    """
+    missing: set[int] = set()
+    applicable: set[int] = set()
+    lww = strategy in _LWW
+    for r in committed:
+        order = orders.get(group(r))
+        hi = order.upto(r.start) if order is not None else 0
+        if not hi:
+            continue
+        applicable.add(r.op_id)
+        if lww:
+            missed = _returned_key(strategy, r.returned, commit_map) < order.prefix_max[hi - 1]
+        elif strategy == WRITE_SET:
+            # stops at the first id not returned: O(returned refs), not O(hi)
+            missed = not {ref.write_id for ref in r.returned}.issuperset(islice(order.ids, hi))
+        else:
+            missed = any(not _covers(r.returned, w.vclock) for w in order.writes[:hi])
+        if missed:
+            missing.add(r.op_id)
+    return missing, applicable
+
+
+def _mrc_ids(read_sessions, commit_map, strategy) -> set[int]:
     violating: set[int] = set()
-    committed = [r for r in reads.values() if r.commit_us is not None]
-    for session in _sessions(committed).values():
+    for session in read_sessions.values():
         if strategy in _LWW:
             running = None
             for r in session:
@@ -347,39 +347,11 @@ def _mrc_ids(reads, commit_map, strategy) -> set[int]:
             running: list[VersionRef] = []
             for r in session:
                 for h1 in running:
-                    if not any(vclock_dominates(h2.vclock, h1.vclock) for h2 in r.returned):
+                    if not _covers(r.returned, h1.vclock):
                         violating.add(r.op_id)
                         break
                 running = merge_heads(list(running) + list(r.returned))
     return violating
-
-
-def _rywc_ids(reads, writes, commit_map, strategy):
-    """(violating op ids, applicable op ids)."""
-    own: dict[tuple[int, int], list[_WriteInfo]] = {}
-    for w in writes.values():
-        if w.commit_us is not None:
-            own.setdefault((w.client, w.key), []).append(w)
-    own_times: dict[tuple[int, int], list[int]] = {}
-    for ck, ws in own.items():
-        ws.sort(key=lambda w: (w.commit_us, w.write_id))
-        own_times[ck] = [w.commit_us for w in ws]
-    violating: set[int] = set()
-    applicable: set[int] = set()
-    for r in reads.values():
-        if r.commit_us is None:
-            continue
-        ck = (r.client, r.key)
-        ws = own.get(ck)
-        if not ws:
-            continue
-        hi = bisect_right(own_times[ck], r.start)
-        if not hi:
-            continue
-        applicable.add(r.op_id)
-        if any(not _reflects(strategy, r.returned, w, commit_map) for w in ws[:hi]):
-            violating.add(r.op_id)
-    return violating, applicable
 
 
 # -- public detectors ----------------------------------------------------------
@@ -387,75 +359,102 @@ def _rywc_ids(reads, writes, commit_map, strategy):
 def detect_mrc(log, strategy: str) -> set[int]:
     """Op ids of committed reads that moved backward within their session."""
     reads, writes = _parse_ops(log)
-    return _mrc_ids(reads, _commit_map(writes), strategy)
+    return _mrc_ids(_sessions(_committed_reads(reads)), _commit_map(writes), strategy)
 
 
 def detect_rywc(log, strategy: str) -> set[int]:
     """Op ids of committed reads that fail to reflect an own earlier-committed write."""
     reads, writes = _parse_ops(log)
-    return _rywc_ids(reads, writes, _commit_map(writes), strategy)[0]
+    own = _commit_orders(writes, strategy, _session_of)
+    return _misses(_committed_reads(reads), own, _session_of, _commit_map(writes), strategy)[0]
 
 
-def _mwc_scan(writes):
-    """(all violating triples, applicable triple count, per-client counts,
-    counted violation total).
+def _mwc_triples(write_sessions) -> list[tuple[int, int, int]]:
+    """Every violating (earlier write id, later write id, replica) triple.
 
-    A triple is (earlier write id, later write id, replica) for same-client
-    same-key writes both applied at that replica; it violates when the later
-    write's ApplyEnd precedes the earlier one's there (log order). Triples
-    whose later write is a warmup op are detected but not counted.
+    A triple is a pair of same-session writes both applied at that replica;
+    it violates when the later write's ApplyEnd precedes the earlier one's
+    there (log order). Listing is quadratic per session; the report only
+    counts triples, with _mwc_counts.
     """
-    violations: list[tuple[int, int, int]] = []
-    applicable = 0
-    counted = 0
-    per_client: dict[int, list[int]] = {}
-    for session in _sessions(list(writes.values())).values():
-        client = session[0].client
-        counts = per_client.setdefault(client, [0, 0])
-        for j in range(1, len(session)):
-            w2 = session[j]
-            countable = not w2.warmup
-            for i in range(j):
-                w1 = session[i]
+    violations = []
+    for session in write_sessions.values():
+        for j, w2 in enumerate(session):
+            for w1 in session[:j]:
                 for replica, at1 in w1.applies.items():
                     at2 = w2.applies.get(replica)
-                    if at2 is None:
-                        continue
-                    if countable:
-                        applicable += 1
-                        counts[0] += 1
-                    if at1 > at2:
+                    if at2 is not None and at1 > at2:
                         violations.append((w1.write_id, w2.write_id, replica))
-                        if countable:
-                            counted += 1
-                            counts[1] += 1
-    return violations, applicable, per_client, counted
+    return violations
+
+
+def _mwc_counts(write_sessions):
+    """(applicable triples, violating triples, client -> [applicable, violating]).
+
+    Triples whose later write is a warmup op are not counted. Per session and
+    replica, a later write's applicable triples are the earlier writes
+    applied there and its violating ones those applied after it: inversions
+    between session order and ApplyEnd order, counted on a Fenwick tree over
+    ApplyEnd ranks.
+    """
+    per_client: dict[int, list[int]] = {}
+    for session in write_sessions.values():
+        counts = per_client.setdefault(session[0].client, [0, 0])
+        at_replica: dict[int, list] = {}
+        for w in session:
+            for replica, at in w.applies.items():
+                at_replica.setdefault(replica, []).append((at, w.warmup))
+        for applied in at_replica.values():
+            rank = {at: i for i, at in enumerate(sorted({at for at, _ in applied}), 1)}
+            tree = [0] * (len(rank) + 1)
+            for earlier, (at, warmup) in enumerate(applied):
+                i = rank[at]
+                if not warmup:
+                    not_after, j = 0, i
+                    while j:
+                        not_after += tree[j]
+                        j &= j - 1
+                    counts[0] += earlier
+                    counts[1] += earlier - not_after
+                while i < len(tree):
+                    tree[i] += 1
+                    i += i & -i
+    applicable = sum(c[0] for c in per_client.values())
+    counted = sum(c[1] for c in per_client.values())
+    return applicable, counted, per_client
 
 
 def detect_mwc(log) -> list[tuple[int, int, int]]:
     """Violating (earlier write, later write, replica) triples."""
     _, writes = _parse_ops(log)
-    return _mwc_scan(writes)[0]
+    return _mwc_triples(_sessions(_op_order(writes)))
 
 
-def _wfrc_scan(reads, writes):
+def _wfrc_scan(read_sessions, writes_in_order):
     """(violating (write, replica) pairs, applicable write count, per-client counts).
 
     The reflected set of the latest preceding own read is its returned write
     ids; the write violates at a replica that applied it without having
-    applied every member of that set first (log order).
+    applied every member of that set first (log order). That holds iff the
+    replica is missing from the read's frontier (replica -> latest ApplyEnd
+    of the set, over replicas that applied all of it) or the frontier's
+    ApplyEnd there is later than the write's.
     """
-    by_write_id = {w.write_id: w for w in writes.values()}
-    committed_reads = [r for r in reads.values() if r.commit_us is not None]
-    read_sessions = _sessions(committed_reads)
+    apply_at: dict[int, dict[int, tuple]] = {}  # replica -> write id -> ApplyEnd
+    for w in writes_in_order:
+        for replica, at in w.applies.items():
+            apply_at.setdefault(replica, {})[w.write_id] = at
+    read_op_ids = {ck: [r.op_id for r in session] for ck, session in read_sessions.items()}
+    frontiers: dict[tuple[int, int], tuple] = {}  # session -> (read, its frontier)
     violations: list[tuple[int, int]] = []
     applicable = 0
     per_client: dict[int, list[int]] = {}
-    for w in sorted(writes.values(), key=lambda w: w.op_id):
-        session = read_sessions.get((w.client, w.key))
+    for w in writes_in_order:
+        ck = (w.client, w.key)
+        session = read_sessions.get(ck)
         if not session:
             continue
-        prior_idx = bisect_right([r.op_id for r in session], w.op_id)
+        prior_idx = bisect_right(read_op_ids[ck], w.op_id)
         if not prior_idx:
             continue
         last_read = session[prior_idx - 1]
@@ -464,45 +463,50 @@ def _wfrc_scan(reads, writes):
         if countable:
             applicable += 1
             counts[0] += 1
-        seen = last_read.returned
-        if not seen:
+        if not last_read.returned:
             continue
-        seen_applies = []
-        for ref in seen:
-            src = by_write_id.get(ref.write_id)
-            seen_applies.append(src.applies if src is not None else {})
+        cached = frontiers.get(ck)
+        if cached is None or cached[0] is not last_read:
+            cached = frontiers[ck] = (last_read, _frontier(last_read.returned, apply_at))
+        frontier = cached[1]
         violated = False
         for replica, at_w in w.applies.items():
-            for applies in seen_applies:
-                at_s = applies.get(replica)
-                if at_s is None or at_s > at_w:
-                    violations.append((w.write_id, replica))
-                    violated = True
-                    break
+            at_s = frontier.get(replica)
+            if at_s is None or at_s > at_w:
+                violations.append((w.write_id, replica))
+                violated = True
         if violated and countable:
             counts[1] += 1
     return violations, applicable, per_client
+
+
+def _frontier(refs, apply_at) -> dict:
+    """replica -> latest ApplyEnd of refs, over replicas that applied every ref."""
+    ids = [ref.write_id for ref in refs]
+    frontier = {}
+    for replica, at in apply_at.items():
+        ats = list(map(at.get, ids))
+        if None not in ats:
+            frontier[replica] = max(ats)
+    return frontier
 
 
 def detect_wfrc(log) -> list[tuple[int, int]]:
     """Violating (write, replica) pairs: the write applied somewhere before
     every write its latest preceding own read had reflected."""
     reads, writes = _parse_ops(log)
-    return _wfrc_scan(reads, writes)[0]
+    return _wfrc_scan(_sessions(_committed_reads(reads)), _op_order(writes))[0]
 
 
 # -- verdicts and report -------------------------------------------------------
 
-def _verdicts(reads, writes, strategy):
-    commit_map = _commit_map(writes)
-    history = _KeyHistory(writes, strategy)
-    stale = _stale_ids(reads, history, commit_map, strategy)
-    mrc = _mrc_ids(reads, commit_map, strategy)
-    rywc, rywc_applicable = _rywc_ids(reads, writes, commit_map, strategy)
+def _verdicts(committed, writes, commit_map, strategy, mrc, rywc) -> list[ReadVerdict]:
+    """Verdicts of the committed reads, given their MRC and RYWC op-id sets."""
+    history = _commit_orders(writes, strategy, _key_of)
+    stale = _misses(committed, history, _key_of, commit_map, strategy)[0]
     verdicts = []
-    for r in sorted(reads.values(), key=lambda r: r.op_id):
-        if r.commit_us is None:
-            continue
+    for r in committed:
+        order = history.get(r.key)
         verdicts.append(
             ReadVerdict(
                 op_id=r.op_id,
@@ -512,45 +516,103 @@ def _verdicts(reads, writes, strategy):
                 stale=r.op_id in stale,
                 mrc=r.op_id in mrc,
                 rywc=r.op_id in rywc,
-                returned_write_ids=tuple(ref.write_id for ref in r.returned),
-                fresh_write_ids=history.fresh_ids(r.key, r.start),
+                returned_write_ids=tuple([ref.write_id for ref in r.returned]),
+                fresh_write_ids=order.ids_upto(order.upto(r.start)) if order is not None else (),
                 warmup=r.warmup,
             )
         )
-    return verdicts, rywc_applicable
+    return verdicts
 
 
 def read_verdicts(log, strategy: str) -> list[ReadVerdict]:
     """Per committed read: staleness, MRC, RYWC, returned and fresh sets."""
     reads, writes = _parse_ops(log)
-    return _verdicts(reads, writes, strategy)[0]
-
-
-def _last_unseen(writes, read_sessions, strategy, commit_map):
-    """Per committed write: last instant its writer saw a result not containing it."""
-    rows = []
-    for w in sorted(writes.values(), key=lambda w: w.op_id):
-        if w.commit_us is None:
-            rows.append({"write_id": w.write_id, "client_id": w.client, "key": w.key, "commit_us": None, "last_unseen_at_us": None})
-            continue
-        last = None
-        for r in read_sessions.get((w.client, w.key), ()):
-            if r.return_time is not None and r.return_time >= w.commit_us and not _reflects(strategy, r.returned, w, commit_map):
-                if last is None or r.return_time > last:
-                    last = r.return_time
-        rows.append({"write_id": w.write_id, "client_id": w.client, "key": w.key, "commit_us": w.commit_us, "last_unseen_at_us": last})
-    return rows
-
-
-def build_clientcentric_report(log, strategy: str) -> dict:
-    """Stage-3 report: staleness and session-guarantee violation probabilities."""
-    reads, writes = _parse_ops(log)
+    committed = _committed_reads(reads)
     commit_map = _commit_map(writes)
-    verdicts, rywc_applicable = _verdicts(reads, writes, strategy)
-    counted = [v for v in verdicts if not v.warmup]
+    mrc = _mrc_ids(_sessions(committed), commit_map, strategy)
+    own = _commit_orders(writes, strategy, _session_of)
+    rywc = _misses(committed, own, _session_of, commit_map, strategy)[0]
+    return _verdicts(committed, writes, commit_map, strategy, mrc, rywc)
 
-    mwc_violations, mwc_applicable, mwc_per_client, mwc_counted = _mwc_scan(writes)
-    wfrc_violations, wfrc_applicable, wfrc_per_client = _wfrc_scan(reads, writes)
+
+def _last_unseen(writes_in_order, read_sessions, own, strategy, commit_map):
+    """Per write: last instant its writer saw a result not reflecting it,
+    among the reads returning at or after the write's commit."""
+    last: dict[int, int] = {}  # write op id -> instant
+    for ck, order in own.items():
+        reads = [r for r in read_sessions.get(ck, ()) if r.return_time is not None]
+        if not reads:
+            continue
+        if strategy in _LWW:
+            _unseen_by_order_key(order.writes, reads, strategy, commit_map, last)
+        else:
+            _unseen_by_sweep(order, reads, strategy, last)
+    return [
+        {"write_id": w.write_id, "client_id": w.client, "key": w.key, "commit_us": w.commit_us, "last_unseen_at_us": last.get(w.op_id)}
+        for w in writes_in_order
+    ]
+
+
+def _unseen_by_order_key(ws, reads, strategy, commit_map, last):
+    """LWW: a read misses w iff its order key is below w's, so the answer is
+    the latest return among the reads ranked below w, if not before w's commit."""
+    ranked = sorted((_returned_key(strategy, r.returned, commit_map), r.return_time) for r in reads)
+    keys = [k for k, _ in ranked]
+    latest = list(accumulate((t for _, t in ranked), max))
+    for w in ws:
+        below = bisect_left(keys, _write_key(strategy, w))
+        if below and latest[below - 1] >= w.commit_us:
+            last[w.op_id] = latest[below - 1]
+
+
+def _unseen_by_sweep(order, reads, strategy, last):
+    """write_set and competing_writes: the reads latest first, over the own
+    writes still unresolved. A read's eligible writes (committed by its
+    return) are a prefix of the commit order that only shrinks; each one the
+    read misses is resolved at its return, and the rest stay pending. Under
+    write_set every write kept is one of the read's returned refs."""
+    ws = order.writes
+    pending = list(range(len(ws)))  # unresolved positions, ascending
+    for r in sorted(reads, key=lambda r: r.return_time, reverse=True):
+        del pending[bisect_left(pending, order.upto(r.return_time)):]
+        if not pending:
+            break
+        ids = {ref.write_id for ref in r.returned} if strategy == WRITE_SET else None
+        kept = []
+        for i in pending:
+            w = ws[i]
+            if (w.write_id in ids) if ids is not None else _covers(r.returned, w.vclock):
+                kept.append(i)
+            else:
+                last[w.op_id] = r.return_time
+        pending = kept
+
+
+def clientcentric_outputs(log, strategy: str) -> tuple[dict, list[ReadVerdict]]:
+    """The stage-3 report and the per-read verdicts, from one parse of the log.
+
+    Equal to ``(build_clientcentric_report(log, strategy),
+    read_verdicts(log, strategy))``.
+    """
+    reads, writes = _parse_ops(log)
+    committed = _committed_reads(reads)
+    writes_in_order = _op_order(writes)
+    commit_map = _commit_map(writes)
+
+    # The per-session scans run, and their structures are freed, before the
+    # verdicts are built: each is about the size of the op table, and holding
+    # both at once raised peak memory.
+    read_sessions = _sessions(committed)
+    own = _commit_orders(writes, strategy, _session_of)
+    mrc = _mrc_ids(read_sessions, commit_map, strategy)
+    rywc, rywc_applicable = _misses(committed, own, _session_of, commit_map, strategy)
+    unseen = _last_unseen(writes_in_order, read_sessions, own, strategy, commit_map)
+    mwc_applicable, mwc_counted, mwc_per_client = _mwc_counts(_sessions(writes_in_order))
+    wfrc_violations, wfrc_applicable, wfrc_per_client = _wfrc_scan(read_sessions, writes_in_order)
+    del read_sessions, own
+
+    verdicts = _verdicts(committed, writes, commit_map, strategy, mrc, rywc)
+    counted = [v for v in verdicts if not v.warmup]
 
     # Internal consistency: an RYWC violation is always also a stale read.
     for v in verdicts:
@@ -562,7 +624,7 @@ def build_clientcentric_report(log, strategy: str) -> dict:
     rywc_counted = [v for v in counted if v.op_id in rywc_applicable]
     rywc_n = sum(1 for v in rywc_counted if v.rywc)
     wfrc_violating_writes = {w for w, _ in wfrc_violations}
-    wfrc_n = sum(1 for w in writes.values() if not w.warmup and w.write_id in wfrc_violating_writes)
+    wfrc_n = sum(1 for w in writes_in_order if not w.warmup and w.write_id in wfrc_violating_writes)
 
     def rate(num, den):
         return num / den if den else 0.0
@@ -572,7 +634,7 @@ def build_clientcentric_report(log, strategy: str) -> dict:
     for v in counted:
         by_client.setdefault(v.client_id, []).append(v)
     rywc_ids = {v.op_id for v in rywc_counted}
-    clients = {i.client for i in reads.values()} | {i.client for i in writes.values()}
+    clients = {i.client for i in reads.values()} | {i.client for i in writes_in_order}
     for cid in sorted(clients):
         mine = by_client.get(cid, [])
         mine_rywc = [v for v in mine if v.op_id in rywc_ids]
@@ -590,12 +652,11 @@ def build_clientcentric_report(log, strategy: str) -> dict:
             "wfrc_violations": wfrc[1],
         }
 
-    read_sessions = _sessions([r for r in reads.values() if r.commit_us is not None])
     metadata = {"extended_detectors": ["mwc", "wfrc"]}
     if strategy == COMPETING_WRITES:
         metadata["version_order"] = "vector-clock dominance (partial order) generalizes the total version order"
 
-    return {
+    report = {
         "kind": "clientcentric_report",
         "format": 1,
         "strategy": strategy,
@@ -619,6 +680,12 @@ def build_clientcentric_report(log, strategy: str) -> dict:
             "wfrc": wfrc_applicable,
         },
         "per_client": {str(cid): stats for cid, stats in per_client.items()},
-        "writes": _last_unseen(writes, read_sessions, strategy, commit_map),
+        "writes": unseen,
         "metadata": metadata,
     }
+    return report, verdicts
+
+
+def build_clientcentric_report(log, strategy: str) -> dict:
+    """Stage-3 report: staleness and session-guarantee violation probabilities."""
+    return clientcentric_outputs(log, strategy)[0]

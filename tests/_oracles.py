@@ -32,6 +32,7 @@ class OpView:
         self.kind = None
         self.key = None
         self.start = None
+        self.warmup = False
         self.write_id = None
         self.vclock = None
         self.commit = None
@@ -50,7 +51,7 @@ def scrape(log) -> dict[int, OpView]:
         view = views.setdefault(op_id, OpView(op_id))
         if kind == OP_START:
             view.client, view.kind, view.key = payload[0], payload[1], payload[2]
-            view.write_id, view.vclock = payload[3], payload[6]
+            view.write_id, view.warmup, view.vclock = payload[3], payload[5], payload[6]
             view.start = t
         elif kind == APPLY_END and payload[0] not in view.applies:
             view.applies[payload[0]] = (t, seq)
@@ -219,6 +220,98 @@ def oracle_wfrc(log) -> set[tuple[int, int]]:
                     bad.add((w.write_id, replica))
                     break
     return bad
+
+
+def oracle_last_unseen(log, strategy) -> list[dict]:
+    """The report's per-write rows: for each write (issue order), the latest
+    return of an own same-key committed read, at or after the write's commit,
+    that does not reflect it."""
+    views = scrape(log)
+    commit_of = {v.write_id: v.commit for v in _committed_writes(views)}
+    reads = _committed_reads(views)
+    rows = []
+    for w in sorted((v for v in views.values() if v.kind == "write"), key=lambda v: v.op_id):
+        last = None
+        if w.commit is not None:
+            for r in reads:
+                if (
+                    r.client == w.client
+                    and r.key == w.key
+                    and r.return_time is not None
+                    and r.return_time >= w.commit
+                    and not _read_reflects_write(strategy, r, w, commit_of)
+                    and (last is None or r.return_time > last)
+                ):
+                    last = r.return_time
+        rows.append({"write_id": w.write_id, "client_id": w.client, "key": w.key, "commit_us": w.commit, "last_unseen_at_us": last})
+    return rows
+
+
+def oracle_report_counts(log, strategy) -> dict:
+    """The report's violation counts, denominators and per-client counts.
+
+    Warmup ops take part in session context but never count: a read counts
+    when it is not warmup, an MWC triple when its later write is not, a WFRC
+    write when it is not.
+    """
+    views = scrape(log)
+    stale, mrc, rywc = oracle_stale(log, strategy), oracle_mrc(log, strategy), oracle_rywc(log, strategy)
+    wfrc_writes = {wid for wid, _ in oracle_wfrc(log)}
+    reads = [r for r in _committed_reads(views) if not r.warmup]
+    writes = sorted((v for v in views.values() if v.kind == "write"), key=lambda v: v.op_id)
+    committed_writes = _committed_writes(views)
+    committed_reads = _committed_reads(views)
+    clients = {v.client for v in views.values() if v.kind in ("read", "write")}
+    per_client = {
+        c: dict.fromkeys(
+            ("reads", "stale", "mrc_violations", "rywc_applicable", "rywc_violations", "mwc_triples", "mwc_violations", "wfrc_writes", "wfrc_violations"),
+            0,
+        )
+        for c in clients
+    }
+    for r in reads:
+        mine = per_client[r.client]
+        mine["reads"] += 1
+        mine["stale"] += r.op_id in stale
+        mine["mrc_violations"] += r.op_id in mrc
+        if any(w.client == r.client and w.key == r.key and w.commit <= r.start for w in committed_writes):
+            mine["rywc_applicable"] += 1
+            mine["rywc_violations"] += r.op_id in rywc
+    for j, w2 in enumerate(writes):
+        if w2.warmup:
+            continue
+        mine = per_client[w2.client]
+        for w1 in writes[:j]:
+            if w1.client == w2.client and w1.key == w2.key:
+                for replica, at1 in w1.applies.items():
+                    at2 = w2.applies.get(replica)
+                    if at2 is not None:
+                        mine["mwc_triples"] += 1
+                        mine["mwc_violations"] += at1 > at2
+        if any(r.client == w2.client and r.key == w2.key and r.op_id < w2.op_id for r in committed_reads):
+            mine["wfrc_writes"] += 1
+            mine["wfrc_violations"] += w2.write_id in wfrc_writes
+
+    def total(name):
+        return sum(c[name] for c in per_client.values())
+
+    return {
+        "violations": {
+            "stale": total("stale"),
+            "mrc": total("mrc_violations"),
+            "rywc": total("rywc_violations"),
+            "mwc": total("mwc_violations"),
+            "wfrc": total("wfrc_violations"),
+        },
+        "denominators": {
+            "staleness": total("reads"),
+            "mrc": total("reads"),
+            "rywc": total("rywc_applicable"),
+            "mwc": total("mwc_triples"),
+            "wfrc": total("wfrc_writes"),
+        },
+        "per_client": {str(c): per_client[c] for c in sorted(clients)},
+    }
 
 
 # -- deterministic event enumerator for async constant stars --------------------

@@ -155,12 +155,18 @@ def random_scenario(
 
 # -- synthetic logs -------------------------------------------------------------
 
-def random_log(rng: random.Random, strategy: str, max_events=50):
+def random_log(rng: random.Random, strategy: str, max_events=50, warmup_share=0.0, late_apply_share=0.0, instant_share=0.0):
     """A well-formed synthetic event log exercising the detectors.
 
     Ops respect closed-loop sessions (per client, issue follows the previous
     terminal); apply, return, and commit patterns are otherwise adversarial:
-    partial applies, failed ops, results naming uncommitted writes.
+    partial applies, failed ops, results naming uncommitted writes. Each op
+    is a warmup op with probability warmup_share; each apply of a write lands
+    after the write's terminal (async propagation, which lets a later write
+    of the session overtake it) with probability late_apply_share; and with
+    probability instant_share an op starts the moment its client is free
+    and, if a read, returns at once. A share of 0 draws nothing, so the
+    defaults keep the logs of earlier seeds.
     """
     n_clients = rng.randint(1, 3)
     n_keys = rng.randint(1, 3)
@@ -179,9 +185,11 @@ def random_log(rng: random.Random, strategy: str, max_events=50):
     while len(events) < max_events - 8:
         client = rng.randrange(n_clients)
         key = rng.randrange(n_keys)
-        clock = max(clock, client_free_at[client]) + rng.randint(1, 50)
+        instant = instant_share > 0 and rng.random() < instant_share
+        clock = max(clock, client_free_at[client]) + (0 if instant else rng.randint(1, 50))
         start = clock
         is_write = rng.random() < 0.5
+        warmup = warmup_share > 0 and rng.random() < warmup_share
         if is_write:
             wid = len(issued_writes)
             vclock = None
@@ -197,12 +205,15 @@ def random_log(rng: random.Random, strategy: str, max_events=50):
                 vclock = tuple(sorted(base.items()))
             ref = VersionRef(wid, client, start, vclock)
             issued_writes.append(ref)
-            emit(start, op_id, OP_START, (client, "write", key, wid, 64, False, vclock))
+            emit(start, op_id, OP_START, (client, "write", key, wid, 64, warmup, vclock))
             emit(start, op_id, GRAPH_CHOSEN, (0,))
             end = start
             for replica in rng.sample(range(n_replicas), rng.randint(0, n_replicas)):
                 at = start + rng.randint(1, 40)
-                end = max(end, at)
+                if late_apply_share > 0 and rng.random() < late_apply_share:
+                    at += 60 + rng.randint(0, 200)  # after any terminal below
+                else:
+                    end = max(end, at)
                 emit(at, op_id, APPLY_START, (replica,))
                 emit(at, op_id, APPLY_END, (replica, wid))
             terminal = end + rng.randint(0, 20)
@@ -211,10 +222,10 @@ def random_log(rng: random.Random, strategy: str, max_events=50):
             else:
                 emit(terminal, op_id, OP_FAIL, ("TIMEOUT",))
         else:
-            emit(start, op_id, OP_START, (client, "read", key, None, 64, False, None))
+            emit(start, op_id, OP_START, (client, "read", key, None, 64, warmup, None))
             emit(start, op_id, GRAPH_CHOSEN, (100,))
             replica = rng.randrange(n_replicas)
-            serve = start + rng.randint(0, 30)
+            serve = start if instant else start + rng.randint(0, 30)
             if rng.random() < 0.9:
                 pool = [w for w in issued_writes if rng.random() < 0.5]
                 if strategy in ("lww_timestamp", "lww_arrival"):

@@ -155,7 +155,7 @@ def _convergence_worker(args):
     gc.disable()
     try:
         failures = []
-        rng = random.Random((0xC0FFEE, lo))
+        rng = random.Random(f"convergence:{lo}")
         for i in range(lo, hi):
             topo, coop, fails, wl = random_scenario(rng, max_total_ops=150)
             for strategy in (LWW_TIMESTAMP, WRITE_SET, COMPETING_WRITES):
@@ -196,7 +196,7 @@ def test_criterion_05_oracle_equivalence():
     disagreements = []
     total = 0
     for strategy in strategies:
-        rng = random.Random(hash(strategy) & 0xFFFF)
+        rng = random.Random(f"oracle:{strategy}")
         for _ in range(250):
             total += 1
             log = random_log(rng, strategy)

@@ -5,8 +5,10 @@ import pytest
 from _builders import mesh_topology, replica, simple_workload, write_only_workload
 from _oracles import (
     oracle_commit_timestamps,
+    oracle_last_unseen,
     oracle_mrc,
     oracle_mwc,
+    oracle_report_counts,
     oracle_rywc,
     oracle_stale,
     oracle_wfrc,
@@ -264,7 +266,7 @@ def test_wfrc_flags_unordered_apply():
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_detectors_agree_with_quadratic_oracles_on_synthetic_logs(strategy):
-    rng = random.Random(hash(strategy) & 0xFFFFFF)
+    rng = random.Random(f"detectors:{strategy}")
     for _ in range(250):
         log = random_log(rng, strategy)
         verdicts = read_verdicts(log, strategy)
@@ -285,6 +287,26 @@ def test_detectors_agree_with_oracles_on_engine_logs(strategy):
         assert {v.op_id for v in verdicts if v.stale} == oracle_stale(log, strategy)
         assert detect_mrc(log, strategy) == oracle_mrc(log, strategy)
         assert detect_rywc(log, strategy) == oracle_rywc(log, strategy)
+        assert set(detect_mwc(log)) == oracle_mwc(log)
+        assert set(detect_wfrc(log)) == oracle_wfrc(log)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_report_counts_and_last_unseen_agree_with_oracles(strategy):
+    # the report's denominators, per-client counts and last-unseen instants
+    # come from sweeps and a Fenwick tree, not from the detectors' verdict
+    # sets; late applies make MWC inversions, instant ops let a read return
+    # at its own write's commit instant, and half the logs flag random
+    # ops as warmup
+    rng = random.Random(f"report-oracles:{strategy}")
+    for i in range(250):
+        log = random_log(rng, strategy, warmup_share=0.3 if i % 2 else 0.0, late_apply_share=0.3, instant_share=0.3)
+        report = build_clientcentric_report(log, strategy)
+        counts = oracle_report_counts(log, strategy)
+        assert report["violations"] == counts["violations"]
+        assert report["denominators"] == counts["denominators"]
+        assert report["per_client"] == counts["per_client"]
+        assert report["writes"] == oracle_last_unseen(log, strategy)
         assert set(detect_mwc(log)) == oracle_mwc(log)
         assert set(detect_wfrc(log)) == oracle_wfrc(log)
 

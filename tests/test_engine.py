@@ -474,7 +474,7 @@ def replay_stores(log, strategy):
 
 @pytest.mark.parametrize("strategy", [LWW_ARRIVAL, LWW_TIMESTAMP, WRITE_SET, COMPETING_WRITES])
 def test_engine_stores_match_apply_write_replay(strategy):
-    rng = random.Random(hash(strategy) & 0xFFFF)
+    rng = random.Random(f"replay:{strategy}")
     for _ in range(8):
         topo, coop, failures, wl = random_scenario(rng, max_total_ops=60)
         log = run_simulation(topo, coop, failures, wl, strategy, seed=rng.randrange(10_000))
