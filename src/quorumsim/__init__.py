@@ -15,12 +15,7 @@ from .clientcentric import (
     judge_staleness,
     read_verdicts,
 )
-from .datacentric import (
-    build_datacentric_report,
-    group_events,
-    inconsistency_window,
-    op_records,
-)
+from .datacentric import build_datacentric_report, op_records
 from .distributions import (
     Constant,
     Empirical,
@@ -85,6 +80,7 @@ from .model import (
     quorum_edge,
     validate_scenario,
 )
+from .optable import OpRecord, OpTable, op_table
 from .scenario import Scenario, ScenarioFormatError, load_scenario, scenario_from_json, scenario_to_json
 from .workload import ClientOverride, Request, WorkloadDriver, WorkloadSpec
 

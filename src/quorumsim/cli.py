@@ -18,10 +18,11 @@ from pathlib import Path
 from . import logio
 from .clientcentric import clientcentric_outputs
 from .datacentric import build_datacentric_report, op_records
-from .engine import run_simulation
+from .engine import gc_paused, run_simulation
 from .errors import MalformedLogError
 from .levels import LevelError, is_immediately_consistent, parse_level, required_acks
 from .model import QuorumSpec, validate_scenario
+from .optable import op_table
 from .scenario import Scenario, ScenarioFormatError, load_scenario, scenario_from_json
 
 EXIT_OK = 0
@@ -99,10 +100,13 @@ def _run_one(scenario: Scenario, seed: int, out_dir: Path, stages) -> dict:
         row = {"seed": seed}
         if 1 in stages:
             logio.write_events(log, out_dir / "events.jsonl")
+        if 2 in stages or 3 in stages:
+            table = op_table(log)
+            del log  # the stages read only the table; freeing the events lowers peak memory
         if 2 in stages:
-            report2 = build_datacentric_report(log)
+            report2 = build_datacentric_report(table)
             logio.write_json_report(report2, out_dir / "datacentric.json")
-            logio.write_op_table(op_records(log), out_dir / "ops.csv")
+            logio.write_op_table(op_records(table), out_dir / "ops.csv")
             g = report2["global"]
             row.update(
                 ops=g["counts"]["ops"],
@@ -113,7 +117,7 @@ def _run_one(scenario: Scenario, seed: int, out_dir: Path, stages) -> dict:
                 mean_window_us=g["inconsistency_window_us"]["mean"],
             )
         if 3 in stages:
-            report3, verdicts = clientcentric_outputs(log, scenario.strategy)
+            report3, verdicts = clientcentric_outputs(table, scenario.strategy)
             logio.write_json_report(report3, out_dir / "clientcentric.json")
             logio.write_read_verdicts(verdicts, out_dir / "read_verdicts.csv")
             row.update(
@@ -173,13 +177,15 @@ def cmd_analyze(args) -> int:
     strategy = log.meta.get("strategy")
     if strategy is None and 3 in stages:
         raise MalformedLogError("events file lacks the run_meta header needed for stage 3")
+    table = op_table(log)
+    del log  # the stages read only the table; freeing the events lowers peak memory
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if 2 in stages:
-        logio.write_json_report(build_datacentric_report(log), out / "datacentric.json")
-        logio.write_op_table(op_records(log), out / "ops.csv")
+        logio.write_json_report(build_datacentric_report(table), out / "datacentric.json")
+        logio.write_op_table(op_records(table), out / "ops.csv")
     if 3 in stages:
-        report3, verdicts = clientcentric_outputs(log, strategy)
+        report3, verdicts = clientcentric_outputs(table, strategy)
         logio.write_json_report(report3, out / "clientcentric.json")
         logio.write_read_verdicts(verdicts, out / "read_verdicts.csv")
     _say(args, f"wrote stage {list(stages)} metrics to {out}")
@@ -259,7 +265,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        with gc_paused():
+            return args.fn(args)
     except (ScenarioFormatError, FileNotFoundError, PermissionError, IsADirectoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO

@@ -12,36 +12,33 @@ A read's staleness reference point is its issue instant: the read is stale
 iff its result fails to reflect some write committed at or before that
 instant. Warmup ops take part in session context but are excluded from
 every numerator and denominator.
+
+The functions read the log through its op table (``optable``) and accept a
+built table in place of the log.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, islice
 from operator import attrgetter
 
 from .engine import (
-    APPLY_END,
     COMPETING_WRITES,
     LWW_ARRIVAL,
     LWW_TIMESTAMP,
-    OP_COMMIT,
-    OP_FAIL,
-    OP_START,
-    READ_RETURN,
     WRITE_SET,
     VersionRef,
     merge_heads,
     vclock_dominates,
 )
 from .errors import MalformedLogError
+from .optable import OpRecord, op_table
 from .workload import READ, WRITE
 
 _INITIAL_KEY = (-1,)
 _LWW = (LWW_TIMESTAMP, LWW_ARRIVAL)
-# parse dispatch: 1 apply_end, 2 op_start, 3 read_return, 4 commit, 5 fail
-_KIND_CODE = {APPLY_END: 1, OP_START: 2, READ_RETURN: 3, OP_COMMIT: 4, OP_FAIL: 5}
 
 
 @dataclass(frozen=True)
@@ -65,113 +62,18 @@ class ReadVerdict:
     mrc: bool
     rywc: bool
     returned_write_ids: tuple[int, ...]
-    fresh_write_ids: tuple[int, ...]
     warmup: bool = False
 
 
-@dataclass(slots=True)
-class _ReadInfo:
-    op_id: int
-    client: int
-    key: int
-    start: int
-    warmup: bool
-    returned: tuple = ()
-    return_time: int | None = None
-    commit_us: int | None = None
-
-
-@dataclass(slots=True)
-class _WriteInfo:
-    op_id: int
-    client: int
-    key: int
-    start: int
-    warmup: bool
-    write_id: int
-    client_ts: int
-    vclock: tuple | None
-    commit_us: int | None = None
-    applies: dict = field(default_factory=dict)  # replica -> (time, seq)
-
-
-def _event_list(log):
-    return log.events if hasattr(log, "events") else log
-
-
-def _parse_ops(log):
-    """Single pass over events in any order: reads, writes, terminals."""
-    reads: dict[int, _ReadInfo] = {}
-    writes: dict[int, _WriteInfo] = {}
-    pending: list = []
-    kind_code = _KIND_CODE
-    for ev in _event_list(log):
-        code = kind_code.get(ev[3])
-        if code is None:
-            continue
-        op_id = ev[2]
-        if op_id is None:
-            continue
-        if code == 1:
-            w = writes.get(op_id)
-            if w is not None:
-                w.applies[ev[4][0]] = (ev[1], ev[0])
-            elif op_id not in reads:
-                pending.append(ev)
-        elif code == 2:
-            t = ev[1]
-            client, op_kind, key, write_id, _, warmup, vclock = ev[4]
-            if op_kind == WRITE:
-                writes[op_id] = _WriteInfo(op_id, client, key, t, warmup, write_id, t, vclock)
-            elif op_kind == READ:
-                reads[op_id] = _ReadInfo(op_id, client, key, t, warmup)
-        elif code == 3:
-            r = reads.get(op_id)
-            if r is None:
-                pending.append(ev)
-            else:
-                r.returned = tuple(ev[4][1])
-                r.return_time = ev[1]
-        elif code == 4:
-            if op_id in writes:
-                writes[op_id].commit_us = ev[1]
-            elif op_id in reads:
-                reads[op_id].commit_us = ev[1]
-            else:
-                pending.append(ev)
-        elif op_id not in writes and op_id not in reads:
-            pending.append(ev)
-    # Shuffled logs only: events seen before their op_start.
-    for ev in pending:
-        seq, t, op_id, kind, payload = ev
-        if kind == APPLY_END:
-            w = writes.get(op_id)
-            if w is not None:
-                w.applies[payload[0]] = (t, seq)
-            elif op_id not in reads:
-                raise MalformedLogError(f"apply_end for unknown op {op_id}")
-        elif kind == READ_RETURN:
-            r = reads.get(op_id)
-            if r is None:
-                raise MalformedLogError(f"read_return for unknown op {op_id}")
-            r.returned = tuple(payload[1])
-            r.return_time = t
-        elif kind == OP_COMMIT:
-            if op_id in writes:
-                writes[op_id].commit_us = t
-            elif op_id in reads:
-                reads[op_id].commit_us = t
-            else:
-                raise MalformedLogError(f"terminal event for unknown op {op_id}")
-        elif op_id not in writes and op_id not in reads:
-            raise MalformedLogError(f"terminal event for unknown op {op_id}")
-    return reads, writes
+def _reads_writes(log) -> tuple[list[OpRecord], list[OpRecord]]:
+    """The op table's reads and writes, each in issue (op-id) order."""
+    ops = op_table(log).ops
+    return [op for op in ops if op.kind == READ], [op for op in ops if op.kind == WRITE]
 
 
 def commit_timestamps(log) -> dict[int, int]:
     """write_id -> commit instant, committed writes only."""
-    _, writes = _parse_ops(log)
-    return {w.write_id: w.commit_us for w in writes.values() if w.commit_us is not None}
+    return _commit_map(_reads_writes(log)[1])
 
 
 # -- strategy order keys and reflection --------------------------------------
@@ -195,7 +97,7 @@ def _returned_key(strategy: str, refs, commit_map):
 
 def _write_key(strategy: str, w):
     if strategy == LWW_TIMESTAMP:
-        ts = w.client_timestamp if isinstance(w, (WriteRecord, VersionRef)) else w.client_ts
+        ts = w.client_timestamp if isinstance(w, (WriteRecord, VersionRef)) else w.start
         return (0, ts, w.write_id)
     if w.commit_us is None:
         return (0, -1, 0, w.write_id)
@@ -226,25 +128,20 @@ def judge_staleness(strategy: str, read_start_us: int, returned_refs, key_writes
     return rkey < max(_write_key(strategy, w) for w in fresh)
 
 
-# -- internal scans over parsed ops -------------------------------------------
+# -- internal scans over the op table ------------------------------------------
 #
-# Each scan behind the report and the verdicts is linear in the parsed ops
+# Each scan behind the report and the verdicts is linear in the table's ops
 # plus the returned refs, up to a log factor from sorting and bisection. The
 # exception is competing_writes: vector-clock dominance is only a partial
 # order, so its reflection checks stay pairwise within a key or session.
 
 
 def _commit_map(writes) -> dict[int, int]:
-    return {w.write_id: w.commit_us for w in writes.values() if w.commit_us is not None}
+    return {w.write_id: w.commit_us for w in writes if w.commit_us is not None}
 
 
-def _op_order(infos: dict) -> list:
-    """The values of an op-id keyed dict in issue order."""
-    return [infos[op_id] for op_id in sorted(infos)]
-
-
-def _committed_reads(reads) -> list[_ReadInfo]:
-    return [r for r in _op_order(reads) if r.commit_us is not None]
+def _committed_reads(reads) -> list[OpRecord]:
+    return [r for r in reads if r.commit_us is not None]
 
 
 _key_of = attrgetter("key")
@@ -267,9 +164,9 @@ class _CommitOrder:
     i + 1.
     """
 
-    __slots__ = ("writes", "times", "ids", "prefix_max", "_ids_upto")
+    __slots__ = ("writes", "times", "ids", "prefix_max")
 
-    def __init__(self, writes: list[_WriteInfo], strategy: str):
+    def __init__(self, writes: list[OpRecord], strategy: str):
         writes.sort(key=lambda w: (w.commit_us, w.write_id))
         self.writes = writes
         self.times = [w.commit_us for w in writes]
@@ -277,22 +174,15 @@ class _CommitOrder:
         self.prefix_max = None
         if strategy in _LWW:
             self.prefix_max = list(accumulate((_write_key(strategy, w) for w in writes), max))
-        self._ids_upto: dict[int, tuple[int, ...]] = {}
 
     def upto(self, t: int) -> int:
         return bisect_right(self.times, t)
-
-    def ids_upto(self, hi: int) -> tuple[int, ...]:
-        ids = self._ids_upto.get(hi)
-        if ids is None:
-            ids = self._ids_upto[hi] = tuple(self.ids[:hi])
-        return ids
 
 
 def _commit_orders(writes, strategy, group) -> dict:
     """group(write) -> _CommitOrder of the committed writes in that group."""
     grouped: dict = {}
-    for w in writes.values():
+    for w in writes:
         if w.commit_us is not None:
             grouped.setdefault(group(w), []).append(w)
     return {g: _CommitOrder(ws, strategy) for g, ws in grouped.items()}
@@ -358,13 +248,13 @@ def _mrc_ids(read_sessions, commit_map, strategy) -> set[int]:
 
 def detect_mrc(log, strategy: str) -> set[int]:
     """Op ids of committed reads that moved backward within their session."""
-    reads, writes = _parse_ops(log)
+    reads, writes = _reads_writes(log)
     return _mrc_ids(_sessions(_committed_reads(reads)), _commit_map(writes), strategy)
 
 
 def detect_rywc(log, strategy: str) -> set[int]:
     """Op ids of committed reads that fail to reflect an own earlier-committed write."""
-    reads, writes = _parse_ops(log)
+    reads, writes = _reads_writes(log)
     own = _commit_orders(writes, strategy, _session_of)
     return _misses(_committed_reads(reads), own, _session_of, _commit_map(writes), strategy)[0]
 
@@ -426,8 +316,7 @@ def _mwc_counts(write_sessions):
 
 def detect_mwc(log) -> list[tuple[int, int, int]]:
     """Violating (earlier write, later write, replica) triples."""
-    _, writes = _parse_ops(log)
-    return _mwc_triples(_sessions(_op_order(writes)))
+    return _mwc_triples(_sessions(_reads_writes(log)[1]))
 
 
 def _wfrc_scan(read_sessions, writes_in_order):
@@ -494,8 +383,8 @@ def _frontier(refs, apply_at) -> dict:
 def detect_wfrc(log) -> list[tuple[int, int]]:
     """Violating (write, replica) pairs: the write applied somewhere before
     every write its latest preceding own read had reflected."""
-    reads, writes = _parse_ops(log)
-    return _wfrc_scan(_sessions(_committed_reads(reads)), _op_order(writes))[0]
+    reads, writes = _reads_writes(log)
+    return _wfrc_scan(_sessions(_committed_reads(reads)), writes)[0]
 
 
 # -- verdicts and report -------------------------------------------------------
@@ -504,29 +393,25 @@ def _verdicts(committed, writes, commit_map, strategy, mrc, rywc) -> list[ReadVe
     """Verdicts of the committed reads, given their MRC and RYWC op-id sets."""
     history = _commit_orders(writes, strategy, _key_of)
     stale = _misses(committed, history, _key_of, commit_map, strategy)[0]
-    verdicts = []
-    for r in committed:
-        order = history.get(r.key)
-        verdicts.append(
-            ReadVerdict(
-                op_id=r.op_id,
-                client_id=r.client,
-                key=r.key,
-                start_us=r.start,
-                stale=r.op_id in stale,
-                mrc=r.op_id in mrc,
-                rywc=r.op_id in rywc,
-                returned_write_ids=tuple([ref.write_id for ref in r.returned]),
-                fresh_write_ids=order.ids_upto(order.upto(r.start)) if order is not None else (),
-                warmup=r.warmup,
-            )
+    return [
+        ReadVerdict(
+            op_id=r.op_id,
+            client_id=r.client,
+            key=r.key,
+            start_us=r.start,
+            stale=r.op_id in stale,
+            mrc=r.op_id in mrc,
+            rywc=r.op_id in rywc,
+            returned_write_ids=tuple([ref.write_id for ref in r.returned]),
+            warmup=r.warmup,
         )
-    return verdicts
+        for r in committed
+    ]
 
 
 def read_verdicts(log, strategy: str) -> list[ReadVerdict]:
-    """Per committed read: staleness, MRC, RYWC, returned and fresh sets."""
-    reads, writes = _parse_ops(log)
+    """Per committed read: staleness, MRC, RYWC and the returned write ids."""
+    reads, writes = _reads_writes(log)
     committed = _committed_reads(reads)
     commit_map = _commit_map(writes)
     mrc = _mrc_ids(_sessions(committed), commit_map, strategy)
@@ -589,21 +474,20 @@ def _unseen_by_sweep(order, reads, strategy, last):
 
 
 def clientcentric_outputs(log, strategy: str) -> tuple[dict, list[ReadVerdict]]:
-    """The stage-3 report and the per-read verdicts, from one parse of the log.
+    """The stage-3 report and the per-read verdicts, from one op table.
 
     Equal to ``(build_clientcentric_report(log, strategy),
     read_verdicts(log, strategy))``.
     """
-    reads, writes = _parse_ops(log)
+    reads, writes_in_order = _reads_writes(log)
     committed = _committed_reads(reads)
-    writes_in_order = _op_order(writes)
-    commit_map = _commit_map(writes)
+    commit_map = _commit_map(writes_in_order)
 
     # The per-session scans run, and their structures are freed, before the
     # verdicts are built: each is about the size of the op table, and holding
     # both at once raised peak memory.
     read_sessions = _sessions(committed)
-    own = _commit_orders(writes, strategy, _session_of)
+    own = _commit_orders(writes_in_order, strategy, _session_of)
     mrc = _mrc_ids(read_sessions, commit_map, strategy)
     rywc, rywc_applicable = _misses(committed, own, _session_of, commit_map, strategy)
     unseen = _last_unseen(writes_in_order, read_sessions, own, strategy, commit_map)
@@ -611,7 +495,7 @@ def clientcentric_outputs(log, strategy: str) -> tuple[dict, list[ReadVerdict]]:
     wfrc_violations, wfrc_applicable, wfrc_per_client = _wfrc_scan(read_sessions, writes_in_order)
     del read_sessions, own
 
-    verdicts = _verdicts(committed, writes, commit_map, strategy, mrc, rywc)
+    verdicts = _verdicts(committed, writes_in_order, commit_map, strategy, mrc, rywc)
     counted = [v for v in verdicts if not v.warmup]
 
     # Internal consistency: an RYWC violation is always also a stale read.
@@ -634,7 +518,7 @@ def clientcentric_outputs(log, strategy: str) -> tuple[dict, list[ReadVerdict]]:
     for v in counted:
         by_client.setdefault(v.client_id, []).append(v)
     rywc_ids = {v.op_id for v in rywc_counted}
-    clients = {i.client for i in reads.values()} | {i.client for i in writes_in_order}
+    clients = {r.client for r in reads} | {w.client for w in writes_in_order}
     for cid in sorted(clients):
         mine = by_client.get(cid, [])
         mine_rywc = [v for v in mine if v.op_id in rywc_ids]

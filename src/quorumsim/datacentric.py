@@ -10,6 +10,9 @@ ApplyEnd of that write across replicas (the state-mutation instants). Writes
 that never reached every vertex of their chosen replication graph (crash-stop
 in the path, or no ApplyEnd at all) have no defined window and are counted
 separately as non-converged rather than folded into the histogram.
+
+The functions read the log through its op table (``optable``) and accept a
+built table in place of the log.
 """
 
 from __future__ import annotations
@@ -18,55 +21,28 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .engine import APPLY_END, GRAPH_CHOSEN, OP_COMMIT, OP_FAIL, OP_START
-from .errors import MalformedLogError
+from .optable import COMMITTED, op_table
 from .workload import READ, WRITE
 
 # Fixed log-scale bucket edges: 1 us .. 100 s, 5 buckets per decade. Values
 # of exactly zero get their own bucket so reports stay comparable across runs.
 HISTOGRAM_EDGES_US = tuple(round(10 ** (k / 5)) for k in range(41))
 
-_TERMINAL = (OP_COMMIT, OP_FAIL)
 
-
-def _event_list(log):
-    return log.events if hasattr(log, "events") else log
-
-
-def group_events(log) -> dict[int, list]:
-    """Partition events by op id, each group ordered by (time, seq).
-
-    Raises MalformedLogError if an op lacks an op_start or a terminal event,
-    or has more than one of either.
-    """
-    events = sorted(_event_list(log), key=lambda e: (e[1], e[0]))
-    groups: dict[int, list] = {}
-    for ev in events:
-        if ev[2] is not None:
-            groups.setdefault(ev[2], []).append(ev)
-    for op_id, group in groups.items():
-        starts = sum(1 for ev in group if ev[3] == OP_START)
-        terminals = sum(1 for ev in group if ev[3] in _TERMINAL)
-        if starts != 1:
-            raise MalformedLogError(f"op {op_id} has {starts} op_start events")
-        if terminals != 1:
-            raise MalformedLogError(f"op {op_id} has {terminals} terminal events")
-    return groups
-
-
-def inconsistency_window(write_group: list, graph_vertices) -> int | None:
+def _window(write, graphs) -> int | None:
     """max - min ApplyEnd time over replicas, or None when undefined.
 
     Undefined when the write produced no ApplyEnd at all or some vertex of
-    its replication graph never applied it.
+    its replication graph (when the log's metadata names it) never applied it.
     """
-    apply_times = {}
-    for ev in write_group:
-        if ev[3] == APPLY_END:
-            apply_times[ev[4][0]] = ev[1]
-    if not apply_times or set(graph_vertices) - set(apply_times):
+    applies = write.applies
+    if not applies:
         return None
-    return max(apply_times.values()) - min(apply_times.values())
+    vertices = graphs.get(write.graph_id, {}).get("vertices")
+    if vertices is not None and any(v not in applies for v in vertices):
+        return None
+    times = [t for t, _ in applies.values()]
+    return max(times) - min(times)
 
 
 @dataclass
@@ -143,72 +119,50 @@ def _histogram_summary(values) -> dict:
 
 
 def op_records(log) -> list[dict]:
-    """One record per op: identity, chosen graph, outcome, latency, window."""
-    graphs = log.meta.get("graphs", {}) if hasattr(log, "meta") else {}
-    records = []
-    for op_id, group in sorted(group_events(log).items()):
-        rec = {
-            "op_id": op_id,
-            "client_id": None,
-            "kind": None,
-            "key": None,
-            "graph_id": None,
-            "start_us": None,
-            "status": None,
-            "latency_us": None,
-            "window_us": None,
-            "warmup": False,
+    """One record per op, in op-id order: identity, chosen graph, outcome, latency, window."""
+    table = op_table(log)
+    return [
+        {
+            "op_id": op.op_id,
+            "client_id": op.client,
+            "kind": op.kind,
+            "key": op.key,
+            "graph_id": op.graph_id,
+            "start_us": op.start,
+            "status": op.status,
+            "latency_us": op.latency_us,
+            "window_us": _window(op, table.graphs) if op.kind == WRITE else None,
+            "warmup": op.warmup,
         }
-        apply_times = {}
-        for ev in group:
-            kind = ev[3]
-            if kind == OP_START:
-                client, op_kind, key, _, _, warmup, _ = ev[4]
-                rec.update(client_id=client, kind=op_kind, key=key, start_us=ev[1], warmup=warmup)
-            elif kind == GRAPH_CHOSEN:
-                rec["graph_id"] = ev[4][0]
-            elif kind == APPLY_END:
-                apply_times[ev[4][0]] = ev[1]
-            elif kind == OP_COMMIT:
-                rec["status"] = "committed"
-                rec["latency_us"] = ev[4][0]
-            elif kind == OP_FAIL:
-                rec["status"] = f"failed:{ev[4][0]}"
-        if rec["kind"] == WRITE:
-            vertices = graphs.get(rec["graph_id"], {}).get("vertices")
-            if vertices is not None:
-                window = inconsistency_window(group, vertices)
-            else:
-                window = (max(apply_times.values()) - min(apply_times.values())) if apply_times else None
-            rec["window_us"] = window
-        records.append(rec)
-    return records
+        for op in table.ops
+    ]
 
 
 def build_datacentric_report(log) -> dict:
     """Stage-2 report: window/latency distributions and error rates, per graph and global."""
-    graphs_meta = log.meta.get("graphs", {}) if hasattr(log, "meta") else {}
+    table = op_table(log)
     global_section = _Section()
     per_graph: dict[int, _Section] = {}
 
-    for rec in op_records(log):
-        if rec["warmup"]:
+    for op in table.ops:
+        if op.warmup:
             continue
-        gid = rec["graph_id"]
+        gid = op.graph_id
         sections = [global_section]
         if gid is not None:
             sections.append(per_graph.setdefault(gid, _Section()))
-        is_write = rec["kind"] == WRITE
-        committed = rec["status"] == "committed"
+        is_write = op.kind == WRITE
+        committed = op.status == COMMITTED
+        window = _window(op, table.graphs) if is_write else None
         for s in sections:
             s.ops += 1
             if is_write:
                 s.writes += 1
-            elif rec["kind"] == READ:
+            elif op.kind == READ:
                 s.reads += 1
             if committed:
                 s.commits += 1
-                s.latencies.append(rec["latency_us"])
+                s.latencies.append(op.latency_us)
             else:
                 s.fails += 1
                 if is_write:
@@ -216,17 +170,17 @@ def build_datacentric_report(log) -> dict:
                 else:
                     s.read_fails += 1
             if is_write:
-                if rec["window_us"] is None:
+                if window is None:
                     s.non_converged += 1
                 else:
-                    s.windows.append(rec["window_us"])
+                    s.windows.append(window)
 
     return {
         "kind": "datacentric_report",
         "format": 1,
         "global": global_section.to_json(),
         "graphs": {
-            str(gid): {**per_graph[gid].to_json(), **_graph_label(graphs_meta, gid)}
+            str(gid): {**per_graph[gid].to_json(), **_graph_label(table.graphs, gid)}
             for gid in sorted(per_graph)
         },
     }

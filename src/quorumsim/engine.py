@@ -42,6 +42,7 @@ throughput.
 from __future__ import annotations
 
 import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
 from collections import deque
 from heapq import heappop, heappush
@@ -194,6 +195,23 @@ def resolve_read(strategy: str, contributions) -> list[VersionRef]:
                 pool.extend(snap)
         return merge_heads(pool)
     raise ValueError(f"unknown strategy {strategy!r}")
+
+
+@contextmanager
+def gc_paused():
+    """Pause the cyclic garbage collector for the block.
+
+    Simulation and analysis allocate millions of cycle-free tuples, so
+    generational GC passes are pure overhead there. Nested use leaves the
+    collector as the outermost block found it.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class ScenarioInvalidError(Exception):
@@ -729,16 +747,8 @@ def run_simulation(
     report = validate_scenario(topology, coop, failures, workload)
     if not report.ok:
         raise ScenarioInvalidError(report)
-    # The loop allocates millions of cycle-free tuples; generational GC scans
-    # are pure overhead here, so pause collection for the duration.
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
+    with gc_paused():
         events, final_stores = _simulate(topology, coop, list(failures), workload, strategy, seed, op_timeout)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
     meta = {
         "strategy": strategy,
         "seed": seed,

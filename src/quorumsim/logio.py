@@ -81,6 +81,8 @@ def event_to_json(ev) -> dict:
 def event_from_json(obj, line: int | None = None):
     try:
         seq, t, op_id, kind = obj["seq"], obj["time_us"], obj["op_id"], obj["kind"]
+        if type(seq) is not int or type(t) is not int or not (op_id is None or type(op_id) is int):
+            raise MalformedLogError("event seq and time_us must be integers, op_id an integer or null", line)
         if kind == engine.OP_START:
             vclock = obj.get("vclock")
             payload = (
@@ -114,8 +116,10 @@ def event_from_json(obj, line: int | None = None):
         else:
             raise MalformedLogError(f"unknown event kind {kind!r}", line)
         return (seq, t, op_id, kind, payload)
-    except (KeyError, TypeError) as e:
+    except KeyError as e:
         raise MalformedLogError(f"event is missing field {e.args[0]!r}", line) from None
+    except (AttributeError, TypeError, ValueError):
+        raise MalformedLogError("event has a field of the wrong type", line) from None
 
 
 def _meta_to_json(meta: dict) -> dict:
@@ -156,7 +160,10 @@ def read_events(path) -> SimulationLog:
             if not isinstance(obj, dict) or "kind" not in obj:
                 raise MalformedLogError("line is not an event object", line_no)
             if obj["kind"] == "run_meta":
-                meta = _meta_from_json(obj)
+                try:
+                    meta = _meta_from_json(obj)
+                except (AttributeError, ValueError):
+                    raise MalformedLogError("run_meta header has a field of the wrong type", line_no) from None
                 continue
             events.append(event_from_json(obj, line_no))
     return SimulationLog(meta, events, {})

@@ -1,7 +1,9 @@
 import json
+import random
 
 import pytest
 
+from quorumsim import optable
 from quorumsim.cli import list_presets, main
 
 
@@ -138,6 +140,48 @@ def test_analyze_malformed_log(tmp_path, capsys):
     path.write_text('{"kind":"run_meta","format":1,"strategy":"lww_timestamp","graphs":{}}\n{"seq":0')
     assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 1
     assert "MALFORMED_LOG" in capsys.readouterr().err
+
+
+def test_run_and_analyze_build_the_op_table_once(scenario_file, tmp_path, monkeypatch):
+    built = []
+
+    class CountingTable(optable.OpTable):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(optable, "OpTable", CountingTable)
+    run_dir = tmp_path / "run"
+    assert main(["run", str(scenario_file), "--out", str(run_dir), "--quiet"]) == 0
+    assert len(built) == 1
+    assert main(["analyze", str(run_dir / "events.jsonl"), "--out", str(tmp_path / "analyzed"), "--quiet"]) == 0
+    assert len(built) == 2
+
+
+def test_stages_2_and_3_reject_the_same_malformed_logs(scenario_file, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["run", str(scenario_file), "--out", str(run_dir), "--stages", "1", "--quiet"]) == 0
+    header, *lines = (run_dir / "events.jsonl").read_text().splitlines()
+    events = [json.loads(line) for line in lines]
+    terminal = next(ev for ev in events if ev["kind"] == "op_commit")
+    apply_start = next(ev for ev in events if ev["kind"] == "apply_start")
+    next_seq = events[-1]["seq"] + 1
+    malformed = {
+        "duplicated_terminal": events + [{**terminal, "seq": next_seq}],
+        "unknown_op": events + [{**apply_start, "seq": next_seq, "op_id": 10_000}],
+    }
+    rng = random.Random(7)
+    for name, bad in malformed.items():
+        shuffled = list(bad)
+        rng.shuffle(shuffled)
+        for order, evs in (("ordered", bad), ("shuffled", shuffled)):
+            path = tmp_path / f"{name}_{order}.jsonl"
+            path.write_text("\n".join([header, *map(json.dumps, evs)]) + "\n")
+            for stages in ("2", "3"):
+                capsys.readouterr()
+                argv = ["analyze", str(path), "--out", str(tmp_path / "out"), "--stages", stages]
+                assert main(argv) == 1, (name, order, stages)
+                assert "MALFORMED_LOG" in capsys.readouterr().err
 
 
 def test_quorum_check_verdicts(capsys):

@@ -14,12 +14,11 @@ from quorumsim import (
     MalformedLogError,
     SimulationLog,
     build_datacentric_report,
-    group_events,
-    inconsistency_window,
     op_records,
+    op_table,
     run_simulation,
 )
-from quorumsim.engine import LWW_TIMESTAMP, OP_COMMIT, OP_START
+from quorumsim.engine import ACK, LWW_TIMESTAMP, OP_COMMIT, OP_FAIL, OP_START
 from quorumsim.model import CRASH_STOP, READING, REPLICATION, SYNC_EDGE
 
 
@@ -28,44 +27,58 @@ def async_star_log(n_ops=1, think=1_000, seed=3):
     return run_simulation(topo, coop, [], write_only_workload(n_ops, think=Constant(think)), LWW_TIMESTAMP, seed=seed)
 
 
-# -- group_events -----------------------------------------------------------------
+# -- op_table ---------------------------------------------------------------------
 
-def test_group_events_partitions_by_op():
+def test_op_table_has_one_record_per_op():
     log = async_star_log(n_ops=2)
-    groups = group_events(log)
-    assert set(groups) == {0, 1}
-    for op_id, group in groups.items():
-        assert all(ev[2] == op_id for ev in group)
-    total = sum(len(g) for g in groups.values())
-    assert total == sum(1 for ev in log.events if ev[2] is not None)
+    table = op_table(log)
+    assert [op.op_id for op in table.ops] == [0, 1]
+    assert {op.op_id for op in table.ops} == {ev[2] for ev in log.events if ev[2] is not None}
+    for op in table.ops:
+        assert op.kind == "write" and op.status == "committed"
+        assert set(op.applies) == {0, 1, 2}
+    assert table.graphs is log.meta["graphs"]
+    assert op_table(table) is table
 
 
-def test_group_events_empty_log():
-    assert group_events(SimulationLog({}, [], {})) == {}
+def test_op_table_empty_log():
+    assert op_table(SimulationLog({}, [], {})).ops == []
 
 
-def test_group_events_insensitive_to_order():
+def test_op_table_insensitive_to_order():
     log = async_star_log(n_ops=3)
     shuffled = list(log.events)
     random.Random(5).shuffle(shuffled)
-    assert group_events(shuffled) == group_events(log)
+    assert op_table(shuffled).ops == op_table(log).ops
 
 
-def test_group_events_detects_missing_terminal():
-    log = async_star_log()
-    truncated = [ev for ev in log.events if ev[3] != OP_COMMIT]
-    with pytest.raises(MalformedLogError):
-        group_events(truncated)
-    with pytest.raises(MalformedLogError):
-        group_events([ev for ev in log.events if ev[3] != OP_START])
+def test_op_table_detects_malformed_logs():
+    events = async_star_log(n_ops=2).events
+    commit = next(ev for ev in events if ev[3] == OP_COMMIT)
+    start = next(ev for ev in events if ev[3] == OP_START)
+    next_seq = events[-1][0] + 1
+    malformed = [
+        [ev for ev in events if ev[3] != OP_COMMIT],  # missing terminal
+        [ev for ev in events if ev[3] != OP_START],  # missing op_start
+        events + [(next_seq, *commit[1:])],  # duplicated terminal
+        events + [(next_seq, commit[1], commit[2], OP_FAIL, ("TIMEOUT",))],  # a commit and a fail
+        events + [(next_seq, *start[1:])],  # duplicated op_start
+        events + [(next_seq, commit[1], 99, ACK, (0, 1))],  # event for an unknown op
+    ]
+    rng = random.Random(11)
+    for bad in malformed:
+        shuffled = list(bad)
+        rng.shuffle(shuffled)
+        for variant in (bad, shuffled):
+            with pytest.raises(MalformedLogError):
+                op_table(variant)
 
 
-# -- inconsistency_window ------------------------------------------------------------
+# -- inconsistency windows (op_records' window_us) --------------------------------------
 
 def test_window_of_hand_traced_write():
     log = async_star_log()
-    group = group_events(log)[0]
-    assert inconsistency_window(group, [0, 1, 2]) == 20_000
+    assert op_records(log)[0]["window_us"] == 20_000
 
 
 def test_window_single_replica_is_zero():
@@ -75,7 +88,7 @@ def test_window_single_replica_is_zero():
         [CooperationGraph(1, READING, 0, [])],
     )
     log = run_simulation(topo, coop, [], write_only_workload(1), LWW_TIMESTAMP, seed=1)
-    assert inconsistency_window(group_events(log)[0], [0]) == 0
+    assert op_records(log)[0]["window_us"] == 0
 
 
 def test_window_undefined_without_applies():
@@ -87,7 +100,8 @@ def test_window_undefined_without_applies():
     log = run_simulation(
         topo, coop, [FailureEvent(0, 0, CRASH_STOP)], write_only_workload(1, think=Constant(100)), LWW_TIMESTAMP, seed=1
     )
-    assert inconsistency_window(group_events(log)[0], [0]) is None
+    assert op_records(log)[0]["window_us"] is None
+    assert op_records(log.events)[0]["window_us"] is None
 
 
 def test_window_undefined_when_graph_vertex_never_applied():
@@ -100,7 +114,9 @@ def test_window_undefined_when_graph_vertex_never_applied():
         LWW_TIMESTAMP,
         seed=1,
     )
-    assert inconsistency_window(group_events(log)[0], [0, 1, 2]) is None
+    assert op_records(log)[0]["window_us"] is None
+    # without the run_meta graphs the window spans the replicas that applied
+    assert op_records(log.events)[0]["window_us"] == 10_000
 
 
 # -- build_datacentric_report ----------------------------------------------------------

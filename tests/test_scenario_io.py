@@ -208,10 +208,28 @@ def test_truncated_file_reports_line(tmp_path):
 
 
 def test_missing_field_reports_line(tmp_path):
-    path = tmp_path / "events.jsonl"
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"kind": "run_meta", "format": 1}) + "\n")
-        fh.write(json.dumps({"seq": 0, "time_us": 1, "op_id": 0, "kind": "apply_start"}) + "\n")
-    with pytest.raises(MalformedLogError) as e:
-        read_events(path)
-    assert e.value.line == 2
+    start = {"seq": 0, "time_us": 1, "op_id": 0, "kind": "op_start", "client_id": 0, "op": "write", "key": 0}
+    start.update(write_id=0, payload_bytes=8, warmup=False)
+    ref = {"write_id": 0, "client_id": 0, "client_ts_us": 1}
+    read_return = {"seq": 0, "time_us": 1, "op_id": 0, "kind": "read_return", "participants": [0], "returned": [ref]}
+    bad_lines = [
+        {"seq": 0, "time_us": 1, "op_id": 0, "kind": "apply_start"},  # no replica
+        {**start, "vclock": [1, 2]},  # vclock not an object
+        {**read_return, "returned": [ref, 7]},  # returned ref not an object
+        {**start, "time_us": "x"},
+        {**start, "seq": None},
+        {**start, "op_id": "0"},
+    ]
+    for bad in bad_lines:
+        path = tmp_path / "events.jsonl"
+        with open(path, "w") as fh:
+            fh.write(json.dumps({"kind": "run_meta", "format": 1}) + "\n")
+            fh.write(json.dumps(bad) + "\n")
+        with pytest.raises(MalformedLogError) as e:
+            read_events(path)
+        assert e.value.line == 2, bad
+    for graphs in ([], {"x": {}}):  # run_meta graphs not an object, or keyed by a non-integer
+        path.write_text(json.dumps({"kind": "run_meta", "format": 1, "graphs": graphs}) + "\n")
+        with pytest.raises(MalformedLogError) as e:
+            read_events(path)
+        assert e.value.line == 1, graphs

@@ -1,13 +1,17 @@
-"""Byte-identity of the stage-3 outputs against recorded digests.
+"""Byte-identity of the stage-2 and stage-3 outputs against recorded digests.
 
 ``stage3_golden.json`` holds the sha256 of ``clientcentric.json`` and
-``read_verdicts.csv`` for every bundled preset, and for a multi-master
-variant of ``one_zipfian``, under every strategy, at reduced ops and a fixed
+``read_verdicts.csv`` (stage 3) and of ``datacentric.json`` and ``ops.csv``
+(stage 2) for every bundled preset, for a multi-master variant of
+``one_zipfian``, and for that variant under a crash-stop and a
+crash-recovery failure, under every strategy, at reduced ops and a fixed
 seed. The presets read from their write coordinator and see few violations;
-the multi-master variant makes every detector fire. The digests were
-recorded before the stage-3 scans were rewritten to run in one linear pass;
-any change to them is a change of the analysis output. To re-record after a
-deliberate output change:
+the multi-master variant makes every detector fire, and its crash variant
+adds non-converged writes and ``COORDINATOR_DOWN`` and ``TIMEOUT`` failures.
+The stage-3 digests were recorded before the stage-3 scans were rewritten to
+run in one linear pass, the stage-2 digests and the crash cases before both
+stages were moved onto one op table; any change to them is a change of the
+analysis output. To re-record after a deliberate output change:
 
     PYTHONPATH=src python tests/test_stage3_golden.py
 """
@@ -24,14 +28,19 @@ from pathlib import Path
 import pytest
 
 from quorumsim import (
+    CRASH_RECOVERY,
+    CRASH_STOP,
     ONE,
     STRATEGIES,
     CooperationGraph,
     CooperationModel,
+    FailureEvent,
     build_clientcentric_report,
     build_cooperation_model,
+    build_datacentric_report,
     clientcentric_outputs,
     logio,
+    op_records,
     read_verdicts,
     run_simulation,
     scenario_to_json,
@@ -41,9 +50,15 @@ from quorumsim.cli import _load, list_presets, main
 GOLDEN = Path(__file__).with_name("stage3_golden.json")
 GOLDEN_OPS_PER_CLIENT = 150
 GOLDEN_SEED = 7
+STAGE2_FILES = ("datacentric.json", "ops.csv")
 STAGE3_FILES = ("clientcentric.json", "read_verdicts.csv")
 MULTI_MASTER = "multi_master"
-CASES = [(name, s) for name in [*list_presets(), MULTI_MASTER] for s in STRATEGIES]
+MULTI_MASTER_CRASH = "multi_master_crash"
+# Replica 1 is down for 70 ms, longer than the op timeout, so ops it
+# coordinates or waits on time out; replica 2 stops halfway through the run.
+CRASH_FAILURES = (FailureEvent(1, 140_000, CRASH_RECOVERY, 70_000), FailureEvent(2, 360_000, CRASH_STOP))
+CRASH_OP_TIMEOUT_US = 50_000
+CASES = [(name, s) for name in [*list_presets(), MULTI_MASTER, MULTI_MASTER_CRASH] for s in STRATEGIES]
 
 
 def _multi_master(topo) -> CooperationModel:
@@ -60,20 +75,29 @@ def _multi_master(topo) -> CooperationModel:
 
 
 def _scenario(name: str, strategy: str):
-    sc = _load(f"preset:{'one_zipfian' if name == MULTI_MASTER else name}")
+    multi_master = name in (MULTI_MASTER, MULTI_MASTER_CRASH)
+    sc = _load(f"preset:{'one_zipfian' if multi_master else name}")
     sc = dataclasses.replace(
         sc,
         strategy=strategy,
         workload=dataclasses.replace(sc.workload, ops_per_client=GOLDEN_OPS_PER_CLIENT),
         seed=GOLDEN_SEED,
     )
-    if name == MULTI_MASTER:
-        sc = dataclasses.replace(sc, name=MULTI_MASTER, coop=_multi_master(sc.topology), consistency=None)
+    if multi_master:
+        sc = dataclasses.replace(sc, name=name, coop=_multi_master(sc.topology), consistency=None)
+    if name == MULTI_MASTER_CRASH:
+        sc = dataclasses.replace(sc, failures=CRASH_FAILURES, op_timeout_us=CRASH_OP_TIMEOUT_US)
     return sc
 
 
 def _simulate(sc):
     return run_simulation(sc.topology, sc.coop, list(sc.failures), sc.workload, sc.strategy, GOLDEN_SEED, sc.op_timeout_us)
+
+
+def _write_stage2(log, out: Path) -> None:
+    """What a caller of the two public stage-2 functions writes."""
+    logio.write_json_report(build_datacentric_report(log), out / "datacentric.json")
+    logio.write_op_table(op_records(log), out / "ops.csv")
 
 
 def _write_stage3(log, strategy, out: Path) -> None:
@@ -82,16 +106,18 @@ def _write_stage3(log, strategy, out: Path) -> None:
     logio.write_read_verdicts(read_verdicts(log, strategy), out / "read_verdicts.csv")
 
 
-def _digests(out: Path) -> dict[str, str]:
-    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in STAGE3_FILES}
+def _digests(out: Path, files) -> dict[str, str]:
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in files}
 
 
 def record() -> dict:
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, strategy in CASES:
-            _write_stage3(_simulate(_scenario(name, strategy)), strategy, Path(tmp))
-            digests[f"{name}/{strategy}"] = _digests(Path(tmp))
+            log = _simulate(_scenario(name, strategy))
+            _write_stage2(log, Path(tmp))
+            _write_stage3(log, strategy, Path(tmp))
+            digests[f"{name}/{strategy}"] = _digests(Path(tmp), STAGE2_FILES + STAGE3_FILES)
     return {"ops_per_client": GOLDEN_OPS_PER_CLIENT, "seed": GOLDEN_SEED, "digests": digests}
 
 
@@ -109,7 +135,22 @@ def test_golden_covers_every_case(golden):
 @pytest.mark.parametrize("name,strategy", CASES)
 def test_stage3_outputs_match_recorded_digests(golden, tmp_path, name, strategy):
     _write_stage3(_simulate(_scenario(name, strategy)), strategy, tmp_path)
-    assert _digests(tmp_path) == golden[f"{name}/{strategy}"]
+    expected = golden[f"{name}/{strategy}"]
+    assert _digests(tmp_path, STAGE3_FILES) == {f: expected[f] for f in STAGE3_FILES}
+
+
+@pytest.mark.parametrize("name,strategy", CASES)
+def test_stage2_outputs_match_recorded_digests(golden, tmp_path, name, strategy):
+    _write_stage2(_simulate(_scenario(name, strategy)), tmp_path)
+    expected = golden[f"{name}/{strategy}"]
+    assert _digests(tmp_path, STAGE2_FILES) == {f: expected[f] for f in STAGE2_FILES}
+
+
+def test_crash_case_fails_ops_and_leaves_writes_unconverged():
+    records = op_records(_simulate(_scenario(MULTI_MASTER_CRASH, STRATEGIES[0])))
+    statuses = {r["status"] for r in records}
+    assert {"failed:COORDINATOR_DOWN", "failed:TIMEOUT"} <= statuses
+    assert any(r["kind"] == "write" and r["status"] == "committed" and r["window_us"] is None for r in records)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -122,15 +163,17 @@ def test_single_call_equals_the_two_public_calls(strategy):
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_cli_run_and_analyze_write_what_the_two_public_calls_write(tmp_path, strategy):
-    sc = _scenario(MULTI_MASTER, strategy)
+    sc = _scenario(MULTI_MASTER_CRASH, strategy)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario_to_json(sc)), encoding="utf-8")
     run_out, analyze_out, lib_out = tmp_path / "run", tmp_path / "analyze", tmp_path / "lib"
     assert main(["run", str(path), "--out", str(run_out), "--quiet"]) == 0
-    assert main(["analyze", str(run_out / "events.jsonl"), "--out", str(analyze_out), "--stages", "3", "--quiet"]) == 0
+    assert main(["analyze", str(run_out / "events.jsonl"), "--out", str(analyze_out), "--quiet"]) == 0
     lib_out.mkdir()
-    _write_stage3(_simulate(sc), strategy, lib_out)
-    for name in STAGE3_FILES:
+    log = _simulate(sc)
+    _write_stage2(log, lib_out)
+    _write_stage3(log, strategy, lib_out)
+    for name in STAGE2_FILES + STAGE3_FILES:
         expected = (lib_out / name).read_bytes()
         assert (run_out / name).read_bytes() == expected, name
         assert (analyze_out / name).read_bytes() == expected, name
