@@ -4,14 +4,22 @@ Events file: JSON Lines. The first line is a ``run_meta`` header carrying the
 strategy, seed, and cooperation-graph summaries so the file is
 self-contained for re-analysis; every following line is one event with
 fields in fixed order (seq, time_us, op_id, kind, then kind-specific
-payload). Readers ignore unknown fields and tolerate shuffled event lines;
-structural problems raise MalformedLogError with the 1-based line number.
+payload).
+
+The writer formats each event line from a fixed template per kind, with no
+whitespace and strings ASCII-escaped, and expects the engine's field types.
+``event_to_json`` is the reference form: each line equals
+``json.dumps(event_to_json(ev), separators=(",", ":"))``. The reader accepts
+any valid JSON formatting, ignores unknown fields and tolerates shuffled
+event lines; structural problems raise MalformedLogError with the 1-based
+line number.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import engine
 from .engine import SimulationLog, VersionRef
@@ -129,19 +137,82 @@ def _meta_to_json(meta: dict) -> dict:
     return obj
 
 
+def _graph_from_json(info) -> dict:
+    """A header graph entry: an object whose ``vertices``, if given, are integers."""
+    if not isinstance(info, dict):
+        raise ValueError("graph entry is not an object")
+    vertices = info.get("vertices")
+    if vertices is not None and (type(vertices) is not list or any(type(v) is not int for v in vertices)):
+        raise ValueError("graph vertices must be a list of integers")
+    return info
+
+
 def _meta_from_json(obj) -> dict:
     meta = {k: v for k, v in obj.items() if k not in ("kind", "format", "graphs")}
-    meta["graphs"] = {int(gid): info for gid, info in obj.get("graphs", {}).items()}
+    meta["graphs"] = {int(gid): _graph_from_json(info) for gid, info in obj.get("graphs", {}).items()}
     return meta
+
+
+def _vclock_line(vclock) -> str:
+    return "{" + ",".join([f'"{cid}":{n}' for cid, n in vclock]) + "}"
+
+
+def _ref_line(ref: VersionRef) -> str:
+    vclock = "" if ref.vclock is None else f',"vclock":{_vclock_line(ref.vclock)}'
+    return f'{{"write_id":{ref.write_id},"client_id":{ref.client_id},"client_ts_us":{ref.client_timestamp}{vclock}}}'
+
+
+_REPLICA_KINDS = frozenset((engine.APPLY_START, engine.REPLICA_DOWN, engine.REPLICA_UP))
+
+
+def _event_lines(events):
+    """One line per event, the bytes ``json.dumps(event_to_json(ev))`` gives
+    with compact separators, formatted from a fixed template per kind."""
+    for seq, t, op_id, kind, payload in events:
+        head = f'{{"seq":{seq},"time_us":{t},"op_id":{"null" if op_id is None else op_id},"kind":"{kind}"'
+        if kind in _REPLICA_KINDS:
+            yield f'{head},"replica":{payload[0]}}}\n'
+        elif kind == engine.ACK:
+            yield f'{head},"parent":{payload[0]},"child":{payload[1]}}}\n'
+        elif kind == engine.APPLY_END:
+            replica, value = payload
+            if isinstance(value, tuple):
+                yield f'{head},"replica":{replica},"value":[{",".join(map(str, value))}]}}\n'
+            else:
+                yield f'{head},"replica":{replica},"write_id":{value}}}\n'
+        elif kind == engine.OP_START:
+            client, op_kind, key, write_id, payload_bytes, warmup, vclock = payload
+            line = f'{head},"client_id":{client},"op":{_json_str(op_kind)},"key":{key}'
+            if write_id is not None:
+                line = f'{line},"write_id":{write_id}'
+            line = f'{line},"payload_bytes":{payload_bytes},"warmup":{"true" if warmup else "false"}'
+            if vclock is not None:
+                line = f'{line},"vclock":{_vclock_line(vclock)}'
+            yield line + "}\n"
+        elif kind == engine.GRAPH_CHOSEN:
+            yield f'{head},"graph_id":{payload[0]}}}\n'
+        elif kind == engine.READ_RETURN:
+            participants, refs = payload
+            yield (
+                f'{head},"participants":[{",".join(map(str, participants))}],'
+                f'"returned":[{",".join([_ref_line(r) for r in refs])}]}}\n'
+            )
+        elif kind == engine.OP_COMMIT:
+            yield f'{head},"latency_us":{payload[0]}}}\n'
+        elif kind == engine.OP_FAIL:
+            yield f'{head},"reason":{_json_str(payload[0])}}}\n'
+        else:
+            raise ValueError(f"unknown event kind {kind!r}")
 
 
 def write_events(log: SimulationLog, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(_meta_to_json(log.meta), separators=(",", ":")))
         fh.write("\n")
-        for ev in log.events:
-            fh.write(json.dumps(event_to_json(ev), separators=(",", ":")))
-            fh.write("\n")
+        fh.writelines(_event_lines(log.events))
+
+
+_decode = json.JSONDecoder().raw_decode
 
 
 def read_events(path) -> SimulationLog:
@@ -154,9 +225,11 @@ def read_events(path) -> SimulationLog:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj, end = _decode(line)
             except json.JSONDecodeError:
                 raise MalformedLogError("line is not valid JSON", line_no) from None
+            if end != len(line):
+                raise MalformedLogError("line is not valid JSON", line_no)
             if not isinstance(obj, dict) or "kind" not in obj:
                 raise MalformedLogError("line is not an event object", line_no)
             if obj["kind"] == "run_meta":

@@ -184,6 +184,22 @@ def test_stages_2_and_3_reject_the_same_malformed_logs(scenario_file, tmp_path, 
                 assert "MALFORMED_LOG" in capsys.readouterr().err
 
 
+def test_analyze_rejects_malformed_graph_entries_in_the_header(scenario_file, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["run", str(scenario_file), "--out", str(run_dir), "--stages", "1", "--quiet"]) == 0
+    header, *lines = (run_dir / "events.jsonl").read_text().splitlines()
+    meta = json.loads(header)
+    for entry in ([1], {"vertices": 5}):
+        path = tmp_path / "events.jsonl"
+        bad = {**meta, "graphs": {gid: entry for gid in meta["graphs"]}}
+        path.write_text("\n".join([json.dumps(bad), *lines]) + "\n")
+        for stages in ("2", "3"):
+            capsys.readouterr()
+            argv = ["analyze", str(path), "--out", str(tmp_path / "out"), "--stages", stages]
+            assert main(argv) == 1, (entry, stages)
+            assert "MALFORMED_LOG" in capsys.readouterr().err
+
+
 def test_quorum_check_verdicts(capsys):
     assert main(["quorum-check", "--rf", "3", "--write-cl", "QUORUM", "--read-cl", "QUORUM"]) == 0
     out = capsys.readouterr().out

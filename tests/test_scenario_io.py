@@ -17,6 +17,7 @@ from quorumsim import (
     scenario_to_json,
     validate_scenario,
 )
+from quorumsim import engine
 from quorumsim.engine import LWW_TIMESTAMP
 from quorumsim.logio import event_from_json, event_to_json, read_events, write_events
 from quorumsim.scenario import Scenario
@@ -182,6 +183,80 @@ def test_events_file_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+# Drawn once; every scenario runs under each strategy.
+REFERENCE_SEED = 20261018
+REFERENCE_SCENARIOS = 10
+
+
+def test_writer_lines_match_the_dict_reference(tmp_path):
+    """Every line of write_events is json.dumps of event_to_json, compact."""
+    rng = random.Random(REFERENCE_SEED)
+    kinds = set()
+    seen = {"vclock": False, "value_list": False, "empty_returned": False, "null_op_id": False, "timeout": False}
+    for _ in range(REFERENCE_SCENARIOS):
+        topo, coop, failures, wl = random_scenario(rng, allow_crash_stop=True, max_total_ops=60)
+        timeout = rng.choice([engine.DEFAULT_OP_TIMEOUT, rng.randrange(2_000, 20_000)])
+        seed = rng.randrange(1_000)
+        for strategy in engine.STRATEGIES:
+            log = run_simulation(topo, coop, failures, wl, strategy, seed, timeout)
+            path = tmp_path / "events.jsonl"
+            write_events(log, path)
+            _, *lines = path.read_text(encoding="utf-8").split("\n")
+            assert lines.pop() == ""
+            assert len(lines) == len(log.events)
+            for line, ev in zip(lines, log.events):
+                obj = event_to_json(ev)
+                assert line == json.dumps(obj, separators=(",", ":")), ev
+                kinds.add(ev[3])
+                seen["vclock"] |= "vclock" in obj or any("vclock" in r for r in obj.get("returned", ()))
+                seen["value_list"] |= len(obj.get("value", ())) > 1
+                seen["empty_returned"] |= obj.get("returned") == []
+                seen["null_op_id"] |= obj["op_id"] is None
+                seen["timeout"] |= obj.get("reason") == engine.FAIL_TIMEOUT
+    assert kinds == {
+        engine.OP_START,
+        engine.GRAPH_CHOSEN,
+        engine.APPLY_START,
+        engine.APPLY_END,
+        engine.ACK,
+        engine.READ_RETURN,
+        engine.OP_COMMIT,
+        engine.OP_FAIL,
+        engine.REPLICA_DOWN,
+        engine.REPLICA_UP,
+    }
+    assert all(seen.values()), seen
+
+
+def test_writer_rejects_an_unknown_kind(tmp_path):
+    log = qs.SimulationLog({}, [(1, 0, 0, "op_retry", (0,))], {})
+    with pytest.raises(ValueError, match="unknown event kind"):
+        write_events(log, tmp_path / "events.jsonl")
+
+
+def test_reader_skips_blank_lines_and_accepts_any_json_formatting(tmp_path):
+    log = sample_log()
+    path = tmp_path / "events.jsonl"
+    with open(path, "w") as fh:
+        fh.write(json.dumps({"kind": "run_meta", "format": 1, "graphs": {}}) + "\n\n")
+        for ev in log.events:
+            fh.write("  " + json.dumps(event_to_json(ev), sort_keys=True, separators=(" , ", " : ")) + "\t\n\n")
+    assert read_events(path).events == log.events
+
+
+def test_reader_rejects_trailing_data_on_a_line(tmp_path):
+    log = sample_log()
+    path = tmp_path / "events.jsonl"
+    write_events(log, path)
+    lines = path.read_text().splitlines()
+    for tail in ("x", " {}", ",", "]"):
+        bad = lines[:3] + [lines[3] + tail] + lines[4:]
+        path.write_text("\n".join(bad) + "\n")
+        with pytest.raises(MalformedLogError, match="not valid JSON") as e:
+            read_events(path)
+        assert e.value.line == 4, tail
+
+
 def test_reader_ignores_unknown_fields(tmp_path):
     log = sample_log()
     path = tmp_path / "events.jsonl"
@@ -228,7 +303,9 @@ def test_missing_field_reports_line(tmp_path):
         with pytest.raises(MalformedLogError) as e:
             read_events(path)
         assert e.value.line == 2, bad
-    for graphs in ([], {"x": {}}):  # run_meta graphs not an object, or keyed by a non-integer
+    # run_meta graphs not an object, keyed by a non-integer, an entry not an
+    # object, or vertices not a list of integers
+    for graphs in ([], {"x": {}}, {"0": [1]}, {"0": {"vertices": 5}}, {"0": {"vertices": ["1"]}}):
         path.write_text(json.dumps({"kind": "run_meta", "format": 1, "graphs": graphs}) + "\n")
         with pytest.raises(MalformedLogError) as e:
             read_events(path)

@@ -1,17 +1,19 @@
 """Byte-identity of the stage-2 and stage-3 outputs against recorded digests.
 
 ``stage3_golden.json`` holds the sha256 of ``clientcentric.json`` and
-``read_verdicts.csv`` (stage 3) and of ``datacentric.json`` and ``ops.csv``
-(stage 2) for every bundled preset, for a multi-master variant of
-``one_zipfian``, and for that variant under a crash-stop and a
-crash-recovery failure, under every strategy, at reduced ops and a fixed
-seed. The presets read from their write coordinator and see few violations;
-the multi-master variant makes every detector fire, and its crash variant
-adds non-converged writes and ``COORDINATOR_DOWN`` and ``TIMEOUT`` failures.
+``read_verdicts.csv`` (stage 3), of ``datacentric.json`` and ``ops.csv``
+(stage 2) and of the ``events.jsonl`` log itself for every bundled preset,
+for a multi-master variant of ``one_zipfian``, and for that variant under a
+crash-stop and a crash-recovery failure, under every strategy, at reduced
+ops and a fixed seed. The presets read from their write coordinator and see
+few violations; the multi-master variant makes every detector fire, and its
+crash variant adds non-converged writes and ``COORDINATOR_DOWN`` and
+``TIMEOUT`` failures.
 The stage-3 digests were recorded before the stage-3 scans were rewritten to
 run in one linear pass, the stage-2 digests and the crash cases before both
-stages were moved onto one op table; any change to them is a change of the
-analysis output. To re-record after a deliberate output change:
+stages were moved onto one op table, the log digests before the events writer
+moved from ``json.dumps`` to per-kind line templates; any change to them is a
+change of the output. To re-record after a deliberate output change:
 
     PYTHONPATH=src python tests/test_stage3_golden.py
 """
@@ -52,6 +54,7 @@ GOLDEN_OPS_PER_CLIENT = 150
 GOLDEN_SEED = 7
 STAGE2_FILES = ("datacentric.json", "ops.csv")
 STAGE3_FILES = ("clientcentric.json", "read_verdicts.csv")
+EVENTS_FILE = "events.jsonl"
 MULTI_MASTER = "multi_master"
 MULTI_MASTER_CRASH = "multi_master_crash"
 # Replica 1 is down for 70 ms, longer than the op timeout, so ops it
@@ -115,9 +118,10 @@ def record() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         for name, strategy in CASES:
             log = _simulate(_scenario(name, strategy))
+            logio.write_events(log, Path(tmp) / EVENTS_FILE)
             _write_stage2(log, Path(tmp))
             _write_stage3(log, strategy, Path(tmp))
-            digests[f"{name}/{strategy}"] = _digests(Path(tmp), STAGE2_FILES + STAGE3_FILES)
+            digests[f"{name}/{strategy}"] = _digests(Path(tmp), STAGE2_FILES + STAGE3_FILES + (EVENTS_FILE,))
     return {"ops_per_client": GOLDEN_OPS_PER_CLIENT, "seed": GOLDEN_SEED, "digests": digests}
 
 
@@ -144,6 +148,12 @@ def test_stage2_outputs_match_recorded_digests(golden, tmp_path, name, strategy)
     _write_stage2(_simulate(_scenario(name, strategy)), tmp_path)
     expected = golden[f"{name}/{strategy}"]
     assert _digests(tmp_path, STAGE2_FILES) == {f: expected[f] for f in STAGE2_FILES}
+
+
+@pytest.mark.parametrize("name,strategy", CASES)
+def test_events_file_matches_recorded_digest(golden, tmp_path, name, strategy):
+    logio.write_events(_simulate(_scenario(name, strategy)), tmp_path / EVENTS_FILE)
+    assert _digests(tmp_path, (EVENTS_FILE,)) == {EVENTS_FILE: golden[f"{name}/{strategy}"][EVENTS_FILE]}
 
 
 def test_crash_case_fails_ops_and_leaves_writes_unconverged():
