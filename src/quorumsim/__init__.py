@@ -4,15 +4,12 @@ client-centric (staleness, session guarantees) consistency analysis."""
 
 from .clientcentric import (
     ReadVerdict,
-    WriteRecord,
     build_clientcentric_report,
     clientcentric_outputs,
-    commit_timestamps,
     detect_mrc,
     detect_mwc,
     detect_rywc,
     detect_wfrc,
-    judge_staleness,
     read_verdicts,
 )
 from .datacentric import build_datacentric_report, op_records
@@ -26,25 +23,8 @@ from .distributions import (
     Uniform,
     UniformKeys,
     Zipfian,
-    sample,
-    sample_key,
 )
-from .engine import (
-    COMPETING_WRITES,
-    INITIAL,
-    LWW_ARRIVAL,
-    LWW_TIMESTAMP,
-    STRATEGIES,
-    WRITE_SET,
-    ScenarioInvalidError,
-    SimulationLog,
-    VersionRef,
-    apply_write,
-    merge_heads,
-    resolve_read,
-    run_simulation,
-    vclock_dominates,
-)
+from .engine import ScenarioInvalidError, SimulationLog, run_simulation
 from .errors import MalformedLogError
 from .levels import (
     ALL,
@@ -82,6 +62,17 @@ from .model import (
 )
 from .optable import OpRecord, OpTable, op_table
 from .scenario import Scenario, ScenarioFormatError, load_scenario, scenario_from_json, scenario_to_json
+from .strategies import (
+    COMPETING_WRITES,
+    INITIAL,
+    LWW_ARRIVAL,
+    LWW_TIMESTAMP,
+    STRATEGIES,
+    WRITE_SET,
+    VersionRef,
+    merge_heads,
+    vclock_dominates,
+)
 from .workload import ClientOverride, Request, WorkloadDriver, WorkloadSpec
 
 __version__ = "0.1.0"

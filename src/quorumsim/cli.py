@@ -134,6 +134,8 @@ def _run_one(scenario: Scenario, seed: int, out_dir: Path, stages) -> dict:
 
 
 def cmd_run(args) -> int:
+    if args.repeat is not None and args.repeat < 1:
+        raise ScenarioFormatError(f"--repeat must be at least 1, got {args.repeat}")
     scenario = _load(args.scenario)
     report = validate_scenario(scenario.topology, scenario.coop, list(scenario.failures), scenario.workload)
     if not report.ok:
@@ -198,9 +200,10 @@ def _parse_dc_counts(text: str | None) -> dict[str, int] | None:
     counts = {}
     for part in text.split(","):
         name, _, num = part.partition("=")
-        if not num:
-            raise ScenarioFormatError(f"bad --dc-counts entry {part!r}; expected NAME=COUNT")
-        counts[name.strip()] = int(num)
+        try:
+            counts[name.strip()] = int(num)
+        except ValueError:
+            raise ScenarioFormatError(f"bad --dc-counts entry {part!r}; expected NAME=COUNT") from None
     return counts
 
 

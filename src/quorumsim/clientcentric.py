@@ -1,12 +1,8 @@
 """Staleness and session-guarantee violation detection per client session.
 
 Everything here is a pure function of (log, strategy) and is computed post
-hoc over the complete log. "Reflects" is strategy-relative: order-key
-dominance for the LWW strategies, set inclusion for write_set, and vector
-clock dominance for competing_writes. Under the LWW strategies a version's
-order key is (client_timestamp, write_id) for lww_timestamp and the commit
-order (commit time, write_id) for lww_arrival, with uncommitted versions
-ranking below every committed one and the initial version below everything.
+hoc over the complete log. "Reflects" is strategy-relative; its definitions
+live with the strategies (``strategies``).
 
 A read's staleness reference point is its issue instant: the read is stale
 iff its result fails to reflect some write committed at or before that
@@ -19,37 +15,14 @@ built table in place of the log.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, islice
 from operator import attrgetter
 
-from .engine import (
-    COMPETING_WRITES,
-    LWW_ARRIVAL,
-    LWW_TIMESTAMP,
-    WRITE_SET,
-    VersionRef,
-    merge_heads,
-    vclock_dominates,
-)
+from . import strategies
 from .errors import MalformedLogError
 from .optable import OpRecord, op_table
 from .workload import READ, WRITE
-
-_INITIAL_KEY = (-1,)
-_LWW = (LWW_TIMESTAMP, LWW_ARRIVAL)
-
-
-@dataclass(frozen=True)
-class WriteRecord:
-    """One write on a key, as seen by the detectors."""
-
-    write_id: int
-    client_id: int
-    client_timestamp: int
-    commit_us: int | None
-    vclock: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -69,63 +42,6 @@ def _reads_writes(log) -> tuple[list[OpRecord], list[OpRecord]]:
     """The op table's reads and writes, each in issue (op-id) order."""
     ops = op_table(log).ops
     return [op for op in ops if op.kind == READ], [op for op in ops if op.kind == WRITE]
-
-
-def commit_timestamps(log) -> dict[int, int]:
-    """write_id -> commit instant, committed writes only."""
-    return _commit_map(_reads_writes(log)[1])
-
-
-# -- strategy order keys and reflection --------------------------------------
-
-def _returned_key(strategy: str, refs, commit_map):
-    """Order key of a read result under an LWW strategy."""
-    best = _INITIAL_KEY
-    if strategy == LWW_TIMESTAMP:
-        for r in refs:
-            k = (0, r.client_timestamp, r.write_id)
-            if k > best:
-                best = k
-    else:
-        for r in refs:
-            c = commit_map.get(r.write_id)
-            k = (0, 0, c, r.write_id) if c is not None else (0, -1, 0, r.write_id)
-            if k > best:
-                best = k
-    return best
-
-
-def _write_key(strategy: str, w):
-    if strategy == LWW_TIMESTAMP:
-        ts = w.client_timestamp if isinstance(w, (WriteRecord, VersionRef)) else w.start
-        return (0, ts, w.write_id)
-    if w.commit_us is None:
-        return (0, -1, 0, w.write_id)
-    return (0, 0, w.commit_us, w.write_id)
-
-
-def _covers(refs, vclock) -> bool:
-    """competing_writes: does some returned head dominate-or-equal vclock?"""
-    return any(vclock_dominates(r.vclock, vclock) for r in refs)
-
-
-def judge_staleness(strategy: str, read_start_us: int, returned_refs, key_writes) -> bool:
-    """True iff the result fails to reflect some write committed <= read start.
-
-    key_writes is the key's history as WriteRecord entries (failed writes may
-    be present; they are ignored for freshness but supply commit lookups).
-    """
-    fresh = [w for w in key_writes if w.commit_us is not None and w.commit_us <= read_start_us]
-    if not fresh:
-        return False
-    if strategy == WRITE_SET:
-        returned_ids = {r.write_id for r in returned_refs}
-        return any(w.write_id not in returned_ids for w in fresh)
-    if strategy == COMPETING_WRITES:
-        return any(not _covers(returned_refs, w.vclock) for w in fresh)
-    commit_map = {w.write_id: w.commit_us for w in key_writes if w.commit_us is not None}
-    rkey = _returned_key(strategy, returned_refs, commit_map)
-    return rkey < max(_write_key(strategy, w) for w in fresh)
 
 
 # -- internal scans over the op table ------------------------------------------
@@ -159,36 +75,32 @@ def _sessions(infos):
 class _CommitOrder:
     """The committed writes of one key or one session, ordered by (commit, write id).
 
-    ``upto(t)`` counts those committed at or before t. Under the LWW
-    strategies ``prefix_max[i]`` is the largest order key among the first
-    i + 1.
+    ``upto(t)`` counts those committed at or before t; ``marks`` is the
+    strategy's per-write list (``strategies``).
     """
 
-    __slots__ = ("writes", "times", "ids", "prefix_max")
+    __slots__ = ("writes", "times", "marks")
 
-    def __init__(self, writes: list[OpRecord], strategy: str):
+    def __init__(self, writes: list[OpRecord], strat):
         writes.sort(key=lambda w: (w.commit_us, w.write_id))
         self.writes = writes
         self.times = [w.commit_us for w in writes]
-        self.ids = [w.write_id for w in writes]
-        self.prefix_max = None
-        if strategy in _LWW:
-            self.prefix_max = list(accumulate((_write_key(strategy, w) for w in writes), max))
+        self.marks = strat.marks(writes)
 
     def upto(self, t: int) -> int:
         return bisect_right(self.times, t)
 
 
-def _commit_orders(writes, strategy, group) -> dict:
+def _commit_orders(writes, strat, group) -> dict:
     """group(write) -> _CommitOrder of the committed writes in that group."""
     grouped: dict = {}
     for w in writes:
         if w.commit_us is not None:
             grouped.setdefault(group(w), []).append(w)
-    return {g: _CommitOrder(ws, strategy) for g, ws in grouped.items()}
+    return {g: _CommitOrder(ws, strat) for g, ws in grouped.items()}
 
 
-def _misses(committed, orders, group, commit_map, strategy):
+def _misses(committed, orders, group, commit_map, strat):
     """(op ids of reads failing to reflect a write of their group committed at
     or before their start, op ids of reads whose group has such a write).
 
@@ -196,67 +108,37 @@ def _misses(committed, orders, group, commit_map, strategy):
     """
     missing: set[int] = set()
     applicable: set[int] = set()
-    lww = strategy in _LWW
+    misses = strat.misses
     for r in committed:
         order = orders.get(group(r))
         hi = order.upto(r.start) if order is not None else 0
         if not hi:
             continue
         applicable.add(r.op_id)
-        if lww:
-            missed = _returned_key(strategy, r.returned, commit_map) < order.prefix_max[hi - 1]
-        elif strategy == WRITE_SET:
-            # stops at the first id not returned: O(returned refs), not O(hi)
-            missed = not {ref.write_id for ref in r.returned}.issuperset(islice(order.ids, hi))
-        else:
-            missed = any(not _covers(r.returned, w.vclock) for w in order.writes[:hi])
-        if missed:
+        if misses(r.returned, order.marks, hi, commit_map):
             missing.add(r.op_id)
     return missing, applicable
 
 
-def _mrc_ids(read_sessions, commit_map, strategy) -> set[int]:
-    violating: set[int] = set()
-    for session in read_sessions.values():
-        if strategy in _LWW:
-            running = None
-            for r in session:
-                key = _returned_key(strategy, r.returned, commit_map)
-                if running is not None and running > key:
-                    violating.add(r.op_id)
-                if running is None or key > running:
-                    running = key
-        elif strategy == WRITE_SET:
-            running: set[int] = set()
-            for r in session:
-                ids = {ref.write_id for ref in r.returned}
-                if not running <= ids:
-                    violating.add(r.op_id)
-                running |= ids
-        else:  # competing_writes: earlier heads must be dominated-or-equaled
-            running: list[VersionRef] = []
-            for r in session:
-                for h1 in running:
-                    if not _covers(r.returned, h1.vclock):
-                        violating.add(r.op_id)
-                        break
-                running = merge_heads(list(running) + list(r.returned))
-    return violating
+def _mrc_ids(read_sessions, commit_map, strat) -> set[int]:
+    return {op_id for session in read_sessions.values() for op_id in strat.mrc(session, commit_map)}
 
 
 # -- public detectors ----------------------------------------------------------
 
 def detect_mrc(log, strategy: str) -> set[int]:
     """Op ids of committed reads that moved backward within their session."""
+    strat = strategies.strategy(strategy)
     reads, writes = _reads_writes(log)
-    return _mrc_ids(_sessions(_committed_reads(reads)), _commit_map(writes), strategy)
+    return _mrc_ids(_sessions(_committed_reads(reads)), _commit_map(writes), strat)
 
 
 def detect_rywc(log, strategy: str) -> set[int]:
     """Op ids of committed reads that fail to reflect an own earlier-committed write."""
+    strat = strategies.strategy(strategy)
     reads, writes = _reads_writes(log)
-    own = _commit_orders(writes, strategy, _session_of)
-    return _misses(_committed_reads(reads), own, _session_of, _commit_map(writes), strategy)[0]
+    own = _commit_orders(writes, strat, _session_of)
+    return _misses(_committed_reads(reads), own, _session_of, _commit_map(writes), strat)[0]
 
 
 def _mwc_triples(write_sessions) -> list[tuple[int, int, int]]:
@@ -389,10 +271,10 @@ def detect_wfrc(log) -> list[tuple[int, int]]:
 
 # -- verdicts and report -------------------------------------------------------
 
-def _verdicts(committed, writes, commit_map, strategy, mrc, rywc) -> list[ReadVerdict]:
+def _verdicts(committed, writes, commit_map, strat, mrc, rywc) -> list[ReadVerdict]:
     """Verdicts of the committed reads, given their MRC and RYWC op-id sets."""
-    history = _commit_orders(writes, strategy, _key_of)
-    stale = _misses(committed, history, _key_of, commit_map, strategy)[0]
+    history = _commit_orders(writes, strat, _key_of)
+    stale = _misses(committed, history, _key_of, commit_map, strat)[0]
     return [
         ReadVerdict(
             op_id=r.op_id,
@@ -411,66 +293,28 @@ def _verdicts(committed, writes, commit_map, strategy, mrc, rywc) -> list[ReadVe
 
 def read_verdicts(log, strategy: str) -> list[ReadVerdict]:
     """Per committed read: staleness, MRC, RYWC and the returned write ids."""
+    strat = strategies.strategy(strategy)
     reads, writes = _reads_writes(log)
     committed = _committed_reads(reads)
     commit_map = _commit_map(writes)
-    mrc = _mrc_ids(_sessions(committed), commit_map, strategy)
-    own = _commit_orders(writes, strategy, _session_of)
-    rywc = _misses(committed, own, _session_of, commit_map, strategy)[0]
-    return _verdicts(committed, writes, commit_map, strategy, mrc, rywc)
+    mrc = _mrc_ids(_sessions(committed), commit_map, strat)
+    own = _commit_orders(writes, strat, _session_of)
+    rywc = _misses(committed, own, _session_of, commit_map, strat)[0]
+    return _verdicts(committed, writes, commit_map, strat, mrc, rywc)
 
 
-def _last_unseen(writes_in_order, read_sessions, own, strategy, commit_map):
+def _last_unseen(writes_in_order, read_sessions, own, strat, commit_map):
     """Per write: last instant its writer saw a result not reflecting it,
     among the reads returning at or after the write's commit."""
     last: dict[int, int] = {}  # write op id -> instant
     for ck, order in own.items():
         reads = [r for r in read_sessions.get(ck, ()) if r.return_time is not None]
-        if not reads:
-            continue
-        if strategy in _LWW:
-            _unseen_by_order_key(order.writes, reads, strategy, commit_map, last)
-        else:
-            _unseen_by_sweep(order, reads, strategy, last)
+        if reads:
+            strat.unseen(order, reads, commit_map, last)
     return [
         {"write_id": w.write_id, "client_id": w.client, "key": w.key, "commit_us": w.commit_us, "last_unseen_at_us": last.get(w.op_id)}
         for w in writes_in_order
     ]
-
-
-def _unseen_by_order_key(ws, reads, strategy, commit_map, last):
-    """LWW: a read misses w iff its order key is below w's, so the answer is
-    the latest return among the reads ranked below w, if not before w's commit."""
-    ranked = sorted((_returned_key(strategy, r.returned, commit_map), r.return_time) for r in reads)
-    keys = [k for k, _ in ranked]
-    latest = list(accumulate((t for _, t in ranked), max))
-    for w in ws:
-        below = bisect_left(keys, _write_key(strategy, w))
-        if below and latest[below - 1] >= w.commit_us:
-            last[w.op_id] = latest[below - 1]
-
-
-def _unseen_by_sweep(order, reads, strategy, last):
-    """write_set and competing_writes: the reads latest first, over the own
-    writes still unresolved. A read's eligible writes (committed by its
-    return) are a prefix of the commit order that only shrinks; each one the
-    read misses is resolved at its return, and the rest stay pending. Under
-    write_set every write kept is one of the read's returned refs."""
-    ws = order.writes
-    pending = list(range(len(ws)))  # unresolved positions, ascending
-    for r in sorted(reads, key=lambda r: r.return_time, reverse=True):
-        del pending[bisect_left(pending, order.upto(r.return_time)):]
-        if not pending:
-            break
-        ids = {ref.write_id for ref in r.returned} if strategy == WRITE_SET else None
-        kept = []
-        for i in pending:
-            w = ws[i]
-            if (w.write_id in ids) if ids is not None else _covers(r.returned, w.vclock):
-                kept.append(i)
-            else:
-                last[w.op_id] = r.return_time
-        pending = kept
 
 
 def clientcentric_outputs(log, strategy: str) -> tuple[dict, list[ReadVerdict]]:
@@ -479,6 +323,7 @@ def clientcentric_outputs(log, strategy: str) -> tuple[dict, list[ReadVerdict]]:
     Equal to ``(build_clientcentric_report(log, strategy),
     read_verdicts(log, strategy))``.
     """
+    strat = strategies.strategy(strategy)
     reads, writes_in_order = _reads_writes(log)
     committed = _committed_reads(reads)
     commit_map = _commit_map(writes_in_order)
@@ -487,15 +332,15 @@ def clientcentric_outputs(log, strategy: str) -> tuple[dict, list[ReadVerdict]]:
     # verdicts are built: each is about the size of the op table, and holding
     # both at once raised peak memory.
     read_sessions = _sessions(committed)
-    own = _commit_orders(writes_in_order, strategy, _session_of)
-    mrc = _mrc_ids(read_sessions, commit_map, strategy)
-    rywc, rywc_applicable = _misses(committed, own, _session_of, commit_map, strategy)
-    unseen = _last_unseen(writes_in_order, read_sessions, own, strategy, commit_map)
+    own = _commit_orders(writes_in_order, strat, _session_of)
+    mrc = _mrc_ids(read_sessions, commit_map, strat)
+    rywc, rywc_applicable = _misses(committed, own, _session_of, commit_map, strat)
+    unseen = _last_unseen(writes_in_order, read_sessions, own, strat, commit_map)
     mwc_applicable, mwc_counted, mwc_per_client = _mwc_counts(_sessions(writes_in_order))
     wfrc_violations, wfrc_applicable, wfrc_per_client = _wfrc_scan(read_sessions, writes_in_order)
     del read_sessions, own
 
-    verdicts = _verdicts(committed, writes_in_order, commit_map, strategy, mrc, rywc)
+    verdicts = _verdicts(committed, writes_in_order, commit_map, strat, mrc, rywc)
     counted = [v for v in verdicts if not v.warmup]
 
     # Internal consistency: an RYWC violation is always also a stale read.
@@ -537,8 +382,8 @@ def clientcentric_outputs(log, strategy: str) -> tuple[dict, list[ReadVerdict]]:
         }
 
     metadata = {"extended_detectors": ["mwc", "wfrc"]}
-    if strategy == COMPETING_WRITES:
-        metadata["version_order"] = "vector-clock dominance (partial order) generalizes the total version order"
+    if strat.version_order:
+        metadata["version_order"] = strat.version_order
 
     report = {
         "kind": "clientcentric_report",

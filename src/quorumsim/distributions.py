@@ -243,11 +243,6 @@ class Empirical:
 Distribution = Constant | Uniform | Exponential | LogNormal | Empirical
 
 
-def sample(d: Distribution, rng: RngStream) -> int:
-    """One draw from d, as a non-negative integer-microsecond span."""
-    return d.sample(rng)
-
-
 _DISTRIBUTION_KINDS = {
     "constant": (Constant, ("value_us",)),
     "uniform": (Uniform, ("lo_us", "hi_us")),
@@ -350,11 +345,6 @@ class Zipfian:
 
 
 KeyDistribution = UniformKeys | Zipfian
-
-
-def sample_key(kd: KeyDistribution, rng: RngStream) -> int:
-    """One key index in [0, n) drawn per kd's mass function."""
-    return kd.sample_key(rng)
 
 
 def key_distribution_from_json(obj: dict) -> KeyDistribution:

@@ -48,6 +48,7 @@ from collections import deque
 from heapq import heappop, heappush
 from itertools import count
 
+from . import strategies
 from .distributions import StreamFactory
 from .model import (
     ASYNC,
@@ -58,14 +59,8 @@ from .model import (
     ReplicaGraph,
     validate_scenario,
 )
+from .strategies import VersionRef
 from .workload import WRITE, WorkloadDriver, WorkloadSpec
-
-# Conflict-resolution strategies.
-LWW_ARRIVAL = "lww_arrival"
-LWW_TIMESTAMP = "lww_timestamp"
-WRITE_SET = "write_set"
-COMPETING_WRITES = "competing_writes"
-STRATEGIES = (LWW_ARRIVAL, LWW_TIMESTAMP, WRITE_SET, COMPETING_WRITES)
 
 # Event kinds, in the order they may appear for one op.
 OP_START = "op_start"
@@ -83,118 +78,6 @@ FAIL_TIMEOUT = "TIMEOUT"
 FAIL_COORDINATOR_DOWN = "COORDINATOR_DOWN"
 
 DEFAULT_OP_TIMEOUT = 10_000_000  # 10 s of virtual time
-
-
-@dataclass(frozen=True, slots=True)
-class VersionRef:
-    """Identity of one write as stored and returned by replicas.
-
-    vclock is a canonical sorted tuple of (client_id, counter) pairs, present
-    only under the competing-writes strategy. write_id -1 is the distinguished
-    initial (pre-any-write) version.
-    """
-
-    write_id: int
-    client_id: int
-    client_timestamp: int
-    vclock: tuple[tuple[int, int], ...] | None = None
-
-
-INITIAL = VersionRef(-1, -1, -1, ())
-
-
-def timestamp_order_key(ref: VersionRef) -> tuple[int, int]:
-    """LWW-timestamp total order: client timestamp, write id as tiebreak."""
-    return (ref.client_timestamp, ref.write_id)
-
-
-def vclock_dominates(a, b) -> bool:
-    """True iff vclock a >= b componentwise (missing entries are 0)."""
-    if not b:
-        return True
-    ad = dict(a) if a else {}
-    for cid, n in b:
-        if ad.get(cid, 0) < n:
-            return False
-    return True
-
-
-def merge_heads(refs) -> list[VersionRef]:
-    """Maximal antichain under vclock dominance, deduplicated, by write id."""
-    by_id = {r.write_id: r for r in refs}
-    candidates = sorted(by_id.values(), key=lambda r: r.write_id)
-    heads = []
-    for r in candidates:
-        dominated = False
-        for o in candidates:
-            if (
-                o.write_id != r.write_id
-                and vclock_dominates(o.vclock, r.vclock)
-                and not vclock_dominates(r.vclock, o.vclock)
-            ):
-                dominated = True
-                break
-        if not dominated:
-            heads.append(r)
-    return heads
-
-
-def apply_write(strategy: str, store_state, incoming: VersionRef, arrival_seq: int):
-    """Pure per-key state transition for one delivered write.
-
-    State shapes: lww_arrival (ref, arrival_seq) | lww_timestamp ref |
-    write_set frozenset[ref] | competing_writes tuple[ref]; None is empty.
-    """
-    if strategy == LWW_ARRIVAL:
-        return (incoming, arrival_seq)
-    if strategy == LWW_TIMESTAMP:
-        if store_state is None or timestamp_order_key(incoming) > timestamp_order_key(store_state):
-            return incoming
-        return store_state
-    if strategy == WRITE_SET:
-        return (store_state or frozenset()) | {incoming}
-    if strategy == COMPETING_WRITES:
-        return tuple(merge_heads(list(store_state or ()) + [incoming]))
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def resolve_read(strategy: str, contributions) -> list[VersionRef]:
-    """Combine per-replica snapshots into the versions the client sees.
-
-    contributions is a non-empty list of (replica_id, snapshot) with snapshot
-    shapes as in apply_write. LWW strategies return exactly one version
-    (INITIAL when every snapshot is empty); write_set returns the union;
-    competing_writes returns the maximal head antichain.
-    """
-    if not contributions:
-        raise ValueError("contributions must be non-empty")
-    if strategy == LWW_ARRIVAL:
-        best, best_key = INITIAL, (-1, -1)
-        for _, snap in contributions:
-            if snap is not None:
-                key = (snap[1], snap[0].write_id)
-                if key > best_key:
-                    best_key, best = key, snap[0]
-        return [best]
-    if strategy == LWW_TIMESTAMP:
-        best = INITIAL
-        for _, snap in contributions:
-            if snap is not None and timestamp_order_key(snap) > timestamp_order_key(best):
-                best = snap
-        return [best]
-    if strategy == WRITE_SET:
-        union: set[VersionRef] = set()
-        for _, snap in contributions:
-            if snap:
-                union |= snap
-        return sorted(union, key=lambda r: r.write_id)
-    if strategy == COMPETING_WRITES:
-        pool: list[VersionRef] = []
-        for _, snap in contributions:
-            if snap:
-                pool.extend(snap)
-        return merge_heads(pool)
-    raise ValueError(f"unknown strategy {strategy!r}")
 
 
 @contextmanager
@@ -249,16 +132,6 @@ _SYNC, _ASYNC, _QUORUM = 0, 1, 2
 
 # Scheduled action codes, ordered by dispatch frequency.
 _A_LEAF, _A_ACK, _A_RESP, _A_ISSUE, _A_DELIVER, _A_APPLY_END, _A_DOWN, _A_UP = range(8)
-
-# Strategy codes for the inline store mutation.
-_S_ARRIVAL, _S_TIMESTAMP, _S_SET, _S_COMPETING = range(4)
-_STRATEGY_CODE = {
-    LWW_ARRIVAL: _S_ARRIVAL,
-    LWW_TIMESTAMP: _S_TIMESTAMP,
-    WRITE_SET: _S_SET,
-    COMPETING_WRITES: _S_COMPETING,
-}
-
 
 class _CompiledGraph:
     """Per-run view of one cooperation graph with prebound latency draws.
@@ -347,9 +220,9 @@ def _cumulative(weights):
     return cum
 
 
-def _simulate(topology, coop, failures, workload, strategy, seed, op_timeout):
-    """Run the event loop; returns (events, final per-replica stores)."""
-    scode = _STRATEGY_CODE[strategy]
+def _simulate(topology, coop, failures, workload, strat, seed, op_timeout):
+    """Run the event loop under strategy strat; returns (events, final stores)."""
+    apply, snapshot, resolve, vclocks = strat.apply, strat.snapshot, strat.resolve, strat.vclocks
     streams = StreamFactory(seed)
     driver = WorkloadDriver(workload, streams)
     next_request = driver.next_request
@@ -398,35 +271,6 @@ def _simulate(topology, coop, failures, workload, strategy, seed, op_timeout):
 
     # -- nested handlers over the closed-over state --------------------------
 
-    def mutate(v, key, ref, arrival_seq):
-        kv = store[v]
-        if scode == _S_TIMESTAMP:
-            cur = kv.get(key)
-            if cur is None or (ref.client_timestamp, ref.write_id) > (cur.client_timestamp, cur.write_id):
-                kv[key] = ref
-        elif scode == _S_ARRIVAL:
-            kv[key] = (ref, arrival_seq)
-        elif scode == _S_SET:
-            cur = kv.get(key)
-            if cur is None:
-                kv[key] = {ref}
-            else:
-                cur.add(ref)
-        else:
-            kv[key] = tuple(merge_heads(list(kv.get(key) or ()) + [ref]))
-
-    def snapshot(v, key):
-        snap = store[v].get(key)
-        if snap is None:
-            return None, ()
-        if scode == _S_TIMESTAMP:
-            return snap, (snap.write_id,)
-        if scode == _S_ARRIVAL:
-            return snap, (snap[0].write_id,)
-        if scode == _S_SET:
-            return frozenset(snap), tuple(sorted(r.write_id for r in snap))
-        return tuple(snap), tuple(sorted(r.write_id for r in snap))
-
     def client_next(client, t):
         req = next_request(client, t)
         if req is not None:
@@ -438,12 +282,13 @@ def _simulate(topology, coop, failures, workload, strategy, seed, op_timeout):
         ev_n += 1
         if op.is_write:
             events.append((ev_n, t, op.op_id, APPLY_END, (v, op.write_id)))
-            mutate(v, op.key, op.ref, ev_n)
+            apply(store[v], op.key, op.ref, ev_n)
             parent, mode, _, ack_draw = op.graph.up_of[v]
             if mode != _ASYNC:
                 push(heap, (t + ack_draw(), tick(), _A_ACK, op, parent, v))
         else:
-            snap, ids = snapshot(v, op.key)
+            state = store[v].get(op.key)
+            snap, ids = (None, ()) if state is None else snapshot(state)
             events.append((ev_n, t, op.op_id, APPLY_END, (v, ids)))
             parent, _, _, ack_draw = op.graph.up_of[v]
             push(heap, (t + ack_draw(), tick(), _A_RESP, op, parent, (v, [(v, snap)])))
@@ -468,11 +313,11 @@ def _simulate(topology, coop, failures, workload, strategy, seed, op_timeout):
             if not op.is_write:
                 contribs = vs[_VS_CONTRIBS]
                 participants = sorted(r for r, _ in contribs)
-                returned = resolve_read(strategy, contribs)
+                returned = resolve(contribs)
                 refs = tuple(r for r in returned if r.write_id >= 0)
                 ev_n += 1
                 events.append((ev_n, t, op.op_id, READ_RETURN, (tuple(participants), refs)))
-                if scode == _S_COMPETING and refs:
+                if vclocks and refs:
                     ctx = read_ctx[op.client].setdefault(op.key, {})
                     for ref in refs:
                         for cid, cnt in ref.vclock or ():
@@ -499,7 +344,7 @@ def _simulate(topology, coop, failures, workload, strategy, seed, op_timeout):
         ev_n += 1
         if op.is_write:
             events.append((ev_n, t, op.op_id, APPLY_END, (v, op.write_id)))
-            mutate(v, key, op.ref, ev_n)
+            apply(store[v], key, op.ref, ev_n)
             # the copy carries the applied data, so it leaves after ApplyEnd
             fwd = op.graph.fwd_of[v]
             if fwd:
@@ -511,7 +356,8 @@ def _simulate(topology, coop, failures, workload, strategy, seed, op_timeout):
                         delay += int(per_byte * payload + 0.5)
                     push(heap, (t + delay, tick(), _A_DELIVER if node[c][0] else _A_LEAF, op, c, None))
         else:
-            snap, ids = snapshot(v, key)
+            state = store[v].get(key)
+            snap, ids = (None, ()) if state is None else snapshot(state)
             events.append((ev_n, t, op.op_id, APPLY_END, (v, ids)))
             vs[_VS_CONTRIBS].append((v, snap))
         oblig(t, op, v)
@@ -554,7 +400,7 @@ def _simulate(topology, coop, failures, workload, strategy, seed, op_timeout):
                 gi += 1
             graph = rep_graphs[gi]
             vclock = None
-            if scode == _S_COMPETING:
+            if vclocks:
                 ctr = write_ctr[req.client_id]
                 ctr[req.key] = ctr.get(req.key, 0) + 1
                 ctx = read_ctx[req.client_id].setdefault(req.key, {})
@@ -712,17 +558,8 @@ def _simulate(topology, coop, failures, workload, strategy, seed, op_timeout):
                 push(heap, (t, tick(), entry[0], entry[1], entry[2], entry[3]))
 
     # Canonical final stores for convergence checks and demos.
-    final = {}
-    for rid, kv in enumerate(store):
-        canon = {}
-        for key, state in kv.items():
-            if scode == _S_ARRIVAL:
-                canon[key] = state[0]
-            elif scode == _S_TIMESTAMP:
-                canon[key] = state
-            else:
-                canon[key] = tuple(sorted(state, key=lambda r: r.write_id))
-        final[rid] = canon
+    canonical = strat.canonical
+    final = {rid: {key: canonical(state) for key, state in kv.items()} for rid, kv in enumerate(store)}
     return events, final
 
 
@@ -740,15 +577,14 @@ def run_simulation(
     Raises ScenarioInvalidError when validate_scenario reports violations and
     ValueError for an unknown strategy or non-positive timeout.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    strat = strategies.strategy(strategy)
     if op_timeout <= 0:
         raise ValueError(f"op_timeout must be positive, got {op_timeout}")
     report = validate_scenario(topology, coop, failures, workload)
     if not report.ok:
         raise ScenarioInvalidError(report)
     with gc_paused():
-        events, final_stores = _simulate(topology, coop, list(failures), workload, strategy, seed, op_timeout)
+        events, final_stores = _simulate(topology, coop, list(failures), workload, strat, seed, op_timeout)
     meta = {
         "strategy": strategy,
         "seed": seed,

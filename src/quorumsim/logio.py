@@ -22,8 +22,9 @@ import json
 from json.encoder import encode_basestring_ascii as _json_str
 
 from . import engine
-from .engine import SimulationLog, VersionRef
+from .engine import SimulationLog
 from .errors import MalformedLogError
+from .strategies import STRATEGIES, VersionRef
 
 FORMAT_VERSION = 1
 
@@ -147,9 +148,14 @@ def _graph_from_json(info) -> dict:
     return info
 
 
-def _meta_from_json(obj) -> dict:
+def _meta_from_json(obj, line: int) -> dict:
     meta = {k: v for k, v in obj.items() if k not in ("kind", "format", "graphs")}
-    meta["graphs"] = {int(gid): _graph_from_json(info) for gid, info in obj.get("graphs", {}).items()}
+    try:
+        meta["graphs"] = {int(gid): _graph_from_json(info) for gid, info in obj.get("graphs", {}).items()}
+    except (AttributeError, ValueError):
+        raise MalformedLogError("run_meta header has a field of the wrong type", line) from None
+    if "strategy" in meta and meta["strategy"] not in STRATEGIES:
+        raise MalformedLogError(f"run_meta header names unknown strategy {meta['strategy']!r}", line)
     return meta
 
 
@@ -233,10 +239,7 @@ def read_events(path) -> SimulationLog:
             if not isinstance(obj, dict) or "kind" not in obj:
                 raise MalformedLogError("line is not an event object", line_no)
             if obj["kind"] == "run_meta":
-                try:
-                    meta = _meta_from_json(obj)
-                except (AttributeError, ValueError):
-                    raise MalformedLogError("run_meta header has a field of the wrong type", line_no) from None
+                meta = _meta_from_json(obj, line_no)
                 continue
             events.append(event_from_json(obj, line_no))
     return SimulationLog(meta, events, {})

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 
 from .distributions import distribution_from_json, key_distribution_from_json
-from .engine import DEFAULT_OP_TIMEOUT, STRATEGIES
+from .engine import DEFAULT_OP_TIMEOUT
 from .levels import build_cooperation_model, parse_level
 from .model import (
     ASYNC_EDGE,
@@ -33,6 +33,7 @@ from .model import (
     ReplicaGraph,
     quorum_edge,
 )
+from .strategies import STRATEGIES
 from .workload import ClientOverride, WorkloadSpec
 
 

@@ -1,0 +1,308 @@
+"""Conflict-resolution strategies: the one place a strategy's semantics live.
+
+``strategy(name)`` returns one of four objects: last-write-wins by
+per-replica arrival order or by client timestamp (write id as tiebreak),
+write sets, and competing writes kept as the maximal antichain under
+vector-clock dominance. A replica's state per key is, in that order,
+(ref, arrival seq), a ref, a set of refs (copied on read) or a tuple of heads.
+
+The engine binds ``apply`` (a write, in place), ``snapshot`` (a read of one
+replica), ``resolve`` (a read's result from its non-empty contributions),
+``canonical`` (the final store) and the ``vclocks`` flag once per run.
+
+Stage 3 asks whether a result "reflects" a write: order-key dominance under
+LWW, set inclusion under write_set, vector-clock dominance under
+competing_writes. An LWW order key is (client timestamp, write id) for
+lww_timestamp and the commit order (commit time, write id) for lww_arrival,
+with uncommitted versions below every committed one and the initial version
+below everything. ``misses`` checks a result against a prefix of committed
+writes through ``marks``: the running maximum order key, the write ids or
+the vector clocks.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left
+from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate, islice
+from operator import attrgetter
+
+LWW_ARRIVAL = "lww_arrival"
+LWW_TIMESTAMP = "lww_timestamp"
+WRITE_SET = "write_set"
+COMPETING_WRITES = "competing_writes"
+STRATEGIES = (LWW_ARRIVAL, LWW_TIMESTAMP, WRITE_SET, COMPETING_WRITES)
+
+
+@dataclass(frozen=True, slots=True)
+class VersionRef:
+    """Identity of one write as stored and returned by replicas.
+
+    vclock is a canonical sorted tuple of (client_id, counter) pairs, present
+    only under the competing-writes strategy. write_id -1 is the distinguished
+    initial (pre-any-write) version.
+    """
+
+    write_id: int
+    client_id: int
+    client_timestamp: int
+    vclock: tuple[tuple[int, int], ...] | None = None
+
+
+INITIAL = VersionRef(-1, -1, -1, ())
+
+_write_id = attrgetter("write_id")
+_INITIAL_KEY = (-1,)  # below the order key of every version
+_NO_CONTRIBUTIONS = "contributions must be non-empty"
+
+
+def vclock_dominates(a, b) -> bool:
+    """True iff vclock a >= b componentwise (missing entries are 0)."""
+    if not b:
+        return True
+    ad = dict(a) if a else {}
+    for cid, n in b:
+        if ad.get(cid, 0) < n:
+            return False
+    return True
+
+
+def merge_heads(refs) -> list[VersionRef]:
+    """Maximal antichain under vclock dominance, deduplicated, by write id."""
+    by_id = {r.write_id: r for r in refs}
+    candidates = sorted(by_id.values(), key=_write_id)
+    heads = []
+    for r in candidates:
+        dominated = False
+        for o in candidates:
+            if (
+                o.write_id != r.write_id
+                and vclock_dominates(o.vclock, r.vclock)
+                and not vclock_dominates(r.vclock, o.vclock)
+            ):
+                dominated = True
+                break
+        if not dominated:
+            heads.append(r)
+    return heads
+
+
+def _covers(refs, vclock) -> bool:
+    """Does some ref's vclock dominate-or-equal vclock?"""
+    return any(vclock_dominates(r.vclock, vclock) for r in refs)
+
+
+class _LastWriteWins:
+    """One version per key, totally ordered by order key."""
+
+    vclocks = False
+    version_order = None
+
+    def returned_key(self, refs, commit_map):
+        return max([self.ref_key(r, commit_map) for r in refs], default=_INITIAL_KEY)
+
+    def marks(self, writes):
+        return list(accumulate(map(self.write_key, writes), max))
+
+    def misses(self, returned, marks, hi, commit_map):
+        return self.returned_key(returned, commit_map) < marks[hi - 1]
+
+    def mrc(self, session, commit_map):
+        running = _INITIAL_KEY
+        for r in session:
+            key = self.returned_key(r.returned, commit_map)
+            if key < running:
+                yield r.op_id
+            else:
+                running = key
+
+    def unseen(self, order, reads, commit_map, last):
+        """A read misses w iff its order key is below w's, so the answer is
+        the latest return among the reads ranked below w, if not before w's
+        commit."""
+        ranked = sorted((self.returned_key(r.returned, commit_map), r.return_time) for r in reads)
+        keys = [k for k, _ in ranked]
+        latest = list(accumulate((t for _, t in ranked), max))
+        for w in order.writes:
+            below = bisect_left(keys, self.write_key(w))
+            if below and latest[below - 1] >= w.commit_us:
+                last[w.op_id] = latest[below - 1]
+
+
+class _LwwArrival(_LastWriteWins):
+    name = LWW_ARRIVAL
+
+    def apply(self, kv, key, ref, seq):
+        kv[key] = (ref, seq)
+
+    def snapshot(self, state):
+        return state, (state[0].write_id,)
+
+    def resolve(self, contribs):
+        if not contribs:
+            raise ValueError(_NO_CONTRIBUTIONS)
+        best, best_key = INITIAL, (-1, -1)
+        for _, snap in contribs:
+            if snap is not None:
+                key = (snap[1], snap[0].write_id)
+                if key > best_key:
+                    best_key, best = key, snap[0]
+        return [best]
+
+    def canonical(self, state):
+        return state[0]
+
+    def write_key(self, w):
+        return (0, 0, w.commit_us, w.write_id)  # of a committed write
+
+    def ref_key(self, r, commit_map):
+        c = commit_map.get(r.write_id)
+        return (0, 0, c, r.write_id) if c is not None else (0, -1, 0, r.write_id)
+
+
+class _LwwTimestamp(_LastWriteWins):
+    name = LWW_TIMESTAMP
+
+    def apply(self, kv, key, ref, seq):
+        cur = kv.get(key)
+        if cur is None or (ref.client_timestamp, ref.write_id) > (cur.client_timestamp, cur.write_id):
+            kv[key] = ref
+
+    def snapshot(self, state):
+        return state, (state.write_id,)
+
+    def resolve(self, contribs):
+        if not contribs:
+            raise ValueError(_NO_CONTRIBUTIONS)
+        best = INITIAL
+        for _, snap in contribs:
+            if snap is not None and (snap.client_timestamp, snap.write_id) > (best.client_timestamp, best.write_id):
+                best = snap
+        return [best]
+
+    def canonical(self, state):
+        return state
+
+    def write_key(self, w):
+        return (0, w.start, w.write_id)  # a write's client timestamp is its issue instant
+
+    def ref_key(self, r, commit_map):
+        return (0, r.client_timestamp, r.write_id)
+
+
+class _MultiVersion:
+    """Many versions per key; a result reflects each write on its own."""
+
+    vclocks = False
+    version_order = None
+
+    def canonical(self, state):
+        return tuple(sorted(state, key=_write_id))
+
+    def misses(self, returned, marks, hi, commit_map):
+        # stops at the first mark not reflected, so a write_set read costs
+        # O(returned refs), not O(hi)
+        return not all(map(self.reflects(returned), islice(marks, hi)))
+
+    def unseen(self, order, reads, commit_map, last):
+        """The reads latest first, over the writes still unresolved. A read's
+        eligible writes (committed by its return) are a prefix of the commit
+        order that only shrinks; each one the read misses is resolved at its
+        return, and the rest stay pending. Under write_set every write kept
+        is one of the read's returned refs."""
+        marks = order.marks
+        pending = list(range(len(marks)))  # unresolved positions, ascending
+        for r in sorted(reads, key=lambda r: r.return_time, reverse=True):
+            del pending[bisect_left(pending, order.upto(r.return_time)):]
+            if not pending:
+                break
+            reflects = self.reflects(r.returned)
+            kept = []
+            for i in pending:
+                if reflects(marks[i]):
+                    kept.append(i)
+                else:
+                    last[order.writes[i].op_id] = r.return_time
+            pending = kept
+
+
+class _WriteSet(_MultiVersion):
+    name = WRITE_SET
+
+    def apply(self, kv, key, ref, seq):
+        cur = kv.get(key)
+        if cur is None:
+            kv[key] = {ref}
+        else:
+            cur.add(ref)
+
+    def snapshot(self, state):
+        return frozenset(state), tuple(sorted(r.write_id for r in state))
+
+    def resolve(self, contribs):
+        if not contribs:
+            raise ValueError(_NO_CONTRIBUTIONS)
+        union: set[VersionRef] = set()
+        for _, snap in contribs:
+            if snap:
+                union |= snap
+        return sorted(union, key=_write_id)
+
+    def marks(self, writes):
+        return [w.write_id for w in writes]
+
+    def reflects(self, returned):
+        return {ref.write_id for ref in returned}.__contains__
+
+    def mrc(self, session, commit_map):
+        running: set[int] = set()
+        for r in session:
+            ids = {ref.write_id for ref in r.returned}
+            if not running <= ids:
+                yield r.op_id
+            running |= ids
+
+
+class _CompetingWrites(_MultiVersion):
+    name = COMPETING_WRITES
+    vclocks = True
+    version_order = "vector-clock dominance (partial order) generalizes the total version order"
+
+    def apply(self, kv, key, ref, seq):
+        kv[key] = tuple(merge_heads(list(kv.get(key) or ()) + [ref]))
+
+    def snapshot(self, state):
+        return state, tuple(sorted(r.write_id for r in state))
+
+    def resolve(self, contribs):
+        if not contribs:
+            raise ValueError(_NO_CONTRIBUTIONS)
+        pool: list[VersionRef] = []
+        for _, snap in contribs:
+            if snap:
+                pool.extend(snap)
+        return merge_heads(pool)
+
+    def marks(self, writes):
+        return [w.vclock for w in writes]
+
+    def reflects(self, returned):
+        return partial(_covers, returned)
+
+    def mrc(self, session, commit_map):
+        running: list[VersionRef] = []  # heads so far; each must stay covered
+        for r in session:
+            if not all(_covers(r.returned, head.vclock) for head in running):
+                yield r.op_id
+            running = merge_heads(running + list(r.returned))
+
+
+_BY_NAME = {s.name: s for s in (_LwwArrival(), _LwwTimestamp(), _WriteSet(), _CompetingWrites())}
+
+
+def strategy(name: str):
+    """The strategy object named name; ValueError for an unknown name."""
+    if name not in STRATEGIES:
+        raise ValueError(f"unknown strategy {name!r}")
+    return _BY_NAME[name]

@@ -3,7 +3,9 @@
 Each oracle scans raw event tuples quadratically and re-derives its verdicts
 from first principles (no imports from quorumsim.clientcentric or
 quorumsim.datacentric beyond shared constants). They exist to cross-check
-the production detectors on arbitrary logs.
+the production detectors on arbitrary logs. ``apply_write`` and
+``oracle_resolve`` are the same kind of reference for the strategies' store
+and read-resolution code (quorumsim.strategies).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from quorumsim.engine import (
     OP_START,
     READ_RETURN,
 )
+from quorumsim.strategies import COMPETING_WRITES, INITIAL, LWW_ARRIVAL, LWW_TIMESTAMP, WRITE_SET
 
 
 def _events(log):
@@ -124,14 +127,6 @@ def _read_reflects_write(strategy, read_view, w_view, commit_of) -> bool:
 
 
 # -- oracles -------------------------------------------------------------------
-
-def oracle_commit_timestamps(log) -> dict[int, int]:
-    out = {}
-    for v in scrape(log).values():
-        if v.kind == "write" and v.commit is not None:
-            out[v.write_id] = v.commit
-    return out
-
 
 def oracle_stale(log, strategy) -> set[int]:
     views = scrape(log)
@@ -312,6 +307,61 @@ def oracle_report_counts(log, strategy) -> dict:
         },
         "per_client": {str(c): per_client[c] for c in sorted(clients)},
     }
+
+
+# -- store and read resolution, re-derived --------------------------------------
+
+def _heads(refs):
+    """The refs no other ref strictly dominates, one per write id, by write id."""
+    by_id = {r.write_id: r for r in refs}
+    return sorted(
+        (
+            r
+            for r in by_id.values()
+            if not any(_dom(o.vclock, r.vclock) and not _dom(r.vclock, o.vclock) for o in by_id.values())
+        ),
+        key=lambda r: r.write_id,
+    )
+
+
+def _ts_key(ref):
+    return (ref.client_timestamp, ref.write_id)
+
+
+def apply_write(strategy: str, store_state, incoming, arrival_seq: int):
+    """Pure per-key state transition for one delivered write.
+
+    State shapes: lww_arrival (ref, arrival_seq) | lww_timestamp ref |
+    write_set frozenset[ref] | competing_writes tuple[ref]; None is empty.
+    """
+    if strategy == LWW_ARRIVAL:
+        return (incoming, arrival_seq)
+    if strategy == LWW_TIMESTAMP:
+        if store_state is None or _ts_key(incoming) > _ts_key(store_state):
+            return incoming
+        return store_state
+    if strategy == WRITE_SET:
+        return (store_state or frozenset()) | {incoming}
+    if strategy == COMPETING_WRITES:
+        return tuple(_heads(list(store_state or ()) + [incoming]))
+    raise ValueError(f"unknown strategy {strategy!r}")
+
+
+def oracle_resolve(strategy: str, contributions) -> list:
+    """The versions a read returns from (replica, snapshot) contributions
+    shaped as in apply_write: the maximum by (arrival seq, write id) or
+    (client timestamp, write id) under LWW, INITIAL when every snapshot is
+    empty; the union by write id under write_set; the head antichain under
+    competing_writes."""
+    snaps = [snap for _, snap in contributions if snap]
+    if strategy == LWW_ARRIVAL:
+        return [max(snaps, key=lambda s: (s[1], s[0].write_id))[0]] if snaps else [INITIAL]
+    if strategy == LWW_TIMESTAMP:
+        return [max(snaps, key=_ts_key)] if snaps else [INITIAL]
+    pool = [ref for snap in snaps for ref in snap]
+    if strategy == WRITE_SET:
+        return sorted(set(pool), key=lambda r: r.write_id)
+    return _heads(pool)
 
 
 # -- deterministic event enumerator for async constant stars --------------------

@@ -38,8 +38,9 @@ from quorumsim import (
 )
 from quorumsim.cli import main as cli_main
 from quorumsim.datacentric import op_records
-from quorumsim.engine import COMPETING_WRITES, LWW_TIMESTAMP, OP_COMMIT, OP_FAIL, WRITE_SET
+from quorumsim.engine import OP_COMMIT, OP_FAIL
 from quorumsim.model import CRASH_RECOVERY, CRASH_STOP, READING, REPLICATION, SYNC_EDGE
+from quorumsim.strategies import COMPETING_WRITES, LWW_TIMESTAMP, WRITE_SET
 from quorumsim.workload import WRITE
 
 _POOL_WORKERS = 2

@@ -200,6 +200,34 @@ def test_analyze_rejects_malformed_graph_entries_in_the_header(scenario_file, tm
             assert "MALFORMED_LOG" in capsys.readouterr().err
 
 
+def test_analyze_rejects_an_unknown_strategy_in_the_header(scenario_file, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["run", str(scenario_file), "--out", str(run_dir), "--stages", "1", "--quiet"]) == 0
+    header, *lines = (run_dir / "events.jsonl").read_text().splitlines()
+    path = tmp_path / "events.jsonl"
+    path.write_text("\n".join([json.dumps({**json.loads(header), "strategy": "bogus"}), *lines]) + "\n")
+    capsys.readouterr()
+    assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "MALFORMED_LOG" in err and "'bogus'" in err and "(line 1)" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_repeat_below_one(scenario_file, tmp_path, capsys):
+    for repeat in ("0", "-2"):
+        out = tmp_path / f"repeat{repeat}"
+        assert main(["run", str(scenario_file), "--out", str(out), "--repeat", repeat]) == 2
+        assert f"--repeat must be at least 1, got {repeat}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_quorum_check_bad_dc_counts_is_one_line(capsys):
+    for entry in ("NY=x", "NY", "NY=3,SF="):
+        assert main(["quorum-check", "--rf", "3", "--write-cl", "ONE", "--read-cl", "ONE", "--dc-counts", entry]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad --dc-counts entry") and err.count("\n") == 1, err
+
+
 def test_quorum_check_verdicts(capsys):
     assert main(["quorum-check", "--rf", "3", "--write-cl", "QUORUM", "--read-cl", "QUORUM"]) == 0
     out = capsys.readouterr().out

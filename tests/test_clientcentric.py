@@ -4,7 +4,6 @@ import pytest
 
 from _builders import mesh_topology, replica, simple_workload, write_only_workload
 from _oracles import (
-    oracle_commit_timestamps,
     oracle_last_unseen,
     oracle_mrc,
     oracle_mwc,
@@ -28,82 +27,80 @@ from quorumsim import (
     UniformKeys,
     VersionRef,
     WorkloadSpec,
-    WriteRecord,
     build_clientcentric_report,
-    commit_timestamps,
+    clientcentric_outputs,
     detect_mrc,
     detect_mwc,
     detect_rywc,
     detect_wfrc,
-    judge_staleness,
     read_verdicts,
     run_simulation,
 )
-from quorumsim.engine import (
+from quorumsim.model import READING, REPLICATION
+from quorumsim.strategies import (
     COMPETING_WRITES,
-    LWW_ARRIVAL,
     LWW_TIMESTAMP,
+    STRATEGIES,
     WRITE_SET,
 )
-from quorumsim.model import READING, REPLICATION
-
-STRATEGIES = (LWW_ARRIVAL, LWW_TIMESTAMP, WRITE_SET, COMPETING_WRITES)
 
 
-# -- commit_timestamps ------------------------------------------------------------
+# -- staleness unit cases on hand-built logs -----------------------------------------
 
-def test_commit_timestamps_simple():
-    topo = mesh_topology(1)
-    coop = CooperationModel(
-        [CooperationGraph(0, REPLICATION, 0, [])],
-        [CooperationGraph(1, READING, 0, [])],
-    )
-    log = run_simulation(topo, coop, [], write_only_workload(1, think=Constant(500)), LWW_TIMESTAMP, seed=1)
-    assert commit_timestamps(log) == {0: 500}
+def is_stale(strategy, read_start_us, returned_refs, writes):
+    """read_verdicts' staleness for one read by client 9 issued at
+    read_start_us and returning returned_refs, after the committed writes
+    (write_id, client, client timestamp, commit instant, vclock), each issued
+    at its client timestamp."""
+    events = []
+    for op_id, (write_id, client, ts, commit, vclock) in enumerate(writes):
+        events.append((len(events), ts, op_id, "op_start", (client, "write", 0, write_id, 64, False, vclock)))
+        events.append((len(events), commit, op_id, "op_commit", (commit - ts,)))
+    read = len(writes)
+    events.append((len(events), read_start_us, read, "op_start", (9, "read", 0, None, 64, False, None)))
+    events.append((len(events), read_start_us, read, "read_return", ((0,), tuple(returned_refs))))
+    events.append((len(events), read_start_us, read, "op_commit", (0,)))
+    (verdict,) = read_verdicts(events, strategy)
+    return verdict.stale
 
-
-def test_commit_timestamps_agree_with_scan_oracle():
-    rng = random.Random(12)
-    for _ in range(5):
-        topo, coop, failures, wl = random_scenario(rng, allow_crash_stop=True, max_total_ops=120)
-        log = run_simulation(topo, coop, failures, wl, LWW_TIMESTAMP, seed=rng.randrange(500))
-        assert commit_timestamps(log) == oracle_commit_timestamps(log)
-
-
-# -- judge_staleness unit cases -----------------------------------------------------
 
 def wrec(write_id, client, ts, commit, vclock=None):
-    return WriteRecord(write_id, client, ts, commit, vclock)
+    return (write_id, client, ts, commit, vclock)
 
 
 def test_no_fresh_writes_is_never_stale():
-    assert judge_staleness(LWW_TIMESTAMP, 1_000, (), []) is False
+    assert is_stale(LWW_TIMESTAMP, 1_000, (), []) is False
     later = [wrec(1, 0, 2_000, 2_500)]
-    assert judge_staleness(LWW_TIMESTAMP, 1_000, (), later) is False
+    assert is_stale(LWW_TIMESTAMP, 1_000, (), later) is False
 
 
 def test_lww_timestamp_stale_example():
     # w1 committed @10000; read starting @15000 served from a replica that
     # only applies w1 @20000 returns the initial version: stale
     history = [wrec(1, 0, 9_000, 10_000)]
-    assert judge_staleness(LWW_TIMESTAMP, 15_000, (), history) is True
+    assert is_stale(LWW_TIMESTAMP, 15_000, (), history) is True
     reflecting = (VersionRef(1, 0, 9_000),)
-    assert judge_staleness(LWW_TIMESTAMP, 15_000, reflecting, history) is False
+    assert is_stale(LWW_TIMESTAMP, 15_000, reflecting, history) is False
 
 
 def test_write_set_superset_is_fresh():
     history = [wrec(1, 0, 10, 100), wrec(2, 0, 20, 200), wrec(3, 0, 900, 5_000)]
     returned = (VersionRef(1, 0, 10), VersionRef(2, 0, 20), VersionRef(3, 0, 900))
-    assert judge_staleness(WRITE_SET, 300, returned, history) is False
-    assert judge_staleness(WRITE_SET, 300, returned[:1], history) is True
+    assert is_stale(WRITE_SET, 300, returned, history) is False
+    assert is_stale(WRITE_SET, 300, returned[:1], history) is True
 
 
 def test_competing_dominance_freshness():
     w = wrec(1, 1, 10, 100, vclock=((1, 1),))
     head = (VersionRef(2, 2, 20, ((1, 1), (2, 1))),)
-    assert judge_staleness(COMPETING_WRITES, 300, head, [w]) is False
+    assert is_stale(COMPETING_WRITES, 300, head, [w]) is False
     incomparable = (VersionRef(3, 2, 20, ((2, 1),)),)
-    assert judge_staleness(COMPETING_WRITES, 300, incomparable, [w]) is True
+    assert is_stale(COMPETING_WRITES, 300, incomparable, [w]) is True
+
+
+def test_unknown_strategy_is_rejected():
+    with pytest.raises(ValueError, match="unknown strategy"):
+        clientcentric_outputs(synthetic_reads([()]), "bogus")
 
 
 # -- staleness positive control (deterministic hand trace) ---------------------------

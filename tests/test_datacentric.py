@@ -18,8 +18,9 @@ from quorumsim import (
     op_table,
     run_simulation,
 )
-from quorumsim.engine import ACK, LWW_TIMESTAMP, OP_COMMIT, OP_FAIL, OP_START
+from quorumsim.engine import ACK, OP_COMMIT, OP_FAIL, OP_START
 from quorumsim.model import CRASH_STOP, READING, REPLICATION, SYNC_EDGE
+from quorumsim.strategies import LWW_TIMESTAMP
 
 
 def async_star_log(n_ops=1, think=1_000, seed=3):

@@ -11,8 +11,6 @@ from quorumsim import (
     Uniform,
     UniformKeys,
     Zipfian,
-    sample,
-    sample_key,
 )
 
 
@@ -22,17 +20,17 @@ def stream(label="test", seed=1234):
 
 def test_constant_is_degenerate():
     rng = stream()
-    assert [sample(Constant(10_000), rng) for _ in range(100)] == [10_000] * 100
+    assert [Constant(10_000).sample(rng) for _ in range(100)] == [10_000] * 100
 
 
 def test_uniform_collapses_when_lo_equals_hi():
     rng = stream()
-    assert [sample(Uniform(5_000, 5_000), rng) for _ in range(100)] == [5_000] * 100
+    assert [Uniform(5_000, 5_000).sample(rng) for _ in range(100)] == [5_000] * 100
 
 
 def test_uniform_stays_in_bounds():
     rng = stream()
-    draws = [sample(Uniform(100, 200), rng) for _ in range(10_000)]
+    draws = [Uniform(100, 200).sample(rng) for _ in range(10_000)]
     assert min(draws) >= 100
     assert max(draws) <= 200
 
@@ -56,7 +54,7 @@ def test_lognormal_median_roughly_exp_mu():
 def test_empirical_resamples_only_given_values():
     rng = stream()
     d = Empirical([5, 7, 11])
-    seen = {sample(d, rng) for _ in range(1_000)}
+    seen = {d.sample(rng) for _ in range(1_000)}
     assert seen == {5, 7, 11}
 
 
@@ -65,24 +63,24 @@ def test_all_samples_non_negative_and_integer():
     dists = [Constant(0), Uniform(0, 3), Exponential(1.5), LogNormal(-2.0, 3.0), Empirical([0, 1])]
     for d in dists:
         for _ in range(2_000):
-            v = sample(d, rng)
+            v = d.sample(rng)
             assert isinstance(v, int)
             assert v >= 0
 
 
 def test_identical_seed_and_label_reproduce_sequences():
     d = Exponential(700)
-    a = [sample(d, RngStream(99, "lat")) for _ in range(1)]
-    seq1 = [sample(d, s) for s in [RngStream(99, "lat")] for _ in range(500)]
+    a = [d.sample(RngStream(99, "lat")) for _ in range(1)]
+    seq1 = [d.sample(s) for s in [RngStream(99, "lat")] for _ in range(500)]
     rng1, rng2 = RngStream(99, "lat"), RngStream(99, "lat")
-    assert [sample(d, rng1) for _ in range(500)] == [sample(d, rng2) for _ in range(500)]
+    assert [d.sample(rng1) for _ in range(500)] == [d.sample(rng2) for _ in range(500)]
     assert a[0] == seq1[0]
 
 
 def test_distinct_labels_give_distinct_streams():
     d = Uniform(0, 1_000_000)
     rng1, rng2 = RngStream(7, "a"), RngStream(7, "b")
-    assert [sample(d, rng1) for _ in range(50)] != [sample(d, rng2) for _ in range(50)]
+    assert [d.sample(rng1) for _ in range(50)] != [d.sample(rng2) for _ in range(50)]
 
 
 def test_sampler_closure_matches_sample_sequence():
@@ -100,7 +98,7 @@ def test_every_stochastic_draw_consumes_exactly_one_word():
         rng = stream("count")
         probe = stream("count")
         for _ in range(10):
-            sample(d, rng)
+            d.sample(rng)
         for _ in range(10):
             probe.next_u64()
         assert rng.next_u64() == probe.next_u64()
@@ -110,7 +108,7 @@ def test_constant_draws_consume_no_words():
     rng = stream("const")
     probe = stream("const")
     for _ in range(10):
-        sample(Constant(5), rng)
+        Constant(5).sample(rng)
     assert rng.next_u64() == probe.next_u64()
 
 
@@ -128,7 +126,7 @@ def test_problem_reporting():
 def test_uniform_keys_single_key():
     rng = stream()
     kd = UniformKeys(1)
-    assert all(sample_key(kd, rng) == 0 for _ in range(1_000))
+    assert all(kd.sample_key(rng) == 0 for _ in range(1_000))
 
 
 def test_zipfian_zero_skew_is_uniform():
@@ -167,7 +165,7 @@ def test_zipfian_mass_sums_to_one():
 def test_zipfian_keys_in_range():
     rng = stream()
     kd = Zipfian(10, 2.0)
-    draws = [sample_key(kd, rng) for _ in range(10_000)]
+    draws = [kd.sample_key(rng) for _ in range(10_000)]
     assert min(draws) >= 0 and max(draws) < 10
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from _builders import mesh_topology, replica, simple_workload, star_async, write_only_workload
 from _checks import assert_log_invariants
-from _oracles import enumerate_star_writes, scrape
+from _oracles import apply_write, enumerate_star_writes, oracle_resolve, scrape
 from _randgen import random_scenario
 
 import quorumsim as qs
@@ -26,10 +26,8 @@ from quorumsim import (
     UniformKeys,
     VersionRef,
     WorkloadSpec,
-    apply_write,
     merge_heads,
     quorum_edge,
-    resolve_read,
     run_simulation,
     vclock_dominates,
 )
@@ -42,10 +40,14 @@ from quorumsim.engine import (
     OP_START,
     READ_RETURN,
     REPLICA_DOWN,
+)
+from quorumsim.strategies import (
     COMPETING_WRITES,
     LWW_ARRIVAL,
     LWW_TIMESTAMP,
+    STRATEGIES,
     WRITE_SET,
+    strategy,
 )
 
 
@@ -199,7 +201,7 @@ def test_identical_seed_identical_log():
     assert a.events != c.events
 
 
-# -- resolve_read / apply_write unit cases ----------------------------------------
+# -- strategy store and read resolution unit cases --------------------------------
 
 def r(write_id, client, ts, vclock=None):
     return VersionRef(write_id, client, ts, vclock)
@@ -207,37 +209,38 @@ def r(write_id, client, ts, vclock=None):
 
 def test_resolve_read_lww_timestamp_picks_max():
     a, b = r(1, 0, 5_000), r(2, 1, 9_000)
-    assert resolve_read(LWW_TIMESTAMP, [(0, a), (1, b)]) == [b]
-    assert resolve_read(LWW_TIMESTAMP, [(0, None)]) == [INITIAL]
+    assert strategy(LWW_TIMESTAMP).resolve([(0, a), (1, b)]) == [b]
+    assert strategy(LWW_TIMESTAMP).resolve([(0, None)]) == [INITIAL]
 
 
 def test_resolve_read_write_set_union():
     w1, w2 = r(1, 0, 10), r(2, 0, 20)
-    out = resolve_read(WRITE_SET, [(0, frozenset({w1})), (1, frozenset({w1, w2}))])
+    out = strategy(WRITE_SET).resolve([(0, frozenset({w1})), (1, frozenset({w1, w2}))])
     assert out == [w1, w2]
 
 
 def test_resolve_read_competing_antichain():
     h1 = r(1, 1, 10, vclock=((1, 1),))
     h2 = r(2, 2, 20, vclock=((2, 1),))
-    both = resolve_read(COMPETING_WRITES, [(0, (h1,)), (1, (h2,))])
+    both = strategy(COMPETING_WRITES).resolve([(0, (h1,)), (1, (h2,))])
     assert {x.write_id for x in both} == {1, 2}
 
     dominated = r(3, 1, 30, vclock=((1, 1), (2, 1)))
     dominating = r(4, 1, 40, vclock=((1, 2), (2, 1)))
-    out = resolve_read(COMPETING_WRITES, [(0, (dominating,)), (1, (r(5, 1, 5, vclock=((1, 1),)), dominated))])
+    out = strategy(COMPETING_WRITES).resolve([(0, (dominating,)), (1, (r(5, 1, 5, vclock=((1, 1),)), dominated))])
     assert out == [dominating]
 
 
 def test_resolve_read_lww_arrival_uses_apply_seq():
     old = (r(1, 0, 9_000), 10)  # newer timestamp, earlier arrival
     new = (r(2, 1, 5_000), 20)
-    assert resolve_read(LWW_ARRIVAL, [(0, old), (1, new)])[0].write_id == 2
+    assert strategy(LWW_ARRIVAL).resolve([(0, old), (1, new)])[0].write_id == 2
 
 
 def test_resolve_read_requires_contributions():
-    with pytest.raises(ValueError):
-        resolve_read(LWW_TIMESTAMP, [])
+    for name in STRATEGIES:
+        with pytest.raises(ValueError):
+            strategy(name).resolve([])
 
 
 def test_apply_write_cases():
@@ -250,6 +253,59 @@ def test_apply_write_cases():
     head = r(3, 1, 10, vclock=((1, 1),))
     incoming = r(4, 1, 20, vclock=((1, 1), (2, 1)))
     assert apply_write(COMPETING_WRITES, (head,), incoming, 0) == (incoming,)
+
+
+def test_strategy_apply_cases():
+    # apply_write's cases, on the strategies' in-place stores
+    cur = r(1, 0, 9_000)
+    stale = r(2, 1, 5_000)
+    head = r(3, 1, 10, vclock=((1, 1),))
+    incoming = r(4, 1, 20, vclock=((1, 1), (2, 1)))
+    cases = [
+        (LWW_TIMESTAMP, cur, stale, 99, cur),
+        (LWW_ARRIVAL, (cur, 5), stale, 99, (stale, 99)),
+        (WRITE_SET, {cur}, stale, 0, {cur, stale}),
+        (COMPETING_WRITES, (head,), incoming, 0, (incoming,)),
+    ]
+    for name, state, ref, seq, want in cases:
+        kv = {0: state}
+        strategy(name).apply(kv, 0, ref, seq)
+        assert kv[0] == want
+
+
+def _random_contributions(rng, name):
+    """1-4 (replica, snapshot) pairs drawn from a pool of refs with distinct
+    write ids, tied timestamps and clashing vector clocks; some snapshots
+    are empty."""
+    pool = []
+    for wid in range(rng.randint(1, 8)):
+        client, ts = rng.randrange(3), rng.randrange(4)
+        vclock = tuple((c, rng.randint(1, 3)) for c in sorted(rng.sample(range(3), rng.randint(1, 3))))
+        pool.append(VersionRef(wid, client, ts, vclock))
+    contribs = []
+    for replica_id in range(rng.randint(1, 4)):
+        refs = rng.sample(pool, rng.randint(0, min(3, len(pool))))
+        if not refs:
+            snap = None
+        elif name == LWW_ARRIVAL:
+            snap = (refs[0], rng.randrange(6))
+        elif name == LWW_TIMESTAMP:
+            snap = refs[0]
+        elif name == WRITE_SET:
+            snap = frozenset(refs)
+        else:
+            snap = tuple(refs)
+        contribs.append((replica_id, snap))
+    return contribs
+
+
+@pytest.mark.parametrize("name", STRATEGIES)
+def test_resolve_agrees_with_oracle_on_random_contributions(name):
+    rng = random.Random(f"resolve:{name}")
+    resolve = strategy(name).resolve
+    for _ in range(2_000):
+        contribs = _random_contributions(rng, name)
+        assert resolve(contribs) == oracle_resolve(name, contribs), contribs
 
 
 def test_vclock_dominance_and_merge():
@@ -442,7 +498,7 @@ def test_concurrent_writes_keep_both_heads():
     assert len(state) == 2  # incomparable clocks from two clients
 
 
-# -- store replay (engine mutation vs public apply_write) ---------------------------
+# -- store replay (engine mutation vs the apply_write reference) ---------------------
 
 def replay_stores(log, strategy):
     refs = {}

@@ -18,7 +18,7 @@ from quorumsim import (
     validate_scenario,
 )
 from quorumsim import engine
-from quorumsim.engine import LWW_TIMESTAMP
+from quorumsim.strategies import LWW_TIMESTAMP, STRATEGIES
 from quorumsim.logio import event_from_json, event_to_json, read_events, write_events
 from quorumsim.scenario import Scenario
 
@@ -197,7 +197,7 @@ def test_writer_lines_match_the_dict_reference(tmp_path):
         topo, coop, failures, wl = random_scenario(rng, allow_crash_stop=True, max_total_ops=60)
         timeout = rng.choice([engine.DEFAULT_OP_TIMEOUT, rng.randrange(2_000, 20_000)])
         seed = rng.randrange(1_000)
-        for strategy in engine.STRATEGIES:
+        for strategy in STRATEGIES:
             log = run_simulation(topo, coop, failures, wl, strategy, seed, timeout)
             path = tmp_path / "events.jsonl"
             write_events(log, path)
@@ -304,9 +304,12 @@ def test_missing_field_reports_line(tmp_path):
             read_events(path)
         assert e.value.line == 2, bad
     # run_meta graphs not an object, keyed by a non-integer, an entry not an
-    # object, or vertices not a list of integers
-    for graphs in ([], {"x": {}}, {"0": [1]}, {"0": {"vertices": 5}}, {"0": {"vertices": ["1"]}}):
-        path.write_text(json.dumps({"kind": "run_meta", "format": 1, "graphs": graphs}) + "\n")
+    # object, or vertices not a list of integers; a strategy that is not one
+    bad_graphs = ([], {"x": {}}, {"0": [1]}, {"0": {"vertices": 5}}, {"0": {"vertices": ["1"]}})
+    bad_headers = [{"graphs": graphs} for graphs in bad_graphs]
+    bad_headers += [{"strategy": strategy} for strategy in ("bogus", None, ["lww_timestamp"])]
+    for fields in bad_headers:
+        path.write_text(json.dumps({"kind": "run_meta", "format": 1, **fields}) + "\n")
         with pytest.raises(MalformedLogError) as e:
             read_events(path)
-        assert e.value.line == 1, graphs
+        assert e.value.line == 1, fields
