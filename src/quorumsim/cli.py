@@ -194,23 +194,34 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _parse_dc_counts(text: str | None) -> dict[str, int] | None:
+def _parse_dc_counts(text: str | None, rf: int) -> dict[str, int] | None:
+    """NAME=COUNT,... as {name: count}: names distinct and non-empty, counts
+    positive and summing to rf."""
     if not text:
         return None
     counts = {}
     for part in text.split(","):
         name, _, num = part.partition("=")
+        name = name.strip()
         try:
-            counts[name.strip()] = int(num)
+            count = int(num)
         except ValueError:
-            raise ScenarioFormatError(f"bad --dc-counts entry {part!r}; expected NAME=COUNT") from None
+            count = 0
+        if not name or count < 1:
+            raise ScenarioFormatError(f"bad --dc-counts entry {part!r}; expected NAME=COUNT with COUNT >= 1")
+        if name in counts:
+            raise ScenarioFormatError(f"bad --dc-counts entry {part!r}; datacenter {name!r} is already listed")
+        counts[name] = count
+    total = sum(counts.values())
+    if total != rf:
+        raise ScenarioFormatError(f"bad --dc-counts entry {text!r}; counts sum to {total}, not --rf {rf}")
     return counts
 
 
 def cmd_quorum_check(args) -> int:
     write_cl = parse_level(args.write_cl)
     read_cl = parse_level(args.read_cl)
-    dc_counts = _parse_dc_counts(args.dc_counts)
+    dc_counts = _parse_dc_counts(args.dc_counts, args.rf)
     coordinator_dc = args.coordinator_dc
     if dc_counts and coordinator_dc is None:
         coordinator_dc = next(iter(dc_counts))

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from . import strategies
+from .engine import gc_paused
 from .errors import MalformedLogError
 from .optable import OpRecord, op_table
 from .workload import READ, WRITE
@@ -317,6 +318,7 @@ def _last_unseen(writes_in_order, read_sessions, own, strat, commit_map):
     ]
 
 
+@gc_paused()
 def clientcentric_outputs(log, strategy: str) -> tuple[dict, list[ReadVerdict]]:
     """The stage-3 report and the per-read verdicts, from one op table.
 

@@ -21,6 +21,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
+from .engine import gc_paused
 from .optable import COMMITTED, op_table
 from .workload import READ, WRITE
 
@@ -118,6 +119,7 @@ def _histogram_summary(values) -> dict:
     }
 
 
+@gc_paused()
 def op_records(log) -> list[dict]:
     """One record per op, in op-id order: identity, chosen graph, outcome, latency, window."""
     table = op_table(log)
@@ -138,6 +140,7 @@ def op_records(log) -> list[dict]:
     ]
 
 
+@gc_paused()
 def build_datacentric_report(log) -> dict:
     """Stage-2 report: window/latency distributions and error rates, per graph and global."""
     table = op_table(log)

@@ -17,26 +17,29 @@ block and send no ack. The op commits when the root's obligations are met.
 
 Reads: the query fans out along the reading edges on arrival (it carries no
 data, so it travels while the local serve runs); each vertex's contribution
-is its state snapshot at its own ApplyEnd after proc_read. Responses double
-as acks and carry contributions upward; a vertex assembles contributions
-until the instant it responds, so responses arriving later (from async edges
-or quorum stragglers) are logged but dropped from the assembly. The root's
-assembly is the ReadReturn participant list.
+is its state snapshot at its own ApplyEnd after proc_read. Every vertex,
+async children included, answers its parent with an ack that carries its
+assembled contributions upward; a vertex assembles contributions until the
+instant it responds, so acks arriving later (from async edges or quorum
+stragglers) are logged and then ignored. The root's assembly is the
+ReadReturn participant list. A write's ack carries no contributions.
 
-Failures: a message (delivery, ack, or response) reaching a crash-stopped
-replica is dropped; one reaching a replica inside a crash-recovery window is
-queued and processed FIFO at the recovery instant, as is any processing that
-would have finished during the window. Data keeps propagating after an op
-commits or times out; terminal events are emitted exactly once per op.
+Failures: a message (delivery or ack) reaching a crash-stopped replica is
+dropped; one reaching a replica inside a crash-recovery window is queued and
+processed FIFO at the recovery instant, as is any processing that would have
+finished during the window. Data keeps propagating after an op commits or
+times out; terminal events are emitted exactly once per op.
 
 Zero sampled processing time completes within the arrival instant, before
 any later-scheduled event at the same timestamp; acknowledgments travel over
 the reverse edge's latency model with payload 0 (the forward model when the
 topology lacks the reverse edge).
 
-The run loop is written as one flat dispatch over closed-over locals; it is
-the measured hot path for large workloads and trades some indirection for
-throughput.
+The run loop has three replica-addressed actions: a delivery, a local
+ApplyEnd and an ack. Each passes one gate on the addressed replica's state
+before it is handled: a stopped replica drops it, a recovering one queues
+it, an up one handles it. A request reaching a stopped coordinator fails at
+issue with COORDINATOR_DOWN.
 """
 
 from __future__ import annotations
@@ -44,9 +47,10 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass
+from bisect import bisect_right
 from collections import deque
 from heapq import heappop, heappush
-from itertools import count
+from itertools import accumulate, count
 
 from . import strategies
 from .distributions import StreamFactory
@@ -130,23 +134,25 @@ class SimulationLog:
 # Edge synchronicity codes used by the compiled graphs.
 _SYNC, _ASYNC, _QUORUM = 0, 1, 2
 
-# Scheduled action codes, ordered by dispatch frequency.
-_A_LEAF, _A_ACK, _A_RESP, _A_ISSUE, _A_DELIVER, _A_APPLY_END, _A_DOWN, _A_UP = range(8)
+# Scheduled action codes. The first three are addressed to replica b of the
+# entry (t, tick, code, a, b, c) and pass the replica gate.
+_A_ACK, _A_DELIVER, _A_APPLY_END, _A_ISSUE, _A_DOWN, _A_UP = range(6)
+
+# Replica states read by the gate.
+_UP, _RECOVERING, _STOPPED = range(3)
 
 class _CompiledGraph:
     """Per-run view of one cooperation graph with prebound latency draws.
 
-    node[v]: (is_inner, sync children count, {group: threshold} or None);
-    inner vertices (the root and vertices with children) track obligation
-    state. fwd_of[v]: tuple of (child, base draw, per-byte rate) or None;
-    up_of[v]: (parent, mode, group, ack draw) for non-root vertices.
+    node[v]: (sync children count, {group: threshold} or None), the initial
+    obligations of v. fwd_of[v]: tuple of (child, base draw, per-byte rate)
+    or None; up_of[v]: (parent, mode, group, ack draw) for non-root vertices.
     """
 
-    __slots__ = ("id", "kind", "root", "node", "fwd_of", "up_of", "vertices")
+    __slots__ = ("id", "root", "node", "fwd_of", "up_of")
 
     def __init__(self, graph, streams, topology_edges):
         self.id = graph.id
-        self.kind = graph.kind
         self.root = graph.root
         kids: dict[int, list] = {}
         sync_need: dict[int, int] = {}
@@ -163,14 +169,11 @@ class _CompiledGraph:
                 group_need.setdefault(p, {})[group] = graph.quorum_thresholds[group]
             kids.setdefault(p, []).append(c)
             up[c] = (p, mode, group)
-        self.vertices = frozenset(graph.vertices())
-        self.node = {
-            v: (v == graph.root or v in kids, sync_need.get(v, 0), group_need.get(v))
-            for v in self.vertices
-        }
+        vertices = graph.vertices()
+        self.node = {v: (sync_need.get(v, 0), group_need.get(v)) for v in vertices}
         self.fwd_of = {}
         self.up_of = {}
-        for v in self.vertices:
+        for v in vertices:
             children = kids.get(v)
             if children:
                 entries = []
@@ -189,12 +192,11 @@ class _CompiledGraph:
 
 
 class _Op:
-    __slots__ = ("op_id", "client", "kind", "is_write", "key", "write_id", "ref", "payload", "graph", "start", "terminal", "vstate", "warmup")
+    __slots__ = ("op_id", "client", "is_write", "key", "write_id", "ref", "payload", "graph", "start", "terminal", "vstate", "warmup")
 
     def __init__(self, req, graph, ref):
         self.op_id = req.op_id
         self.client = req.client_id
-        self.kind = req.kind
         self.is_write = req.kind == WRITE
         self.key = req.key
         self.write_id = req.write_id
@@ -209,15 +211,6 @@ class _Op:
 
 # Per-(op, vertex) traversal state list indices.
 _VS_APPLIED, _VS_SYNC, _VS_GROUPS, _VS_RESPONDED, _VS_CONTRIBS = range(5)
-
-
-def _cumulative(weights):
-    cum = []
-    total = 0.0
-    for w in weights:
-        total += w
-        cum.append(total)
-    return cum
 
 
 def _simulate(topology, coop, failures, workload, strat, seed, op_timeout):
@@ -237,15 +230,12 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout):
 
     rep_graphs = [_CompiledGraph(g, streams, topology.edges) for g in coop.replication_graphs]
     read_graphs = [_CompiledGraph(g, streams, topology.edges) for g in coop.reading_graphs]
-    rep_cum = _cumulative([g.weight for g in coop.replication_graphs])
-    read_cum = _cumulative([g.weight for g in coop.reading_graphs])
-    rep_last = len(rep_cum) - 1
-    read_last = len(read_cum) - 1
+    rep_cum = list(accumulate(g.weight for g in coop.replication_graphs))
+    read_cum = list(accumulate(g.weight for g in coop.reading_graphs))
     graph_u = streams.stream("graph_choice").uniform
 
     store = [dict() for _ in range(n)]
-    alive = [True] * n
-    dead = [False] * n
+    replica_state = [_UP] * n
     queue: list[list] = [[] for _ in range(n)]
     epoch = [0] * n
 
@@ -276,22 +266,16 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout):
         if req is not None:
             push(heap, (req.issue_time, tick(), _A_ISSUE, req, None, None))
 
-    def finish_leaf(t, op, v):
-        """ApplyEnd at a childless non-root vertex: mutate/snapshot and ack."""
-        nonlocal ev_n
-        ev_n += 1
-        if op.is_write:
-            events.append((ev_n, t, op.op_id, APPLY_END, (v, op.write_id)))
-            apply(store[v], op.key, op.ref, ev_n)
-            parent, mode, _, ack_draw = op.graph.up_of[v]
-            if mode != _ASYNC:
-                push(heap, (t + ack_draw(), tick(), _A_ACK, op, parent, v))
-        else:
-            state = store[v].get(op.key)
-            snap, ids = (None, ()) if state is None else snapshot(state)
-            events.append((ev_n, t, op.op_id, APPLY_END, (v, ids)))
-            parent, _, _, ack_draw = op.graph.up_of[v]
-            push(heap, (t + ack_draw(), tick(), _A_RESP, op, parent, (v, [(v, snap)])))
+    def forward(t, op, v):
+        """Send the op from v along each outgoing edge of its graph."""
+        fwd = op.graph.fwd_of[v]
+        if fwd:
+            payload = op.payload
+            for c, draw, per_byte in fwd:
+                delay = draw()
+                if per_byte:
+                    delay += int(per_byte * payload + 0.5)
+                push(heap, (t + delay, tick(), _A_DELIVER, op, c, None))
 
     def oblig(t, op, v):
         """Ack the parent / commit at the root once v's obligations are met."""
@@ -328,78 +312,52 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout):
             client_next(op.client, t)
             return
         parent, mode, _, ack_draw = graph.up_of[v]
-        if op.is_write:
-            if mode == _ASYNC:
-                return  # async children impose no obligation and send no ack
-            push(heap, (t + ack_draw(), tick(), _A_ACK, op, parent, v))
-        else:
-            push(heap, (t + ack_draw(), tick(), _A_RESP, op, parent, (v, vs[_VS_CONTRIBS])))
+        if mode == _ASYNC and op.is_write:
+            return  # an async copy imposes no obligation and sends no ack
+        push(heap, (t + ack_draw(), tick(), _A_ACK, op, parent, (v, vs[_VS_CONTRIBS])))
 
     def apply_end(t, op, v):
-        """ApplyEnd at the root or an inner vertex: mutate, fan out copies, obligations."""
+        """ApplyEnd at v: mutate or snapshot, fan a write's copies out, obligations."""
         nonlocal ev_n
         vs = op.vstate[v]
         vs[_VS_APPLIED] = True
-        key = op.key
         ev_n += 1
         if op.is_write:
             events.append((ev_n, t, op.op_id, APPLY_END, (v, op.write_id)))
-            apply(store[v], key, op.ref, ev_n)
+            apply(store[v], op.key, op.ref, ev_n)
             # the copy carries the applied data, so it leaves after ApplyEnd
-            fwd = op.graph.fwd_of[v]
-            if fwd:
-                payload = op.payload
-                node = op.graph.node
-                for c, draw, per_byte in fwd:
-                    delay = draw()
-                    if per_byte:
-                        delay += int(per_byte * payload + 0.5)
-                    push(heap, (t + delay, tick(), _A_DELIVER if node[c][0] else _A_LEAF, op, c, None))
+            forward(t, op, v)
         else:
-            state = store[v].get(key)
+            state = store[v].get(op.key)
             snap, ids = (None, ()) if state is None else snapshot(state)
             events.append((ev_n, t, op.op_id, APPLY_END, (v, ids)))
             vs[_VS_CONTRIBS].append((v, snap))
         oblig(t, op, v)
 
     def deliver(t, op, v):
-        """Arrival of the op at alive vertex v."""
+        """Arrival of the op at up replica v."""
         nonlocal ev_n
         ev_n += 1
         events.append((ev_n, t, op.op_id, APPLY_START, (v,)))
         if not op.is_write:
             # a read query carries no data; it fans out on arrival while the
             # local serve (proc_read) proceeds in parallel
-            fwd = op.graph.fwd_of[v]
-            if fwd:
-                payload = op.payload
-                node = op.graph.node
-                for c, draw, per_byte in fwd:
-                    delay = draw()
-                    if per_byte:
-                        delay += int(per_byte * payload + 0.5)
-                    push(heap, (t + delay, tick(), _A_DELIVER if node[c][0] else _A_LEAF, op, c, None))
+            forward(t, op, v)
         proc = (pw_draw[v] if op.is_write else pr_draw[v])()
-        inner, sync_need, group_need = op.graph.node[v]
-        if inner:
-            op.vstate[v] = [False, sync_need, dict(group_need) if group_need else None, False, []]
-            if proc:
-                push(heap, (t + proc, tick(), _A_APPLY_END, op, v, None))
-            else:
-                apply_end(t, op, v)
-        elif proc:
+        sync_need, group_need = op.graph.node[v]
+        op.vstate[v] = [False, sync_need, dict(group_need) if group_need else None, False, []]
+        if proc:
             push(heap, (t + proc, tick(), _A_APPLY_END, op, v, None))
         else:
-            finish_leaf(t, op, v)
+            apply_end(t, op, v)
 
     def issue(t, req):
-        if req.kind == WRITE:
-            u = graph_u()
-            gi = 0
-            while gi < rep_last and u >= rep_cum[gi]:
-                gi += 1
-            graph = rep_graphs[gi]
-            vclock = None
+        nonlocal ev_n
+        is_write = req.kind == WRITE
+        graphs, cum = (rep_graphs, rep_cum) if is_write else (read_graphs, read_cum)
+        graph = graphs[min(bisect_right(cum, graph_u()), len(graphs) - 1)]
+        ref = vclock = None
+        if is_write:
             if vclocks:
                 ctr = write_ctr[req.client_id]
                 ctr[req.key] = ctr.get(req.key, 0) + 1
@@ -407,29 +365,20 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout):
                 ctx[req.client_id] = ctr[req.key]
                 vclock = tuple(sorted(ctx.items()))
             ref = VersionRef(req.write_id, req.client_id, req.client_timestamp, vclock)
-        else:
-            u = graph_u()
-            gi = 0
-            while gi < read_last and u >= read_cum[gi]:
-                gi += 1
-            graph = read_graphs[gi]
-            ref = None
-            vclock = None
 
-        nonlocal ev_n
         op = _Op(req, graph, ref)
         events.append((ev_n + 1, t, op.op_id, OP_START, (req.client_id, req.kind, req.key, req.write_id, req.payload_bytes, req.warmup, vclock)))
         events.append((ev_n + 2, t, op.op_id, GRAPH_CHOSEN, (graph.id,)))
         ev_n += 2
 
         root = graph.root
-        if dead[root]:
+        if replica_state[root] == _STOPPED:
             op.terminal = True
             ev_n += 1
             events.append((ev_n, t, op.op_id, OP_FAIL, (FAIL_COORDINATOR_DOWN,)))
             client_next(op.client, t)
             return
-        if alive[root]:
+        if replica_state[root] == _UP:
             deliver(t, op, root)
         else:
             queue[root].append((_A_DELIVER, op, root, None))
@@ -464,94 +413,53 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout):
                 push(heap, entry)
                 fire_timeout()
                 continue
-        if code == _A_LEAF:
-            # delivery at a childless non-root vertex: apply and ack inline
-            if dead[b]:
+        if code < _A_ISSUE:
+            # the replica gate: a stopped replica drops the action, a
+            # recovering one queues it until its recovery instant
+            st = replica_state[b]
+            if st != _UP:
+                if st == _RECOVERING:
+                    queue[b].append((code, a, b, c))
                 continue
-            if not alive[b]:
-                queue[b].append((code, a, b, c))
-                continue
-            op = a
-            ev_n += 1
-            events.append((ev_n, t, op.op_id, APPLY_START, (b,)))
-            proc = (pw_draw[b] if op.is_write else pr_draw[b])()
-            if proc:
-                push(heap, (t + proc, tick(), _A_APPLY_END, op, b, None))
-            else:
-                finish_leaf(t, op, b)
-        elif code == _A_DELIVER:
-            if dead[b]:
-                continue
-            if alive[b]:
+            if code == _A_ACK:
+                op = a
+                child, contribs = c
+                ev_n += 1
+                events.append((ev_n, t, op.op_id, ACK, (b, child)))
+                vs = op.vstate[b]
+                if vs[_VS_RESPONDED]:
+                    continue  # late ack: logged, then ignored
+                vs[_VS_CONTRIBS].extend(contribs)
+                mode, group = op.graph.up_of[child][1:3]
+                if mode == _SYNC:
+                    vs[_VS_SYNC] -= 1
+                elif mode == _QUORUM:
+                    vs[_VS_GROUPS][group] -= 1
+                oblig(t, op, b)
+            elif code == _A_DELIVER:
                 deliver(t, a, b)
             else:
-                queue[b].append((code, a, b, c))
-        elif code == _A_ACK:
-            if dead[b]:
-                continue
-            if not alive[b]:
-                queue[b].append((code, a, b, c))
-                continue
-            op = a
-            ev_n += 1
-            events.append((ev_n, t, op.op_id, ACK, (b, c)))
-            vs = op.vstate[b]
-            mode, group = op.graph.up_of[c][1:3]
-            if mode == _SYNC:
-                vs[_VS_SYNC] -= 1
-            elif mode == _QUORUM:
-                vs[_VS_GROUPS][group] -= 1
-            oblig(t, op, b)
-        elif code == _A_RESP:
-            if dead[b]:
-                continue
-            if not alive[b]:
-                queue[b].append((code, a, b, c))
-                continue
-            op = a
-            child, contribs = c
-            ev_n += 1
-            events.append((ev_n, t, op.op_id, ACK, (b, child)))
-            vs = op.vstate[b]
-            if vs[_VS_RESPONDED]:
-                continue  # late response: logged, but dropped from the assembly
-            vs[_VS_CONTRIBS].extend(contribs)
-            mode, group = op.graph.up_of[child][1:3]
-            if mode == _SYNC:
-                vs[_VS_SYNC] -= 1
-            elif mode == _QUORUM:
-                vs[_VS_GROUPS][group] -= 1
-            oblig(t, op, b)
+                apply_end(t, a, b)
         elif code == _A_ISSUE:
             issue(t, a)
-        elif code == _A_APPLY_END:
-            op, v = a, b
-            if dead[v]:
-                continue
-            if not alive[v]:
-                queue[v].append((code, a, b, c))
-            elif op.graph.node[v][0]:
-                apply_end(t, op, v)
-            else:
-                finish_leaf(t, op, v)
         elif code == _A_DOWN:
             replica, kind, down_for = a, b, c
             ev_n += 1
             events.append((ev_n, t, None, REPLICA_DOWN, (replica,)))
-            alive[replica] = False
             epoch[replica] += 1
             if kind == CRASH_STOP:
-                dead[replica] = True
+                replica_state[replica] = _STOPPED
                 queue[replica] = []
             else:
+                replica_state[replica] = _RECOVERING
                 push(heap, (t + down_for, tick(), _A_UP, replica, epoch[replica], None))
         else:  # _A_UP
             replica, up_epoch = a, b
-            if dead[replica] or up_epoch != epoch[replica]:
+            if up_epoch != epoch[replica]:
                 continue  # a later failure superseded this recovery
             ev_n += 1
             events.append((ev_n, t, None, REPLICA_UP, (replica,)))
-            alive[replica] = True
+            replica_state[replica] = _UP
             # Deferred work drains FIFO at the recovery instant.
             pending, queue[replica] = queue[replica], []
             for entry in pending:

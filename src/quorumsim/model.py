@@ -68,12 +68,6 @@ class LatencyModel:
     base: Distribution
     per_byte_us: float = 0.0
 
-    def delay(self, rng, payload_bytes: int) -> int:
-        d = self.base.sample(rng)
-        if self.per_byte_us:
-            d += int(self.per_byte_us * payload_bytes + 0.5)
-        return d
-
 
 @dataclass(frozen=True)
 class ReplicaGraph:
@@ -88,12 +82,6 @@ class ReplicaGraph:
 
     def replica_ids(self) -> set[int]:
         return {r.id for r in self.replicas}
-
-    def by_id(self, rid: int) -> Replica:
-        for r in self.replicas:
-            if r.id == rid:
-                return r
-        raise KeyError(rid)
 
 
 @dataclass(frozen=True)

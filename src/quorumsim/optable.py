@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .engine import APPLY_END, GRAPH_CHOSEN, OP_COMMIT, OP_FAIL, OP_START, READ_RETURN
+from .engine import APPLY_END, GRAPH_CHOSEN, OP_COMMIT, OP_FAIL, OP_START, READ_RETURN, gc_paused
 from .errors import MalformedLogError
 
 COMMITTED = "committed"
@@ -57,6 +57,7 @@ class OpTable:
     graphs: dict
 
 
+@gc_paused()
 def op_table(log) -> OpTable:
     """The op table of a log; a table is returned as it is.
 

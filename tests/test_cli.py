@@ -222,7 +222,7 @@ def test_run_rejects_repeat_below_one(scenario_file, tmp_path, capsys):
 
 
 def test_quorum_check_bad_dc_counts_is_one_line(capsys):
-    for entry in ("NY=x", "NY", "NY=3,SF="):
+    for entry in ("NY=x", "NY", "NY=3,SF=", "NY=-3", "NY=0", "=3", "NY=1,LA=1", "NY=2,NY=1"):
         assert main(["quorum-check", "--rf", "3", "--write-cl", "ONE", "--read-cl", "ONE", "--dc-counts", entry]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bad --dc-counts entry") and err.count("\n") == 1, err

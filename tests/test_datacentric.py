@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -12,8 +13,10 @@ from quorumsim import (
     CooperationModel,
     FailureEvent,
     MalformedLogError,
+    OpTable,
     SimulationLog,
     build_datacentric_report,
+    clientcentric_outputs,
     op_records,
     op_table,
     run_simulation,
@@ -207,3 +210,44 @@ def test_warmup_ops_excluded():
     log = run_simulation(topo, coop, [], wl, LWW_TIMESTAMP, seed=2)
     report = build_datacentric_report(log)
     assert report["global"]["counts"]["ops"] == 6
+
+
+class _GcProbe(list):
+    """A list that records whether the cyclic collector is on when iterated."""
+
+    def __init__(self, items, seen):
+        super().__init__(items)
+        self.seen = seen
+
+    def __iter__(self):
+        self.seen.append(gc.isenabled())
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("call", ["op_table", "op_records", "build_datacentric_report", "clientcentric_outputs"])
+def test_library_calls_pause_gc(call):
+    log = async_star_log(n_ops=5)
+    seen = []
+    if call == "op_table":
+        # the table is the innermost call: probe the events it reads
+        arg = SimulationLog(log.meta, _GcProbe(log.events, seen), log.final_stores)
+        fn = op_table
+    else:
+        # hand the others a built table, so the probe sees their own pause
+        table = op_table(log)
+        arg = OpTable(_GcProbe(table.ops, seen), table.graphs)
+        fn = {
+            "op_records": op_records,
+            "build_datacentric_report": build_datacentric_report,
+            "clientcentric_outputs": lambda t: clientcentric_outputs(t, LWW_TIMESTAMP),
+        }[call]
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            seen.clear()
+            fn(arg)
+            assert seen and not any(seen)
+            assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
