@@ -80,6 +80,23 @@ def _parse_stages(text: str, allowed=ALL_STAGES) -> tuple[int, ...]:
     return stages
 
 
+def _write_stages(table, strategy: str, stages, out_dir: Path) -> tuple[dict | None, dict | None]:
+    """Write the stage 2 and stage 3 outputs that stages asks for into out_dir.
+
+    Returns the (data-centric, client-centric) reports, None for a stage not run.
+    """
+    report2 = report3 = None
+    if 2 in stages:
+        report2 = build_datacentric_report(table)
+        logio.write_json_report(report2, out_dir / "datacentric.json")
+        logio.write_op_table(op_records(table), out_dir / "ops.csv")
+    if 3 in stages:
+        report3, verdicts = clientcentric_outputs(table, strategy)
+        logio.write_json_report(report3, out_dir / "clientcentric.json")
+        logio.write_read_verdicts(verdicts, out_dir / "read_verdicts.csv")
+    return report2, report3
+
+
 def _run_one(scenario: Scenario, seed: int, out_dir: Path, stages) -> dict:
     """Simulate one seed and write the requested stage outputs into out_dir.
 
@@ -103,10 +120,8 @@ def _run_one(scenario: Scenario, seed: int, out_dir: Path, stages) -> dict:
         if 2 in stages or 3 in stages:
             table = op_table(log)
             del log  # the stages read only the table; freeing the events lowers peak memory
+            report2, report3 = _write_stages(table, scenario.strategy, stages, out_dir)
         if 2 in stages:
-            report2 = build_datacentric_report(table)
-            logio.write_json_report(report2, out_dir / "datacentric.json")
-            logio.write_op_table(op_records(table), out_dir / "ops.csv")
             g = report2["global"]
             row.update(
                 ops=g["counts"]["ops"],
@@ -117,9 +132,6 @@ def _run_one(scenario: Scenario, seed: int, out_dir: Path, stages) -> dict:
                 mean_window_us=g["inconsistency_window_us"]["mean"],
             )
         if 3 in stages:
-            report3, verdicts = clientcentric_outputs(table, scenario.strategy)
-            logio.write_json_report(report3, out_dir / "clientcentric.json")
-            logio.write_read_verdicts(verdicts, out_dir / "read_verdicts.csv")
             row.update(
                 stale_read_rate=report3["stale_read_rate"],
                 mrc_violation_probability=report3["mrc_violation_probability"],
@@ -183,13 +195,7 @@ def cmd_analyze(args) -> int:
     del log  # the stages read only the table; freeing the events lowers peak memory
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if 2 in stages:
-        logio.write_json_report(build_datacentric_report(table), out / "datacentric.json")
-        logio.write_op_table(op_records(table), out / "ops.csv")
-    if 3 in stages:
-        report3, verdicts = clientcentric_outputs(table, strategy)
-        logio.write_json_report(report3, out / "clientcentric.json")
-        logio.write_read_verdicts(verdicts, out / "read_verdicts.csv")
+    _write_stages(table, strategy, stages, out)
     _say(args, f"wrote stage {list(stages)} metrics to {out}")
     return EXIT_OK
 

@@ -8,16 +8,17 @@ platform and every library version, because draws are taken from the raw
 64-bit output of a PCG64 bit generator (the raw stream is fixed by the PCG64
 algorithm, independent of numpy's distribution methods).
 
-Every stochastic ``sample`` / ``sample_key`` call consumes exactly one
-64-bit word from its stream; the degenerate Constant consumes zero. Each
-purpose draws from its own labeled stream, so changing one consumer's
-distribution never shifts any other stream's sequence. Uniform deviates are
-((word >> 11) + 0.5) * 2**-53, strictly inside (0, 1).
+A stream holds the only buffer: it maps each batch of raw words to uniform
+deviates ((word >> 11) + 0.5) * 2**-53, strictly inside (0, 1), and
+``stream.uniform()`` returns the next one. Each distribution has one draw
+method, ``sampler(rng)``, which returns a zero-argument closure over
+``rng.uniform``. Every stochastic draw consumes exactly one word; the
+degenerate Constant consumes zero. Each purpose draws from its own labeled
+stream, so changing one consumer's distribution never shifts any other
+stream's sequence.
 
 Durations are integer microseconds: float draws are clamped to >= 0 and
-rounded half-up. The ``sampler`` methods return prebound zero-argument
-closures over a stream; they draw the same sequence as ``sample`` and exist
-for hot loops.
+rounded half-up.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from math import exp, log1p
+from itertools import chain, repeat
+from math import exp, isfinite, log1p
 from statistics import NormalDist
 
 import numpy as np
@@ -33,40 +35,31 @@ from numpy.random import PCG64, SeedSequence
 
 _INV53 = 2.0 ** -53
 _INV_CDF = NormalDist().inv_cdf
+_BATCH_WORDS = 4096
+
+
+def _uniform_batch(bg: PCG64) -> list[float]:
+    return (((bg.random_raw(_BATCH_WORDS) >> 11).astype(np.float64) + 0.5) * _INV53).tolist()
 
 
 class RngStream:
     """One labeled, independently seeded deterministic generator.
 
     Single-owner: a stream may be handed between threads but never shared
-    concurrently. Draw with :meth:`next_u64` (one PCG64 output word) or
-    :meth:`uniform` (one word mapped into the open interval (0, 1)).
+    concurrently. ``uniform()`` draws one word mapped into the open interval
+    (0, 1). The batch iterator refers only to the bit generator, never back
+    to the stream, so a dropped stream is freed without the cycle collector.
     """
 
-    __slots__ = ("seed", "label", "_bg", "_buf", "_pos")
-
-    _BUF_WORDS = 4096
+    __slots__ = ("seed", "label", "uniform")
 
     def __init__(self, seed: int, label: str):
         self.seed = seed
         self.label = label
         digest = hashlib.sha256(label.encode("utf-8")).digest()
         words = [int.from_bytes(digest[i : i + 8], "little") for i in (0, 8, 16, 24)]
-        self._bg = PCG64(SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, *words]))
-        self._buf: list[int] = []
-        self._pos = 0
-
-    def next_u64(self) -> int:
-        pos = self._pos
-        if pos >= len(self._buf):
-            self._buf = self._bg.random_raw(self._BUF_WORDS).tolist()
-            pos = 0
-        self._pos = pos + 1
-        return self._buf[pos]
-
-    def uniform(self) -> float:
-        """One draw in the open interval (0, 1)."""
-        return ((self.next_u64() >> 11) + 0.5) * _INV53
+        bg = PCG64(SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, *words]))
+        self.uniform = chain.from_iterable(map(_uniform_batch, repeat(bg))).__next__
 
 
 class StreamFactory:
@@ -91,16 +84,8 @@ class StreamFactory:
 class Constant:
     value_us: int
 
-    def sample(self, rng: RngStream) -> int:
-        return self.value_us
-
     def sampler(self, rng: RngStream):
-        v = self.value_us
-
-        def draw():
-            return v
-
-        return draw
+        return repeat(self.value_us).__next__
 
     def problems(self) -> list[str]:
         return [] if self.value_us >= 0 else [f"constant value {self.value_us} < 0"]
@@ -114,20 +99,11 @@ class Uniform:
     lo_us: int
     hi_us: int
 
-    def sample(self, rng: RngStream) -> int:
-        x = self.lo_us + rng.uniform() * (self.hi_us - self.lo_us)
-        return int(x + 0.5) if x > 0.0 else 0
-
     def sampler(self, rng: RngStream):
-        lo, span = self.lo_us, self.hi_us - self.lo_us
+        u, lo, span = rng.uniform, self.lo_us, self.hi_us - self.lo_us
 
         def draw():
-            pos = rng._pos
-            if pos >= len(rng._buf):
-                rng._buf = rng._bg.random_raw(rng._BUF_WORDS).tolist()
-                pos = 0
-            rng._pos = pos + 1
-            x = lo + ((rng._buf[pos] >> 11) + 0.5) * _INV53 * span
+            x = lo + u() * span
             return int(x + 0.5) if x > 0.0 else 0
 
         return draw
@@ -145,20 +121,11 @@ class Uniform:
 class Exponential:
     mean_us: float
 
-    def sample(self, rng: RngStream) -> int:
-        x = -self.mean_us * log1p(-rng.uniform())
-        return int(x + 0.5) if x > 0.0 else 0
-
     def sampler(self, rng: RngStream):
-        mean = self.mean_us
+        u, mean = rng.uniform, self.mean_us
 
         def draw():
-            pos = rng._pos
-            if pos >= len(rng._buf):
-                rng._buf = rng._bg.random_raw(rng._BUF_WORDS).tolist()
-                pos = 0
-            rng._pos = pos + 1
-            x = -mean * log1p(-((rng._buf[pos] >> 11) + 0.5) * _INV53)
+            x = -mean * log1p(-u())
             return int(x + 0.5) if x > 0.0 else 0
 
         return draw
@@ -177,21 +144,11 @@ class LogNormal:
     mu: float
     sigma: float
 
-    def sample(self, rng: RngStream) -> int:
-        x = exp(self.mu + self.sigma * _INV_CDF(rng.uniform()))
-        return int(x + 0.5) if x > 0.0 else 0
-
     def sampler(self, rng: RngStream):
-        mu, sigma = self.mu, self.sigma
+        u, mu, sigma = rng.uniform, self.mu, self.sigma
 
         def draw():
-            pos = rng._pos
-            if pos >= len(rng._buf):
-                rng._buf = rng._bg.random_raw(rng._BUF_WORDS).tolist()
-                pos = 0
-            rng._pos = pos + 1
-            z = _INV_CDF(((rng._buf[pos] >> 11) + 0.5) * _INV53)
-            x = exp(mu + sigma * z)
+            x = exp(mu + sigma * _INV_CDF(u()))
             return int(x + 0.5) if x > 0.0 else 0
 
         return draw
@@ -212,21 +169,9 @@ class Empirical:
     def __init__(self, samples_us):
         object.__setattr__(self, "samples_us", tuple(sorted(samples_us)))
 
-    def sample(self, rng: RngStream) -> int:
-        return self.samples_us[int(rng.uniform() * len(self.samples_us))]
-
     def sampler(self, rng: RngStream):
-        samples, n = self.samples_us, len(self.samples_us)
-
-        def draw():
-            pos = rng._pos
-            if pos >= len(rng._buf):
-                rng._buf = rng._bg.random_raw(rng._BUF_WORDS).tolist()
-                pos = 0
-            rng._pos = pos + 1
-            return samples[int(((rng._buf[pos] >> 11) + 0.5) * _INV53 * n)]
-
-        return draw
+        u, samples, n = rng.uniform, self.samples_us, len(self.samples_us)
+        return lambda: samples[int(u() * n)]
 
     def problems(self) -> list[str]:
         out = []
@@ -243,29 +188,6 @@ class Empirical:
 Distribution = Constant | Uniform | Exponential | LogNormal | Empirical
 
 
-_DISTRIBUTION_KINDS = {
-    "constant": (Constant, ("value_us",)),
-    "uniform": (Uniform, ("lo_us", "hi_us")),
-    "exponential": (Exponential, ("mean_us",)),
-    "lognormal": (LogNormal, ("mu", "sigma")),
-    "empirical": (Empirical, ("samples_us",)),
-}
-
-
-def distribution_from_json(obj: dict) -> Distribution:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError(f"distribution must be an object with a 'kind': {obj!r}")
-    kind = obj["kind"]
-    entry = _DISTRIBUTION_KINDS.get(kind)
-    if entry is None:
-        raise ValueError(f"unknown distribution kind {kind!r}")
-    cls, fields = entry
-    try:
-        return cls(*[obj[f] for f in fields])
-    except KeyError as e:
-        raise ValueError(f"distribution {kind!r} is missing field {e.args[0]!r}") from None
-
-
 # ---------------------------------------------------------------------------
 # Key distributions
 # ---------------------------------------------------------------------------
@@ -274,21 +196,9 @@ def distribution_from_json(obj: dict) -> Distribution:
 class UniformKeys:
     n: int
 
-    def sample_key(self, rng: RngStream) -> int:
-        return int(rng.uniform() * self.n)
-
-    def key_sampler(self, rng: RngStream):
-        n = self.n
-
-        def draw():
-            pos = rng._pos
-            if pos >= len(rng._buf):
-                rng._buf = rng._bg.random_raw(rng._BUF_WORDS).tolist()
-                pos = 0
-            rng._pos = pos + 1
-            return int(((rng._buf[pos] >> 11) + 0.5) * _INV53 * n)
-
-        return draw
+    def sampler(self, rng: RngStream):
+        u, n = rng.uniform, self.n
+        return lambda: int(u() * n)
 
     def problems(self) -> list[str]:
         return [] if self.n >= 1 else [f"uniform key count {self.n} < 1"]
@@ -307,8 +217,7 @@ class Zipfian:
 
     def __post_init__(self):
         if self.n >= 1 and self.s >= 0:
-            weights = np.arange(1, self.n + 1, dtype=np.float64) ** (-self.s)
-            object.__setattr__(self, "_cdf", tuple(np.cumsum(weights / weights.sum()).tolist()))
+            object.__setattr__(self, "_cdf", tuple(np.cumsum(self.pmf()).tolist()))
         else:
             object.__setattr__(self, "_cdf", ())
 
@@ -316,21 +225,9 @@ class Zipfian:
         weights = np.arange(1, self.n + 1, dtype=np.float64) ** (-self.s)
         return weights / weights.sum()
 
-    def sample_key(self, rng: RngStream) -> int:
-        return bisect_right(self._cdf, rng.uniform())
-
-    def key_sampler(self, rng: RngStream):
-        cdf = self._cdf
-
-        def draw():
-            pos = rng._pos
-            if pos >= len(rng._buf):
-                rng._buf = rng._bg.random_raw(rng._BUF_WORDS).tolist()
-                pos = 0
-            rng._pos = pos + 1
-            return bisect_right(cdf, ((rng._buf[pos] >> 11) + 0.5) * _INV53)
-
-        return draw
+    def sampler(self, rng: RngStream):
+        u, cdf = rng.uniform, self._cdf
+        return lambda: bisect_right(cdf, u())
 
     def problems(self) -> list[str]:
         out = []
@@ -347,17 +244,51 @@ class Zipfian:
 KeyDistribution = UniformKeys | Zipfian
 
 
-def key_distribution_from_json(obj: dict) -> KeyDistribution:
+# ---------------------------------------------------------------------------
+# JSON parsing: kind -> (class, {field: type check}), one table per family
+# ---------------------------------------------------------------------------
+
+# Values a draw returns as they are must be integers, so every *_us field of
+# the event log stays an integer; formula parameters are any finite number.
+_INT = ("an integer", lambda v: type(v) is int)
+_REAL = ("a finite number", lambda v: type(v) is int or (type(v) is float and isfinite(v)))
+_INT_LIST = ("a list of integers", lambda v: type(v) is list and all(type(x) is int for x in v))
+
+_DURATION_KINDS = {
+    "constant": (Constant, {"value_us": _INT}),
+    "uniform": (Uniform, {"lo_us": _REAL, "hi_us": _REAL}),
+    "exponential": (Exponential, {"mean_us": _REAL}),
+    "lognormal": (LogNormal, {"mu": _REAL, "sigma": _REAL}),
+    "empirical": (Empirical, {"samples_us": _INT_LIST}),
+}
+
+_KEY_KINDS = {
+    "uniform": (UniformKeys, {"n": _INT}),
+    "zipfian": (Zipfian, {"n": _INT, "s": _REAL}),
+}
+
+
+def _from_json(obj, kinds: dict, what: str):
     if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError(f"key distribution must be an object with a 'kind': {obj!r}")
+        raise ValueError(f"{what} must be an object with a 'kind': {obj!r}")
     kind = obj["kind"]
-    if kind == "uniform":
-        if "n" not in obj:
-            raise ValueError("uniform key distribution is missing field 'n'")
-        return UniformKeys(obj["n"])
-    if kind == "zipfian":
-        missing = [f for f in ("n", "s") if f not in obj]
-        if missing:
-            raise ValueError(f"zipfian key distribution is missing field {missing[0]!r}")
-        return Zipfian(obj["n"], obj["s"])
-    raise ValueError(f"unknown key distribution kind {kind!r}")
+    entry = kinds.get(kind) if isinstance(kind, str) else None
+    if entry is None:
+        raise ValueError(f"unknown {what} kind {kind!r}")
+    cls, fields = entry
+    args = []
+    for name, (noun, ok) in fields.items():
+        if name not in obj:
+            raise ValueError(f"{what} {kind!r} is missing field {name!r}")
+        if not ok(obj[name]):
+            raise ValueError(f"{what} {kind!r} field {name!r} must be {noun}, got {obj[name]!r}")
+        args.append(obj[name])
+    return cls(*args)
+
+
+def distribution_from_json(obj: dict) -> Distribution:
+    return _from_json(obj, _DURATION_KINDS, "distribution")
+
+
+def key_distribution_from_json(obj: dict) -> KeyDistribution:
+    return _from_json(obj, _KEY_KINDS, "key distribution")

@@ -58,7 +58,7 @@ class Replica:
 
 @dataclass(frozen=True)
 class LatencyModel:
-    """One-way transmit time for a directed edge: sample(base) + per_byte_us * payload bytes.
+    """One-way transmit time for a directed edge: a draw from base + per_byte_us * payload bytes.
 
     The reverse direction carries its own independent model; acknowledgments
     travel over the reverse edge's model with payload 0, falling back to this

@@ -107,7 +107,7 @@ class WorkloadDriver:
         self.spec = spec
         think_stream = streams.stream("arrivals")
         self._coin = streams.stream("op_kind").uniform
-        self._key_draw = spec.keys.key_sampler(streams.stream("keys"))
+        self._key_draw = spec.keys.sampler(streams.stream("keys"))
         self._payload_draw = spec.write_payload_bytes.sampler(streams.stream("payload"))
         self._next_op_id = 0
         self._next_write_id = 0

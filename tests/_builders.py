@@ -53,3 +53,20 @@ def write_only_workload(n_ops, think=Constant(0), n_clients=1, keys=UniformKeys(
 
 def simple_workload(n_clients, ops, read_ratio=0.5, think=Constant(1000), keys=UniformKeys(4), payload=Constant(100), warmup=0, overrides=()):
     return WorkloadSpec(n_clients, ops, read_ratio, think, keys, payload, warmup_ops=warmup, overrides=tuple(overrides))
+
+
+# Workload distribution fields that a scenario must reject: wrong-typed fields,
+# and values a draw would write to the log as floats.
+WRONG_TYPED_DISTRIBUTIONS = [
+    ("think_time", {"kind": "uniform", "lo_us": "a", "hi_us": 5}),
+    ("keys", {"kind": "zipfian", "n": "10", "s": 1.0}),
+    ("think_time", {"kind": "empirical", "samples_us": 5}),
+    ("think_time", {"kind": "constant", "value_us": None}),
+    ("think_time", {"kind": "lognormal", "mu": "x", "sigma": 1}),
+    ("think_time", {"kind": "constant", "value_us": 1.5}),
+    ("think_time", {"kind": "empirical", "samples_us": [1, 2.5]}),
+    ("think_time", {"kind": "exponential", "mean_us": True}),
+    ("think_time", {"kind": "exponential", "mean_us": float("nan")}),
+    ("keys", {"kind": "uniform", "n": 4.0}),
+    ("keys", {"kind": ["uniform"], "n": 4}),
+]

@@ -5,11 +5,20 @@ from first principles (no imports from quorumsim.clientcentric or
 quorumsim.datacentric beyond shared constants). They exist to cross-check
 the production detectors on arbitrary logs. ``apply_write`` and
 ``oracle_resolve`` are the same kind of reference for the strategies' store
-and read-resolution code (quorumsim.strategies).
+and read-resolution code (quorumsim.strategies), and ``oracle_draws`` for
+the seeded samplers (quorumsim.distributions).
 """
 
 from __future__ import annotations
 
+import hashlib
+from itertools import accumulate
+from math import exp, floor, log1p
+from statistics import NormalDist
+
+from numpy.random import PCG64, SeedSequence
+
+from quorumsim.distributions import Constant, Empirical, Exponential, LogNormal, Uniform, UniformKeys, Zipfian
 from quorumsim.engine import (
     APPLY_END,
     APPLY_START,
@@ -387,3 +396,48 @@ def enumerate_star_writes(issues, root, proc_root, children):
             expected.append((root_end + delay + proc, APPLY_END, child))
     expected.sort(key=lambda e: e[0])
     return expected
+
+
+# -- seeded draws, re-derived from the raw PCG64 words ---------------------------
+
+def oracle_uniforms(seed: int, label: str, n: int) -> list[float]:
+    """The first n uniforms of stream (seed, label): PCG64 seeded with the
+    seed's low 64 bits and the label's sha256 as four little-endian words;
+    each word w maps to (2 * (w >> 11) + 1) / 2**54, an exact integer
+    quotient correctly rounded."""
+    digest = hashlib.sha256(label.encode("utf-8")).digest()
+    entropy = [seed % 2**64] + [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]
+    words = PCG64(SeedSequence(entropy)).random_raw(n).tolist()
+    return [(2 * (w >> 11) + 1) / 2**54 for w in words]
+
+
+def _round_us(x: float) -> int:
+    return floor(x + 0.5) if x > 0 else 0
+
+
+def oracle_draw(dist, uniforms) -> int:
+    """One draw of dist, taking its uniform (if any) from the iterator uniforms."""
+    if isinstance(dist, Constant):
+        return dist.value_us
+    u = next(uniforms)
+    if isinstance(dist, Uniform):
+        return _round_us(dist.lo_us + u * (dist.hi_us - dist.lo_us))
+    if isinstance(dist, Exponential):
+        return _round_us(-dist.mean_us * log1p(-u))
+    if isinstance(dist, LogNormal):
+        return _round_us(exp(dist.mu + dist.sigma * NormalDist().inv_cdf(u)))
+    if isinstance(dist, Empirical):
+        ordered = sorted(dist.samples_us)
+        return ordered[int(u * len(ordered))]
+    if isinstance(dist, UniformKeys):
+        return int(u * dist.n)
+    if isinstance(dist, Zipfian):
+        cdf = list(accumulate(dist.pmf().tolist()))
+        return next((r for r, c in enumerate(cdf) if c > u), len(cdf))
+    raise TypeError(f"no reference draw for {dist!r}")
+
+
+def oracle_draws(dist, seed: int, label: str, n: int) -> list[int]:
+    """The first n draws of dist from a fresh stream (seed, label)."""
+    uniforms = iter(oracle_uniforms(seed, label, n))
+    return [oracle_draw(dist, uniforms) for _ in range(n)]

@@ -358,7 +358,7 @@ def test_criterion_08_reproducibility(tmp_path):
 
 def test_criterion_09_zipfian_sanity():
     kd = qs.Zipfian(100, 0.99)
-    draw = kd.key_sampler(qs.RngStream(2_024, "accept-zipf"))
+    draw = kd.sampler(qs.RngStream(2_024, "accept-zipf"))
     counts = [0] * 100
     for _ in range(100_000):
         counts[draw()] += 1

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from _builders import WRONG_TYPED_DISTRIBUTIONS
 from quorumsim import optable
 from quorumsim.cli import list_presets, main
 
@@ -219,6 +220,20 @@ def test_run_rejects_repeat_below_one(scenario_file, tmp_path, capsys):
         assert main(["run", str(scenario_file), "--out", str(out), "--repeat", repeat]) == 2
         assert f"--repeat must be at least 1, got {repeat}" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_wrong_typed_distribution_fields_are_one_error_line(scenario_file, tmp_path, capsys):
+    doc = json.loads(scenario_file.read_text())
+    for field, dist in WRONG_TYPED_DISTRIBUTIONS:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**doc, "workload": {**doc["workload"], field: dist}}))
+        out = tmp_path / "out"
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(out), "--quiet"]):
+            capsys.readouterr()
+            assert main(argv) == 2, (argv[0], dist)
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: workload {field}:") and err.count("\n") == 1, err
+            assert not out.exists()
 
 
 def test_quorum_check_bad_dc_counts_is_one_line(capsys):

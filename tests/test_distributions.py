@@ -1,7 +1,11 @@
+import gc
 import math
+import random
 
 import numpy as np
+import pytest
 
+from _oracles import oracle_draw, oracle_draws, oracle_uniforms
 from quorumsim import (
     Constant,
     Empirical,
@@ -13,103 +17,136 @@ from quorumsim import (
     Zipfian,
 )
 
+ALL_KINDS = (
+    Constant(3),
+    Uniform(1, 9),
+    Exponential(250.0),
+    LogNormal(1.0, 0.3),
+    Empirical([8, 2, 4]),
+    UniformKeys(37),
+    Zipfian(50, 0.99),
+)
+
 
 def stream(label="test", seed=1234):
     return RngStream(seed, label)
 
 
+def draws(d, rng, n):
+    draw = d.sampler(rng)
+    return [draw() for _ in range(n)]
+
+
 def test_constant_is_degenerate():
-    rng = stream()
-    assert [Constant(10_000).sample(rng) for _ in range(100)] == [10_000] * 100
+    assert draws(Constant(10_000), stream(), 100) == [10_000] * 100
 
 
 def test_uniform_collapses_when_lo_equals_hi():
-    rng = stream()
-    assert [Uniform(5_000, 5_000).sample(rng) for _ in range(100)] == [5_000] * 100
+    assert draws(Uniform(5_000, 5_000), stream(), 100) == [5_000] * 100
 
 
 def test_uniform_stays_in_bounds():
-    rng = stream()
-    draws = [Uniform(100, 200).sample(rng) for _ in range(10_000)]
-    assert min(draws) >= 100
-    assert max(draws) <= 200
+    got = draws(Uniform(100, 200), stream(), 10_000)
+    assert min(got) >= 100
+    assert max(got) <= 200
 
 
 def test_exponential_monte_carlo_mean():
     # Law-of-large-numbers check: 1e6 draws, mean within [1980, 2020] us.
-    rng = stream("exp-mean")
-    d = Exponential(2_000)
-    total = sum(d.sample(rng) for _ in range(1_000_000))
+    draw = Exponential(2_000).sampler(stream("exp-mean"))
+    total = sum(draw() for _ in range(1_000_000))
     assert 1_980 <= total / 1_000_000 <= 2_020
 
 
 def test_lognormal_median_roughly_exp_mu():
-    rng = stream("ln")
-    d = LogNormal(math.log(1_000), 0.5)
-    draws = sorted(d.sample(rng) for _ in range(50_000))
-    median = draws[len(draws) // 2]
+    got = sorted(draws(LogNormal(math.log(1_000), 0.5), stream("ln"), 50_000))
+    median = got[len(got) // 2]
     assert 950 <= median <= 1_050
 
 
 def test_empirical_resamples_only_given_values():
-    rng = stream()
-    d = Empirical([5, 7, 11])
-    seen = {d.sample(rng) for _ in range(1_000)}
-    assert seen == {5, 7, 11}
+    assert set(draws(Empirical([5, 7, 11]), stream(), 1_000)) == {5, 7, 11}
 
 
 def test_all_samples_non_negative_and_integer():
     rng = stream("nonneg")
     dists = [Constant(0), Uniform(0, 3), Exponential(1.5), LogNormal(-2.0, 3.0), Empirical([0, 1])]
     for d in dists:
-        for _ in range(2_000):
-            v = d.sample(rng)
+        for v in draws(d, rng, 2_000):
             assert isinstance(v, int)
             assert v >= 0
 
 
 def test_identical_seed_and_label_reproduce_sequences():
     d = Exponential(700)
-    a = [d.sample(RngStream(99, "lat")) for _ in range(1)]
-    seq1 = [d.sample(s) for s in [RngStream(99, "lat")] for _ in range(500)]
-    rng1, rng2 = RngStream(99, "lat"), RngStream(99, "lat")
-    assert [d.sample(rng1) for _ in range(500)] == [d.sample(rng2) for _ in range(500)]
-    assert a[0] == seq1[0]
+    first = d.sampler(RngStream(99, "lat"))()
+    seq1, seq2 = draws(d, RngStream(99, "lat"), 500), draws(d, RngStream(99, "lat"), 500)
+    assert seq1 == seq2
+    assert first == seq1[0]
 
 
 def test_distinct_labels_give_distinct_streams():
     d = Uniform(0, 1_000_000)
-    rng1, rng2 = RngStream(7, "a"), RngStream(7, "b")
-    assert [d.sample(rng1) for _ in range(50)] != [d.sample(rng2) for _ in range(50)]
+    assert draws(d, RngStream(7, "a"), 50) != draws(d, RngStream(7, "b"), 50)
 
 
-def test_sampler_closure_matches_sample_sequence():
-    for d in (Constant(3), Uniform(1, 9), Exponential(250.0), LogNormal(1.0, 0.3), Empirical([2, 4, 8])):
-        via_sample = [d.sample(RngStream(5, "x")) for _ in [0]][0]
-        draw = d.sampler(RngStream(5, "x"))
-        assert draw() == via_sample
-        rng_a, rng_b = RngStream(6, "y"), RngStream(6, "y")
-        draw_b = d.sampler(rng_b)
-        assert [d.sample(rng_a) for _ in range(200)] == [draw_b() for _ in range(200)]
+def test_stream_uniforms_match_reference():
+    # Integer draws round away the uniform's low bits; compare the uniforms exactly.
+    rng = RngStream(5, "x")
+    assert [rng.uniform() for _ in range(10_000)] == oracle_uniforms(5, "x", 10_000)
+
+
+def test_sampler_matches_reference_draws():
+    # 10,000 draws cross the stream's 4,096-word batch boundary twice.
+    for d in ALL_KINDS:
+        assert draws(d, RngStream(5, "x"), 10_000) == oracle_draws(d, 5, "x", 10_000), d
+
+
+@pytest.mark.parametrize(
+    "label, dists",
+    [
+        # one proc:{r} stream serves a replica's write and read processing times
+        ("proc:1", (Constant(200), Exponential(150.0))),
+        ("proc:2", (LogNormal(5.0, 0.4), Uniform(50, 400))),
+        # the arrivals stream serves every client's think time, overrides included
+        ("arrivals", (Exponential(3_000.0), Uniform(100, 900), Empirical([7, 70, 700]), Exponential(3_000.0))),
+    ],
+)
+def test_interleaved_samplers_on_one_stream_match_reference(label, dists):
+    rng = RngStream(17, label)
+    samplers = [d.sampler(rng) for d in dists]
+    order = random.Random(f"interleave-{label}").choices(range(len(dists)), k=10_000)
+    uniforms = iter(oracle_uniforms(17, label, len(order)))
+    assert [samplers[i]() for i in order] == [oracle_draw(dists[i], uniforms) for i in order]
 
 
 def test_every_stochastic_draw_consumes_exactly_one_word():
-    for d in (Uniform(1, 9), Exponential(250.0), LogNormal(1.0, 0.3), Empirical([2, 4, 8])):
-        rng = stream("count")
-        probe = stream("count")
+    for d in ALL_KINDS[1:]:
+        rng, probe = stream("count"), stream("count")
+        draws(d, rng, 10)
         for _ in range(10):
-            d.sample(rng)
-        for _ in range(10):
-            probe.next_u64()
-        assert rng.next_u64() == probe.next_u64()
+            probe.uniform()
+        assert rng.uniform() == probe.uniform(), d
 
 
 def test_constant_draws_consume_no_words():
-    rng = stream("const")
-    probe = stream("const")
-    for _ in range(10):
-        Constant(5).sample(rng)
-    assert rng.next_u64() == probe.next_u64()
+    rng, probe = stream("const"), stream("const")
+    draws(Constant(5), rng, 10)
+    assert rng.uniform() == probe.uniform()
+
+
+def test_used_stream_leaves_no_reference_cycle():
+    # The CLI pauses the collector for a whole command, so a cycle through a
+    # stream would keep every seed's buffers alive under --repeat.
+    gc.collect()
+    gc.disable()
+    try:
+        rng = stream("gc")
+        draws(Exponential(100.0), rng, 5_000)
+        del rng
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_problem_reporting():
@@ -124,21 +161,17 @@ def test_problem_reporting():
 # -- key distributions ---------------------------------------------------------
 
 def test_uniform_keys_single_key():
-    rng = stream()
-    kd = UniformKeys(1)
-    assert all(kd.sample_key(rng) == 0 for _ in range(1_000))
+    assert all(k == 0 for k in draws(UniformKeys(1), stream(), 1_000))
 
 
 def test_zipfian_zero_skew_is_uniform():
     # chi-square against the uniform expectation over 1e6 draws, p > 0.01
-    n, draws = 20, 1_000_000
-    rng = stream("zipf0")
-    kd = Zipfian(n, 0.0)
+    n, total = 20, 1_000_000
+    draw = Zipfian(n, 0.0).sampler(stream("zipf0"))
     counts = np.zeros(n)
-    draw = kd.key_sampler(rng)
-    for _ in range(draws):
+    for _ in range(total):
         counts[draw()] += 1
-    expected = draws / n
+    expected = total / n
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     # 99th percentile of chi-square with 19 dof is 36.19
     assert chi2 < 36.19
@@ -146,9 +179,7 @@ def test_zipfian_zero_skew_is_uniform():
 
 def test_zipfian_rank_ratio():
     # freq(rank 1) / freq(rank 2) ~ 2^0.99 within 5% over 1e5 draws
-    rng = stream("zipf-ratio")
-    kd = Zipfian(100, 0.99)
-    draw = kd.key_sampler(rng)
+    draw = Zipfian(100, 0.99).sampler(stream("zipf-ratio"))
     counts = np.zeros(100)
     for _ in range(100_000):
         counts[draw()] += 1
@@ -163,10 +194,8 @@ def test_zipfian_mass_sums_to_one():
 
 
 def test_zipfian_keys_in_range():
-    rng = stream()
-    kd = Zipfian(10, 2.0)
-    draws = [kd.sample_key(rng) for _ in range(10_000)]
-    assert min(draws) >= 0 and max(draws) < 10
+    got = draws(Zipfian(10, 2.0), stream(), 10_000)
+    assert min(got) >= 0 and max(got) < 10
 
 
 def test_key_distribution_problems():

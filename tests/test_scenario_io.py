@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from _builders import star_async
+from _builders import WRONG_TYPED_DISTRIBUTIONS, star_async
 from _randgen import random_scenario
 
 import quorumsim as qs
@@ -128,6 +128,11 @@ def test_structural_errors():
     bad_dist["workload"]["think_time"] = {"kind": "laplace"}
     with pytest.raises(ScenarioFormatError):
         scenario_from_json(bad_dist)
+    for field, dist in WRONG_TYPED_DISTRIBUTIONS:
+        doc = minimal_doc()
+        doc["workload"][field] = dist
+        with pytest.raises(ScenarioFormatError):
+            scenario_from_json(doc)
 
 
 def test_unsupported_level_is_a_domain_error():
