@@ -148,6 +148,8 @@ def _run_one(scenario: Scenario, seed: int, out_dir: Path, stages) -> dict:
 def cmd_run(args) -> int:
     if args.repeat is not None and args.repeat < 1:
         raise ScenarioFormatError(f"--repeat must be at least 1, got {args.repeat}")
+    if args.jobs < 1:
+        raise ScenarioFormatError(f"--jobs must be at least 1, got {args.jobs}")
     scenario = _load(args.scenario)
     report = validate_scenario(scenario.topology, scenario.coop, list(scenario.failures), scenario.workload)
     if not report.ok:
@@ -165,7 +167,7 @@ def cmd_run(args) -> int:
 
     seeds = [base_seed + k for k in range(args.repeat)]
     rows = [None] * len(seeds)
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         futures = {
             pool.submit(_run_one, scenario, seed, out / f"seed_{seed}", stages): i
             for i, seed in enumerate(seeds)

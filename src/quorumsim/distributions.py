@@ -9,7 +9,8 @@ platform and every library version, because draws are taken from the raw
 algorithm, independent of numpy's distribution methods).
 
 A stream holds the only buffer: it maps each batch of raw words to uniform
-deviates ((word >> 11) + 0.5) * 2**-53, strictly inside (0, 1), and
+deviates ((word >> 11) + 0.5) * 2**-53, strictly inside (0, 1) (the top
+word, which would round to 1, gives the largest double below 1), and
 ``stream.uniform()`` returns the next one. Each distribution has one draw
 method, ``sampler(rng)``, which returns a zero-argument closure over
 ``rng.uniform``. Every stochastic draw consumes exactly one word; the
@@ -27,19 +28,28 @@ import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from math import exp, isfinite, log1p
+from math import exp, isfinite, log, log1p
 from statistics import NormalDist
 
 import numpy as np
 from numpy.random import PCG64, SeedSequence
 
 _INV53 = 2.0 ** -53
+_U_MAX = 1.0 - _INV53  # the largest double below 1
 _INV_CDF = NormalDist().inv_cdf
 _BATCH_WORDS = 4096
+# A draw at the largest uniform takes the normal quantile _Z_TAIL (about
+# 8.21) or the exponential factor _EXP_TAIL (about 36.74); exp() of more than
+# _LN_MAX (about 709.78) is not a finite float.
+_Z_TAIL = _INV_CDF(_U_MAX)
+_EXP_TAIL = -log1p(-_U_MAX)
+_LN_MAX = log(np.finfo(np.float64).max)
 
 
 def _uniform_batch(bg: PCG64) -> list[float]:
-    return (((bg.random_raw(_BATCH_WORDS) >> 11).astype(np.float64) + 0.5) * _INV53).tolist()
+    u = ((bg.random_raw(_BATCH_WORDS) >> 11).astype(np.float64) + 0.5) * _INV53
+    # The top word alone rounds to 1.0; it maps to the largest double below 1.
+    return np.minimum(u, _U_MAX, out=u).tolist()
 
 
 class RngStream:
@@ -90,9 +100,6 @@ class Constant:
     def problems(self) -> list[str]:
         return [] if self.value_us >= 0 else [f"constant value {self.value_us} < 0"]
 
-    def to_json(self) -> dict:
-        return {"kind": "constant", "value_us": self.value_us}
-
 
 @dataclass(frozen=True)
 class Uniform:
@@ -113,9 +120,6 @@ class Uniform:
             return []
         return [f"uniform bounds ({self.lo_us}, {self.hi_us}) violate 0 <= lo <= hi"]
 
-    def to_json(self) -> dict:
-        return {"kind": "uniform", "lo_us": self.lo_us, "hi_us": self.hi_us}
-
 
 @dataclass(frozen=True)
 class Exponential:
@@ -131,10 +135,11 @@ class Exponential:
         return draw
 
     def problems(self) -> list[str]:
-        return [] if self.mean_us > 0 else [f"exponential mean {self.mean_us} <= 0"]
-
-    def to_json(self) -> dict:
-        return {"kind": "exponential", "mean_us": self.mean_us}
+        if not self.mean_us > 0:
+            return [f"exponential mean {self.mean_us} <= 0"]
+        if not isfinite(self.mean_us * _EXP_TAIL):
+            return [f"exponential mean {self.mean_us} makes the largest draw overflow a float"]
+        return []
 
 
 @dataclass(frozen=True)
@@ -154,10 +159,11 @@ class LogNormal:
         return draw
 
     def problems(self) -> list[str]:
-        return [] if self.sigma >= 0 else [f"lognormal sigma {self.sigma} < 0"]
-
-    def to_json(self) -> dict:
-        return {"kind": "lognormal", "mu": self.mu, "sigma": self.sigma}
+        if not self.sigma >= 0:
+            return [f"lognormal sigma {self.sigma} < 0"]
+        if not self.mu + self.sigma * _Z_TAIL < _LN_MAX:
+            return [f"lognormal mu {self.mu} and sigma {self.sigma} make the largest draw overflow a float"]
+        return []
 
 
 @dataclass(frozen=True)
@@ -181,9 +187,6 @@ class Empirical:
             out.append(f"empirical sample {self.samples_us[0]} < 0")
         return out
 
-    def to_json(self) -> dict:
-        return {"kind": "empirical", "samples_us": list(self.samples_us)}
-
 
 Distribution = Constant | Uniform | Exponential | LogNormal | Empirical
 
@@ -203,9 +206,6 @@ class UniformKeys:
     def problems(self) -> list[str]:
         return [] if self.n >= 1 else [f"uniform key count {self.n} < 1"]
 
-    def to_json(self) -> dict:
-        return {"kind": "uniform", "n": self.n}
-
 
 @dataclass(frozen=True)
 class Zipfian:
@@ -217,7 +217,9 @@ class Zipfian:
 
     def __post_init__(self):
         if self.n >= 1 and self.s >= 0:
-            object.__setattr__(self, "_cdf", tuple(np.cumsum(self.pmf()).tolist()))
+            cdf = np.cumsum(self.pmf())
+            cdf[-1] = 1.0  # the sum can round below 1; the last rank takes the rest
+            object.__setattr__(self, "_cdf", tuple(cdf.tolist()))
         else:
             object.__setattr__(self, "_cdf", ())
 
@@ -237,58 +239,5 @@ class Zipfian:
             out.append(f"zipfian skew {self.s} < 0")
         return out
 
-    def to_json(self) -> dict:
-        return {"kind": "zipfian", "n": self.n, "s": self.s}
-
 
 KeyDistribution = UniformKeys | Zipfian
-
-
-# ---------------------------------------------------------------------------
-# JSON parsing: kind -> (class, {field: type check}), one table per family
-# ---------------------------------------------------------------------------
-
-# Values a draw returns as they are must be integers, so every *_us field of
-# the event log stays an integer; formula parameters are any finite number.
-_INT = ("an integer", lambda v: type(v) is int)
-_REAL = ("a finite number", lambda v: type(v) is int or (type(v) is float and isfinite(v)))
-_INT_LIST = ("a list of integers", lambda v: type(v) is list and all(type(x) is int for x in v))
-
-_DURATION_KINDS = {
-    "constant": (Constant, {"value_us": _INT}),
-    "uniform": (Uniform, {"lo_us": _REAL, "hi_us": _REAL}),
-    "exponential": (Exponential, {"mean_us": _REAL}),
-    "lognormal": (LogNormal, {"mu": _REAL, "sigma": _REAL}),
-    "empirical": (Empirical, {"samples_us": _INT_LIST}),
-}
-
-_KEY_KINDS = {
-    "uniform": (UniformKeys, {"n": _INT}),
-    "zipfian": (Zipfian, {"n": _INT, "s": _REAL}),
-}
-
-
-def _from_json(obj, kinds: dict, what: str):
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError(f"{what} must be an object with a 'kind': {obj!r}")
-    kind = obj["kind"]
-    entry = kinds.get(kind) if isinstance(kind, str) else None
-    if entry is None:
-        raise ValueError(f"unknown {what} kind {kind!r}")
-    cls, fields = entry
-    args = []
-    for name, (noun, ok) in fields.items():
-        if name not in obj:
-            raise ValueError(f"{what} {kind!r} is missing field {name!r}")
-        if not ok(obj[name]):
-            raise ValueError(f"{what} {kind!r} field {name!r} must be {noun}, got {obj[name]!r}")
-        args.append(obj[name])
-    return cls(*args)
-
-
-def distribution_from_json(obj: dict) -> Distribution:
-    return _from_json(obj, _DURATION_KINDS, "distribution")
-
-
-def key_distribution_from_json(obj: dict) -> KeyDistribution:
-    return _from_json(obj, _KEY_KINDS, "key distribution")

@@ -33,9 +33,6 @@ class EdgeClass:
     kind: str  # SYNC | ASYNC | "quorum"
     group: int | None = None
 
-    def to_json(self):
-        return {"quorum": self.group} if self.kind == "quorum" else self.kind
-
 
 SYNC_EDGE = EdgeClass(SYNC)
 ASYNC_EDGE = EdgeClass(ASYNC)

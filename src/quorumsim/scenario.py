@@ -4,17 +4,27 @@ A scenario is a UTF-8 JSON document; all durations are integer microsecond
 fields suffixed ``_us`` and probabilities are decimals. The cooperation
 section is either explicit graphs or a consistency-level block that is
 expanded through the level calculus; exactly one of the two must be present.
-Structural problems raise ScenarioFormatError (CLI exit 2); level-domain
-problems raise LevelError (exit 1); everything else is left to
-validate_scenario.
+
+The field tables below, one per JSON object (``_SCENARIO`` and the objects it
+nests, down to each distribution kind), are the one definition of the format:
+each field gives its JSON name, the attribute it sets, its type, and a
+default or REQUIRED. ``scenario_from_json`` and ``scenario_to_json`` are both
+built from them. A missing field or a wrong-typed value raises
+ScenarioFormatError (CLI exit 2) naming the object and field; level-domain
+problems raise LevelError (exit 1); value ranges are left to
+validate_scenario (exit 1).
 """
 
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass, field
+from math import isfinite
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
-from .distributions import distribution_from_json, key_distribution_from_json
+from .distributions import Constant, Empirical, Exponential, LogNormal, Uniform, UniformKeys, Zipfian
 from .engine import DEFAULT_OP_TIMEOUT
 from .levels import build_cooperation_model, parse_level
 from .model import (
@@ -26,7 +36,6 @@ from .model import (
     SYNC_EDGE,
     CooperationGraph,
     CooperationModel,
-    EdgeClass,
     FailureEvent,
     LatencyModel,
     Replica,
@@ -52,177 +61,288 @@ class Scenario:
     strategy: str
     op_timeout_us: int = DEFAULT_OP_TIMEOUT
     seed: int | None = None
-    consistency: dict | None = field(default=None)  # original level block, kept for round-trips
+    consistency: dict | None = field(default=None)  # the level block coop was generated from
 
 
-def _require(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise ScenarioFormatError(f"{where} is missing required field {key!r}")
-    return obj[key]
+# Value types: read(value, at, up) checks the JSON value found at location
+# `at` in the object located at `up`; write(value) gives it back as JSON.
+
+class _Scalar(NamedTuple):
+    noun: str
+    ok: Callable
+
+    def read(self, value, at, up):
+        if not self.ok(value):
+            raise ScenarioFormatError(f"{at}: must be {self.noun}, got {value!r}")
+        return value
+
+    def write(self, value):
+        return value
 
 
-def _dist(obj, where: str):
-    try:
-        return distribution_from_json(obj)
-    except ValueError as e:
-        raise ScenarioFormatError(f"{where}: {e}") from None
+# Values a draw returns as they are (and every other count or id) are
+# integers, so every *_us field of the event log stays an integer; formula
+# parameters, probabilities and weights are any finite number.
+_INT = _Scalar("an integer", lambda v: type(v) is int)
+_REAL = _Scalar("a finite number", lambda v: type(v) is int or (type(v) is float and isfinite(v)))
+_STR = _Scalar("a string", lambda v: type(v) is str)
 
 
-def _key_dist(obj, where: str):
-    try:
-        return key_distribution_from_json(obj)
-    except ValueError as e:
-        raise ScenarioFormatError(f"{where}: {e}") from None
+def _one_of(names) -> _Scalar:
+    return _Scalar(f"one of {', '.join(names)}", lambda v: type(v) is str and v in names)
 
 
-def _edge_class_from_json(obj) -> EdgeClass:
-    if obj == "sync":
-        return SYNC_EDGE
-    if obj == "async":
-        return ASYNC_EDGE
-    if isinstance(obj, dict) and "quorum" in obj:
-        return quorum_edge(int(obj["quorum"]))
-    raise ScenarioFormatError(f"edge class must be \"sync\", \"async\", or {{\"quorum\": group}}: {obj!r}")
+class _List(NamedTuple):
+    item: object
+
+    def read(self, value, at, up):
+        if type(value) is not list:
+            raise ScenarioFormatError(f"{at}: must be a list, got {value!r}")
+        return tuple(self.item.read(v, f"{at}[{i}]", up) for i, v in enumerate(value))
+
+    def write(self, value):
+        return [self.item.write(v) for v in value]
 
 
-def _topology_from_json(obj) -> ReplicaGraph:
-    replicas = []
-    for r in _require(obj, "replicas", "topology"):
-        rid = _require(r, "id", "replica")
-        replicas.append(
-            Replica(
-                id=rid,
-                name=r.get("name", f"r{rid}"),
-                datacenter=_require(r, "datacenter", f"replica {rid}"),
-                proc_write=_dist(_require(r, "proc_write", f"replica {rid}"), f"replica {rid} proc_write"),
-                proc_read=_dist(_require(r, "proc_read", f"replica {rid}"), f"replica {rid} proc_read"),
-            )
-        )
-    edges = {}
-    for e in obj.get("edges", []):
-        src, dst = _require(e, "src", "edge"), _require(e, "dst", "edge")
-        edges[(src, dst)] = LatencyModel(
-            base=_dist(_require(e, "base", f"edge {src}->{dst}"), f"edge {src}->{dst} base"),
-            per_byte_us=e.get("per_byte_us", 0.0),
-        )
-    return ReplicaGraph(replicas, edges)
+class _EdgeClass:
+    """"sync", "async", or {"quorum": group}."""
+
+    def read(self, value, at, up):
+        if value == "sync":
+            return SYNC_EDGE
+        if value == "async":
+            return ASYNC_EDGE
+        if type(value) is dict and type(value.get("quorum")) is int:
+            return quorum_edge(value["quorum"])
+        raise ScenarioFormatError(f"{at}: must be \"sync\", \"async\" or {{\"quorum\": integer}}, got {value!r}")
+
+    def write(self, value):
+        return {"quorum": value.group} if value.kind == "quorum" else value.kind
 
 
-def _graphs_from_json(items, kind: str) -> list[CooperationGraph]:
-    graphs = []
-    for g in items:
-        gid = _require(g, "id", f"{kind} graph")
-        edges = [
-            (
-                _require(e, "parent", f"graph {gid} edge"),
-                _require(e, "child", f"graph {gid} edge"),
-                _edge_class_from_json(_require(e, "class", f"graph {gid} edge")),
-            )
-            for e in g.get("edges", [])
-        ]
-        thresholds = {int(k): v for k, v in g.get("quorum_thresholds", {}).items()}
-        graphs.append(CooperationGraph(gid, kind, _require(g, "root", f"graph {gid}"), edges, thresholds, g.get("weight", 1.0)))
-    return graphs
+class _Thresholds:
+    """Quorum group id -> threshold; JSON object keys are the ids as text."""
+
+    def read(self, value, at, up):
+        if type(value) is dict and all(type(q) is int for q in value.values()):
+            try:
+                return {int(group): q for group, q in value.items()}
+            except ValueError:
+                pass
+        raise ScenarioFormatError(f"{at}: must map integer group ids to integers, got {value!r}")
+
+    def write(self, value):
+        return {str(group): q for group, q in sorted(value.items())}
 
 
-def _normalize_weights(graphs: list[CooperationGraph]) -> list[CooperationGraph]:
+_REQUIRED = object()
+
+
+class _Field(NamedTuple):
+    json: str
+    attr: str
+    type: object
+    # _REQUIRED; a JSON value read in the field's place when it is absent
+    # (None: the attribute is None and the writer leaves it out); or a
+    # function of the attributes read before it.
+    default: object = _REQUIRED
+
+
+class _Object(NamedTuple):
+    """A JSON object: reads its fields into build(**attributes) and writes
+    the same fields back from the attributes of view(value)."""
+
+    name: str  # its location in messages; {at} is where it sits, {up} the enclosing object
+    fields: tuple
+    build: Callable = dict
+    key: tuple = ()  # attributes that complete the location once read: "replica 3", "edge 0->1"
+    view: Callable = lambda value: value
+
+    def read(self, value, at, up):
+        if type(value) is not dict:
+            raise ScenarioFormatError(f"{at}: must be an object, got {value!r}")
+        where = self.name.format(at=at, up=up)
+        got = {}
+        for f in self.fields:
+            if f.json in value:
+                got[f.attr] = f.type.read(value[f.json], f"{where} {f.json}", where)
+            elif f.default is _REQUIRED:
+                raise ScenarioFormatError(f"{where} is missing required field {f.json!r}")
+            elif callable(f.default):
+                got[f.attr] = f.default(got)
+            else:
+                got[f.attr] = None if f.default is None else f.type.read(f.default, f"{where} {f.json}", where)
+            if self.key and f.attr == self.key[-1]:
+                where += " " + "->".join(str(got[k]) for k in self.key)
+        return self.build(**got)
+
+    def write(self, value) -> dict:
+        source = self.view(value)
+        out = {}
+        for f in self.fields:
+            v = getattr(source, f.attr)
+            if v is not None:
+                out[f.json] = f.type.write(v)
+        return out
+
+
+class _Kinds(NamedTuple):
+    """An object whose "kind" field selects the field table of the rest."""
+
+    kinds: dict  # kind -> _Object
+
+    def read(self, value, at, up):
+        kind = value.get("kind") if type(value) is dict else None
+        if type(kind) is not str:
+            raise ScenarioFormatError(f"{at}: must be an object with a string 'kind', got {value!r}")
+        if kind not in self.kinds:
+            raise ScenarioFormatError(f"{at}: unknown kind {kind!r}; expected one of {', '.join(self.kinds)}")
+        return self.kinds[kind].read(value, f"{at}: {kind}", up)
+
+    def write(self, value) -> dict:
+        kind = next(k for k, table in self.kinds.items() if table.build is type(value))
+        return {"kind": kind, **self.kinds[kind].write(value)}
+
+
+_DURATION = _Kinds({
+    "constant": _Object("{at}", (_Field("value_us", "value_us", _INT),), Constant),
+    "uniform": _Object("{at}", (_Field("lo_us", "lo_us", _REAL), _Field("hi_us", "hi_us", _REAL)), Uniform),
+    "exponential": _Object("{at}", (_Field("mean_us", "mean_us", _REAL),), Exponential),
+    "lognormal": _Object("{at}", (_Field("mu", "mu", _REAL), _Field("sigma", "sigma", _REAL)), LogNormal),
+    "empirical": _Object("{at}", (_Field("samples_us", "samples_us", _List(_INT)),), Empirical),
+})
+
+_KEYS = _Kinds({
+    "uniform": _Object("{at}", (_Field("n", "n", _INT),), UniformKeys),
+    "zipfian": _Object("{at}", (_Field("n", "n", _INT), _Field("s", "s", _REAL)), Zipfian),
+})
+
+_META = _Object("meta", (
+    _Field("name", "name", _STR, "unnamed"),
+    _Field("description", "description", _STR, ""),
+))
+
+_REPLICA = _Object("replica", (
+    _Field("id", "id", _INT),
+    _Field("name", "name", _STR, lambda got: f"r{got['id']}"),
+    _Field("datacenter", "datacenter", _STR),
+    _Field("proc_write", "proc_write", _DURATION),
+    _Field("proc_read", "proc_read", _DURATION),
+), Replica, key=("id",))
+
+_Edge = namedtuple("_Edge", "src dst base per_byte_us")  # ReplicaGraph keys a LatencyModel by (src, dst)
+
+_EDGE = _Object("edge", (
+    _Field("src", "src", _INT),
+    _Field("dst", "dst", _INT),
+    _Field("base", "base", _DURATION),
+    _Field("per_byte_us", "per_byte_us", _REAL, 0.0),
+), _Edge, key=("src", "dst"))
+
+_TOPOLOGY = _Object("topology", (
+    _Field("replicas", "replicas", _List(_REPLICA)),
+    _Field("edges", "edges", _List(_EDGE), []),
+), lambda replicas, edges: ReplicaGraph(replicas, {(e.src, e.dst): LatencyModel(e.base, e.per_byte_us) for e in edges}),
+    view=lambda g: SimpleNamespace(replicas=g.replicas, edges=[_Edge(*k, m.base, m.per_byte_us) for k, m in sorted(g.edges.items())]))
+
+_GraphEdge = namedtuple("_GraphEdge", "parent child cls")
+
+_GRAPH_EDGE = _Object("{up} edge", (
+    _Field("parent", "parent", _INT),
+    _Field("child", "child", _INT),
+    _Field("class", "cls", _EdgeClass()),
+), _GraphEdge, key=("parent", "child"), view=_GraphEdge._make)
+
+_GRAPH = _Object("graph", (
+    _Field("id", "id", _INT),
+    _Field("root", "root", _INT),
+    _Field("weight", "weight", _REAL, 1.0),
+    _Field("edges", "edges", _List(_GRAPH_EDGE), []),
+    _Field("quorum_thresholds", "quorum_thresholds", _Thresholds(), {}),
+), key=("id",))
+
+
+def _graphs(items: tuple[dict, ...], kind: str) -> list[CooperationGraph]:
     """Integer weights are shorthand for proportions; normalize them here."""
-    weights = [g.weight for g in graphs]
-    if weights and all(isinstance(w, int) for w in weights) and sum(weights) > 0:
-        total = sum(weights)
-        return [
-            CooperationGraph(g.id, g.kind, g.root, g.edges, g.quorum_thresholds, g.weight / total)
-            for g in graphs
-        ]
-    return graphs
+    total = sum(g["weight"] for g in items)
+    if items and total > 0 and all(type(g["weight"]) is int for g in items):
+        items = [{**g, "weight": g["weight"] / total} for g in items]
+    return [CooperationGraph(kind=kind, **g) for g in items]
 
 
-def _workload_from_json(obj) -> WorkloadSpec:
-    overrides = []
-    for ov in obj.get("overrides", []):
-        overrides.append(
-            ClientOverride(
-                client_id=_require(ov, "client_id", "workload override"),
-                read_ratio=ov.get("read_ratio"),
-                think_time=_dist(ov["think_time"], "workload override think_time") if "think_time" in ov else None,
-                ops_per_client=ov.get("ops_per_client"),
-            )
-        )
-    return WorkloadSpec(
-        n_clients=_require(obj, "clients", "workload"),
-        ops_per_client=_require(obj, "ops_per_client", "workload"),
-        read_ratio=_require(obj, "read_ratio", "workload"),
-        think_time=_dist(_require(obj, "think_time", "workload"), "workload think_time"),
-        keys=_key_dist(_require(obj, "keys", "workload"), "workload keys"),
-        write_payload_bytes=_dist(_require(obj, "write_payload_bytes", "workload"), "workload write_payload_bytes"),
-        read_request_bytes=obj.get("read_request_bytes", 64),
-        warmup_ops=obj.get("warmup_ops", 0),
-        overrides=tuple(overrides),
-    )
+_COOPERATION = _Object("cooperation", (
+    _Field("replication_graphs", "replication_graphs", _List(_GRAPH)),
+    _Field("reading_graphs", "reading_graphs", _List(_GRAPH)),
+), lambda replication_graphs, reading_graphs: CooperationModel(
+    _graphs(replication_graphs, REPLICATION), _graphs(reading_graphs, READING)
+))
+
+_CONSISTENCY = _Object("consistency", (
+    _Field("placement", "placement", _List(_INT)),
+    _Field("coordinator", "coordinator", _INT),
+    _Field("write_cl", "write_cl", _STR),
+    _Field("read_cl", "read_cl", _STR),
+    _Field("rf", "rf", _INT, lambda got: len(got["placement"])),
+), view=lambda block: SimpleNamespace(**block))
+
+_OVERRIDE = _Object("{up} override", (
+    _Field("client_id", "client_id", _INT),
+    _Field("read_ratio", "read_ratio", _REAL, None),
+    _Field("think_time", "think_time", _DURATION, None),
+    _Field("ops_per_client", "ops_per_client", _INT, None),
+), ClientOverride, key=("client_id",))
+
+_WORKLOAD = _Object("workload", (
+    _Field("clients", "n_clients", _INT),
+    _Field("ops_per_client", "ops_per_client", _INT),
+    _Field("read_ratio", "read_ratio", _REAL),
+    _Field("think_time", "think_time", _DURATION),
+    _Field("keys", "keys", _KEYS),
+    _Field("write_payload_bytes", "write_payload_bytes", _DURATION),
+    _Field("read_request_bytes", "read_request_bytes", _INT, 64),
+    _Field("warmup_ops", "warmup_ops", _INT, 0),
+    _Field("overrides", "overrides", _List(_OVERRIDE), []),
+), WorkloadSpec)
+
+_FAILURE = _Object("failure", (
+    _Field("replica", "replica", _INT),
+    _Field("at_us", "at", _INT),
+    _Field("kind", "kind", _one_of((CRASH_STOP, CRASH_RECOVERY))),
+    _Field("down_for_us", "down_for", _INT, 0),
+), FailureEvent)
 
 
-def scenario_from_json(doc: dict) -> Scenario:
-    if not isinstance(doc, dict):
-        raise ScenarioFormatError("scenario document must be a JSON object")
-    meta = doc.get("meta", {})
-    topology = _topology_from_json(_require(doc, "topology", "scenario"))
-
-    has_coop = "cooperation" in doc
-    has_level = "consistency" in doc
-    if has_coop == has_level:
+def _scenario(meta, topology, cooperation, consistency, **rest) -> Scenario:
+    if (cooperation is None) == (consistency is None):
         raise ScenarioFormatError("scenario must have exactly one of 'cooperation' and 'consistency'")
-    consistency = None
-    if has_coop:
-        coop_obj = doc["cooperation"]
-        coop = CooperationModel(
-            _normalize_weights(_graphs_from_json(_require(coop_obj, "replication_graphs", "cooperation"), REPLICATION)),
-            _normalize_weights(_graphs_from_json(_require(coop_obj, "reading_graphs", "cooperation"), READING)),
-        )
-    else:
-        block = doc["consistency"]
-        consistency = dict(block)
-        placement = list(_require(block, "placement", "consistency"))
-        rf = block.get("rf", len(placement))
+    if consistency is not None:
+        placement, rf = list(consistency["placement"]), consistency["rf"]
         if rf != len(placement):
             raise ScenarioFormatError(f"consistency rf {rf} does not match placement size {len(placement)}")
-        coop = build_cooperation_model(
-            topology,
-            placement,
-            _require(block, "coordinator", "consistency"),
-            parse_level(_require(block, "write_cl", "consistency")),
-            parse_level(_require(block, "read_cl", "consistency")),
-        )
+        levels = parse_level(consistency["write_cl"]), parse_level(consistency["read_cl"])
+        cooperation = build_cooperation_model(topology, placement, consistency["coordinator"], *levels)
+    return Scenario(**meta, topology=topology, coop=cooperation, consistency=consistency, **rest)
 
-    failures = []
-    for f in doc.get("failures", []):
-        kind = _require(f, "kind", "failure")
-        if kind not in (CRASH_STOP, CRASH_RECOVERY):
-            raise ScenarioFormatError(f"unknown failure kind {kind!r}")
-        failures.append(
-            FailureEvent(
-                replica=_require(f, "replica", "failure"),
-                at=_require(f, "at_us", "failure"),
-                kind=kind,
-                down_for=f.get("down_for_us", 0),
-            )
-        )
 
-    strategy = _require(doc, "strategy", "scenario")
-    if strategy not in STRATEGIES:
-        raise ScenarioFormatError(f"unknown strategy {strategy!r}; expected one of {', '.join(STRATEGIES)}")
+_SCENARIO = _Object("scenario", (
+    _Field("meta", "meta", _META, {}),
+    _Field("topology", "topology", _TOPOLOGY),
+    _Field("cooperation", "cooperation", _COOPERATION, None),
+    _Field("consistency", "consistency", _CONSISTENCY, None),
+    _Field("workload", "workload", _WORKLOAD),
+    _Field("failures", "failures", _List(_FAILURE), []),
+    _Field("strategy", "strategy", _one_of(STRATEGIES)),
+    _Field("op_timeout_us", "op_timeout_us", _INT, DEFAULT_OP_TIMEOUT),
+    _Field("seed", "seed", _INT, None),
+), _scenario, view=lambda sc: SimpleNamespace(
+    **vars(sc),
+    meta=SimpleNamespace(name=sc.name, description=sc.description),
+    cooperation=None if sc.consistency is not None else sc.coop,
+))
 
-    return Scenario(
-        name=meta.get("name", "unnamed"),
-        description=meta.get("description", ""),
-        topology=topology,
-        coop=coop,
-        workload=_workload_from_json(_require(doc, "workload", "scenario")),
-        failures=tuple(failures),
-        strategy=strategy,
-        op_timeout_us=doc.get("op_timeout_us", DEFAULT_OP_TIMEOUT),
-        seed=doc.get("seed"),
-        consistency=consistency,
-    )
+
+def scenario_from_json(doc) -> Scenario:
+    return _SCENARIO.read(doc, "scenario document", None)
 
 
 def load_scenario(path) -> Scenario:
@@ -235,79 +355,4 @@ def load_scenario(path) -> Scenario:
 
 
 def scenario_to_json(sc: Scenario) -> dict:
-    doc: dict = {"meta": {"name": sc.name, "description": sc.description}}
-    doc["topology"] = {
-        "replicas": [
-            {
-                "id": r.id,
-                "name": r.name,
-                "datacenter": r.datacenter,
-                "proc_write": r.proc_write.to_json(),
-                "proc_read": r.proc_read.to_json(),
-            }
-            for r in sc.topology.replicas
-        ],
-        "edges": [
-            {"src": src, "dst": dst, "base": lat.base.to_json(), "per_byte_us": lat.per_byte_us}
-            for (src, dst), lat in sorted(sc.topology.edges.items())
-        ],
-    }
-    if sc.consistency is not None:
-        doc["consistency"] = dict(sc.consistency)
-    else:
-        doc["cooperation"] = {
-            kind_key: [
-                {
-                    "id": g.id,
-                    "root": g.root,
-                    "weight": g.weight,
-                    "edges": [{"parent": p, "child": c, "class": cls.to_json()} for p, c, cls in g.edges],
-                    "quorum_thresholds": {str(k): v for k, v in sorted(g.quorum_thresholds.items())},
-                }
-                for g in graphs
-            ]
-            for kind_key, graphs in (
-                ("replication_graphs", sc.coop.replication_graphs),
-                ("reading_graphs", sc.coop.reading_graphs),
-            )
-        }
-    w = sc.workload
-    doc["workload"] = {
-        "clients": w.n_clients,
-        "ops_per_client": w.ops_per_client,
-        "read_ratio": w.read_ratio,
-        "think_time": w.think_time.to_json(),
-        "keys": w.keys.to_json(),
-        "write_payload_bytes": w.write_payload_bytes.to_json(),
-        "read_request_bytes": w.read_request_bytes,
-        "warmup_ops": w.warmup_ops,
-    }
-    if w.overrides:
-        doc["workload"]["overrides"] = [
-            {
-                k: v
-                for k, v in (
-                    ("client_id", ov.client_id),
-                    ("read_ratio", ov.read_ratio),
-                    ("think_time", ov.think_time.to_json() if ov.think_time else None),
-                    ("ops_per_client", ov.ops_per_client),
-                )
-                if v is not None
-            }
-            for ov in w.overrides
-        ]
-    if sc.failures:
-        doc["failures"] = [
-            {
-                "replica": f.replica,
-                "at_us": f.at,
-                "kind": f.kind,
-                **({"down_for_us": f.down_for} if f.kind == CRASH_RECOVERY else {}),
-            }
-            for f in sc.failures
-        ]
-    doc["strategy"] = sc.strategy
-    doc["op_timeout_us"] = sc.op_timeout_us
-    if sc.seed is not None:
-        doc["seed"] = sc.seed
-    return doc
+    return _SCENARIO.write(sc)

@@ -400,15 +400,20 @@ def enumerate_star_writes(issues, root, proc_root, children):
 
 # -- seeded draws, re-derived from the raw PCG64 words ---------------------------
 
+def oracle_uniform(w: int) -> float:
+    """Word w maps to (2 * (w >> 11) + 1) / 2**54, an exact integer quotient
+    correctly rounded; the top word's quotient would round to 1, so its
+    numerator drops to 2**54 - 2, which gives the largest double below 1."""
+    return min(2 * (w >> 11) + 1, 2**54 - 2) / 2**54
+
+
 def oracle_uniforms(seed: int, label: str, n: int) -> list[float]:
     """The first n uniforms of stream (seed, label): PCG64 seeded with the
-    seed's low 64 bits and the label's sha256 as four little-endian words;
-    each word w maps to (2 * (w >> 11) + 1) / 2**54, an exact integer
-    quotient correctly rounded."""
+    seed's low 64 bits and the label's sha256 as four little-endian words,
+    each word mapped by oracle_uniform."""
     digest = hashlib.sha256(label.encode("utf-8")).digest()
     entropy = [seed % 2**64] + [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]
-    words = PCG64(SeedSequence(entropy)).random_raw(n).tolist()
-    return [(2 * (w >> 11) + 1) / 2**54 for w in words]
+    return [oracle_uniform(w) for w in PCG64(SeedSequence(entropy)).random_raw(n).tolist()]
 
 
 def _round_us(x: float) -> int:
@@ -432,7 +437,8 @@ def oracle_draw(dist, uniforms) -> int:
     if isinstance(dist, UniformKeys):
         return int(u * dist.n)
     if isinstance(dist, Zipfian):
-        cdf = list(accumulate(dist.pmf().tolist()))
+        # the ranks below the last take their cumulative mass; the last rank the rest
+        cdf = list(accumulate(dist.pmf().tolist()))[:-1]
         return next((r for r, c in enumerate(cdf) if c > u), len(cdf))
     raise TypeError(f"no reference draw for {dist!r}")
 

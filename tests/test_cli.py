@@ -1,10 +1,15 @@
+import copy
+import dataclasses
 import json
 import random
+import shutil
+from importlib import resources
 
 import pytest
 
 from _builders import WRONG_TYPED_DISTRIBUTIONS
-from quorumsim import optable
+from _randgen import random_scenario
+from quorumsim import Scenario, optable, scenario_from_json, scenario_to_json
 from quorumsim.cli import list_presets, main
 
 
@@ -234,6 +239,145 @@ def test_wrong_typed_distribution_fields_are_one_error_line(scenario_file, tmp_p
             err = capsys.readouterr().err
             assert err.startswith(f"error: workload {field}:") and err.count("\n") == 1, err
             assert not out.exists()
+
+
+def test_run_rejects_jobs_below_one(scenario_file, tmp_path, capsys):
+    for jobs in ("0", "-3"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["run", str(scenario_file), "--out", str(out), "--repeat", "2", "--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --jobs must be at least 1, got {jobs}\n", err
+        assert not out.exists()
+
+
+def test_distribution_whose_largest_draw_overflows_is_invalid(scenario_file, tmp_path, capsys):
+    doc = json.loads(scenario_file.read_text())
+    path, out = tmp_path / "dist.json", tmp_path / "out"
+    cases = [
+        ({"kind": "lognormal", "mu": 1000, "sigma": 1}, 1),
+        ({"kind": "exponential", "mean_us": 1e308}, 1),
+        # just inside the bound: the largest draw is a finite float
+        ({"kind": "lognormal", "mu": 701, "sigma": 1}, 0),
+        ({"kind": "exponential", "mean_us": 4.8e306}, 0),
+    ]
+    for think_time, rc in cases:
+        path.write_text(json.dumps({**doc, "workload": {**doc["workload"], "think_time": think_time}}))
+        assert main(["validate", str(path)]) == rc, think_time
+        assert ("overflow a float" in capsys.readouterr().out) == (rc == 1)
+        assert main(["run", str(path), "--out", str(out), "--quiet"]) == rc, think_time
+        assert out.exists() == (rc == 0)
+        shutil.rmtree(out, ignore_errors=True)
+
+
+# -- the scenario reader meets wrong-typed fields -----------------------------------------
+
+def _preset_doc(name):
+    return json.loads((resources.files("quorumsim") / "presets" / f"{name}.json").read_text(encoding="utf-8"))
+
+
+def _replaced(doc, path, value):
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+def _one_uniform_docs():
+    """preset:one_uniform, and the same scenario with its level block expanded into graphs."""
+    doc = _preset_doc("one_uniform")
+    return {"level": doc, "graphs": scenario_to_json(dataclasses.replace(scenario_from_json(doc), consistency=None))}
+
+
+G0 = ("cooperation", "replication_graphs", 0)
+WRONG_TYPED_FIELDS = [
+    # (base, path, value, start of the error line)
+    ("level", ("topology", "edges", 0, "per_byte_us"), "x", "edge 0->1 per_byte_us:"),
+    ("level", ("workload", "read_ratio"), "a", "workload read_ratio:"),
+    ("level", ("workload", "clients"), 2.5, "workload clients:"),
+    ("level", ("workload", "warmup_ops"), "1", "workload warmup_ops:"),
+    ("level", ("seed",), "abc", "scenario seed:"),
+    ("level", ("topology", "replicas"), 5, "topology replicas:"),
+    ("graphs", (*G0, "quorum_thresholds"), {"a": 1}, "graph 0 quorum_thresholds:"),
+    ("graphs", (*G0, "quorum_thresholds"), {"0": "1"}, "graph 0 quorum_thresholds:"),
+    ("graphs", (*G0, "edges", 0, "class"), {"quorum": "x"}, "graph 0 edge 0->1 class:"),
+    ("graphs", (*G0, "weight"), "1", "graph 0 weight:"),
+    ("graphs", ("cooperation", "reading_graphs"), 5, "cooperation reading_graphs:"),
+    ("level", ("consistency", "placement"), 3, "consistency placement:"),
+    ("level", ("consistency", "write_cl"), 1, "consistency write_cl:"),
+    ("level", ("meta",), [], "scenario meta:"),
+    ("level", ("workload", "overrides"), [{"client_id": "0"}], "workload override client_id:"),
+    ("level", ("failures",), [{"replica": 0, "at_us": "1", "kind": "crash_stop"}], "failure at_us:"),
+    ("level", ("topology", "edges", 0, "src"), [0], "edge src:"),
+    ("level", ("op_timeout_us",), 1.5, "scenario op_timeout_us:"),
+    ("level", ("topology", "replicas", 0, "id"), 0.0, "replica id:"),
+    ("level", ("topology", "replicas", 0, "datacenter"), 5, "replica 0 datacenter:"),
+    ("level", ("workload", "read_request_bytes"), 1.5, "workload read_request_bytes:"),
+    ("level", ("failures",), [{"replica": "0", "at_us": 1, "kind": "crash_stop"}], "failure replica:"),
+    ("level", ("consistency", "rf"), "3", "consistency rf:"),
+    ("level", ("consistency", "coordinator"), "0", "consistency coordinator:"),
+    ("graphs", (*G0, "root"), "0", "graph 0 root:"),
+]
+
+
+@pytest.mark.parametrize("base, path, value, where", WRONG_TYPED_FIELDS, ids=[f"{c[3]} {c[2]!r}" for c in WRONG_TYPED_FIELDS])
+def test_wrong_typed_field_is_one_error_line(tmp_path, capsys, base, path, value, where):
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(_replaced(_one_uniform_docs()[base], path, value)))
+    out = tmp_path / "out"
+    for argv in (["validate", str(scenario)], ["run", str(scenario), "--out", str(out), "--quiet"]):
+        assert main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where} ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+
+def _leaves(node, path=()):
+    """The path of every scalar and every empty list or object in a JSON document."""
+    if isinstance(node, (dict, list)) and node:
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _leaves(child, (*path, key))
+    else:
+        yield path
+
+
+SWEEP_VALUES = ("x", 1.5, True, None, [], {})
+
+
+def _sweep_bases():
+    """Every preset, and a random cooperation-graph scenario with failures; a
+    few ops each, since the sweep checks how the reader meets each value."""
+    bases = {name: _preset_doc(name) for name in list_presets()}
+    topo, coop, failures, workload = random_scenario(random.Random("type-sweep"), allow_crash_stop=True, max_total_ops=20)
+    sc = Scenario("random", "", topo, coop, workload, tuple(failures), "competing_writes", 5_000_000, 3)
+    bases["random_graphs"] = scenario_to_json(sc)
+    for doc in bases.values():
+        doc["workload"]["ops_per_client"] = 3
+    return bases
+
+
+@pytest.mark.parametrize("base", sorted(_sweep_bases()))
+def test_every_leaf_of_any_type_exits_cleanly(tmp_path, capsys, base):
+    """Each leaf replaced by each sweep value: validate exits 0, 1 or 2 and
+    never raises; exit 2 is one error line, and a document that validates runs."""
+    doc = _sweep_bases()[base]
+    scenario, out = tmp_path / "swept.json", tmp_path / "out"
+    for path in _leaves(doc):
+        for value in SWEEP_VALUES:
+            scenario.write_text(json.dumps(_replaced(doc, path, value)))
+            rc = main(["validate", str(scenario)])
+            captured = capsys.readouterr()
+            case = (path, value, captured.err)
+            if rc == 2:
+                assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, case
+            elif rc == 1:  # a level error on stderr, or the violations on stdout
+                assert captured.err.count("\n") == 1 or (not captured.err and captured.out), case
+            else:
+                assert rc == 0 and not captured.err, case
+                assert main(["run", str(scenario), "--out", str(out), "--quiet"]) == 0, case
+                shutil.rmtree(out)
 
 
 def test_quorum_check_bad_dc_counts_is_one_line(capsys):

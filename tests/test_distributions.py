@@ -1,11 +1,12 @@
 import gc
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from _oracles import oracle_draw, oracle_draws, oracle_uniforms
+from _oracles import oracle_draw, oracle_draws, oracle_uniform, oracle_uniforms
 from quorumsim import (
     Constant,
     Empirical,
@@ -16,6 +17,7 @@ from quorumsim import (
     UniformKeys,
     Zipfian,
 )
+from quorumsim.distributions import _uniform_batch
 
 ALL_KINDS = (
     Constant(3),
@@ -118,6 +120,41 @@ def test_interleaved_samplers_on_one_stream_match_reference(label, dists):
     order = random.Random(f"interleave-{label}").choices(range(len(dists)), k=10_000)
     uniforms = iter(oracle_uniforms(17, label, len(order)))
     assert [samplers[i]() for i in order] == [oracle_draw(dists[i], uniforms) for i in order]
+
+
+class _TopWordGenerator:
+    """A bit generator stub whose every raw word is 2**64 - 1."""
+
+    def random_raw(self, n):
+        return np.full(n, 2**64 - 1, dtype=np.uint64)
+
+
+def test_top_word_maps_to_the_largest_double_below_one():
+    # (2**53 - 1 + 0.5) * 2**-53 rounds to 1.0, which no draw may see
+    below_one = math.nextafter(1.0, 0.0)
+    batch = _uniform_batch(_TopWordGenerator())
+    assert batch[0] == oracle_uniform(2**64 - 1) == below_one
+    assert oracle_uniform(2**64 - 2**11 - 1) < below_one  # the next word down keeps its value
+    rng = SimpleNamespace(uniform=iter(batch).__next__)
+    at_top = {d: d.sampler(rng)() for d in ALL_KINDS + (LogNormal(701.0, 1.0), Exponential(4.8e306))}
+    assert at_top[ALL_KINDS[1]] <= 9
+    assert at_top[ALL_KINDS[4]] == 8
+    assert at_top[ALL_KINDS[5]] == 36
+    assert at_top[ALL_KINDS[6]] == 49
+    for d, x in at_top.items():
+        assert x == oracle_draw(d, iter([below_one])), d
+
+
+def test_largest_draw_must_be_a_finite_float():
+    # the largest uniform gives the normal quantile ~8.21 and -log1p(-u) ~36.74;
+    # exp() overflows past ~709.78
+    assert LogNormal(1000, 1).problems()
+    assert LogNormal(702, 1).problems()
+    assert LogNormal(0, 1e308).problems()
+    assert not LogNormal(701, 1).problems()
+    assert Exponential(1e308).problems()
+    assert Exponential(4.9e306).problems()
+    assert not Exponential(4.8e306).problems()
 
 
 def test_every_stochastic_draw_consumes_exactly_one_word():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -8,7 +9,10 @@ from _randgen import random_scenario
 
 import quorumsim as qs
 from quorumsim import (
+    ClientOverride,
     Constant,
+    Empirical,
+    LogNormal,
     MalformedLogError,
     ScenarioFormatError,
     load_scenario,
@@ -16,10 +20,12 @@ from quorumsim import (
     scenario_from_json,
     scenario_to_json,
     validate_scenario,
+    Zipfian,
 )
 from quorumsim import engine
 from quorumsim.strategies import LWW_TIMESTAMP, STRATEGIES
 from quorumsim.logio import event_from_json, event_to_json, read_events, write_events
+from quorumsim.cli import _load, list_presets
 from quorumsim.scenario import Scenario
 
 
@@ -75,6 +81,27 @@ def test_round_trip_explicit_graphs_and_failures():
     a = run_simulation(sc.topology, sc.coop, list(sc.failures), sc.workload, sc.strategy, 9)
     b = run_simulation(sc2.topology, sc2.coop, list(sc2.failures), sc2.workload, sc2.strategy, 9)
     assert a.events == b.events
+
+
+def test_scenarios_round_trip_through_the_json_text():
+    rng = random.Random("scenario-round-trip")
+    for _ in range(20):
+        topo, coop, failures, wl = random_scenario(rng, allow_crash_stop=True)
+        # every distribution kind and override field, which random_scenario leaves out
+        wl = dataclasses.replace(
+            wl,
+            keys=Zipfian(rng.randint(1, 50), rng.choice([0, 0.99, 1.5])),
+            overrides=(
+                ClientOverride(0, rng.random(), LogNormal(rng.uniform(0, 8), 0.5), rng.randint(1, 9)),
+                ClientOverride(1, think_time=Empirical(rng.sample(range(5_000), 4))),
+            ),
+        )
+        sc = Scenario("rt", "random", topo, coop, wl, tuple(failures), rng.choice(STRATEGIES), rng.randrange(1, 10**7), rng.choice([None, 5]))
+        assert scenario_from_json(json.loads(json.dumps(scenario_to_json(sc)))) == sc
+    for name in list_presets():
+        sc = _load(f"preset:{name}")
+        assert sc.consistency is not None
+        assert scenario_from_json(json.loads(json.dumps(scenario_to_json(sc)))) == sc
 
 
 def test_integer_weights_are_normalized():
