@@ -11,7 +11,6 @@ import argparse
 import json
 import shutil
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -56,9 +55,15 @@ def _load(path_arg: str) -> Scenario:
     return load_scenario(path_arg)
 
 
+def _validate(scenario: Scenario):
+    return validate_scenario(
+        scenario.topology, scenario.coop, list(scenario.failures), scenario.workload, scenario.op_timeout_us
+    )
+
+
 def cmd_validate(args) -> int:
     scenario = _load(args.scenario)
-    report = validate_scenario(scenario.topology, scenario.coop, list(scenario.failures), scenario.workload)
+    report = _validate(scenario)
     for note in report.notes:
         print(f"note - {note.code}: {note.message}")
     if report.ok:
@@ -151,7 +156,7 @@ def cmd_run(args) -> int:
     if args.jobs < 1:
         raise ScenarioFormatError(f"--jobs must be at least 1, got {args.jobs}")
     scenario = _load(args.scenario)
-    report = validate_scenario(scenario.topology, scenario.coop, list(scenario.failures), scenario.workload)
+    report = _validate(scenario)
     if not report.ok:
         for v in report.violations:
             print(f"{v.code}: {v.message}", file=sys.stderr)
@@ -166,14 +171,16 @@ def cmd_run(args) -> int:
         return EXIT_OK
 
     seeds = [base_seed + k for k in range(args.repeat)]
-    rows = [None] * len(seeds)
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        futures = {
-            pool.submit(_run_one, scenario, seed, out / f"seed_{seed}", stages): i
-            for i, seed in enumerate(seeds)
-        }
-        for fut, i in futures.items():
-            rows[i] = fut.result()
+    if args.jobs == 1:
+        rows = [_run_one(scenario, seed, out / f"seed_{seed}", stages) for seed in seeds]
+    else:
+        # Seeds are CPU-bound Python, so they run in worker processes; the
+        # import stays here because it costs every other command time.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(seeds))) as pool:
+            futures = [pool.submit(_run_one, scenario, seed, out / f"seed_{seed}", stages) for seed in seeds]
+            rows = [fut.result() for fut in futures]
     summary = {
         "scenario": scenario.name,
         "strategy": scenario.strategy,
@@ -260,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.add_argument("--stages", default="1,2,3", help="comma list out of 1,2,3 (default all)")
     p.add_argument("--repeat", type=int, default=None, help="run K seeds (base, base+1, ...) with a summary")
-    p.add_argument("--jobs", type=int, default=1, help="concurrent runs for --repeat")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes for --repeat (1: run in this process)")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(fn=cmd_run)
 

@@ -45,12 +45,23 @@ def _reads_writes(log) -> tuple[list[OpRecord], list[OpRecord]]:
     return [op for op in ops if op.kind == READ], [op for op in ops if op.kind == WRITE]
 
 
+def _judged(log, strategy: str):
+    """(the object judging the log's reads under strategy, reads, writes),
+    reads and writes in issue (op-id) order."""
+    strat = strategies.strategy(strategy)
+    table = op_table(log)
+    reads, writes = _reads_writes(table)
+    return strat.judge(table.dotted, reads), reads, writes
+
+
 # -- internal scans over the op table ------------------------------------------
 #
 # Each scan behind the report and the verdicts is linear in the table's ops
-# plus the returned refs, up to a log factor from sorting and bisection. The
-# exception is competing_writes: vector-clock dominance is only a partial
-# order, so its reflection checks stay pairwise within a key or session.
+# plus the returned refs, up to a log factor from sorting and bisection;
+# under competing_writes a read costs O(writers) more. The exception is
+# competing_writes on a log without the dot shape (``optable``): there
+# vector-clock dominance is only a partial order, so its reflection checks
+# stay pairwise within a key or session.
 
 
 def _commit_map(writes) -> dict[int, int]:
@@ -116,7 +127,7 @@ def _misses(committed, orders, group, commit_map, strat):
         if not hi:
             continue
         applicable.add(r.op_id)
-        if misses(r.returned, order.marks, hi, commit_map):
+        if misses(r, order.marks, hi, commit_map):
             missing.add(r.op_id)
     return missing, applicable
 
@@ -129,15 +140,13 @@ def _mrc_ids(read_sessions, commit_map, strat) -> set[int]:
 
 def detect_mrc(log, strategy: str) -> set[int]:
     """Op ids of committed reads that moved backward within their session."""
-    strat = strategies.strategy(strategy)
-    reads, writes = _reads_writes(log)
+    strat, reads, writes = _judged(log, strategy)
     return _mrc_ids(_sessions(_committed_reads(reads)), _commit_map(writes), strat)
 
 
 def detect_rywc(log, strategy: str) -> set[int]:
     """Op ids of committed reads that fail to reflect an own earlier-committed write."""
-    strat = strategies.strategy(strategy)
-    reads, writes = _reads_writes(log)
+    strat, reads, writes = _judged(log, strategy)
     own = _commit_orders(writes, strat, _session_of)
     return _misses(_committed_reads(reads), own, _session_of, _commit_map(writes), strat)[0]
 
@@ -294,8 +303,7 @@ def _verdicts(committed, writes, commit_map, strat, mrc, rywc) -> list[ReadVerdi
 
 def read_verdicts(log, strategy: str) -> list[ReadVerdict]:
     """Per committed read: staleness, MRC, RYWC and the returned write ids."""
-    strat = strategies.strategy(strategy)
-    reads, writes = _reads_writes(log)
+    strat, reads, writes = _judged(log, strategy)
     committed = _committed_reads(reads)
     commit_map = _commit_map(writes)
     mrc = _mrc_ids(_sessions(committed), commit_map, strat)
@@ -325,8 +333,7 @@ def clientcentric_outputs(log, strategy: str) -> tuple[dict, list[ReadVerdict]]:
     Equal to ``(build_clientcentric_report(log, strategy),
     read_verdicts(log, strategy))``.
     """
-    strat = strategies.strategy(strategy)
-    reads, writes_in_order = _reads_writes(log)
+    strat, reads, writes_in_order = _judged(log, strategy)
     committed = _committed_reads(reads)
     commit_map = _commit_map(writes_in_order)
 

@@ -13,8 +13,9 @@ deviates ((word >> 11) + 0.5) * 2**-53, strictly inside (0, 1) (the top
 word, which would round to 1, gives the largest double below 1), and
 ``stream.uniform()`` returns the next one. Each distribution has one draw
 method, ``sampler(rng)``, which returns a zero-argument closure over
-``rng.uniform``. Every stochastic draw consumes exactly one word; the
-degenerate Constant consumes zero. Each purpose draws from its own labeled
+``rng.uniform``; a duration's ``largest()`` is its draw at the largest
+uniform, before rounding. Every stochastic draw consumes exactly one word;
+the degenerate Constant consumes zero. Each purpose draws from its own labeled
 stream, so changing one consumer's distribution never shifts any other
 stream's sequence.
 
@@ -97,6 +98,9 @@ class Constant:
     def sampler(self, rng: RngStream):
         return repeat(self.value_us).__next__
 
+    def largest(self) -> float:
+        return self.value_us
+
     def problems(self) -> list[str]:
         return [] if self.value_us >= 0 else [f"constant value {self.value_us} < 0"]
 
@@ -114,6 +118,9 @@ class Uniform:
             return int(x + 0.5) if x > 0.0 else 0
 
         return draw
+
+    def largest(self) -> float:
+        return self.hi_us
 
     def problems(self) -> list[str]:
         if 0 <= self.lo_us <= self.hi_us:
@@ -134,10 +141,13 @@ class Exponential:
 
         return draw
 
+    def largest(self) -> float:
+        return self.mean_us * _EXP_TAIL
+
     def problems(self) -> list[str]:
         if not self.mean_us > 0:
             return [f"exponential mean {self.mean_us} <= 0"]
-        if not isfinite(self.mean_us * _EXP_TAIL):
+        if not isfinite(self.largest()):
             return [f"exponential mean {self.mean_us} makes the largest draw overflow a float"]
         return []
 
@@ -158,10 +168,14 @@ class LogNormal:
 
         return draw
 
+    def largest(self) -> float:
+        z = self.mu + self.sigma * _Z_TAIL
+        return exp(z) if z < _LN_MAX else float("inf")
+
     def problems(self) -> list[str]:
         if not self.sigma >= 0:
             return [f"lognormal sigma {self.sigma} < 0"]
-        if not self.mu + self.sigma * _Z_TAIL < _LN_MAX:
+        if not isfinite(self.largest()):
             return [f"lognormal mu {self.mu} and sigma {self.sigma} make the largest draw overflow a float"]
         return []
 
@@ -178,6 +192,9 @@ class Empirical:
     def sampler(self, rng: RngStream):
         u, samples, n = rng.uniform, self.samples_us, len(self.samples_us)
         return lambda: samples[int(u() * n)]
+
+    def largest(self) -> float:
+        return self.samples_us[-1] if self.samples_us else 0
 
     def problems(self) -> list[str]:
         out = []

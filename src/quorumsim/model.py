@@ -10,6 +10,7 @@ violations as data rather than raising.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 
 from .distributions import Distribution
 
@@ -255,16 +256,28 @@ def _check_graph(out, notes, graph: CooperationGraph, topology: ReplicaGraph) ->
         out.append(Violation("WEIGHT_OUT_OF_RANGE", f"{g}: weight {graph.weight} outside [0, 1]"))
 
 
+def _delay_overflows(per_byte_us: float, payload: float) -> bool:
+    """Would per_byte_us * payload bytes not be a finite number of microseconds?"""
+    try:
+        # an infinite payload is the payload distribution's own violation
+        return per_byte_us > 0 and isfinite(payload) and not isfinite(per_byte_us * payload)
+    except OverflowError:  # an integer payload too large for a float
+        return True
+
+
 def validate_scenario(
     topology: ReplicaGraph,
     coop: CooperationModel,
     failures: list[FailureEvent] = (),
     workload=None,
+    op_timeout=None,
 ) -> ValidationReport:
     """Check every scenario invariant; the report is empty iff the scenario is runnable.
 
-    Pure: identical inputs produce identical reports. The optional workload is
-    checked when provided (the engine requires one; validation alone does not).
+    Pure: identical inputs produce identical reports. The optional workload
+    and op timeout are checked when provided (the engine requires both;
+    validation alone does not). With a workload, an edge's per-byte delay
+    at the largest payload must be a finite number.
     """
     out: list[Violation] = []
     notes: list[Violation] = []
@@ -341,5 +354,17 @@ def validate_scenario(
     if workload is not None:
         for problem in workload.problems():
             out.append(Violation("WORKLOAD_INVALID", problem))
+        payload = max(workload.write_payload_bytes.largest(), workload.read_request_bytes)
+        for (src, dst), lat in topology.edges.items():
+            if _delay_overflows(lat.per_byte_us, payload):
+                out.append(
+                    Violation(
+                        "EDGE_DELAY_OVERFLOWS",
+                        f"edge {src}->{dst}: per_byte_us {lat.per_byte_us} times the largest payload of {payload} bytes is not a finite delay",
+                    )
+                )
+
+    if op_timeout is not None and op_timeout <= 0:
+        out.append(Violation("OP_TIMEOUT_NOT_POSITIVE", f"op_timeout_us {op_timeout} <= 0"))
 
     return ValidationReport(out, notes)

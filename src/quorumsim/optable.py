@@ -5,14 +5,19 @@ events; they read the table. It is built from a ``SimulationLog``, a bare
 event list, or a ``read_events`` result, with the events in any order, and
 it is where a log is checked: every op needs exactly one ``op_start`` and
 one terminal event, and no event may name an op without an ``op_start``.
+The table also records whether the log's vector clocks have the dot shape
+(``_dotted``), which lets stage 3 judge competing writes by dots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import eq, ge
 
 from .engine import APPLY_END, GRAPH_CHOSEN, OP_COMMIT, OP_FAIL, OP_START, READ_RETURN, gc_paused
 from .errors import MalformedLogError
+from .workload import READ, WRITE
 
 COMMITTED = "committed"
 
@@ -51,10 +56,85 @@ class OpRecord:
 
 @dataclass(slots=True)
 class OpTable:
-    """The ops in op-id order, and the log's graph metadata (id -> kind, root, vertices)."""
+    """The ops in op-id order, the log's graph metadata (id -> kind, root,
+    vertices), and whether every write clock has the dot shape."""
 
     ops: list[OpRecord]
     graphs: dict
+    dotted: bool = False
+
+
+def _dotted(ops) -> bool:
+    """Do the clocks of ops (in op-id order) have the dot shape?
+
+    Within one key, write w of client c has the dot (c, n_w) with
+    n_w = V_w[c], its clock's own entry. The shape is:
+
+    1. each (client, key)'s counters rise in op-id order, so a dot names
+       one write;
+    2. a client's clocks on a key are monotone: each dominates the one
+       before it;
+    3. every entry (c, m) of a write clock V names a write (c, m) on that
+       key issued no later than V's own, and V dominates that write's clock
+       V_(c,m);
+    4. every returned ref names a write of the read's key and carries that
+       write's logged clock.
+
+    Claim: if A is the elementwise maximum of some write clocks of a key,
+    A dominates V_w iff A[c] >= n_w. Only if: V_w[c] = n_w. If: A[c] = m is
+    an entry of one of those clocks, U; by 3, U >= V_(c,m); by 1,
+    (c, m) is w or a later write of c on the key, so by 2,
+    V_(c,m) >= V_w; hence A >= U >= V_w. By 4, a read's returned clocks
+    are such clocks, so the claim holds for each of them and for their
+    maximum, which is what stage 3 compares.
+
+    The check takes one pass over the writes in op-id order. Condition 3 is
+    only checked where it is new: an entry equal to the client's previous
+    clock on the key holds by 2 and that clock's own check, and an entry
+    equal to one of a clock V_(c,m) already checked against V holds because
+    V_(c,m) passed the check. A log without clocks fails at its first write.
+    """
+    clock_of: dict[tuple[int, int, int], tuple] = {}  # (key, client, counter) -> clock
+    last: dict[tuple[int, int], tuple[int, dict]] = {}  # (client, key) -> (counter, clock)
+    logged: dict[int, OpRecord] = {}  # write id -> write
+    for op in ops:
+        if op.kind != WRITE:
+            continue
+        if not op.vclock:
+            return False
+        clock = dict(op.vclock)
+        entries = clock.items()
+        me, key = op.client, op.key
+        n = clock.get(me, 0)
+        prev_n, prev = last.get((me, key), (0, {}))
+        if n <= prev_n:
+            return False
+        if not all(map(ge, map(clock.get, prev, repeat(0)), prev.values())):
+            return False
+        checked = {me}
+        for c, m in entries - prev.items():  # the entries new since the previous clock
+            if c in checked:
+                continue
+            source = clock_of.get((key, c, m))
+            if source is None:
+                return False
+            clients, counters = zip(*source)
+            got = list(map(clock.get, clients, repeat(0)))
+            if not all(map(ge, got, counters)):
+                return False
+            checked.update(compress(clients, map(eq, got, counters)))
+        clock_of[(key, me, n)] = op.vclock
+        last[(me, key)] = (n, clock)
+        logged[op.write_id] = op
+    if not logged:
+        return False
+    for op in ops:
+        if op.kind == READ:
+            for ref in op.returned:
+                w = logged.get(ref.write_id)
+                if w is None or w.key != op.key or ref.vclock != w.vclock:
+                    return False
+    return True
 
 
 @gc_paused()
@@ -63,6 +143,7 @@ def op_table(log) -> OpTable:
 
     Raises MalformedLogError unless every op has exactly one op_start and
     one terminal event and every event naming an op has that op's op_start.
+    The dot-shape check (``_dotted``) runs after these.
     """
     if isinstance(log, OpTable):
         return log
@@ -104,4 +185,5 @@ def op_table(log) -> OpTable:
             raise MalformedLogError(f"op {op.op_id} has events but no op_start event")
         if op.status is None:
             raise MalformedLogError(f"op {op.op_id} has no terminal event")
-    return OpTable([ops[op_id] for op_id in sorted(ops)], graphs)
+    rows = [ops[op_id] for op_id in sorted(ops)]
+    return OpTable(rows, graphs, _dotted(rows))

@@ -15,9 +15,21 @@ LWW, set inclusion under write_set, vector-clock dominance under
 competing_writes. An LWW order key is (client timestamp, write id) for
 lww_timestamp and the commit order (commit time, write id) for lww_arrival,
 with uncommitted versions below every committed one and the initial version
-below everything. ``misses`` checks a result against a prefix of committed
+below everything. ``misses`` checks a read against a prefix of committed
 writes through ``marks``: the running maximum order key, the write ids or
-the vector clocks.
+the vector clocks. ``judge(dotted, reads)`` gives the object that judges one
+log's reads: the strategy itself, or, for competing_writes on a log whose
+clocks have the dot shape (``optable``), a ``_DottedWrites`` built for it.
+
+Dots. The engine gives each write a counter per (writer, key), one above the
+writer's last one, and makes the write's clock its writer's read context on
+the key with that counter as the writer's own entry. So a write is named by
+its dot (writer c, counter n), and a clock A built from engine clocks
+dominates write (c, n) iff A[c] >= n (Preguiça et al., "Dotted Version
+Vectors", arXiv:1011.5808). The engine's ``apply`` and ``resolve`` use this
+test on every competing_writes run, so one head costs a lookup, not a walk
+over two clocks; ``vclock_dominates`` and ``merge_heads`` are the general
+forms, which stage 3 keeps for logs without the dot shape.
 """
 
 from __future__ import annotations
@@ -93,11 +105,57 @@ def _covers(refs, vclock) -> bool:
     return any(vclock_dominates(r.vclock, vclock) for r in refs)
 
 
-class _LastWriteWins:
-    """One version per key, totally ordered by order key."""
+def _entry(vclock, cid) -> int:
+    """vclock's entry for client cid (0 if missing), by bisection of the sorted pairs."""
+    i = bisect_left(vclock, (cid,))
+    return vclock[i][1] if i < len(vclock) and vclock[i][0] == cid else 0
 
+
+def _add_head(heads, ref) -> tuple:
+    """The antichain heads (engine-built refs, by write id) with ref added.
+
+    A clock dominates a write iff its entry for the write's writer reaches
+    the write's counter, so each head costs a lookup in ref's clock and a
+    bisection of its own.
+    """
+    seen = dict(ref.vclock).get
+    # a head's counter is its clock's entry for its own writer
+    kept = [h for h in heads if seen(h.client_id, 0) < _entry(h.vclock, h.client_id)]
+    c = ref.client_id
+    n = seen(c, 0)
+    if len(kept) < len(heads) or not any(_entry(h.vclock, c) >= n for h in kept):
+        # if ref dominated a head, no head dominates it (heads are an antichain)
+        kept.append(ref)
+        kept.sort(key=_write_id)
+    return tuple(kept)
+
+
+def _last_unseen_by_rank(ranked, writes, write_key, last) -> None:
+    """last[w.op_id] for each committed write w: the latest return among the
+    reads ranked below write_key(w), if not before w's commit. ranked holds
+    one (rank, return time) pair per read; a read misses w iff its rank is
+    below w's."""
+    ranked.sort()
+    keys = [k for k, _ in ranked]
+    latest = list(accumulate((t for _, t in ranked), max))
+    for w in writes:
+        below = bisect_left(keys, write_key(w))
+        if below and latest[below - 1] >= w.commit_us:
+            last[w.op_id] = latest[below - 1]
+
+
+class _Strategy:
     vclocks = False
     version_order = None
+
+    def judge(self, dotted, reads):
+        """The object that judges reads of a log; dotted says whether the
+        log's clocks have the dot shape."""
+        return self
+
+
+class _LastWriteWins(_Strategy):
+    """One version per key, totally ordered by order key."""
 
     def returned_key(self, refs, commit_map):
         return max([self.ref_key(r, commit_map) for r in refs], default=_INITIAL_KEY)
@@ -105,8 +163,8 @@ class _LastWriteWins:
     def marks(self, writes):
         return list(accumulate(map(self.write_key, writes), max))
 
-    def misses(self, returned, marks, hi, commit_map):
-        return self.returned_key(returned, commit_map) < marks[hi - 1]
+    def misses(self, read, marks, hi, commit_map):
+        return self.returned_key(read.returned, commit_map) < marks[hi - 1]
 
     def mrc(self, session, commit_map):
         running = _INITIAL_KEY
@@ -121,13 +179,8 @@ class _LastWriteWins:
         """A read misses w iff its order key is below w's, so the answer is
         the latest return among the reads ranked below w, if not before w's
         commit."""
-        ranked = sorted((self.returned_key(r.returned, commit_map), r.return_time) for r in reads)
-        keys = [k for k, _ in ranked]
-        latest = list(accumulate((t for _, t in ranked), max))
-        for w in order.writes:
-            below = bisect_left(keys, self.write_key(w))
-            if below and latest[below - 1] >= w.commit_us:
-                last[w.op_id] = latest[below - 1]
+        ranked = [(self.returned_key(r.returned, commit_map), r.return_time) for r in reads]
+        _last_unseen_by_rank(ranked, order.writes, self.write_key, last)
 
 
 class _LwwArrival(_LastWriteWins):
@@ -191,19 +244,16 @@ class _LwwTimestamp(_LastWriteWins):
         return (0, r.client_timestamp, r.write_id)
 
 
-class _MultiVersion:
+class _MultiVersion(_Strategy):
     """Many versions per key; a result reflects each write on its own."""
-
-    vclocks = False
-    version_order = None
 
     def canonical(self, state):
         return tuple(sorted(state, key=_write_id))
 
-    def misses(self, returned, marks, hi, commit_map):
+    def misses(self, read, marks, hi, commit_map):
         # stops at the first mark not reflected, so a write_set read costs
         # O(returned refs), not O(hi)
-        return not all(map(self.reflects(returned), islice(marks, hi)))
+        return not all(map(self.reflects(read.returned), islice(marks, hi)))
 
     def unseen(self, order, reads, commit_map, last):
         """The reads latest first, over the writes still unresolved. A read's
@@ -270,7 +320,7 @@ class _CompetingWrites(_MultiVersion):
     version_order = "vector-clock dominance (partial order) generalizes the total version order"
 
     def apply(self, kv, key, ref, seq):
-        kv[key] = tuple(merge_heads(list(kv.get(key) or ()) + [ref]))
+        kv[key] = _add_head(kv.get(key) or (), ref)
 
     def snapshot(self, state):
         return state, tuple(sorted(r.write_id for r in state))
@@ -278,11 +328,14 @@ class _CompetingWrites(_MultiVersion):
     def resolve(self, contribs):
         if not contribs:
             raise ValueError(_NO_CONTRIBUTIONS)
-        pool: list[VersionRef] = []
+        heads = ()
         for _, snap in contribs:
-            if snap:
-                pool.extend(snap)
-        return merge_heads(pool)
+            for ref in snap or ():
+                heads = _add_head(heads, ref)
+        return list(heads)
+
+    def judge(self, dotted, reads):
+        return _DottedWrites(reads) if dotted else self
 
     def marks(self, writes):
         return [w.vclock for w in writes]
@@ -296,6 +349,65 @@ class _CompetingWrites(_MultiVersion):
             if not all(_covers(r.returned, head.vclock) for head in running):
                 yield r.op_id
             running = merge_heads(running + list(r.returned))
+
+
+def _frontier(refs) -> dict:
+    """client -> the largest entry any of refs' clocks has for it."""
+    if len(refs) == 1:
+        return dict(refs[0].vclock)
+    out: dict[int, int] = {}
+    for ref in refs:
+        for cid, n in ref.vclock:
+            if out.get(cid, 0) < n:
+                out[cid] = n
+    return out
+
+
+class _DottedWrites(_CompetingWrites):
+    """competing_writes judged by dots, on a log whose clocks have the dot shape.
+
+    Each read is reduced once to its frontier F, the elementwise maximum of
+    its returned clocks; it reflects write (c, n) iff F[c] >= n. A group's
+    mark at a position of its commit order is the highest counter each
+    writer has committed up to there, so a read misses a write of the
+    prefix iff F falls below the mark of its last position for some writer.
+    """
+
+    def __init__(self, reads):
+        self.frontier = {r.op_id: _frontier(r.returned) for r in reads}
+
+    def marks(self, writes):
+        writers = sorted({w.client for w in writes})
+        slot = {c: i for i, c in enumerate(writers)}
+        top = [0] * len(writers)
+        tops = []
+        for w in writes:
+            i = slot[w.client]
+            top[i] = max(top[i], _entry(w.vclock, w.client))
+            tops.append(tuple(top))
+        return writers, tops
+
+    def misses(self, read, marks, hi, commit_map):
+        writers, tops = marks
+        seen = self.frontier[read.op_id].get
+        return any(seen(c, 0) < n for c, n in zip(writers, tops[hi - 1]))
+
+    def mrc(self, session, commit_map):
+        running: dict[int, int] = {}  # the frontier of the session's reads so far
+        for r in session:
+            seen = self.frontier[r.op_id]
+            if any(seen.get(c, 0) < n for c, n in running.items()):
+                yield r.op_id
+            for c, n in seen.items():
+                if running.get(c, 0) < n:
+                    running[c] = n
+
+    def unseen(self, order, reads, commit_map, last):
+        """A session's writes share one writer c: a read misses write (c, n)
+        iff its frontier's entry for c is below n, a total order as under LWW."""
+        c = order.writes[0].client
+        ranked = [(self.frontier[r.op_id].get(c, 0), r.return_time) for r in reads]
+        _last_unseen_by_rank(ranked, order.writes, lambda w: _entry(w.vclock, c), last)
 
 
 _BY_NAME = {s.name: s for s in (_LwwArrival(), _LwwTimestamp(), _WriteSet(), _CompetingWrites())}

@@ -318,6 +318,38 @@ def oracle_report_counts(log, strategy) -> dict:
     }
 
 
+def oracle_dot_shape(log) -> bool:
+    """Do the log's write clocks have the dot shape, checked pair by pair?
+
+    Per key, with each write's dot (its client, its clock's own entry): the
+    dots of a (client, key) rise in issue order from 1; a client's clocks on
+    a key are monotone; every clock entry (c, m) names a write of the key
+    issued no later than the clock's write, whose clock it dominates; every
+    returned ref names a write of the read's key and carries its clock.
+    """
+    views = scrape(log)
+    writes = sorted((v for v in views.values() if v.kind == "write"), key=lambda v: v.op_id)
+    if not writes or not all(w.vclock for w in writes):
+        return False
+    own = {w.op_id: dict(w.vclock).get(w.client, 0) for w in writes}
+    for j, w in enumerate(writes):
+        for earlier in writes[:j]:
+            if (earlier.client, earlier.key) == (w.client, w.key):
+                if own[earlier.op_id] >= own[w.op_id] or not _dom(w.vclock, earlier.vclock):
+                    return False
+        if own[w.op_id] < 1:
+            return False
+        for c, m in w.vclock:
+            named = [x for x in writes[: j + 1] if x.key == w.key and x.client == c and own[x.op_id] == m]
+            if not named or not _dom(w.vclock, named[0].vclock):
+                return False
+    for r in views.values():
+        for ref in r.returned:
+            if not any(x.write_id == ref.write_id and x.key == r.key and x.vclock == ref.vclock for x in writes):
+                return False
+    return True
+
+
 # -- store and read resolution, re-derived --------------------------------------
 
 def _heads(refs):

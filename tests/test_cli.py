@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import pickle
 import random
 import shutil
 from importlib import resources
@@ -10,7 +11,7 @@ import pytest
 from _builders import WRONG_TYPED_DISTRIBUTIONS
 from _randgen import random_scenario
 from quorumsim import Scenario, optable, scenario_from_json, scenario_to_json
-from quorumsim.cli import list_presets, main
+from quorumsim.cli import _load, list_presets, main
 
 
 @pytest.fixture()
@@ -423,3 +424,54 @@ def test_presets_exist_and_validate(capsys):
         assert main(["validate", f"preset:{name}"]) == 0
     capsys.readouterr()
     assert main(["validate", "preset:does_not_exist"]) == 2
+
+
+# -- run-time limits checked by validate -------------------------------------------------
+
+def test_op_timeout_must_be_positive(tmp_path, capsys):
+    path, out = tmp_path / "timeout.json", tmp_path / "out"
+    for value in (0, -5):
+        path.write_text(json.dumps(_replaced(_preset_doc("one_uniform"), ("op_timeout_us",), value)))
+        line = f"OP_TIMEOUT_NOT_POSITIVE: op_timeout_us {value} <= 0\n"
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out == line
+        assert main(["run", str(path), "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err == line
+        assert not out.exists()
+
+
+def test_edge_delay_must_stay_finite_at_the_largest_payload(tmp_path, capsys):
+    # preset:one_uniform writes 256-byte payloads
+    doc = _replaced(_preset_doc("one_uniform"), ("workload", "ops_per_client"), 20)
+    path, out = tmp_path / "per_byte.json", tmp_path / "out"
+    for per_byte, rc in ((1e308, 1), (1e305, 0)):
+        path.write_text(json.dumps(_replaced(doc, ("topology", "edges", 0, "per_byte_us"), per_byte)))
+        assert main(["validate", str(path)]) == rc, per_byte
+        assert ("EDGE_DELAY_OVERFLOWS: edge 0->1" in capsys.readouterr().out) == (rc == 1)
+        assert main(["run", str(path), "--out", str(out), "--quiet"]) == rc, per_byte
+        assert ("EDGE_DELAY_OVERFLOWS: edge 0->1" in capsys.readouterr().err) == (rc == 1)
+        assert out.exists() == (rc == 0)
+
+
+# -- the --jobs worker processes ----------------------------------------------------------
+
+def test_scenarios_survive_pickling():
+    # --jobs above 1 sends the scenario to each worker process
+    scenarios = [_load(f"preset:{name}") for name in list_presets()]
+    scenarios.append(scenario_from_json(_sweep_bases()["random_graphs"]))
+    for sc in scenarios:
+        assert pickle.loads(pickle.dumps(sc)) == sc
+
+
+def test_a_failing_seed_fails_alike_in_a_worker_process(scenario_file, tmp_path, capsys):
+    errors = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        blocked = out / "seed_12" / "events.jsonl"
+        blocked.mkdir(parents=True)  # seed 12 cannot write its log
+        rc = main(["run", str(scenario_file), "--out", str(out), "--repeat", "3", "--jobs", jobs, "--quiet"])
+        errors[jobs] = (rc, capsys.readouterr().err.replace(str(out), "OUT"))
+        assert not (out / "seed_12").exists()
+        assert (out / "seed_11" / "events.jsonl").is_file()
+        assert not (out / "summary.json").exists()
+    assert errors["1"] == errors["2"] == (2, "error: [Errno 21] Is a directory: 'OUT/seed_12/events.jsonl'\n"), errors

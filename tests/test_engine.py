@@ -275,15 +275,39 @@ def test_strategy_apply_cases():
         assert kv[0] == want
 
 
-def _random_contributions(rng, name):
-    """1-4 (replica, snapshot) pairs drawn from a pool of refs with distinct
-    write ids, tied timestamps and clashing vector clocks; some snapshots
-    are empty."""
+def _clashing_refs(rng):
+    """1-8 refs with distinct write ids, tied timestamps and clashing vector clocks."""
     pool = []
     for wid in range(rng.randint(1, 8)):
         client, ts = rng.randrange(3), rng.randrange(4)
         vclock = tuple((c, rng.randint(1, 3)) for c in sorted(rng.sample(range(3), rng.randint(1, 3))))
         pool.append(VersionRef(wid, client, ts, vclock))
+    return pool
+
+
+def _causal_refs(rng):
+    """1-8 refs of one key with clocks built as the engine builds them: a
+    writer's clock is its context, which only grows by merging clocks of
+    earlier writes, with its own counter raised by one."""
+    pool = []
+    context = [{} for _ in range(3)]
+    for wid in range(rng.randint(1, 8)):
+        client, ts = rng.randrange(3), rng.randrange(4)
+        ctx = context[client]
+        for seen in rng.sample(pool, rng.randint(0, len(pool))):
+            for c, n in seen.vclock:
+                ctx[c] = max(ctx.get(c, 0), n)
+        ctx[client] = ctx.get(client, 0) + 1
+        pool.append(VersionRef(wid, client, ts, tuple(sorted(ctx.items()))))
+    return pool
+
+
+def _random_contributions(rng, name):
+    """1-4 (replica, snapshot) pairs drawn from a pool of refs; some snapshots
+    are empty. Under competing_writes the clocks are causal, as the engine
+    builds them (the shape its resolve relies on); under the other
+    strategies they clash."""
+    pool = _causal_refs(rng) if name == COMPETING_WRITES else _clashing_refs(rng)
     contribs = []
     for replica_id in range(rng.randint(1, 4)):
         refs = rng.sample(pool, rng.randint(0, min(3, len(pool))))
@@ -308,6 +332,15 @@ def test_resolve_agrees_with_oracle_on_random_contributions(name):
     for _ in range(2_000):
         contribs = _random_contributions(rng, name)
         assert resolve(contribs) == oracle_resolve(name, contribs), contribs
+
+
+def test_merge_heads_agrees_with_oracle_on_clashing_clocks():
+    # merge_heads is the general form stage 3 keeps for logs whose clocks
+    # lack the dot shape
+    rng = random.Random("merge_heads:clashing")
+    for _ in range(2_000):
+        pool = _clashing_refs(rng)
+        assert merge_heads(pool) == oracle_resolve(COMPETING_WRITES, [(0, tuple(pool))]), pool
 
 
 def test_vclock_dominance_and_merge():
