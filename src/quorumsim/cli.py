@@ -175,12 +175,26 @@ def cmd_run(args) -> int:
         rows = [_run_one(scenario, seed, out / f"seed_{seed}", stages) for seed in seeds]
     else:
         # Seeds are CPU-bound Python, so they run in worker processes; the
-        # import stays here because it costs every other command time.
+        # imports stay here because they cost every other command time.
+        # numpy is loaded before the pool starts so that forked workers share it.
         from concurrent.futures import ProcessPoolExecutor
+
+        import numpy  # noqa: F401
 
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(seeds))) as pool:
             futures = [pool.submit(_run_one, scenario, seed, out / f"seed_{seed}", stages) for seed in seeds]
-            rows = [fut.result() for fut in futures]
+            rows = []
+            try:
+                for fut in futures:
+                    rows.append(fut.result())
+            except BaseException:
+                # Fail as --jobs 1 does: no seed after the failing one leaves
+                # a directory. Queued seeds are cancelled; running ones finish
+                # and are removed.
+                pool.shutdown(cancel_futures=True)
+                for seed in seeds[len(rows) + 1 :]:
+                    shutil.rmtree(out / f"seed_{seed}", ignore_errors=True)
+                raise
     summary = {
         "scenario": scenario.name,
         "strategy": scenario.strategy,

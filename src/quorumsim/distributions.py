@@ -21,19 +21,23 @@ stream's sequence.
 
 Durations are integer microseconds: float draws are clamped to >= 0 and
 rounded half-up.
+
+Only drawing needs numpy. A stream imports the PCG64 bit generator when it is
+made, and a :class:`Zipfian` builds its CDF with numpy on its first
+``sampler()`` call; building, validating and comparing distributions, and
+everything ``analyze``, ``validate`` and ``quorum-check`` do, never load it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 from math import exp, isfinite, log, log1p
 from statistics import NormalDist
-
-import numpy as np
-from numpy.random import PCG64, SeedSequence
 
 _INV53 = 2.0 ** -53
 _U_MAX = 1.0 - _INV53  # the largest double below 1
@@ -44,13 +48,15 @@ _BATCH_WORDS = 4096
 # _LN_MAX (about 709.78) is not a finite float.
 _Z_TAIL = _INV_CDF(_U_MAX)
 _EXP_TAIL = -log1p(-_U_MAX)
-_LN_MAX = log(np.finfo(np.float64).max)
+_LN_MAX = log(sys.float_info.max)
 
 
-def _uniform_batch(bg: PCG64) -> list[float]:
-    u = ((bg.random_raw(_BATCH_WORDS) >> 11).astype(np.float64) + 0.5) * _INV53
-    # The top word alone rounds to 1.0; it maps to the largest double below 1.
-    return np.minimum(u, _U_MAX, out=u).tolist()
+def _uniform_batch(bg) -> list[float]:
+    # Methods of the word array only, so this module imports no numpy; float is float64.
+    u = ((bg.random_raw(_BATCH_WORDS) >> 11).astype(float) + 0.5) * _INV53
+    # The top word alone rounds to 1.0; it maps to the largest double below 1
+    # (clip with no lower bound is numpy's minimum ufunc).
+    return u.clip(None, _U_MAX, out=u).tolist()
 
 
 class RngStream:
@@ -65,6 +71,8 @@ class RngStream:
     __slots__ = ("seed", "label", "uniform")
 
     def __init__(self, seed: int, label: str):
+        from numpy.random import PCG64, SeedSequence  # only a draw loads numpy
+
         self.seed = seed
         self.label = label
         digest = hashlib.sha256(label.encode("utf-8")).digest()
@@ -226,23 +234,30 @@ class UniformKeys:
 
 @dataclass(frozen=True)
 class Zipfian:
-    """Key r (0-based rank) has mass (r+1)^-s / H(n, s)."""
+    """Key r (0-based rank) has mass (r+1)^-s / H(n, s).
+
+    The CDF is built on the first ``sampler()`` call and cached on the
+    instance; equality, hash, repr and pickling use only (n, s).
+    """
 
     n: int
     s: float
-    _cdf: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.n >= 1 and self.s >= 0:
-            cdf = np.cumsum(self.pmf())
-            cdf[-1] = 1.0  # the sum can round below 1; the last rank takes the rest
-            object.__setattr__(self, "_cdf", tuple(cdf.tolist()))
-        else:
-            object.__setattr__(self, "_cdf", ())
+    def __reduce__(self):  # the cached CDF stays behind; a copy builds its own
+        return Zipfian, (self.n, self.s)
 
-    def pmf(self) -> np.ndarray:
+    def pmf(self):
+        """The key masses as a numpy float64 array."""
+        import numpy as np
+
         weights = np.arange(1, self.n + 1, dtype=np.float64) ** (-self.s)
         return weights / weights.sum()
+
+    @cached_property
+    def _cdf(self) -> tuple[float, ...]:
+        cdf = self.pmf().cumsum()
+        cdf[-1] = 1.0  # the sum can round below 1; the last rank takes the rest
+        return tuple(cdf.tolist())
 
     def sampler(self, rng: RngStream):
         u, cdf = rng.uniform, self._cdf

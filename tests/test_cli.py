@@ -1,10 +1,14 @@
 import copy
 import dataclasses
 import json
+import os
 import pickle
 import random
 import shutil
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -472,6 +476,44 @@ def test_a_failing_seed_fails_alike_in_a_worker_process(scenario_file, tmp_path,
         rc = main(["run", str(scenario_file), "--out", str(out), "--repeat", "3", "--jobs", jobs, "--quiet"])
         errors[jobs] = (rc, capsys.readouterr().err.replace(str(out), "OUT"))
         assert not (out / "seed_12").exists()
+        assert not (out / "seed_13").exists()  # no seed after the failing one leaves output
         assert (out / "seed_11" / "events.jsonl").is_file()
         assert not (out / "summary.json").exists()
     assert errors["1"] == errors["2"] == (2, "error: [Errno 21] Is a directory: 'OUT/seed_12/events.jsonl'\n"), errors
+
+
+# -- only a draw loads numpy --------------------------------------------------------------
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
+_REPORTS = ("datacentric.json", "ops.csv", "clientcentric.json", "read_verdicts.csv")
+_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # from here on, any import of numpy raises ImportError
+from quorumsim.cli import main
+events, out = sys.argv[1:]
+assert main(["validate", "preset:one_zipfian"]) == 0
+assert main(["quorum-check", "--rf", "3", "--write-cl", "QUORUM", "--read-cl", "ONE"]) == 0
+assert main(["analyze", events, "--out", out, "--stages", "2,3", "--quiet"]) == 0
+"""
+
+
+def _python(*args):
+    path = [str(_SRC), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    proc = _python("-c", "import sys, quorumsim.cli; assert 'numpy' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_validate_quorum_check_and_analyze_run_without_numpy(tmp_path):
+    ran = tmp_path / "run"
+    assert main(["run", "preset:one_zipfian", "--out", str(ran), "--quiet"]) == 0
+    analyzed = tmp_path / "analyzed"
+    proc = _python("-c", _WITHOUT_NUMPY, str(ran / "events.jsonl"), str(analyzed))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["OK", "W=2 R=1 RF=3 EVENTUAL"]
+    for name in _REPORTS:
+        assert (analyzed / name).read_bytes() == (ran / name).read_bytes(), name

@@ -1,5 +1,7 @@
+import dataclasses
 import gc
 import math
+import pickle
 import random
 from types import SimpleNamespace
 
@@ -228,6 +230,19 @@ def test_zipfian_mass_sums_to_one():
     for n in (10, 1_000, 1_000_000):
         pmf = Zipfian(n, 0.99).pmf()
         assert abs(math.fsum(pmf.tolist()) - 1.0) < 1e-12
+
+
+def test_zipfian_is_its_two_parameters_and_builds_its_cdf_on_the_first_draw():
+    assert tuple(f.name for f in dataclasses.fields(Zipfian)) == ("n", "s")
+    z = Zipfian(50, 0.99)
+    assert "_cdf" not in vars(z)
+    assert pickle.loads(pickle.dumps(z)) == z
+    got = draws(z, stream("zipf-lazy", 7), 500)
+    assert "_cdf" in vars(z)
+    copy = pickle.loads(pickle.dumps(z))
+    assert copy == z and hash(copy) == hash(z) and repr(copy) == repr(z) == "Zipfian(n=50, s=0.99)"
+    assert "_cdf" not in vars(copy)  # pickling carries (n, s) only
+    assert got == oracle_draws(z, 7, "zipf-lazy", 500) == draws(copy, stream("zipf-lazy", 7), 500)
 
 
 def test_zipfian_keys_in_range():
