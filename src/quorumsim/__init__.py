@@ -70,8 +70,6 @@ from .strategies import (
     STRATEGIES,
     WRITE_SET,
     VersionRef,
-    merge_heads,
-    vclock_dominates,
 )
 from .workload import ClientOverride, Request, WorkloadDriver, WorkloadSpec
 

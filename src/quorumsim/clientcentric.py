@@ -10,7 +10,9 @@ instant. Warmup ops take part in session context but are excluded from
 every numerator and denominator.
 
 The functions read the log through its op table (``optable``) and accept a
-built table in place of the log.
+built table in place of the log. Under competing_writes they judge reads by
+dots and reject, with MalformedLogError, a log whose vector clocks lack the
+dot shape (``optable.check_dots``).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from operator import attrgetter
 from . import strategies
 from .engine import gc_paused
 from .errors import MalformedLogError
-from .optable import OpRecord, op_table
+from .optable import OpRecord, check_dots, op_table
 from .workload import READ, WRITE
 
 
@@ -50,18 +52,17 @@ def _judged(log, strategy: str):
     reads and writes in issue (op-id) order."""
     strat = strategies.strategy(strategy)
     table = op_table(log)
+    if strat.vclocks:
+        check_dots(table)
     reads, writes = _reads_writes(table)
-    return strat.judge(table.dotted, reads), reads, writes
+    return strat.judge(reads), reads, writes
 
 
 # -- internal scans over the op table ------------------------------------------
 #
 # Each scan behind the report and the verdicts is linear in the table's ops
 # plus the returned refs, up to a log factor from sorting and bisection;
-# under competing_writes a read costs O(writers) more. The exception is
-# competing_writes on a log without the dot shape (``optable``): there
-# vector-clock dominance is only a partial order, so its reflection checks
-# stay pairwise within a key or session.
+# under competing_writes a read costs O(writers) more.
 
 
 def _commit_map(writes) -> dict[int, int]:

@@ -5,8 +5,8 @@ events; they read the table. It is built from a ``SimulationLog``, a bare
 event list, or a ``read_events`` result, with the events in any order, and
 it is where a log is checked: every op needs exactly one ``op_start`` and
 one terminal event, and no event may name an op without an ``op_start``.
-The table also records whether the log's vector clocks have the dot shape
-(``_dotted``), which lets stage 3 judge competing writes by dots.
+``check_dots`` adds the rule of a log with vector clocks: they must have
+the dot shape, by which stage 3 judges competing writes.
 """
 
 from __future__ import annotations
@@ -56,22 +56,22 @@ class OpRecord:
 
 @dataclass(slots=True)
 class OpTable:
-    """The ops in op-id order, the log's graph metadata (id -> kind, root,
-    vertices), and whether every write clock has the dot shape."""
+    """The ops in op-id order and the log's graph metadata (id -> kind, root,
+    vertices)."""
 
     ops: list[OpRecord]
     graphs: dict
-    dotted: bool = False
 
 
-def _dotted(ops) -> bool:
-    """Do the clocks of ops (in op-id order) have the dot shape?
+def check_dots(table: OpTable) -> None:
+    """Raise MalformedLogError, naming the first op (by op id) that breaks
+    it, unless the table's vector clocks have the dot shape.
 
     Within one key, write w of client c has the dot (c, n_w) with
     n_w = V_w[c], its clock's own entry. The shape is:
 
-    1. each (client, key)'s counters rise in op-id order, so a dot names
-       one write;
+    1. every write has a clock, and each (client, key)'s counters rise in
+       op-id order, so a dot names one write;
     2. a client's clocks on a key are monotone: each dominates the one
        before it;
     3. every entry (c, m) of a write clock V names a write (c, m) on that
@@ -87,54 +87,66 @@ def _dotted(ops) -> bool:
     V_(c,m) >= V_w; hence A >= U >= V_w. By 4, a read's returned clocks
     are such clocks, so the claim holds for each of them and for their
     maximum, which is what stage 3 compares.
+    """
+    broken = [b for b in (_first_misshapen_write(table.ops), _first_misshapen_read(table.ops)) if b]
+    if broken:
+        op, why = min(broken, key=lambda b: b[0].op_id)
+        raise MalformedLogError(f"op {op.op_id} breaks the dot shape of vector clocks: {why}")
 
-    The check takes one pass over the writes in op-id order. Condition 3 is
-    only checked where it is new: an entry equal to the client's previous
-    clock on the key holds by 2 and that clock's own check, and an entry
-    equal to one of a clock V_(c,m) already checked against V holds because
-    V_(c,m) passed the check. A log without clocks fails at its first write.
+
+def _first_misshapen_write(ops):
+    """(write, why) for the first write of ops (in op-id order) that breaks
+    conditions 1 to 3 of ``check_dots``, or None.
+
+    One pass over the writes. Condition 3 is only checked where it is new:
+    an entry equal to the client's previous clock on the key holds by 2 and
+    that clock's own check, and an entry equal to one of a clock V_(c,m)
+    already checked against V holds because V_(c,m) passed the check.
     """
     clock_of: dict[tuple[int, int, int], tuple] = {}  # (key, client, counter) -> clock
     last: dict[tuple[int, int], tuple[int, dict]] = {}  # (client, key) -> (counter, clock)
-    logged: dict[int, OpRecord] = {}  # write id -> write
     for op in ops:
         if op.kind != WRITE:
             continue
         if not op.vclock:
-            return False
+            return op, "the write has no clock"
         clock = dict(op.vclock)
         entries = clock.items()
         me, key = op.client, op.key
         n = clock.get(me, 0)
         prev_n, prev = last.get((me, key), (0, {}))
         if n <= prev_n:
-            return False
+            return op, f"its counter {n} on key {key} is not above its writer's previous {prev_n}"
         if not all(map(ge, map(clock.get, prev, repeat(0)), prev.values())):
-            return False
+            return op, f"its clock does not dominate its writer's previous clock on key {key}"
         checked = {me}
         for c, m in entries - prev.items():  # the entries new since the previous clock
             if c in checked:
                 continue
             source = clock_of.get((key, c, m))
             if source is None:
-                return False
+                return op, f"its clock entry ({c}, {m}) names no earlier write of key {key}"
             clients, counters = zip(*source)
             got = list(map(clock.get, clients, repeat(0)))
             if not all(map(ge, got, counters)):
-                return False
+                return op, f"its clock does not dominate that of write ({c}, {m}) of key {key}"
             checked.update(compress(clients, map(eq, got, counters)))
         clock_of[(key, me, n)] = op.vclock
         last[(me, key)] = (n, clock)
-        logged[op.write_id] = op
-    if not logged:
-        return False
+    return None
+
+
+def _first_misshapen_read(ops):
+    """(read, why) for the first read of ops (in op-id order) that breaks
+    condition 4 of ``check_dots``, or None."""
+    writes = {op.write_id: op for op in ops if op.kind == WRITE}
     for op in ops:
         if op.kind == READ:
             for ref in op.returned:
-                w = logged.get(ref.write_id)
+                w = writes.get(ref.write_id)
                 if w is None or w.key != op.key or ref.vclock != w.vclock:
-                    return False
-    return True
+                    return op, f"returned write {ref.write_id} is no write of key {op.key} with that clock"
+    return None
 
 
 @gc_paused()
@@ -143,7 +155,6 @@ def op_table(log) -> OpTable:
 
     Raises MalformedLogError unless every op has exactly one op_start and
     one terminal event and every event naming an op has that op's op_start.
-    The dot-shape check (``_dotted``) runs after these.
     """
     if isinstance(log, OpTable):
         return log
@@ -186,4 +197,4 @@ def op_table(log) -> OpTable:
         if op.status is None:
             raise MalformedLogError(f"op {op.op_id} has no terminal event")
     rows = [ops[op_id] for op_id in sorted(ops)]
-    return OpTable(rows, graphs, _dotted(rows))
+    return OpTable(rows, graphs)

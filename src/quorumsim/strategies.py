@@ -17,26 +17,25 @@ lww_timestamp and the commit order (commit time, write id) for lww_arrival,
 with uncommitted versions below every committed one and the initial version
 below everything. ``misses`` checks a read against a prefix of committed
 writes through ``marks``: the running maximum order key, the write ids or
-the vector clocks. ``judge(dotted, reads)`` gives the object that judges one
-log's reads: the strategy itself, or, for competing_writes on a log whose
-clocks have the dot shape (``optable``), a ``_DottedWrites`` built for it.
+the highest counter per writer. ``judge(reads)`` gives the object that
+judges one log's reads: the strategy itself, or, for competing_writes, one
+that holds each read's frontier.
 
 Dots. The engine gives each write a counter per (writer, key), one above the
 writer's last one, and makes the write's clock its writer's read context on
 the key with that counter as the writer's own entry. So a write is named by
-its dot (writer c, counter n), and a clock A built from engine clocks
+its dot (writer c, counter n), and a clock A built from such clocks
 dominates write (c, n) iff A[c] >= n (Preguiça et al., "Dotted Version
 Vectors", arXiv:1011.5808). The engine's ``apply`` and ``resolve`` use this
-test on every competing_writes run, so one head costs a lookup, not a walk
-over two clocks; ``vclock_dominates`` and ``merge_heads`` are the general
-forms, which stage 3 keeps for logs without the dot shape.
+test, so one head costs a lookup, not a walk over two clocks. Stage 3 uses
+it too, and a log with vector clocks must have the dot shape
+(``optable.check_dots``) before any of its reads is judged.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate, islice
 from operator import attrgetter
 
@@ -67,42 +66,6 @@ INITIAL = VersionRef(-1, -1, -1, ())
 _write_id = attrgetter("write_id")
 _INITIAL_KEY = (-1,)  # below the order key of every version
 _NO_CONTRIBUTIONS = "contributions must be non-empty"
-
-
-def vclock_dominates(a, b) -> bool:
-    """True iff vclock a >= b componentwise (missing entries are 0)."""
-    if not b:
-        return True
-    ad = dict(a) if a else {}
-    for cid, n in b:
-        if ad.get(cid, 0) < n:
-            return False
-    return True
-
-
-def merge_heads(refs) -> list[VersionRef]:
-    """Maximal antichain under vclock dominance, deduplicated, by write id."""
-    by_id = {r.write_id: r for r in refs}
-    candidates = sorted(by_id.values(), key=_write_id)
-    heads = []
-    for r in candidates:
-        dominated = False
-        for o in candidates:
-            if (
-                o.write_id != r.write_id
-                and vclock_dominates(o.vclock, r.vclock)
-                and not vclock_dominates(r.vclock, o.vclock)
-            ):
-                dominated = True
-                break
-        if not dominated:
-            heads.append(r)
-    return heads
-
-
-def _covers(refs, vclock) -> bool:
-    """Does some ref's vclock dominate-or-equal vclock?"""
-    return any(vclock_dominates(r.vclock, vclock) for r in refs)
 
 
 def _entry(vclock, cid) -> int:
@@ -148,9 +111,8 @@ class _Strategy:
     vclocks = False
     version_order = None
 
-    def judge(self, dotted, reads):
-        """The object that judges reads of a log; dotted says whether the
-        log's clocks have the dot shape."""
+    def judge(self, reads):
+        """The object that judges the reads of one log."""
         return self
 
 
@@ -244,40 +206,9 @@ class _LwwTimestamp(_LastWriteWins):
         return (0, r.client_timestamp, r.write_id)
 
 
-class _MultiVersion(_Strategy):
-    """Many versions per key; a result reflects each write on its own."""
+class _WriteSet(_Strategy):
+    """Many versions per key; a result reflects each write it returns."""
 
-    def canonical(self, state):
-        return tuple(sorted(state, key=_write_id))
-
-    def misses(self, read, marks, hi, commit_map):
-        # stops at the first mark not reflected, so a write_set read costs
-        # O(returned refs), not O(hi)
-        return not all(map(self.reflects(read.returned), islice(marks, hi)))
-
-    def unseen(self, order, reads, commit_map, last):
-        """The reads latest first, over the writes still unresolved. A read's
-        eligible writes (committed by its return) are a prefix of the commit
-        order that only shrinks; each one the read misses is resolved at its
-        return, and the rest stay pending. Under write_set every write kept
-        is one of the read's returned refs."""
-        marks = order.marks
-        pending = list(range(len(marks)))  # unresolved positions, ascending
-        for r in sorted(reads, key=lambda r: r.return_time, reverse=True):
-            del pending[bisect_left(pending, order.upto(r.return_time)):]
-            if not pending:
-                break
-            reflects = self.reflects(r.returned)
-            kept = []
-            for i in pending:
-                if reflects(marks[i]):
-                    kept.append(i)
-                else:
-                    last[order.writes[i].op_id] = r.return_time
-            pending = kept
-
-
-class _WriteSet(_MultiVersion):
     name = WRITE_SET
 
     def apply(self, kv, key, ref, seq):
@@ -299,11 +230,19 @@ class _WriteSet(_MultiVersion):
                 union |= snap
         return sorted(union, key=_write_id)
 
+    def canonical(self, state):
+        return tuple(sorted(state, key=_write_id))
+
     def marks(self, writes):
         return [w.write_id for w in writes]
 
     def reflects(self, returned):
         return {ref.write_id for ref in returned}.__contains__
+
+    def misses(self, read, marks, hi, commit_map):
+        # stops at the first mark not reflected, so a read costs
+        # O(returned refs), not O(hi)
+        return not all(map(self.reflects(read.returned), islice(marks, hi)))
 
     def mrc(self, session, commit_map):
         running: set[int] = set()
@@ -313,11 +252,57 @@ class _WriteSet(_MultiVersion):
                 yield r.op_id
             running |= ids
 
+    def unseen(self, order, reads, commit_map, last):
+        """The reads latest first, over the writes still unresolved. A read's
+        eligible writes (committed by its return) are a prefix of the commit
+        order that only shrinks; each one the read misses is resolved at its
+        return, and the rest stay pending. Every write kept is one of the
+        read's returned refs."""
+        marks = order.marks
+        pending = list(range(len(marks)))  # unresolved positions, ascending
+        for r in sorted(reads, key=lambda r: r.return_time, reverse=True):
+            del pending[bisect_left(pending, order.upto(r.return_time)):]
+            if not pending:
+                break
+            reflects = self.reflects(r.returned)
+            kept = []
+            for i in pending:
+                if reflects(marks[i]):
+                    kept.append(i)
+                else:
+                    last[order.writes[i].op_id] = r.return_time
+            pending = kept
 
-class _CompetingWrites(_MultiVersion):
+
+def _frontier(refs) -> dict:
+    """client -> the largest entry any of refs' clocks has for it."""
+    if len(refs) == 1:
+        return dict(refs[0].vclock)
+    out: dict[int, int] = {}
+    for ref in refs:
+        for cid, n in ref.vclock:
+            if out.get(cid, 0) < n:
+                out[cid] = n
+    return out
+
+
+class _CompetingWrites(_Strategy):
+    """Competing writes, judged by dots.
+
+    ``judge(reads)`` reduces each read once to its frontier F, the
+    elementwise maximum of its returned clocks; it reflects write (c, n) iff
+    F[c] >= n. A group's mark at a position of its commit order is the
+    highest counter each writer has committed up to there, so a read misses
+    a write of the prefix iff F falls below the mark of its last position
+    for some writer.
+    """
+
     name = COMPETING_WRITES
     vclocks = True
     version_order = "vector-clock dominance (partial order) generalizes the total version order"
+
+    def __init__(self, reads=()):
+        self.frontier = {r.op_id: _frontier(r.returned) for r in reads}
 
     def apply(self, kv, key, ref, seq):
         kv[key] = _add_head(kv.get(key) or (), ref)
@@ -334,47 +319,11 @@ class _CompetingWrites(_MultiVersion):
                 heads = _add_head(heads, ref)
         return list(heads)
 
-    def judge(self, dotted, reads):
-        return _DottedWrites(reads) if dotted else self
+    def canonical(self, state):
+        return tuple(sorted(state, key=_write_id))
 
-    def marks(self, writes):
-        return [w.vclock for w in writes]
-
-    def reflects(self, returned):
-        return partial(_covers, returned)
-
-    def mrc(self, session, commit_map):
-        running: list[VersionRef] = []  # heads so far; each must stay covered
-        for r in session:
-            if not all(_covers(r.returned, head.vclock) for head in running):
-                yield r.op_id
-            running = merge_heads(running + list(r.returned))
-
-
-def _frontier(refs) -> dict:
-    """client -> the largest entry any of refs' clocks has for it."""
-    if len(refs) == 1:
-        return dict(refs[0].vclock)
-    out: dict[int, int] = {}
-    for ref in refs:
-        for cid, n in ref.vclock:
-            if out.get(cid, 0) < n:
-                out[cid] = n
-    return out
-
-
-class _DottedWrites(_CompetingWrites):
-    """competing_writes judged by dots, on a log whose clocks have the dot shape.
-
-    Each read is reduced once to its frontier F, the elementwise maximum of
-    its returned clocks; it reflects write (c, n) iff F[c] >= n. A group's
-    mark at a position of its commit order is the highest counter each
-    writer has committed up to there, so a read misses a write of the
-    prefix iff F falls below the mark of its last position for some writer.
-    """
-
-    def __init__(self, reads):
-        self.frontier = {r.op_id: _frontier(r.returned) for r in reads}
+    def judge(self, reads):
+        return _CompetingWrites(reads)
 
     def marks(self, writes):
         writers = sorted({w.client for w in writes})

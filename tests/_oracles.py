@@ -321,15 +321,17 @@ def oracle_report_counts(log, strategy) -> dict:
 def oracle_dot_shape(log) -> bool:
     """Do the log's write clocks have the dot shape, checked pair by pair?
 
-    Per key, with each write's dot (its client, its clock's own entry): the
-    dots of a (client, key) rise in issue order from 1; a client's clocks on
-    a key are monotone; every clock entry (c, m) names a write of the key
-    issued no later than the clock's write, whose clock it dominates; every
-    returned ref names a write of the read's key and carries its clock.
+    Per key, with each write's dot (its client, its clock's own entry): every
+    write has a clock; the dots of a (client, key) rise in issue order from
+    1; a client's clocks on a key are monotone; every clock entry (c, m)
+    names a write of the key issued no later than the clock's write, whose
+    clock it dominates; every returned ref names a write of the read's key
+    and carries its clock. A log without writes has the shape iff its reads
+    return nothing.
     """
     views = scrape(log)
     writes = sorted((v for v in views.values() if v.kind == "write"), key=lambda v: v.op_id)
-    if not writes or not all(w.vclock for w in writes):
+    if not all(w.vclock for w in writes):
         return False
     own = {w.op_id: dict(w.vclock).get(w.client, 0) for w in writes}
     for j, w in enumerate(writes):

@@ -167,6 +167,10 @@ def random_log(rng: random.Random, strategy: str, max_events=50, warmup_share=0.
     probability instant_share an op starts the moment its client is free
     and, if a read, returns at once. A share of 0 draws nothing, so the
     defaults keep the logs of earlier seeds.
+
+    Under competing_writes the clocks have the dot shape that stage 3
+    requires (``optable.check_dots``), and a read returns only writes of its
+    own key.
     """
     n_clients = rng.randint(1, 3)
     n_keys = rng.randint(1, 3)
@@ -179,8 +183,10 @@ def random_log(rng: random.Random, strategy: str, max_events=50, warmup_share=0.
 
     client_free_at = [0] * n_clients
     issued_writes: list[VersionRef] = []
+    key_writes: dict[int, list[VersionRef]] = {}  # key -> its writes, in issue order
     op_id = 0
-    vclock_counters = [dict() for _ in range(n_clients)]
+    competing = strategy == "competing_writes"
+    contexts = [{} for _ in range(n_clients)]  # client -> key -> clock of its last write there
 
     while len(events) < max_events - 8:
         client = rng.randrange(n_clients)
@@ -193,18 +199,20 @@ def random_log(rng: random.Random, strategy: str, max_events=50, warmup_share=0.
         if is_write:
             wid = len(issued_writes)
             vclock = None
-            if strategy == "competing_writes":
-                ctr = vclock_counters[client]
-                ctr[key] = ctr.get(key, 0) + 1
-                base = {client: ctr[key]}
-                # sometimes merge in another write's clock to create dominance
-                if issued_writes and rng.random() < 0.5:
-                    other = rng.choice(issued_writes)
-                    for cid, cnt in other.vclock or ():
-                        base[cid] = max(base.get(cid, 0), cnt)
-                vclock = tuple(sorted(base.items()))
+            if competing:
+                # the writer's previous clock on the key joined with the
+                # clocks of some earlier writes of the key, and its own next
+                # counter: the dot shape the engine's clocks have
+                context = contexts[client].setdefault(key, {})
+                earlier = key_writes.get(key, [])
+                for other in rng.sample(earlier, rng.randint(0, min(2, len(earlier)))):
+                    for cid, cnt in other.vclock:
+                        context[cid] = max(context.get(cid, 0), cnt)
+                context[client] = context.get(client, 0) + 1
+                vclock = tuple(sorted(context.items()))
             ref = VersionRef(wid, client, start, vclock)
             issued_writes.append(ref)
+            key_writes.setdefault(key, []).append(ref)
             emit(start, op_id, OP_START, (client, "write", key, wid, 64, warmup, vclock))
             emit(start, op_id, GRAPH_CHOSEN, (0,))
             end = start
@@ -227,7 +235,7 @@ def random_log(rng: random.Random, strategy: str, max_events=50, warmup_share=0.
             replica = rng.randrange(n_replicas)
             serve = start if instant else start + rng.randint(0, 30)
             if rng.random() < 0.9:
-                pool = [w for w in issued_writes if rng.random() < 0.5]
+                pool = [w for w in (key_writes.get(key, []) if competing else issued_writes) if rng.random() < 0.5]
                 if strategy in ("lww_timestamp", "lww_arrival"):
                     pool = pool[-1:]
                 returned = tuple(pool)

@@ -14,7 +14,7 @@ import pytest
 
 from _builders import WRONG_TYPED_DISTRIBUTIONS
 from _randgen import random_scenario
-from quorumsim import Scenario, optable, scenario_from_json, scenario_to_json
+from quorumsim import Scenario, clientcentric, optable, scenario_from_json, scenario_to_json
 from quorumsim.cli import _load, list_presets, main
 
 
@@ -209,6 +209,49 @@ def test_analyze_rejects_malformed_graph_entries_in_the_header(scenario_file, tm
             argv = ["analyze", str(path), "--out", str(tmp_path / "out"), "--stages", stages]
             assert main(argv) == 1, (entry, stages)
             assert "MALFORMED_LOG" in capsys.readouterr().err
+
+
+def test_run_and_analyze_check_the_dot_shape_once(scenario_file, tmp_path, monkeypatch):
+    checked = []
+    check = clientcentric.check_dots
+    monkeypatch.setattr(clientcentric, "check_dots", lambda table: checked.append(table) or check(table))
+    doc = json.loads(scenario_file.read_text())
+    scenario_file.write_text(json.dumps({**doc, "strategy": "competing_writes"}))
+    run_dir = tmp_path / "run"
+    assert main(["run", str(scenario_file), "--out", str(run_dir), "--quiet"]) == 0
+    assert len(checked) == 1
+    events = str(run_dir / "events.jsonl")
+    assert main(["analyze", events, "--out", str(tmp_path / "analyzed"), "--quiet"]) == 0
+    assert len(checked) == 2
+    assert main(["analyze", events, "--out", str(tmp_path / "stage2"), "--stages", "2", "--quiet"]) == 0
+    assert len(checked) == 2
+
+
+def test_analyze_rejects_a_competing_writes_log_without_the_dot_shape(scenario_file, tmp_path, capsys):
+    doc = json.loads(scenario_file.read_text())
+    scenario_file.write_text(json.dumps({**doc, "strategy": "competing_writes"}))
+    run_dir = tmp_path / "run"
+    assert main(["run", str(scenario_file), "--out", str(run_dir), "--stages", "1", "--quiet"]) == 0
+    header, *lines = (run_dir / "events.jsonl").read_text().splitlines()
+    events = [json.loads(line) for line in lines]
+    # raise client 1's entry in a clock of client 0 past any counter, in the
+    # write's op_start and in every ref to it: the entry names no write
+    write = next(ev for ev in events if ev["kind"] == "op_start" and ev["op"] == "write" and ev["client_id"] == 0)
+    raised = {**write["vclock"], "1": 10_000}
+    for ev in events:
+        if ev is write:
+            ev["vclock"] = raised
+        for ref in ev.get("returned", ()):
+            if ref["write_id"] == write["write_id"]:
+                ref["vclock"] = raised
+    path = tmp_path / "events.jsonl"
+    path.write_text("\n".join([header, *map(json.dumps, events)]) + "\n")
+    capsys.readouterr()
+    assert main(["analyze", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("MALFORMED_LOG: ") and f"op {write['op_id']} breaks the dot shape" in err and "Traceback" not in err
+    # stage 2 reads no clocks
+    assert main(["analyze", str(path), "--out", str(tmp_path / "out2"), "--stages", "2", "--quiet"]) == 0
 
 
 def test_analyze_rejects_an_unknown_strategy_in_the_header(scenario_file, tmp_path, capsys):

@@ -39,6 +39,7 @@ from quorumsim import (
 from quorumsim.model import READING, REPLICATION
 from quorumsim.strategies import (
     COMPETING_WRITES,
+    LWW_ARRIVAL,
     LWW_TIMESTAMP,
     STRATEGIES,
     WRITE_SET,
@@ -91,11 +92,14 @@ def test_write_set_superset_is_fresh():
 
 
 def test_competing_dominance_freshness():
+    # write 1 commits before the read starts; the head's write (which saw
+    # write 1) and the incomparable write commit after it
     w = wrec(1, 1, 10, 100, vclock=((1, 1),))
-    head = (VersionRef(2, 2, 20, ((1, 1), (2, 1))),)
-    assert is_stale(COMPETING_WRITES, 300, head, [w]) is False
-    incomparable = (VersionRef(3, 2, 20, ((2, 1),)),)
-    assert is_stale(COMPETING_WRITES, 300, incomparable, [w]) is True
+    head = VersionRef(2, 2, 20, ((1, 1), (2, 1)))
+    incomparable = VersionRef(3, 3, 20, ((3, 1),))
+    history = [w, wrec(2, 2, 20, 400, head.vclock), wrec(3, 3, 20, 400, incomparable.vclock)]
+    assert is_stale(COMPETING_WRITES, 300, (head,), history) is False
+    assert is_stale(COMPETING_WRITES, 300, (incomparable,), history) is True
 
 
 def test_unknown_strategy_is_rejected():
@@ -264,6 +268,7 @@ def test_wfrc_flags_unordered_apply():
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_detectors_agree_with_quadratic_oracles_on_synthetic_logs(strategy):
     rng = random.Random(f"detectors:{strategy}")
+    seen = dict.fromkeys(("stale", "mrc", "rywc", "multi_ref_read"), 0)
     for _ in range(250):
         log = random_log(rng, strategy)
         verdicts = read_verdicts(log, strategy)
@@ -272,6 +277,15 @@ def test_detectors_agree_with_quadratic_oracles_on_synthetic_logs(strategy):
         assert detect_rywc(log, strategy) == oracle_rywc(log, strategy)
         assert set(detect_mwc(log)) == oracle_mwc(log)
         assert set(detect_wfrc(log)) == oracle_wfrc(log)
+        seen["stale"] += any(v.stale for v in verdicts)
+        seen["mrc"] += any(v.mrc for v in verdicts)
+        seen["rywc"] += any(v.rywc for v in verdicts)
+        seen["multi_ref_read"] += any(len(v.returned_write_ids) > 1 for v in verdicts)
+    # the logs hold every violation the detectors look for; under
+    # competing_writes, dot-shaped clocks still leave reads with two or more heads
+    if strategy in (LWW_TIMESTAMP, LWW_ARRIVAL):
+        del seen["multi_ref_read"]
+    assert all(seen.values()), seen
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

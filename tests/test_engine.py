@@ -4,7 +4,7 @@ import pytest
 
 from _builders import mesh_topology, replica, simple_workload, star_async, write_only_workload
 from _checks import assert_log_invariants
-from _oracles import apply_write, enumerate_star_writes, oracle_resolve, scrape
+from _oracles import _dom, apply_write, enumerate_star_writes, oracle_resolve, scrape
 from _randgen import random_scenario
 
 import quorumsim as qs
@@ -26,10 +26,8 @@ from quorumsim import (
     UniformKeys,
     VersionRef,
     WorkloadSpec,
-    merge_heads,
     quorum_edge,
     run_simulation,
-    vclock_dominates,
 )
 from quorumsim.engine import (
     ACK,
@@ -334,25 +332,6 @@ def test_resolve_agrees_with_oracle_on_random_contributions(name):
         assert resolve(contribs) == oracle_resolve(name, contribs), contribs
 
 
-def test_merge_heads_agrees_with_oracle_on_clashing_clocks():
-    # merge_heads is the general form stage 3 keeps for logs whose clocks
-    # lack the dot shape
-    rng = random.Random("merge_heads:clashing")
-    for _ in range(2_000):
-        pool = _clashing_refs(rng)
-        assert merge_heads(pool) == oracle_resolve(COMPETING_WRITES, [(0, tuple(pool))]), pool
-
-
-def test_vclock_dominance_and_merge():
-    assert vclock_dominates(((1, 2), (2, 1)), ((1, 1), (2, 1)))
-    assert not vclock_dominates(((1, 1),), ((2, 1),))
-    assert vclock_dominates(((1, 1),), ())
-    heads = merge_heads(
-        [r(1, 1, 1, ((1, 1),)), r(2, 2, 2, ((2, 1),)), r(3, 1, 3, ((1, 2),))]
-    )
-    assert {h.write_id for h in heads} == {2, 3}
-
-
 # -- failures ----------------------------------------------------------------------
 
 def test_coordinator_crash_stop_fails_requests_immediately():
@@ -539,7 +518,7 @@ def test_competing_writes_vclock_properties():
         prior = [r for r in reads if r.client == w.client and r.key == w.key and r.op_id < w.op_id]
         if prior:
             for head in prior[-1].returned:
-                assert vclock_dominates(w.vclock, head.vclock)
+                assert _dom(w.vclock, head.vclock)
 
 
 def test_concurrent_writes_keep_both_heads():
