@@ -88,15 +88,19 @@ def _parse_stages(text: str, allowed=ALL_STAGES) -> tuple[int, ...]:
 def _write_stages(table, strategy: str, stages, out_dir: Path) -> tuple[dict | None, dict | None]:
     """Write the stage 2 and stage 3 outputs that stages asks for into out_dir.
 
-    Returns the (data-centric, client-centric) reports, None for a stage not run.
+    Stage 3, which can reject a log, runs before any file is written, so a
+    rejected log leaves no report behind. Returns the (data-centric,
+    client-centric) reports, None for a stage not run.
     """
     report2 = report3 = None
+    if 3 in stages:
+        report3, verdicts = clientcentric_outputs(table, strategy)
+    out_dir.mkdir(parents=True, exist_ok=True)
     if 2 in stages:
         report2 = build_datacentric_report(table)
         logio.write_json_report(report2, out_dir / "datacentric.json")
         logio.write_op_table(op_records(table), out_dir / "ops.csv")
     if 3 in stages:
-        report3, verdicts = clientcentric_outputs(table, strategy)
         logio.write_json_report(report3, out_dir / "clientcentric.json")
         logio.write_read_verdicts(verdicts, out_dir / "read_verdicts.csv")
     return report2, report3
@@ -209,15 +213,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    log = logio.read_events(args.events)
     stages = _parse_stages(args.stages, allowed=(2, 3))
-    strategy = log.meta.get("strategy")
+    meta: dict = {}
+    # one pass from the file into the op table: the event list is never held
+    table = op_table(logio.iter_events(args.events, meta), meta)
+    strategy = meta.get("strategy")
     if strategy is None and 3 in stages:
         raise MalformedLogError("events file lacks the run_meta header needed for stage 3")
-    table = op_table(log)
-    del log  # the stages read only the table; freeing the events lowers peak memory
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_stages(table, strategy, stages, out)
     _say(args, f"wrote stage {list(stages)} metrics to {out}")
     return EXIT_OK

@@ -7,11 +7,19 @@ fields in fixed order (seq, time_us, op_id, kind, then kind-specific
 payload).
 
 The writer formats each event line from a fixed template per kind, with no
-whitespace and strings ASCII-escaped, and expects the engine's field types.
-``event_to_json`` is the reference form: each line equals
-``json.dumps(event_to_json(ev), separators=(",", ":"))``. The reader accepts
-any valid JSON formatting, ignores unknown fields and tolerates shuffled
-event lines; structural problems raise MalformedLogError with the 1-based
+whitespace and strings ASCII-escaped, and expects the engine's field types;
+it formats each returned ref object once. ``event_to_json`` is the
+reference form: each line equals
+``json.dumps(event_to_json(ev), separators=(",", ":"))``.
+
+The reader, ``iter_events``, is one streaming pass: it yields each event as
+its line is read, so ``analyze`` feeds the op table without holding the
+event list, and ``read_events`` is that pass collected into a list. It
+accepts any valid JSON formatting, ignores unknown fields and tolerates
+shuffled event lines, the header included. It keeps one ``VersionRef`` per
+write id; ``event_from_json`` on one decoded line, without that cache, is
+its reference form. Structural problems, and a write returned with fields
+that differ from its first return, raise MalformedLogError with the 1-based
 line number.
 """
 
@@ -44,6 +52,24 @@ def _ref_from_json(obj) -> VersionRef:
         obj["client_ts_us"],
         tuple(sorted((int(c), n) for c, n in vclock.items())) if vclock is not None else None,
     )
+
+
+def _interned_ref(obj, refs: dict, line: int | None) -> VersionRef:
+    """The ref of obj, the one refs already holds for its write id if any.
+
+    refs maps a write id to (its ref, the JSON object it was read from). A
+    ref whose fields differ from those of the first one seen for its write
+    id raises MalformedLogError.
+    """
+    seen = refs.get(obj["write_id"])
+    if seen is None:
+        ref = _ref_from_json(obj)
+        refs[ref.write_id] = (ref, obj)
+        return ref
+    ref, first = seen
+    if obj != first and _ref_from_json(obj) != ref:
+        raise MalformedLogError(f"returned write {ref.write_id} differs from its first return in the log", line)
+    return ref
 
 
 def event_to_json(ev) -> dict:
@@ -87,7 +113,13 @@ def event_to_json(ev) -> dict:
     return obj
 
 
-def event_from_json(obj, line: int | None = None):
+def event_from_json(obj, line: int | None = None, refs: dict | None = None):
+    """The event tuple of a decoded event line.
+
+    Without refs this is the reference form: every returned ref is a new
+    object. With refs, the cache of one pass over a log, a returned ref
+    reuses the object of the first return of its write id.
+    """
     try:
         seq, t, op_id, kind = obj["seq"], obj["time_us"], obj["op_id"], obj["kind"]
         if type(seq) is not int or type(t) is not int or not (op_id is None or type(op_id) is int):
@@ -115,7 +147,12 @@ def event_from_json(obj, line: int | None = None):
         elif kind == engine.ACK:
             payload = (obj["parent"], obj["child"])
         elif kind == engine.READ_RETURN:
-            payload = (tuple(obj["participants"]), tuple(_ref_from_json(r) for r in obj["returned"]))
+            returned = obj["returned"]
+            if refs is None:
+                returned = tuple(map(_ref_from_json, returned))
+            else:
+                returned = tuple([_interned_ref(r, refs, line) for r in returned])
+            payload = (tuple(obj["participants"]), returned)
         elif kind == engine.OP_COMMIT:
             payload = (obj["latency_us"],)
         elif kind == engine.OP_FAIL:
@@ -173,7 +210,20 @@ _REPLICA_KINDS = frozenset((engine.APPLY_START, engine.REPLICA_DOWN, engine.REPL
 
 def _event_lines(events):
     """One line per event, the bytes ``json.dumps(event_to_json(ev))`` gives
-    with compact separators, formatted from a fixed template per kind."""
+    with compact separators, formatted from a fixed template per kind.
+
+    A returned ref is formatted once per ref object: the memo maps a write
+    id to the last ref formatted for it, and a different object with that
+    id is formatted from its own fields.
+    """
+    ref_lines: dict[int, tuple[VersionRef, str]] = {}
+
+    def ref_line(ref):
+        hit = ref_lines.get(ref.write_id)
+        if hit is None or hit[0] is not ref:
+            hit = ref_lines[ref.write_id] = (ref, _ref_line(ref))
+        return hit[1]
+
     for seq, t, op_id, kind, payload in events:
         head = f'{{"seq":{seq},"time_us":{t},"op_id":{"null" if op_id is None else op_id},"kind":"{kind}"'
         if kind in _REPLICA_KINDS:
@@ -201,7 +251,7 @@ def _event_lines(events):
             participants, refs = payload
             yield (
                 f'{head},"participants":[{",".join(map(str, participants))}],'
-                f'"returned":[{",".join([_ref_line(r) for r in refs])}]}}\n'
+                f'"returned":[{",".join(map(ref_line, refs))}]}}\n'
             )
         elif kind == engine.OP_COMMIT:
             yield f'{head},"latency_us":{payload[0]}}}\n'
@@ -221,10 +271,14 @@ def write_events(log: SimulationLog, path) -> None:
 _decode = json.JSONDecoder().raw_decode
 
 
-def read_events(path) -> SimulationLog:
-    """Parse an events file back into a SimulationLog (without final stores)."""
-    meta: dict = {}
-    events = []
+def iter_events(path, meta: dict):
+    """Yield the events of an events file in file order, in one pass.
+
+    The run_meta header fills meta when the pass reaches it, wherever it is
+    in the file (a later header replaces an earlier one). Every returned ref
+    of one write id is one object (see ``event_from_json``).
+    """
+    refs: dict = {}  # write id -> (its ref, the JSON object of its first return)
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -239,9 +293,17 @@ def read_events(path) -> SimulationLog:
             if not isinstance(obj, dict) or "kind" not in obj:
                 raise MalformedLogError("line is not an event object", line_no)
             if obj["kind"] == "run_meta":
-                meta = _meta_from_json(obj, line_no)
+                header = _meta_from_json(obj, line_no)
+                meta.clear()
+                meta.update(header)
                 continue
-            events.append(event_from_json(obj, line_no))
+            yield event_from_json(obj, line_no, refs)
+
+
+def read_events(path) -> SimulationLog:
+    """Parse an events file back into a SimulationLog (without final stores)."""
+    meta: dict = {}
+    events = list(iter_events(path, meta))
     return SimulationLog(meta, events, {})
 
 

@@ -1,10 +1,12 @@
 """The op table: every op of an event log, built in one pass, read by both analyses.
 
 Stage 2 (``datacentric``) and stage 3 (``clientcentric``) never read raw
-events; they read the table. It is built from a ``SimulationLog``, a bare
-event list, or a ``read_events`` result, with the events in any order, and
-it is where a log is checked: every op needs exactly one ``op_start`` and
-one terminal event, and no event may name an op without an ``op_start``.
+events; they read the table. It is built in one pass over a
+``SimulationLog``, a ``read_events`` result or any iterable of events, such
+as the file stream of ``logio.iter_events``, with the events in any order.
+The pass keeps one record per op and no event. The table is where a log
+is checked: every op needs exactly one ``op_start`` and one terminal
+event, and no event may name an op without an ``op_start``.
 ``check_dots`` adds the rule of a log with vector clocks: they must have
 the dot shape, by which stage 3 judges competing writes.
 """
@@ -150,16 +152,22 @@ def _first_misshapen_read(ops):
 
 
 @gc_paused()
-def op_table(log) -> OpTable:
+def op_table(log, meta: dict | None = None) -> OpTable:
     """The op table of a log; a table is returned as it is.
+
+    log is a ``SimulationLog`` or any iterable of events, such as the
+    stream of ``logio.iter_events``, which it walks once. The graphs come
+    from the log's own meta, or for a bare iterable from meta, and are read
+    after the pass, when a streamed header has filled meta.
 
     Raises MalformedLogError unless every op has exactly one op_start and
     one terminal event and every event naming an op has that op's op_start.
     """
     if isinstance(log, OpTable):
         return log
-    events = log.events if hasattr(log, "events") else log
-    graphs = log.meta.get("graphs", {}) if hasattr(log, "meta") else {}
+    events = log
+    if hasattr(log, "events"):
+        events, meta = log.events, log.meta
     ops: dict[int, OpRecord] = {}
     code_of = _CODE
     for seq, t, op_id, kind, payload in events:
@@ -197,4 +205,4 @@ def op_table(log) -> OpTable:
         if op.status is None:
             raise MalformedLogError(f"op {op.op_id} has no terminal event")
     rows = [ops[op_id] for op_id in sorted(ops)]
-    return OpTable(rows, graphs)
+    return OpTable(rows, meta.get("graphs", {}) if meta is not None else {})

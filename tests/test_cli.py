@@ -250,6 +250,13 @@ def test_analyze_rejects_a_competing_writes_log_without_the_dot_shape(scenario_f
     assert main(["analyze", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("MALFORMED_LOG: ") and f"op {write['op_id']} breaks the dot shape" in err and "Traceback" not in err
+    # stage 3 rejects the log before any report is written
+    assert not (tmp_path / "out").exists()
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "notes.txt").write_text("not a report\n")
+    assert main(["analyze", str(path), "--out", str(kept), "--quiet"]) == 1
+    assert [p.name for p in kept.iterdir()] == ["notes.txt"]
     # stage 2 reads no clocks
     assert main(["analyze", str(path), "--out", str(tmp_path / "out2"), "--stages", "2", "--quiet"]) == 0
 

@@ -23,9 +23,10 @@ from quorumsim import (
     Zipfian,
 )
 from quorumsim import engine
-from quorumsim.strategies import LWW_TIMESTAMP, STRATEGIES
+from quorumsim.strategies import LWW_TIMESTAMP, STRATEGIES, VersionRef
 from quorumsim.logio import event_from_json, event_to_json, read_events, write_events
-from quorumsim.cli import _load, list_presets
+from quorumsim.cli import _load, _write_stages, list_presets, main
+from quorumsim.optable import op_table
 from quorumsim.scenario import Scenario
 
 
@@ -220,31 +221,37 @@ REFERENCE_SEED = 20261018
 REFERENCE_SCENARIOS = 10
 
 
-def test_writer_lines_match_the_dict_reference(tmp_path):
-    """Every line of write_events is json.dumps of event_to_json, compact."""
+def reference_logs():
+    """Engine logs of REFERENCE_SCENARIOS random scenarios, with crash
+    windows and op timeouts, each run under every strategy."""
     rng = random.Random(REFERENCE_SEED)
-    kinds = set()
-    seen = {"vclock": False, "value_list": False, "empty_returned": False, "null_op_id": False, "timeout": False}
     for _ in range(REFERENCE_SCENARIOS):
         topo, coop, failures, wl = random_scenario(rng, allow_crash_stop=True, max_total_ops=60)
         timeout = rng.choice([engine.DEFAULT_OP_TIMEOUT, rng.randrange(2_000, 20_000)])
         seed = rng.randrange(1_000)
         for strategy in STRATEGIES:
-            log = run_simulation(topo, coop, failures, wl, strategy, seed, timeout)
-            path = tmp_path / "events.jsonl"
-            write_events(log, path)
-            _, *lines = path.read_text(encoding="utf-8").split("\n")
-            assert lines.pop() == ""
-            assert len(lines) == len(log.events)
-            for line, ev in zip(lines, log.events):
-                obj = event_to_json(ev)
-                assert line == json.dumps(obj, separators=(",", ":")), ev
-                kinds.add(ev[3])
-                seen["vclock"] |= "vclock" in obj or any("vclock" in r for r in obj.get("returned", ()))
-                seen["value_list"] |= len(obj.get("value", ())) > 1
-                seen["empty_returned"] |= obj.get("returned") == []
-                seen["null_op_id"] |= obj["op_id"] is None
-                seen["timeout"] |= obj.get("reason") == engine.FAIL_TIMEOUT
+            yield run_simulation(topo, coop, failures, wl, strategy, seed, timeout)
+
+
+def test_writer_lines_match_the_dict_reference(tmp_path):
+    """Every line of write_events is json.dumps of event_to_json, compact."""
+    kinds = set()
+    seen = {"vclock": False, "value_list": False, "empty_returned": False, "null_op_id": False, "timeout": False}
+    for log in reference_logs():
+        path = tmp_path / "events.jsonl"
+        write_events(log, path)
+        _, *lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines.pop() == ""
+        assert len(lines) == len(log.events)
+        for line, ev in zip(lines, log.events):
+            obj = event_to_json(ev)
+            assert line == json.dumps(obj, separators=(",", ":")), ev
+            kinds.add(ev[3])
+            seen["vclock"] |= "vclock" in obj or any("vclock" in r for r in obj.get("returned", ()))
+            seen["value_list"] |= len(obj.get("value", ())) > 1
+            seen["empty_returned"] |= obj.get("returned") == []
+            seen["null_op_id"] |= obj["op_id"] is None
+            seen["timeout"] |= obj.get("reason") == engine.FAIL_TIMEOUT
     assert kinds == {
         engine.OP_START,
         engine.GRAPH_CHOSEN,
@@ -258,6 +265,84 @@ def test_writer_lines_match_the_dict_reference(tmp_path):
         engine.REPLICA_UP,
     }
     assert all(seen.values()), seen
+
+
+def test_writer_formats_each_ref_object_from_its_own_fields(tmp_path):
+    """Two ref objects with one write id but different fields each write
+    what event_to_json gives: the writer's memo never trusts the id alone."""
+    a = VersionRef(7, 0, 100, None)
+    b = VersionRef(7, 0, 200, None)
+    clocked = VersionRef(7, 0, 100, ((0, 1),))
+    raised = VersionRef(7, 0, 100, ((0, 1), (1, 2)))
+    returns = [(a,), (b,), (a, b), (b, a), (clocked,), (raised,), (clocked, a)]
+    events = [(n, 10 + n, n, engine.READ_RETURN, ((0,), refs)) for n, refs in enumerate(returns)]
+    path = tmp_path / "events.jsonl"
+    write_events(qs.SimulationLog({}, events, {}), path)
+    _, *lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines == [json.dumps(event_to_json(ev), separators=(",", ":")) for ev in events]
+
+
+def test_reader_matches_the_per_line_reference_with_one_ref_per_write(tmp_path):
+    """read_events gives the tuples event_from_json gives line by line, and
+    every returned ref of one write id is one object."""
+    path = tmp_path / "events.jsonl"
+    kinds = set()
+    repeated = 0
+    for log in reference_logs():
+        write_events(log, path)
+        _, *lines = path.read_text(encoding="utf-8").splitlines()
+        loaded = read_events(path)
+        assert loaded.events == [event_from_json(json.loads(line)) for line in lines]
+        first = {}
+        for ev in loaded.events:
+            kinds.add(ev[3])
+            if ev[3] == engine.READ_RETURN:
+                for ref in ev[4][1]:
+                    repeated += ref.write_id in first
+                    assert first.setdefault(ref.write_id, ref) is ref
+    assert {engine.REPLICA_DOWN, engine.REPLICA_UP, engine.OP_FAIL} <= kinds
+    assert repeated > 0
+
+
+@pytest.mark.parametrize(
+    "strategy, field, second",
+    [("lww_timestamp", "client_ts_us", 101), ("competing_writes", "vclock", {"0": 1, "1": 2})],
+)
+def test_reader_rejects_a_write_returned_with_differing_fields(tmp_path, strategy, field, second):
+    ref = {"write_id": 7, "client_id": 0, "client_ts_us": 100}
+    if strategy == "competing_writes":
+        ref["vclock"] = {"0": 1}
+    header = {"kind": "run_meta", "format": 1, "strategy": strategy, "graphs": {}}
+    lines = [header] + [
+        {"seq": n, "time_us": 10 + n, "op_id": n, "kind": "read_return", "participants": [0], "returned": [r]}
+        for n, r in enumerate([ref, {**ref, "x_extra": 1}, {**ref, field: second}])
+    ]
+    path = tmp_path / "events.jsonl"
+    # an unknown field is no difference
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines[:3]))
+    loaded = read_events(path)
+    assert loaded.events[0][4][1][0] is loaded.events[1][4][1][0]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    with pytest.raises(MalformedLogError, match="returned write 7 differs") as e:
+        read_events(path)
+    assert e.value.line == 4 and e.value.code == "MALFORMED_LOG"
+
+
+def test_analyze_reads_a_header_that_is_not_on_the_first_line(tmp_path):
+    log = sample_log()
+    path = tmp_path / "events.jsonl"
+    write_events(log, path)
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    moved = tmp_path / "moved.jsonl"
+    moved.write_text("\n".join(lines[:5] + [header] + lines[5:]) + "\n", encoding="utf-8")
+    # the reports of the in-memory log, as run writes them
+    _write_stages(op_table(log), log.meta["strategy"], (2, 3), tmp_path / "in_memory")
+    for events, out in ((path, "ordered"), (moved, "moved")):
+        assert main(["analyze", str(events), "--out", str(tmp_path / out), "--quiet"]) == 0
+    for name in ("datacentric.json", "ops.csv", "clientcentric.json", "read_verdicts.csv"):
+        expected = (tmp_path / "in_memory" / name).read_bytes()
+        assert (tmp_path / "ordered" / name).read_bytes() == expected, name
+        assert (tmp_path / "moved" / name).read_bytes() == expected, name
 
 
 def test_writer_rejects_an_unknown_kind(tmp_path):
