@@ -20,9 +20,9 @@ from quorumsim import (
     UniformKeys,
     WorkloadSpec,
     Zipfian,
-    build_clientcentric_report,
     build_cooperation_model,
     build_datacentric_report,
+    clientcentric_outputs,
     run_simulation,
 )
 
@@ -55,7 +55,7 @@ for keys_name, keys in (("uniform", UniformKeys(50)), ("zipfian s=0.99", Zipfian
     for label, write_cl, read_cl in (("ONE/ONE", "ONE", "ONE"), ("QUORUM/QUORUM", "QUORUM", "QUORUM"), ("ALL/ONE", "ALL", "ONE")):
         coop = multi_master(topo, write_cl, read_cl)
         log = run_simulation(topo, coop, [], workload, "lww_timestamp", seed=7)
-        stage3 = build_clientcentric_report(log, "lww_timestamp")
+        stage3, _ = clientcentric_outputs(log, "lww_timestamp")
         stage2 = build_datacentric_report(log)["global"]
         rows.append(
             (

@@ -6,10 +6,6 @@ from .clientcentric import (
     ReadVerdict,
     build_clientcentric_report,
     clientcentric_outputs,
-    detect_mrc,
-    detect_mwc,
-    detect_rywc,
-    detect_wfrc,
     read_verdicts,
 )
 from .datacentric import build_datacentric_report, op_records

@@ -190,5 +190,5 @@ def build_datacentric_report(log) -> dict:
 
 
 def _graph_label(graphs_meta, gid):
-    info = graphs_meta.get(gid) or graphs_meta.get(str(gid)) or {}
+    info = graphs_meta.get(gid)
     return {"graph_kind": info.get("kind")} if info else {}

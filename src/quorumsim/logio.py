@@ -18,9 +18,9 @@ event list, and ``read_events`` is that pass collected into a list. It
 accepts any valid JSON formatting, ignores unknown fields and tolerates
 shuffled event lines, the header included. It keeps one ``VersionRef`` per
 write id; ``event_from_json`` on one decoded line, without that cache, is
-its reference form. Structural problems, and a write returned with fields
-that differ from its first return, raise MalformedLogError with the 1-based
-line number.
+its reference form. Structural problems, a field that a stage reads with
+the wrong type, and a write returned with fields that differ from its
+first return raise MalformedLogError with the 1-based line number.
 """
 
 from __future__ import annotations
@@ -33,8 +33,10 @@ from . import engine
 from .engine import SimulationLog
 from .errors import MalformedLogError
 from .strategies import STRATEGIES, VersionRef
+from .workload import READ, WRITE
 
 FORMAT_VERSION = 1
+_OP_KINDS = (READ, WRITE)
 
 
 def _ref_to_json(ref: VersionRef) -> dict:
@@ -44,13 +46,25 @@ def _ref_to_json(ref: VersionRef) -> dict:
     return obj
 
 
+def _typed(value, cls=int):
+    """value, which must be of type cls exactly (so a bool is no int)."""
+    if type(value) is not cls:
+        raise TypeError(f"expected {cls.__name__}")
+    return value
+
+
+def _vclock_from_json(vclock) -> tuple | None:
+    if vclock is None:
+        return None
+    return tuple(sorted((int(c), _typed(n)) for c, n in vclock.items()))
+
+
 def _ref_from_json(obj) -> VersionRef:
-    vclock = obj.get("vclock")
     return VersionRef(
-        obj["write_id"],
-        obj["client_id"],
-        obj["client_ts_us"],
-        tuple(sorted((int(c), n) for c, n in vclock.items())) if vclock is not None else None,
+        _typed(obj["write_id"]),
+        _typed(obj["client_id"]),
+        _typed(obj["client_ts_us"]),
+        _vclock_from_json(obj.get("vclock")),
     )
 
 
@@ -118,47 +132,50 @@ def event_from_json(obj, line: int | None = None, refs: dict | None = None):
 
     Without refs this is the reference form: every returned ref is a new
     object. With refs, the cache of one pass over a log, a returned ref
-    reuses the object of the first return of its write id.
+    reuses the object of the first return of its write id. A field that a
+    stage reads and that has the wrong type raises MalformedLogError.
     """
     try:
         seq, t, op_id, kind = obj["seq"], obj["time_us"], obj["op_id"], obj["kind"]
         if type(seq) is not int or type(t) is not int or not (op_id is None or type(op_id) is int):
             raise MalformedLogError("event seq and time_us must be integers, op_id an integer or null", line)
         if kind == engine.OP_START:
-            vclock = obj.get("vclock")
+            op_kind, write_id = obj["op"], obj.get("write_id")
+            if op_kind not in _OP_KINDS:
+                raise MalformedLogError(f"op_start op must be one of {', '.join(_OP_KINDS)}", line)
             payload = (
-                obj["client_id"],
-                obj["op"],
-                obj["key"],
-                obj.get("write_id"),
-                obj["payload_bytes"],
-                obj["warmup"],
-                tuple(sorted((int(c), n) for c, n in vclock.items())) if vclock is not None else None,
+                _typed(obj["client_id"]),
+                op_kind,
+                _typed(obj["key"]),
+                write_id if write_id is None else _typed(write_id),
+                _typed(obj["payload_bytes"]),
+                _typed(obj["warmup"], bool),
+                _vclock_from_json(obj.get("vclock")),
             )
         elif kind == engine.GRAPH_CHOSEN:
-            payload = (obj["graph_id"],)
+            payload = (_typed(obj["graph_id"]),)
         elif kind == engine.APPLY_START:
-            payload = (obj["replica"],)
+            payload = (_typed(obj["replica"]),)
         elif kind == engine.APPLY_END:
             if "value" in obj:
-                payload = (obj["replica"], tuple(obj["value"]))
+                payload = (_typed(obj["replica"]), tuple(_typed(obj["value"], list)))
             else:
-                payload = (obj["replica"], obj["write_id"])
+                payload = (_typed(obj["replica"]), _typed(obj["write_id"]))
         elif kind == engine.ACK:
-            payload = (obj["parent"], obj["child"])
+            payload = (_typed(obj["parent"]), _typed(obj["child"]))
         elif kind == engine.READ_RETURN:
-            returned = obj["returned"]
+            returned = _typed(obj["returned"], list)
             if refs is None:
                 returned = tuple(map(_ref_from_json, returned))
             else:
                 returned = tuple([_interned_ref(r, refs, line) for r in returned])
-            payload = (tuple(obj["participants"]), returned)
+            payload = (tuple(_typed(obj["participants"], list)), returned)
         elif kind == engine.OP_COMMIT:
-            payload = (obj["latency_us"],)
+            payload = (_typed(obj["latency_us"]),)
         elif kind == engine.OP_FAIL:
-            payload = (obj["reason"],)
+            payload = (_typed(obj["reason"], str),)
         elif kind in (engine.REPLICA_DOWN, engine.REPLICA_UP):
-            payload = (obj["replica"],)
+            payload = (_typed(obj["replica"]),)
         else:
             raise MalformedLogError(f"unknown event kind {kind!r}", line)
         return (seq, t, op_id, kind, payload)

@@ -17,9 +17,10 @@ lww_timestamp and the commit order (commit time, write id) for lww_arrival,
 with uncommitted versions below every committed one and the initial version
 below everything. ``misses`` checks a read against a prefix of committed
 writes through ``marks``: the running maximum order key, the write ids or
-the highest counter per writer. ``judge(reads)`` gives the object that
-judges one log's reads: the strategy itself, or, for competing_writes, one
-that holds each read's frontier.
+the highest counter per writer. ``judge(reads, commit_map)`` gives the
+object that judges one log's reads: under LWW one that holds each read's
+order key, under competing_writes one that holds each read's frontier, and
+under write_set the strategy itself.
 
 Dots. The engine gives each write a counter per (writer, key), one above the
 writer's last one, and makes the write's clock its writer's read context on
@@ -111,13 +112,23 @@ class _Strategy:
     vclocks = False
     version_order = None
 
-    def judge(self, reads):
-        """The object that judges the reads of one log."""
+    def judge(self, reads, commit_map):
+        """The object that judges the reads of one log, whose committed
+        writes commit_map maps to their commit instants."""
         return self
 
 
 class _LastWriteWins(_Strategy):
-    """One version per key, totally ordered by order key."""
+    """One version per key, totally ordered by order key.
+
+    ``judge(reads, commit_map)`` keeps the order key of each read's result.
+    """
+
+    def __init__(self, reads=(), commit_map=None):
+        self.key = {r.op_id: self.returned_key(r.returned, commit_map) for r in reads}
+
+    def judge(self, reads, commit_map):
+        return type(self)(reads, commit_map)
 
     def returned_key(self, refs, commit_map):
         return max([self.ref_key(r, commit_map) for r in refs], default=_INITIAL_KEY)
@@ -125,23 +136,23 @@ class _LastWriteWins(_Strategy):
     def marks(self, writes):
         return list(accumulate(map(self.write_key, writes), max))
 
-    def misses(self, read, marks, hi, commit_map):
-        return self.returned_key(read.returned, commit_map) < marks[hi - 1]
+    def misses(self, read, marks, hi):
+        return self.key[read.op_id] < marks[hi - 1]
 
-    def mrc(self, session, commit_map):
+    def mrc(self, session):
         running = _INITIAL_KEY
         for r in session:
-            key = self.returned_key(r.returned, commit_map)
+            key = self.key[r.op_id]
             if key < running:
                 yield r.op_id
             else:
                 running = key
 
-    def unseen(self, order, reads, commit_map, last):
+    def unseen(self, order, reads, last):
         """A read misses w iff its order key is below w's, so the answer is
         the latest return among the reads ranked below w, if not before w's
         commit."""
-        ranked = [(self.returned_key(r.returned, commit_map), r.return_time) for r in reads]
+        ranked = [(self.key[r.op_id], r.return_time) for r in reads]
         _last_unseen_by_rank(ranked, order.writes, self.write_key, last)
 
 
@@ -239,12 +250,12 @@ class _WriteSet(_Strategy):
     def reflects(self, returned):
         return {ref.write_id for ref in returned}.__contains__
 
-    def misses(self, read, marks, hi, commit_map):
+    def misses(self, read, marks, hi):
         # stops at the first mark not reflected, so a read costs
         # O(returned refs), not O(hi)
         return not all(map(self.reflects(read.returned), islice(marks, hi)))
 
-    def mrc(self, session, commit_map):
+    def mrc(self, session):
         running: set[int] = set()
         for r in session:
             ids = {ref.write_id for ref in r.returned}
@@ -252,7 +263,7 @@ class _WriteSet(_Strategy):
                 yield r.op_id
             running |= ids
 
-    def unseen(self, order, reads, commit_map, last):
+    def unseen(self, order, reads, last):
         """The reads latest first, over the writes still unresolved. A read's
         eligible writes (committed by its return) are a prefix of the commit
         order that only shrinks; each one the read misses is resolved at its
@@ -322,7 +333,7 @@ class _CompetingWrites(_Strategy):
     def canonical(self, state):
         return tuple(sorted(state, key=_write_id))
 
-    def judge(self, reads):
+    def judge(self, reads, commit_map):
         return _CompetingWrites(reads)
 
     def marks(self, writes):
@@ -336,12 +347,12 @@ class _CompetingWrites(_Strategy):
             tops.append(tuple(top))
         return writers, tops
 
-    def misses(self, read, marks, hi, commit_map):
+    def misses(self, read, marks, hi):
         writers, tops = marks
         seen = self.frontier[read.op_id].get
         return any(seen(c, 0) < n for c, n in zip(writers, tops[hi - 1]))
 
-    def mrc(self, session, commit_map):
+    def mrc(self, session):
         running: dict[int, int] = {}  # the frontier of the session's reads so far
         for r in session:
             seen = self.frontier[r.op_id]
@@ -351,7 +362,7 @@ class _CompetingWrites(_Strategy):
                 if running.get(c, 0) < n:
                     running[c] = n
 
-    def unseen(self, order, reads, commit_map, last):
+    def unseen(self, order, reads, last):
         """A session's writes share one writer c: a read misses write (c, n)
         iff its frontier's entry for c is below n, a total order as under LWW."""
         c = order.writes[0].client

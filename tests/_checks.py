@@ -1,7 +1,9 @@
-"""Structural log invariants asserted across engine tests."""
+"""Structural log invariants asserted across engine tests, and what stage 3
+finds in a log, in the form the oracles give it."""
 
 from __future__ import annotations
 
+from quorumsim.clientcentric import clientcentric_outputs
 from quorumsim.engine import (
     ACK,
     APPLY_END,
@@ -57,3 +59,20 @@ def assert_log_invariants(log):
                 raise AssertionError(f"event {ev} on down replica {payload[0]}")
     assert set(started) == set(finished), "every op must reach exactly one terminal event"
     return started, finished
+
+
+def stage3_findings(log, strategy) -> dict:
+    """What stage 3 finds in a log, from one ``clientcentric_outputs`` call.
+
+    "stale", "mrc" and "rywc" are the op ids of the committed reads with
+    that verdict, warmup reads included. "mwc" and "wfrc" map each client
+    with violations to the report's count of them: violating triples and
+    violating writes, warmup writes not counted. ``oracle_findings`` is the
+    brute-force form.
+    """
+    report, verdicts = clientcentric_outputs(log, strategy)
+    findings = {name: {v.op_id for v in verdicts if getattr(v, name)} for name in ("stale", "mrc", "rywc")}
+    for name in ("mwc", "wfrc"):
+        counts = {int(cid): stats[f"{name}_violations"] for cid, stats in report["per_client"].items()}
+        findings[name] = {cid: n for cid, n in counts.items() if n}
+    return findings

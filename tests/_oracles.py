@@ -12,6 +12,7 @@ the seeded samplers (quorumsim.distributions).
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from itertools import accumulate
 from math import exp, floor, log1p
 from statistics import NormalDist
@@ -224,6 +225,22 @@ def oracle_wfrc(log) -> set[tuple[int, int]]:
                     bad.add((w.write_id, replica))
                     break
     return bad
+
+
+def oracle_findings(log, strategy) -> dict:
+    """``_checks.stage3_findings`` from the oracles: the stale, MRC and RYWC
+    op ids, and per client the MWC triples and WFRC writes whose (later)
+    write is not warmup."""
+    writes = {v.write_id: v for v in scrape(log).values() if v.kind == "write"}
+    mwc = Counter(writes[later].client for _, later, _ in oracle_mwc(log) if not writes[later].warmup)
+    wfrc = Counter(writes[w].client for w in {w for w, _ in oracle_wfrc(log)} if not writes[w].warmup)
+    return {
+        "stale": oracle_stale(log, strategy),
+        "mrc": oracle_mrc(log, strategy),
+        "rywc": oracle_rywc(log, strategy),
+        "mwc": dict(mwc),
+        "wfrc": dict(wfrc),
+    }
 
 
 def oracle_last_unseen(log, strategy) -> list[dict]:

@@ -13,7 +13,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from _builders import mesh_topology, replica, simple_workload, star_async, write_only_workload
-from _oracles import oracle_mrc, oracle_mwc, oracle_rywc, oracle_stale, oracle_wfrc
+from _checks import stage3_findings
+from _oracles import oracle_findings
 from _randgen import random_log, random_scenario
 from test_engine import find_arrival_divergence_seed
 
@@ -27,12 +28,8 @@ from quorumsim import (
     QuorumSpec,
     ReplicaGraph,
     build_datacentric_report,
-    detect_mrc,
-    detect_mwc,
-    detect_rywc,
-    detect_wfrc,
+    clientcentric_outputs,
     is_immediately_consistent,
-    read_verdicts,
     required_acks,
     run_simulation,
 )
@@ -70,7 +67,7 @@ def _quorum_soundness_worker(seed):
             _SOUNDNESS_SCENARIO = (topo, coop, wl)
         topo, coop, wl = _SOUNDNESS_SCENARIO
         log = run_simulation(topo, coop, [], wl, LWW_TIMESTAMP, seed=seed)
-        verdicts = read_verdicts(log, LWW_TIMESTAMP)
+        _, verdicts = clientcentric_outputs(log, LWW_TIMESTAMP)
         return (
             seed,
             sum(1 for v in verdicts if v.stale),
@@ -136,7 +133,7 @@ def test_criterion_03_staleness_positive_control():
         ),
     )
     log = run_simulation(topo, coop, [], wl, LWW_TIMESTAMP, seed=1)
-    verdicts = read_verdicts(log, LWW_TIMESTAMP)
+    _, verdicts = clientcentric_outputs(log, LWW_TIMESTAMP)
     # hand enumeration: write k commits at k*100000 and lands on the read
     # replica at k*100000 + 50000; reads start on the 10 ms grid
     expected = {
@@ -201,16 +198,8 @@ def test_criterion_05_oracle_equivalence():
         for _ in range(250):
             total += 1
             log = random_log(rng, strategy)
-            checks = [
-                ("stale", {v.op_id for v in read_verdicts(log, strategy) if v.stale}, oracle_stale(log, strategy)),
-                ("mrc", detect_mrc(log, strategy), oracle_mrc(log, strategy)),
-                ("rywc", detect_rywc(log, strategy), oracle_rywc(log, strategy)),
-                ("mwc", set(detect_mwc(log)), oracle_mwc(log)),
-                ("wfrc", set(detect_wfrc(log)), oracle_wfrc(log)),
-            ]
-            for name, got, want in checks:
-                if got != want:
-                    disagreements.append((strategy, name))
+            got, want = stage3_findings(log, strategy), oracle_findings(log, strategy)
+            disagreements += [(strategy, name) for name in want if got[name] != want[name]]
     ok = not disagreements and total == 1_000
     _report(5, "detectors agree 100% with brute-force oracles on 1000 random logs", ok, f"disagreements={disagreements[:3]}")
 

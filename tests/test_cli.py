@@ -174,15 +174,47 @@ def test_stages_2_and_3_reject_the_same_malformed_logs(scenario_file, tmp_path, 
     assert main(["run", str(scenario_file), "--out", str(run_dir), "--stages", "1", "--quiet"]) == 0
     header, *lines = (run_dir / "events.jsonl").read_text().splitlines()
     events = [json.loads(line) for line in lines]
-    terminal = next(ev for ev in events if ev["kind"] == "op_commit")
-    apply_start = next(ev for ev in events if ev["kind"] == "apply_start")
+
+    def first(kind, *fields):
+        return next(ev for ev in events if ev["kind"] == kind and all(ev.get(f) for f in fields))
+
+    def changed(ev, **fields):
+        return [{**e, **fields} if e is ev else e for e in events]
+
+    terminal = first("op_commit")
+    apply_start = first("apply_start")
+    write_start = first("op_start", "write_id")
+    read_return = first("read_return", "returned")
+    ref = read_return["returned"][0]
     next_seq = events[-1]["seq"] + 1
     malformed = {
         "duplicated_terminal": events + [{**terminal, "seq": next_seq}],
         "unknown_op": events + [{**apply_start, "seq": next_seq, "op_id": 10_000}],
     }
+    # every field an analysis reads, with the wrong type: the reader names the line
+    wrong_typed = {
+        "client_id": changed(write_start, client_id=[0]),
+        "key": changed(write_start, key="k"),
+        "payload_bytes": changed(write_start, payload_bytes=True),
+        "op": changed(write_start, op="delete"),
+        "warmup": changed(write_start, warmup="no"),
+        "op_start_write_id": changed(write_start, write_id="1"),
+        "vclock_entry": changed(write_start, vclock={"0": "1"}),
+        "graph_id": changed(first("graph_chosen"), graph_id="0"),
+        "replica": changed(apply_start, replica=None),
+        "parent": changed(first("ack_received"), parent="0"),
+        "child": changed(first("ack_received"), child=1.0),
+        "latency_us": changed(terminal, latency_us="x"),
+        "apply_end_write_id": changed(first("apply_end", "write_id"), write_id=[1]),
+        "value": changed(first("apply_end", "value"), value="1"),
+        "participants": changed(read_return, participants=0),
+        "ref_write_id": changed(read_return, returned=[{**ref, "write_id": str(ref["write_id"])}]),
+        "ref_client_id": changed(read_return, returned=[{**ref, "client_id": str(ref["client_id"])}]),
+        "ref_client_ts_us": changed(read_return, returned=[{**ref, "client_ts_us": 1.5}]),
+        "reason": changed(terminal, kind="op_fail", reason=5),
+    }
     rng = random.Random(7)
-    for name, bad in malformed.items():
+    for name, bad in {**malformed, **wrong_typed}.items():
         shuffled = list(bad)
         rng.shuffle(shuffled)
         for order, evs in (("ordered", bad), ("shuffled", shuffled)):
@@ -192,7 +224,10 @@ def test_stages_2_and_3_reject_the_same_malformed_logs(scenario_file, tmp_path, 
                 capsys.readouterr()
                 argv = ["analyze", str(path), "--out", str(tmp_path / "out"), "--stages", stages]
                 assert main(argv) == 1, (name, order, stages)
-                assert "MALFORMED_LOG" in capsys.readouterr().err
+                err = capsys.readouterr().err
+                assert "MALFORMED_LOG" in err and "Traceback" not in err, (name, order, stages, err)
+                assert name in malformed or "(line " in err, (name, order, stages, err)
+                assert not (tmp_path / "out").exists()
 
 
 def test_analyze_rejects_malformed_graph_entries_in_the_header(scenario_file, tmp_path, capsys):

@@ -3,15 +3,8 @@ import random
 import pytest
 
 from _builders import mesh_topology, replica, simple_workload, write_only_workload
-from _oracles import (
-    oracle_last_unseen,
-    oracle_mrc,
-    oracle_mwc,
-    oracle_report_counts,
-    oracle_rywc,
-    oracle_stale,
-    oracle_wfrc,
-)
+from _checks import stage3_findings
+from _oracles import oracle_findings, oracle_last_unseen, oracle_mwc, oracle_report_counts, oracle_wfrc, scrape
 from _randgen import random_log, random_scenario
 
 import quorumsim as qs
@@ -27,13 +20,7 @@ from quorumsim import (
     UniformKeys,
     VersionRef,
     WorkloadSpec,
-    build_clientcentric_report,
     clientcentric_outputs,
-    detect_mrc,
-    detect_mwc,
-    detect_rywc,
-    detect_wfrc,
-    read_verdicts,
     run_simulation,
 )
 from quorumsim.model import READING, REPLICATION
@@ -49,7 +36,7 @@ from quorumsim.strategies import (
 # -- staleness unit cases on hand-built logs -----------------------------------------
 
 def is_stale(strategy, read_start_us, returned_refs, writes):
-    """read_verdicts' staleness for one read by client 9 issued at
+    """Stage 3's staleness verdict for one read by client 9 issued at
     read_start_us and returning returned_refs, after the committed writes
     (write_id, client, client timestamp, commit instant, vclock), each issued
     at its client timestamp."""
@@ -61,8 +48,7 @@ def is_stale(strategy, read_start_us, returned_refs, writes):
     events.append((len(events), read_start_us, read, "op_start", (9, "read", 0, None, 64, False, None)))
     events.append((len(events), read_start_us, read, "read_return", ((0,), tuple(returned_refs))))
     events.append((len(events), read_start_us, read, "op_commit", (0,)))
-    (verdict,) = read_verdicts(events, strategy)
-    return verdict.stale
+    return read in stage3_findings(events, strategy)["stale"]
 
 
 def wrec(write_id, client, ts, commit, vclock=None):
@@ -131,7 +117,7 @@ def test_staleness_positive_control_matches_hand_enumeration():
     # a read is stale iff it starts inside one of those windows.
     topo, coop, wl = staleness_control_scenario()
     log = run_simulation(topo, coop, [], wl, LWW_TIMESTAMP, seed=1)
-    verdicts = read_verdicts(log, LWW_TIMESTAMP)
+    _, verdicts = clientcentric_outputs(log, LWW_TIMESTAMP)
     assert len(verdicts) == 100
     expected_stale = {
         v.op_id
@@ -146,7 +132,7 @@ def test_staleness_positive_control_matches_hand_enumeration():
 def test_staleness_control_rate_in_report():
     topo, coop, wl = staleness_control_scenario()
     log = run_simulation(topo, coop, [], wl, LWW_TIMESTAMP, seed=1)
-    report = build_clientcentric_report(log, LWW_TIMESTAMP)
+    report = clientcentric_outputs(log, LWW_TIMESTAMP)[0]
     assert report["stale_read_rate"] == 40 / 100
     assert report["denominators"]["staleness"] == 100
     # the reader never writes: RYWC and WFRC have empty denominators
@@ -174,17 +160,17 @@ def test_mrc_flags_backward_read():
     v2 = VersionRef(2, 0, 2_000)
     v1 = VersionRef(1, 0, 1_000)
     log = synthetic_reads([(v2,), (v1,)])
-    assert detect_mrc(log, LWW_TIMESTAMP) == {1}
+    assert stage3_findings(log, LWW_TIMESTAMP)["mrc"] == {1}
     log = synthetic_reads([(v1,), (v2,)])
-    assert detect_mrc(log, LWW_TIMESTAMP) == set()
+    assert stage3_findings(log, LWW_TIMESTAMP)["mrc"] == set()
 
 
 def test_mrc_write_set_containment():
     a, b = VersionRef(1, 0, 1), VersionRef(2, 0, 2)
     log = synthetic_reads([(a,), (b,)])
-    assert detect_mrc(log, WRITE_SET) == {1}
+    assert stage3_findings(log, WRITE_SET)["mrc"] == {1}
     log = synthetic_reads([(a,), (a, b)])
-    assert detect_mrc(log, WRITE_SET) == set()
+    assert stage3_findings(log, WRITE_SET)["mrc"] == set()
 
 
 def test_rywc_example():
@@ -197,14 +183,15 @@ def test_rywc_example():
         (4, 20, 1, "read_return", ((0,), ())),
         (5, 20, 1, "op_commit", (0,)),
     ]
-    assert detect_rywc(events, LWW_TIMESTAMP) == {1}
-    assert detect_mrc(events, LWW_TIMESTAMP) == set()
+    found = stage3_findings(events, LWW_TIMESTAMP)
+    assert found["rywc"] == {1}
+    assert found["mrc"] == set()
 
 
 def test_rywc_requires_own_write():
     # a read with no own writes has no applicable RYWC obligation
     events = synthetic_reads([()])
-    assert detect_rywc(events, LWW_TIMESTAMP) == set()
+    assert stage3_findings(events, LWW_TIMESTAMP)["rywc"] == set()
 
 
 # -- MWC / WFRC deterministic scenarios ------------------------------------------------
@@ -214,7 +201,8 @@ def test_mwc_zero_for_single_client_sync_chain():
     coop = qs.build_cooperation_model(topo, [0, 1, 2], 0, qs.ALL, qs.ONE)
     wl = write_only_workload(10, think=Constant(1_000))
     log = run_simulation(topo, coop, [], wl, LWW_TIMESTAMP, seed=3)
-    assert detect_mwc(log) == []
+    assert stage3_findings(log, LWW_TIMESTAMP)["mwc"] == {}
+    assert oracle_mwc(log) == set()
 
 
 def test_mwc_flags_async_overtake():
@@ -234,14 +222,16 @@ def test_mwc_flags_async_overtake():
     payloads = [e[4][4] for e in log.events if e[3] == "op_start"]
     if payloads[0] < payloads[1]:
         pytest.skip("seed drew payloads in the non-inverting order")
-    violations = detect_mwc(log)
-    assert violations == [(0, 1, 1)]
+    # client 0's one violating triple: w0 and w1 applied out of order at replica 1
+    assert stage3_findings(log, LWW_TIMESTAMP)["mwc"] == {0: 1}
+    assert oracle_mwc(log) == {(0, 1, 1)}
 
 
 def test_wfrc_vacuous_when_read_saw_nothing():
     topo, coop, wl = staleness_control_scenario(n_writes=2, n_reads=4)
     log = run_simulation(topo, coop, [], wl, LWW_TIMESTAMP, seed=1)
-    assert detect_wfrc(log) == []
+    assert stage3_findings(log, LWW_TIMESTAMP)["wfrc"] == {}
+    assert oracle_wfrc(log) == set()
 
 
 def test_wfrc_flags_unordered_apply():
@@ -259,8 +249,9 @@ def test_wfrc_flags_unordered_apply():
         (8, 26, 2, "op_commit", (6,)),
         (9, 40, 0, "apply_end", (1, 0)),  # w0 reaches B late
     ]
-    # op 0 needs exactly one op_start; re-use the grouped scan directly
-    assert detect_wfrc(events) == [(1, 1)]
+    # client 0's write w1 violates, at replica 1
+    assert stage3_findings(events, LWW_TIMESTAMP)["wfrc"] == {0: 1}
+    assert oracle_wfrc(events) == {(1, 1)}
 
 
 # -- oracle agreement -------------------------------------------------------------------
@@ -268,21 +259,17 @@ def test_wfrc_flags_unordered_apply():
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_detectors_agree_with_quadratic_oracles_on_synthetic_logs(strategy):
     rng = random.Random(f"detectors:{strategy}")
-    seen = dict.fromkeys(("stale", "mrc", "rywc", "multi_ref_read"), 0)
+    seen = dict.fromkeys(("stale", "mrc", "rywc", "wfrc", "multi_ref_read"), 0)
     for _ in range(250):
         log = random_log(rng, strategy)
-        verdicts = read_verdicts(log, strategy)
-        assert {v.op_id for v in verdicts if v.stale} == oracle_stale(log, strategy)
-        assert detect_mrc(log, strategy) == oracle_mrc(log, strategy)
-        assert detect_rywc(log, strategy) == oracle_rywc(log, strategy)
-        assert set(detect_mwc(log)) == oracle_mwc(log)
-        assert set(detect_wfrc(log)) == oracle_wfrc(log)
-        seen["stale"] += any(v.stale for v in verdicts)
-        seen["mrc"] += any(v.mrc for v in verdicts)
-        seen["rywc"] += any(v.rywc for v in verdicts)
-        seen["multi_ref_read"] += any(len(v.returned_write_ids) > 1 for v in verdicts)
-    # the logs hold every violation the detectors look for; under
-    # competing_writes, dot-shaped clocks still leave reads with two or more heads
+        found = stage3_findings(log, strategy)
+        assert found == oracle_findings(log, strategy)
+        for name in ("stale", "mrc", "rywc", "wfrc"):
+            seen[name] += bool(found[name])
+        seen["multi_ref_read"] += any(len(v.returned) > 1 for v in scrape(log).values() if v.commit is not None)
+    # the logs hold every violation kind but MWC, whose inversions need the
+    # late applies of the report test below; under competing_writes,
+    # dot-shaped clocks still leave reads with two or more heads
     if strategy in (LWW_TIMESTAMP, LWW_ARRIVAL):
         del seen["multi_ref_read"]
     assert all(seen.values()), seen
@@ -294,12 +281,7 @@ def test_detectors_agree_with_oracles_on_engine_logs(strategy):
     for _ in range(10):
         topo, coop, failures, wl = random_scenario(rng, allow_crash_stop=True, max_total_ops=60)
         log = run_simulation(topo, coop, failures, wl, strategy, seed=rng.randrange(1_000))
-        verdicts = read_verdicts(log, strategy)
-        assert {v.op_id for v in verdicts if v.stale} == oracle_stale(log, strategy)
-        assert detect_mrc(log, strategy) == oracle_mrc(log, strategy)
-        assert detect_rywc(log, strategy) == oracle_rywc(log, strategy)
-        assert set(detect_mwc(log)) == oracle_mwc(log)
-        assert set(detect_wfrc(log)) == oracle_wfrc(log)
+        assert stage3_findings(log, strategy) == oracle_findings(log, strategy)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -310,16 +292,19 @@ def test_report_counts_and_last_unseen_agree_with_oracles(strategy):
     # at its own write's commit instant, and half the logs flag random
     # ops as warmup
     rng = random.Random(f"report-oracles:{strategy}")
+    mwc_logs = 0
     for i in range(250):
         log = random_log(rng, strategy, warmup_share=0.3 if i % 2 else 0.0, late_apply_share=0.3, instant_share=0.3)
-        report = build_clientcentric_report(log, strategy)
+        report = clientcentric_outputs(log, strategy)[0]
         counts = oracle_report_counts(log, strategy)
         assert report["violations"] == counts["violations"]
         assert report["denominators"] == counts["denominators"]
         assert report["per_client"] == counts["per_client"]
         assert report["writes"] == oracle_last_unseen(log, strategy)
-        assert set(detect_mwc(log)) == oracle_mwc(log)
-        assert set(detect_wfrc(log)) == oracle_wfrc(log)
+        found, want = stage3_findings(log, strategy), oracle_findings(log, strategy)
+        assert (found["mwc"], found["wfrc"]) == (want["mwc"], want["wfrc"])
+        mwc_logs += bool(found["mwc"])
+    assert mwc_logs
 
 
 # -- report wiring -----------------------------------------------------------------------
@@ -329,7 +314,7 @@ def test_rywc_violations_are_stale_on_random_runs():
     for strategy in STRATEGIES:
         topo, coop, failures, wl = random_scenario(rng, max_total_ops=80)
         log = run_simulation(topo, coop, failures, wl, strategy, seed=rng.randrange(1_000))
-        for v in read_verdicts(log, strategy):
+        for v in clientcentric_outputs(log, strategy)[1]:
             if v.rywc:
                 assert v.stale
 
@@ -339,7 +324,7 @@ def test_all_reads_workload_probabilities():
     coop = qs.build_cooperation_model(topo, [0, 1], 0, qs.ONE, qs.ONE)
     wl = simple_workload(2, 30, read_ratio=1.0)
     log = run_simulation(topo, coop, [], wl, LWW_TIMESTAMP, seed=4)
-    report = build_clientcentric_report(log, LWW_TIMESTAMP)
+    report = clientcentric_outputs(log, LWW_TIMESTAMP)[0]
     assert report["denominators"]["staleness"] == 60
     assert report["denominators"]["rywc"] == 0
     assert report["denominators"]["mwc"] == 0
@@ -353,7 +338,7 @@ def test_report_per_client_sections_sum():
     coop = qs.build_cooperation_model(topo, [0, 1, 2], 0, qs.ONE, qs.ONE)
     wl = simple_workload(3, 50, read_ratio=0.6, think=qs.Exponential(500))
     log = run_simulation(topo, coop, [], wl, LWW_TIMESTAMP, seed=8)
-    report = build_clientcentric_report(log, LWW_TIMESTAMP)
+    report = clientcentric_outputs(log, LWW_TIMESTAMP)[0]
     per_client = report["per_client"].values()
     assert sum(c["reads"] for c in per_client) == report["denominators"]["staleness"]
     assert sum(c["stale"] for c in per_client) == report["violations"]["stale"]
@@ -364,7 +349,7 @@ def test_report_per_client_sections_sum():
 def test_report_last_unseen_column():
     topo, coop, wl = staleness_control_scenario(n_writes=2, n_reads=30)
     log = run_simulation(topo, coop, [], wl, LWW_TIMESTAMP, seed=1)
-    report = build_clientcentric_report(log, LWW_TIMESTAMP)
+    report = clientcentric_outputs(log, LWW_TIMESTAMP)[0]
     rows = {r["write_id"]: r for r in report["writes"]}
     # the writer itself never reads, so its writes are never seen-or-unseen
     assert rows[0]["last_unseen_at_us"] is None
@@ -374,10 +359,10 @@ def test_report_last_unseen_column():
 def test_malformed_log_raises():
     events = [(0, 5, 0, "read_return", ((0,), ()))]
     with pytest.raises(MalformedLogError):
-        read_verdicts(events, LWW_TIMESTAMP)
+        clientcentric_outputs(events, LWW_TIMESTAMP)
 
 
 def test_reports_are_bit_stable():
     topo, coop, wl = staleness_control_scenario()
     log = run_simulation(topo, coop, [], wl, LWW_TIMESTAMP, seed=1)
-    assert build_clientcentric_report(log, LWW_TIMESTAMP) == build_clientcentric_report(log, LWW_TIMESTAMP)
+    assert clientcentric_outputs(log, LWW_TIMESTAMP)[0] == clientcentric_outputs(log, LWW_TIMESTAMP)[0]
