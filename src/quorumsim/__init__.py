@@ -8,7 +8,7 @@ from .clientcentric import (
     clientcentric_outputs,
     read_verdicts,
 )
-from .datacentric import build_datacentric_report, op_records
+from .datacentric import build_datacentric_report, datacentric_outputs, op_records
 from .distributions import (
     Constant,
     Empirical,

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import logio
 from .clientcentric import clientcentric_outputs
-from .datacentric import build_datacentric_report, op_records
+from .datacentric import datacentric_outputs
 from .engine import gc_paused, run_simulation
 from .errors import MalformedLogError
 from .levels import LevelError, is_immediately_consistent, parse_level, required_acks
@@ -97,9 +97,9 @@ def _write_stages(table, strategy: str, stages, out_dir: Path) -> tuple[dict | N
         report3, verdicts = clientcentric_outputs(table, strategy)
     out_dir.mkdir(parents=True, exist_ok=True)
     if 2 in stages:
-        report2 = build_datacentric_report(table)
+        report2, records = datacentric_outputs(table)
         logio.write_json_report(report2, out_dir / "datacentric.json")
-        logio.write_op_table(op_records(table), out_dir / "ops.csv")
+        logio.write_op_table(records, out_dir / "ops.csv")
     if 3 in stages:
         logio.write_json_report(report3, out_dir / "clientcentric.json")
         logio.write_read_verdicts(verdicts, out_dir / "read_verdicts.csv")

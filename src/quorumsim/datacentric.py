@@ -1,9 +1,8 @@
 """Per-write inconsistency windows, error rates, and latency distributions.
 
 All functions are pure over an immutable log: re-running the analysis on a
-stored log reproduces the report exactly. Results are reported per
-cooperation graph and as a global aggregate equal to the merge of the
-per-graph sections; ops flagged as warmup are excluded throughout.
+stored log reproduces the report exactly. Ops flagged as warmup are
+excluded from the report.
 
 A write's inconsistency window is the span between the first and the last
 ApplyEnd of that write across replicas (the state-mutation instants). Writes
@@ -11,15 +10,19 @@ that never reached every vertex of their chosen replication graph (crash-stop
 in the path, or no ApplyEnd at all) have no defined window and are counted
 separately as non-converged rather than folded into the histogram.
 
-The functions read the log through its op table (``optable``) and accept a
-built table in place of the log.
+``datacentric_outputs`` is stage 2's one path: it builds one row per op
+(``op_records``, the rows of ``ops.csv``) and aggregates the report from
+the non-warmup rows, a global section from all of them and one section per
+cooperation graph, so ``datacentric.json`` is a function of ``ops.csv``.
+``build_datacentric_report`` is its report half. The functions read the log
+through its op table (``optable``) and accept a built table in place of the
+log.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 
 from .engine import gc_paused
 from .optable import COMMITTED, op_table
@@ -46,47 +49,17 @@ def _window(write, graphs) -> int | None:
     return max(times) - min(times)
 
 
-@dataclass
-class _Section:
-    ops: int = 0
-    reads: int = 0
-    writes: int = 0
-    commits: int = 0
-    fails: int = 0
-    read_fails: int = 0
-    write_fails: int = 0
-    latencies: list = field(default_factory=list)
-    windows: list = field(default_factory=list)
-    non_converged: int = 0
-
-    def to_json(self) -> dict:
-        return {
-            "counts": {
-                "ops": self.ops,
-                "reads": self.reads,
-                "writes": self.writes,
-                "commits": self.commits,
-                "fails": self.fails,
-            },
-            "error_rate": {
-                "all": self.fails / self.ops if self.ops else 0.0,
-                "read": self.read_fails / self.reads if self.reads else 0.0,
-                "write": self.write_fails / self.writes if self.writes else 0.0,
-            },
-            "latency_us": _histogram_summary(self.latencies),
-            "inconsistency_window_us": _histogram_summary(self.windows),
-            "non_converged_writes": self.non_converged,
-        }
-
-
 def _percentile(sorted_values, q):
-    """Nearest-rank percentile over a non-empty sorted list."""
+    """Nearest-rank percentile of a sorted list, None when it is empty."""
+    if not sorted_values:
+        return None
     rank = max(1, math.ceil(q * len(sorted_values)))
     return sorted_values[rank - 1]
 
 
-def _histogram_summary(values) -> dict:
-    values = sorted(values)
+def _histogram_summary(values: list) -> dict:
+    """Summary and log-scale histogram of values, which it sorts in place."""
+    values.sort()
     zero = 0
     counts = [0] * len(HISTOGRAM_EDGES_US)
     overflow = 0
@@ -98,24 +71,39 @@ def _histogram_summary(values) -> dict:
             overflow += 1
         else:
             counts[bisect_left(HISTOGRAM_EDGES_US, v)] += 1
-    if not values:
-        return {
-            "count": 0,
-            "mean": None,
-            "median": None,
-            "p95": None,
-            "p99": None,
-            "max": None,
-            "histogram": {"zero": 0, "edges_us": list(HISTOGRAM_EDGES_US), "counts": counts, "overflow": 0},
-        }
     return {
         "count": len(values),
-        "mean": sum(values) / len(values),
+        "mean": sum(values) / len(values) if values else None,
         "median": _percentile(values, 0.50),
         "p95": _percentile(values, 0.95),
         "p99": _percentile(values, 0.99),
-        "max": values[-1],
+        "max": _percentile(values, 1.0),
         "histogram": {"zero": zero, "edges_us": list(HISTOGRAM_EDGES_US), "counts": counts, "overflow": overflow},
+    }
+
+
+def _rate(part: int, whole: int) -> float:
+    return part / whole if whole else 0.0
+
+
+def _section(rows) -> dict:
+    """The report section aggregated from some non-warmup rows."""
+    latencies = [r["latency_us"] for r in rows if r["status"] == COMMITTED]
+    windows = [r["window_us"] for r in rows if r["window_us"] is not None]
+    reads = sum(r["kind"] == READ for r in rows)
+    writes = sum(r["kind"] == WRITE for r in rows)
+    write_fails = sum(r["kind"] == WRITE and r["status"] != COMMITTED for r in rows)
+    fails = len(rows) - len(latencies)
+    return {
+        "counts": {"ops": len(rows), "reads": reads, "writes": writes, "commits": len(latencies), "fails": fails},
+        "error_rate": {
+            "all": _rate(fails, len(rows)),
+            "read": _rate(fails - write_fails, reads),
+            "write": _rate(write_fails, writes),
+        },
+        "latency_us": _histogram_summary(latencies),
+        "inconsistency_window_us": _histogram_summary(windows),
+        "non_converged_writes": writes - len(windows),
     }
 
 
@@ -141,52 +129,31 @@ def op_records(log) -> list[dict]:
 
 
 @gc_paused()
-def build_datacentric_report(log) -> dict:
-    """Stage-2 report: window/latency distributions and error rates, per graph and global."""
+def datacentric_outputs(log) -> tuple[dict, list[dict]]:
+    """The stage-2 report and the op records it aggregates, from one op table."""
     table = op_table(log)
-    global_section = _Section()
-    per_graph: dict[int, _Section] = {}
-
-    for op in table.ops:
-        if op.warmup:
-            continue
-        gid = op.graph_id
-        sections = [global_section]
-        if gid is not None:
-            sections.append(per_graph.setdefault(gid, _Section()))
-        is_write = op.kind == WRITE
-        committed = op.status == COMMITTED
-        window = _window(op, table.graphs) if is_write else None
-        for s in sections:
-            s.ops += 1
-            if is_write:
-                s.writes += 1
-            elif op.kind == READ:
-                s.reads += 1
-            if committed:
-                s.commits += 1
-                s.latencies.append(op.latency_us)
-            else:
-                s.fails += 1
-                if is_write:
-                    s.write_fails += 1
-                else:
-                    s.read_fails += 1
-            if is_write:
-                if window is None:
-                    s.non_converged += 1
-                else:
-                    s.windows.append(window)
-
-    return {
+    records = op_records(table)
+    live = [r for r in records if not r["warmup"]]
+    per_graph: dict[int, list[dict]] = {}
+    for r in live:
+        if r["graph_id"] is not None:
+            per_graph.setdefault(r["graph_id"], []).append(r)
+    report = {
         "kind": "datacentric_report",
         "format": 1,
-        "global": global_section.to_json(),
+        "global": _section(live),
         "graphs": {
-            str(gid): {**per_graph[gid].to_json(), **_graph_label(table.graphs, gid)}
+            str(gid): {**_section(per_graph[gid]), **_graph_label(table.graphs, gid)}
             for gid in sorted(per_graph)
         },
     }
+    return report, records
+
+
+def build_datacentric_report(log) -> dict:
+    """The report half of ``datacentric_outputs``: window/latency
+    distributions and error rates, per graph and global."""
+    return datacentric_outputs(log)[0]
 
 
 def _graph_label(graphs_meta, gid):

@@ -387,32 +387,18 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout):
 
     # -- main dispatch loop ---------------------------------------------------
 
-    def fire_timeout():
-        nonlocal ev_n
-        deadline, op = timeouts.popleft()
-        op.terminal = True
-        ev_n += 1
-        events.append((ev_n, deadline, op.op_id, OP_FAIL, (FAIL_TIMEOUT,)))
-        client_next(op.client, deadline)
-
     while heap or timeouts:
-        if not heap:
-            if timeouts[0][1].terminal:
-                timeouts.popleft()
-            else:
-                fire_timeout()  # may schedule the client's next request
+        if timeouts and (not heap or timeouts[0][0] <= heap[0][0]):
+            # a deadline settles before any event of its instant; firing one
+            # may schedule the client's next request
+            deadline, op = timeouts.popleft()
+            if not op.terminal:
+                op.terminal = True
+                ev_n += 1
+                events.append((ev_n, deadline, op.op_id, OP_FAIL, (FAIL_TIMEOUT,)))
+                client_next(op.client, deadline)
             continue
-        entry = pop(heap)
-        t, _, code, a, b, c = entry
-        if timeouts and timeouts[0][0] <= t:
-            # settle deadlines due not later than this event; a firing one may
-            # schedule earlier work, so revisit the event through the heap
-            while timeouts and timeouts[0][0] <= t and timeouts[0][1].terminal:
-                timeouts.popleft()
-            if timeouts and timeouts[0][0] <= t:
-                push(heap, entry)
-                fire_timeout()
-                continue
+        t, _, code, a, b, c = pop(heap)
         if code < _A_ISSUE:
             # the replica gate: a stopped replica drops the action, a
             # recovering one queues it until its recovery instant

@@ -68,12 +68,24 @@ def _ref_from_json(obj) -> VersionRef:
     )
 
 
+def _exact_ints(obj) -> bool:
+    """Whether a returned ref's ints, its vclock counters too, are of type int."""
+    vclock = obj.get("vclock")
+    return (
+        type(obj["write_id"]) is int
+        and type(obj["client_id"]) is int
+        and type(obj["client_ts_us"]) is int
+        and (vclock is None or all(type(n) is int for n in vclock.values()))
+    )
+
+
 def _interned_ref(obj, refs: dict, line: int | None) -> VersionRef:
     """The ref of obj, the one refs already holds for its write id if any.
 
     refs maps a write id to (its ref, the JSON object it was read from). A
     ref whose fields differ from those of the first one seen for its write
-    id raises MalformedLogError.
+    id raises MalformedLogError, and so does one whose fields equal them in
+    value only (false for 0, 1.0 for 1).
     """
     seen = refs.get(obj["write_id"])
     if seen is None:
@@ -81,7 +93,7 @@ def _interned_ref(obj, refs: dict, line: int | None) -> VersionRef:
         refs[ref.write_id] = (ref, obj)
         return ref
     ref, first = seen
-    if obj != first and _ref_from_json(obj) != ref:
+    if (obj != first or not _exact_ints(obj)) and _ref_from_json(obj) != ref:
         raise MalformedLogError(f"returned write {ref.write_id} differs from its first return in the log", line)
     return ref
 
@@ -364,17 +376,6 @@ def write_op_table(records, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(OPS_HEADER)
         for r in records:
-            writer.writerow(
-                [
-                    r["op_id"],
-                    r["client_id"],
-                    r["kind"],
-                    r["key"],
-                    r["graph_id"],
-                    r["start_us"],
-                    r["status"],
-                    r["latency_us"] if r["latency_us"] is not None else "",
-                    r["window_us"] if r["window_us"] is not None else "",
-                    str(r["warmup"]).lower(),
-                ]
-            )
+            row = [r[f] for f in OPS_HEADER]  # csv writes None as an empty field
+            row[-1] = "true" if r["warmup"] else "false"
+            writer.writerow(row)

@@ -47,9 +47,8 @@ class OpRecord:
     warmup: bool = False
     graph_id: int | None = None
     start: int | None = None
-    end_us: int | None = None  # time of the terminal event
     status: str | None = None  # "committed" or "failed:<reason>"
-    commit_us: int | None = None  # end_us of a committed op
+    commit_us: int | None = None  # time of the commit event
     latency_us: int | None = None
     applies: dict = field(default_factory=dict)  # replica -> (time, seq) of an ApplyEnd
     returned: tuple = ()  # a read's returned VersionRefs
@@ -192,7 +191,6 @@ def op_table(log, meta: dict | None = None) -> OpTable:
         elif code is not None:
             if op.status is not None:
                 raise MalformedLogError(f"op {op_id} has more than one terminal event")
-            op.end_us = t
             if code == _COMMIT:
                 op.status = COMMITTED
                 op.commit_us = t

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from itertools import accumulate
-from math import exp, floor, log1p
+from math import ceil, exp, floor, log1p
 from statistics import NormalDist
 
 from numpy.random import PCG64, SeedSequence
@@ -332,6 +332,67 @@ def oracle_report_counts(log, strategy) -> dict:
             "wfrc": total("wfrc_writes"),
         },
         "per_client": {str(c): per_client[c] for c in sorted(clients)},
+    }
+
+
+def _summary(values) -> dict:
+    """count, mean, nearest-rank percentiles and the log-scale histogram
+    (1 us .. 100 s, 5 buckets a decade, a zero bucket and an overflow)."""
+    values = sorted(values)
+    edges = [round(10 ** (k / 5)) for k in range(41)]
+    counts = [0] * len(edges)
+    for v in values:
+        if 0 < v <= edges[-1]:
+            counts[next(k for k, edge in enumerate(edges) if v <= edge)] += 1
+
+    def rank(q):
+        return values[max(1, ceil(q * len(values))) - 1] if values else None
+
+    return {
+        "count": len(values),
+        "mean": sum(values) / len(values) if values else None,
+        "median": rank(0.5),
+        "p95": rank(0.95),
+        "p99": rank(0.99),
+        "max": max(values, default=None),
+        "histogram": {
+            "zero": values.count(0),
+            "edges_us": edges,
+            "counts": counts,
+            "overflow": sum(v > edges[-1] for v in values),
+        },
+    }
+
+
+def oracle_datacentric_sections(csv_rows) -> dict:
+    """The global and per-graph sections of datacentric.json, re-aggregated
+    from the rows of ops.csv as csv.DictReader reads them (all strings)."""
+    live = [r for r in csv_rows if r["warmup"] == "false"]
+
+    def section(rows):
+        writes = [r for r in rows if r["kind"] == "write"]
+        reads = [r for r in rows if r["kind"] == "read"]
+        committed = [r for r in rows if r["status"] == "committed"]
+
+        def failed(rs):
+            return sum(r["status"] != "committed" for r in rs)
+
+        return {
+            "counts": {"ops": len(rows), "reads": len(reads), "writes": len(writes), "commits": len(committed), "fails": failed(rows)},
+            "error_rate": {
+                "all": failed(rows) / len(rows) if rows else 0.0,
+                "read": failed(reads) / len(reads) if reads else 0.0,
+                "write": failed(writes) / len(writes) if writes else 0.0,
+            },
+            "latency_us": _summary(int(r["latency_us"]) for r in committed),
+            "inconsistency_window_us": _summary(int(w["window_us"]) for w in writes if w["window_us"]),
+            "non_converged_writes": sum(not w["window_us"] for w in writes),
+        }
+
+    graph_ids = sorted({int(r["graph_id"]) for r in live if r["graph_id"]})
+    return {
+        "global": section(live),
+        "graphs": {str(g): section([r for r in live if r["graph_id"] == str(g)]) for g in graph_ids},
     }
 
 

@@ -1,10 +1,15 @@
+import csv
+import dataclasses
 import gc
+import json
 import random
 
 import pytest
 
 from _builders import mesh_topology, simple_workload, star_async, write_only_workload
+from _oracles import oracle_datacentric_sections
 from _randgen import random_scenario
+from test_stage3_golden import MULTI_MASTER_CRASH, _scenario, _simulate
 
 import quorumsim as qs
 from quorumsim import (
@@ -17,13 +22,15 @@ from quorumsim import (
     SimulationLog,
     build_datacentric_report,
     clientcentric_outputs,
+    datacentric_outputs,
     op_records,
     op_table,
     run_simulation,
 )
+from quorumsim.cli import _write_stages
 from quorumsim.engine import ACK, OP_COMMIT, OP_FAIL, OP_START
 from quorumsim.model import CRASH_STOP, READING, REPLICATION, SYNC_EDGE
-from quorumsim.strategies import LWW_TIMESTAMP
+from quorumsim.strategies import LWW_TIMESTAMP, STRATEGIES
 
 
 def async_star_log(n_ops=1, think=1_000, seed=3):
@@ -212,6 +219,47 @@ def test_warmup_ops_excluded():
     assert report["global"]["counts"]["ops"] == 6
 
 
+def _stage2_logs():
+    """The multi_master_crash golden log and 20 random logs with warmup ops,
+    crash-stops and op timeouts."""
+    yield _simulate(_scenario(MULTI_MASTER_CRASH, LWW_TIMESTAMP))
+    rng = random.Random(20261018)
+    for _ in range(20):
+        topo, coop, failures, wl = random_scenario(rng, allow_crash_stop=True, spanning_replication=False, max_total_ops=120)
+        wl = dataclasses.replace(wl, warmup_ops=rng.randint(0, 3))
+        timeout = rng.choice([2_000, 20_000, 200_000])
+        yield run_simulation(topo, coop, failures, wl, rng.choice(STRATEGIES), seed=rng.randrange(1_000), op_timeout=timeout)
+
+
+def test_report_is_an_aggregate_of_the_op_rows(tmp_path):
+    seen = set()
+    for n, log in enumerate(_stage2_logs()):
+        table = op_table(log)
+        report, records = datacentric_outputs(table)
+        assert records == op_records(table)
+        assert report == build_datacentric_report(table)
+        out = tmp_path / str(n)
+        _write_stages(table, log.meta["strategy"], (2,), out)
+        with open(out / "ops.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        written = json.loads((out / "datacentric.json").read_text(encoding="utf-8"))
+        for section in written["graphs"].values():
+            del section["graph_kind"]
+        assert oracle_datacentric_sections(rows) == {"global": written["global"], "graphs": written["graphs"]}
+        seen.update(r["status"] for r in rows)
+        seen.update(f"warmup={r['warmup']}" for r in rows)
+        seen.update(f"{r['kind']} window={bool(r['window_us'])}" for r in rows if r["status"] == "committed")
+        seen.add(f"graphs={min(len(written['graphs']), 2)}")
+    assert {
+        "failed:TIMEOUT",
+        "failed:COORDINATOR_DOWN",
+        "warmup=true",
+        "write window=False",
+        "write window=True",
+        "graphs=2",
+    } <= seen
+
+
 class _GcProbe(list):
     """A list that records whether the cyclic collector is on when iterated."""
 
@@ -224,7 +272,9 @@ class _GcProbe(list):
         return super().__iter__()
 
 
-@pytest.mark.parametrize("call", ["op_table", "op_records", "build_datacentric_report", "clientcentric_outputs"])
+@pytest.mark.parametrize(
+    "call", ["op_table", "op_records", "build_datacentric_report", "datacentric_outputs", "clientcentric_outputs"]
+)
 def test_library_calls_pause_gc(call):
     log = async_star_log(n_ops=5)
     seen = []
@@ -239,6 +289,7 @@ def test_library_calls_pause_gc(call):
         fn = {
             "op_records": op_records,
             "build_datacentric_report": build_datacentric_report,
+            "datacentric_outputs": datacentric_outputs,
             "clientcentric_outputs": lambda t: clientcentric_outputs(t, LWW_TIMESTAMP),
         }[call]
     was_enabled = gc.isenabled()

@@ -360,6 +360,23 @@ def test_sync_child_crash_stop_times_out_exactly():
     assert_log_invariants(log)
 
 
+def test_deadline_fires_before_an_ack_of_the_same_instant():
+    # the sync round trip of test_sync_star_commit_is_round_trip: issue 1000,
+    # ack arrives 8000; a 7000 timeout puts the deadline on that instant
+    reps = [replica(i, proc_write=Constant(0)) for i in range(2)]
+    topo = ReplicaGraph(reps, {(0, 1): LatencyModel(Constant(3_000)), (1, 0): LatencyModel(Constant(4_000))})
+    coop = CooperationModel(
+        [CooperationGraph(0, REPLICATION, 0, [(0, 1, SYNC_EDGE)])],
+        [CooperationGraph(1, READING, 0, [])],
+    )
+    wl = write_only_workload(1, think=Constant(1_000))
+    log = run_simulation(topo, coop, [], wl, LWW_TIMESTAMP, seed=1, op_timeout=7_000)
+    tail = [(e[1], e[3], e[4]) for e in log.events if e[1] == 8_000]
+    assert tail == [(8_000, OP_FAIL, ("TIMEOUT",)), (8_000, ACK, (0, 1))]
+    assert not any(e[3] == OP_COMMIT for e in log.events)
+    assert_log_invariants(log)
+
+
 def test_crash_recovery_queues_and_drains_exactly():
     # quorum of both children; B is down when the copy arrives and the write
     # commits at recovery + B's processing + B->A ack delay, exactly.
