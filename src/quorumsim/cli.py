@@ -11,13 +11,15 @@ import argparse
 import json
 import shutil
 import sys
+from collections import deque
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 from . import logio
 from .clientcentric import clientcentric_outputs
 from .datacentric import datacentric_outputs
-from .engine import gc_paused, run_simulation
+from .engine import gc_paused, simulation_chunks
 from .errors import MalformedLogError
 from .levels import LevelError, is_immediately_consistent, parse_level, required_acks
 from .model import QuorumSpec, validate_scenario
@@ -109,11 +111,13 @@ def _write_stages(table, strategy: str, stages, out_dir: Path) -> tuple[dict | N
 def _run_one(scenario: Scenario, seed: int, out_dir: Path, stages) -> dict:
     """Simulate one seed and write the requested stage outputs into out_dir.
 
-    Returns the summary row; removes partial outputs if anything fails.
+    The engine's event chunks go through the events writer into the op
+    table as they come, so the event list is never held. Returns the
+    summary row; removes partial outputs if anything fails.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        log = run_simulation(
+        meta, chunks = simulation_chunks(
             scenario.topology,
             scenario.coop,
             list(scenario.failures),
@@ -122,14 +126,15 @@ def _run_one(scenario: Scenario, seed: int, out_dir: Path, stages) -> dict:
             seed,
             scenario.op_timeout_us,
         )
-        log.meta["scenario"] = scenario.name
+        meta["scenario"] = scenario.name
         row = {"seed": seed}
         if 1 in stages:
-            logio.write_events(log, out_dir / "events.jsonl")
+            chunks = logio.written_chunks(meta, chunks, out_dir / "events.jsonl")
         if 2 in stages or 3 in stages:
-            table = op_table(log)
-            del log  # the stages read only the table; freeing the events lowers peak memory
+            table = op_table(chain.from_iterable(chunks), meta)
             report2, report3 = _write_stages(table, scenario.strategy, stages, out_dir)
+        else:
+            deque(chunks, maxlen=0)
         if 2 in stages:
             g = report2["global"]
             row.update(

@@ -3,10 +3,17 @@
 Reproducibility contract
 ------------------------
 All randomness flows through :class:`RngStream`. A stream is identified by
-(master seed, label); identical pairs yield identical draw sequences on every
-platform and every library version, because draws are taken from the raw
-64-bit output of a PCG64 bit generator (the raw stream is fixed by the PCG64
-algorithm, independent of numpy's distribution methods).
+(master seed, label); identical pairs yield identical raw word sequences on
+every platform and every library version, because draws are taken from the
+raw 64-bit output of a PCG64 bit generator (the raw stream is fixed by the
+PCG64 algorithm, independent of numpy's distribution methods). That holds
+for the words, not bit for bit for every table built from floats: a
+:class:`Zipfian` CDF comes from numpy's float64 ``**`` and ``cumsum``. On
+one AVX-512 machine numpy's ``**`` differed from libm ``pow`` in 4 of the
+100 weights of ``Zipfian(100, 0.99)``, though that CDF came out equal, and
+a ``Zipfian(50, 0.99)`` CDF built with libm ``pow`` differed from numpy's
+in the last bit. A uniform that falls between two such values draws a
+different key.
 
 A stream holds the only buffer: it maps each batch of raw words to uniform
 deviates ((word >> 11) + 0.5) * 2**-53, strictly inside (0, 1) (the top

@@ -40,6 +40,13 @@ ApplyEnd and an ack. Each passes one gate on the addressed replica's state
 before it is handled: a stopped replica drops it, a recovering one queues
 it, an up one handles it. A request reaching a stopped coordinator fails at
 issue with COORDINATOR_DOWN.
+
+Memory follows the live state of a run, not its length. The loop hands its
+events out in chunks of ``_CHUNK_EVENTS`` and keeps none it has handed out.
+A finished op is freed once no message of it is pending: the deadline of
+an op already terminal leaves the timeout FIFO as soon as it reaches the
+head, since firing it would do nothing. ``simulation_chunks`` is the
+streaming entry point, and ``run_simulation`` collects the same chunks.
 """
 
 from __future__ import annotations
@@ -49,8 +56,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from bisect import bisect_right
 from collections import deque
+from collections.abc import Iterator
 from heapq import heappop, heappush
-from itertools import accumulate, count
+from itertools import accumulate, chain, count
 
 from . import strategies
 from .distributions import StreamFactory
@@ -82,6 +90,9 @@ FAIL_TIMEOUT = "TIMEOUT"
 FAIL_COORDINATOR_DOWN = "COORDINATOR_DOWN"
 
 DEFAULT_OP_TIMEOUT = 10_000_000  # 10 s of virtual time
+
+# The loop hands its events out once it holds at least this many.
+_CHUNK_EVENTS = 4096
 
 
 @contextmanager
@@ -213,8 +224,13 @@ class _Op:
 _VS_APPLIED, _VS_SYNC, _VS_GROUPS, _VS_RESPONDED, _VS_CONTRIBS = range(5)
 
 
-def _simulate(topology, coop, failures, workload, strat, seed, op_timeout):
-    """Run the event loop under strategy strat; returns (events, final stores)."""
+def _simulate(topology, coop, failures, workload, strat, seed, op_timeout, final):
+    """Run the event loop under strategy strat, yielding its events in chunks.
+
+    Each chunk is a new list of at least _CHUNK_EVENTS events, the last one
+    of any length. When the run ends, the canonical final stores fill final
+    unless it is None.
+    """
     apply, snapshot, resolve, vclocks = strat.apply, strat.snapshot, strat.resolve, strat.vclocks
     streams = StreamFactory(seed)
     driver = WorkloadDriver(workload, streams)
@@ -243,7 +259,7 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout):
     write_ctr = [dict() for _ in range(workload.n_clients)]  # client -> key -> own counter
 
     events: list = []
-    ev_n = -1  # seq of the last emitted event; always == len(events) - 1
+    ev_n = -1  # seq of the last emitted event
     heap: list = []
     tick = count(1).__next__
     push = heappush
@@ -388,9 +404,13 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout):
     # -- main dispatch loop ---------------------------------------------------
 
     while heap or timeouts:
-        if timeouts and (not heap or timeouts[0][0] <= heap[0][0]):
-            # a deadline settles before any event of its instant; firing one
-            # may schedule the client's next request
+        if len(events) >= _CHUNK_EVENTS:
+            yield events
+            events = []  # the handlers append through this closed-over name
+        if timeouts and (timeouts[0][1].terminal or not heap or timeouts[0][0] <= heap[0][0]):
+            # a deadline settles before any event of its instant, and firing
+            # one may schedule the client's next request; that of a terminal
+            # op does nothing, so it leaves at once and frees its op
             deadline, op = timeouts.popleft()
             if not op.terminal:
                 op.terminal = True
@@ -446,15 +466,57 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout):
             ev_n += 1
             events.append((ev_n, t, None, REPLICA_UP, (replica,)))
             replica_state[replica] = _UP
-            # Deferred work drains FIFO at the recovery instant.
-            pending, queue[replica] = queue[replica], []
-            for entry in pending:
+            # Deferred work drains FIFO at the recovery instant; the drained
+            # list is dropped at once, so it holds no op past its messages.
+            for entry in queue[replica]:
                 push(heap, (t, tick(), entry[0], entry[1], entry[2], entry[3]))
+            queue[replica] = []
 
-    # Canonical final stores for convergence checks and demos.
-    canonical = strat.canonical
-    final = {rid: {key: canonical(state) for key, state in kv.items()} for rid, kv in enumerate(store)}
-    return events, final
+    if events:
+        yield events
+    if final is not None:
+        # Canonical final stores for convergence checks and demos.
+        canonical = strat.canonical
+        final.update((rid, {key: canonical(state) for key, state in kv.items()}) for rid, kv in enumerate(store))
+
+
+def simulation_chunks(
+    topology: ReplicaGraph,
+    coop: CooperationModel,
+    failures: list[FailureEvent],
+    workload: WorkloadSpec,
+    strategy: str,
+    seed: int,
+    op_timeout: int = DEFAULT_OP_TIMEOUT,
+    final_stores: dict | None = None,
+) -> tuple[dict, Iterator[list]]:
+    """Check one scenario and return (run metadata, its events in chunks).
+
+    The chunks are lists of event tuples; chained, they are the events of
+    ``run_simulation``. The run advances as they are consumed and holds no
+    chunk it has handed out. When the run ends, the canonical final stores
+    fill final_stores if it is given.
+
+    Raises ScenarioInvalidError when validate_scenario reports violations and
+    ValueError for an unknown strategy or non-positive timeout, both before
+    the first chunk.
+    """
+    strat = strategies.strategy(strategy)
+    if op_timeout <= 0:
+        raise ValueError(f"op_timeout must be positive, got {op_timeout}")
+    report = validate_scenario(topology, coop, failures, workload)
+    if not report.ok:
+        raise ScenarioInvalidError(report)
+    meta = {
+        "strategy": strategy,
+        "seed": seed,
+        "op_timeout_us": op_timeout,
+        "graphs": {
+            g.id: {"kind": g.kind, "root": g.root, "vertices": sorted(g.vertices())}
+            for g in (*coop.replication_graphs, *coop.reading_graphs)
+        },
+    }
+    return meta, _simulate(topology, coop, list(failures), workload, strat, seed, op_timeout, final_stores)
 
 
 def run_simulation(
@@ -466,26 +528,14 @@ def run_simulation(
     seed: int,
     op_timeout: int = DEFAULT_OP_TIMEOUT,
 ) -> SimulationLog:
-    """Execute one scenario and return the complete deterministic event log.
+    """Execute one scenario and return the complete deterministic event log:
+    the chunks of ``simulation_chunks`` in one list, and the final stores.
 
     Raises ScenarioInvalidError when validate_scenario reports violations and
     ValueError for an unknown strategy or non-positive timeout.
     """
-    strat = strategies.strategy(strategy)
-    if op_timeout <= 0:
-        raise ValueError(f"op_timeout must be positive, got {op_timeout}")
-    report = validate_scenario(topology, coop, failures, workload)
-    if not report.ok:
-        raise ScenarioInvalidError(report)
+    final_stores: dict = {}
+    meta, chunks = simulation_chunks(topology, coop, failures, workload, strategy, seed, op_timeout, final_stores)
     with gc_paused():
-        events, final_stores = _simulate(topology, coop, list(failures), workload, strat, seed, op_timeout)
-    meta = {
-        "strategy": strategy,
-        "seed": seed,
-        "op_timeout_us": op_timeout,
-        "graphs": {
-            g.id: {"kind": g.kind, "root": g.root, "vertices": sorted(g.vertices())}
-            for g in (*coop.replication_graphs, *coop.reading_graphs)
-        },
-    }
+        events = list(chain.from_iterable(chunks))
     return SimulationLog(meta, events, final_stores)

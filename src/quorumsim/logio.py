@@ -6,10 +6,14 @@ self-contained for re-analysis; every following line is one event with
 fields in fixed order (seq, time_us, op_id, kind, then kind-specific
 payload).
 
-The writer formats each event line from a fixed template per kind, with no
-whitespace and strings ASCII-escaped, and expects the engine's field types;
-it formats each returned ref object once. ``event_to_json`` is the
-reference form: each line equals
+The writer, ``written_chunks``, is one streaming pass too: it writes the
+header, then the lines of each chunk of events it is given, and passes each
+chunk on once written, so ``run`` feeds the engine's chunks through it into
+the op table without holding the event list. ``write_events`` is that
+writer over a held log. It formats each event line from a fixed template
+per kind, with no whitespace and strings ASCII-escaped, and expects the
+engine's field types; it formats each returned ref object once per file.
+``event_to_json`` is the reference form: each line equals
 ``json.dumps(event_to_json(ev), separators=(",", ":"))``.
 
 The reader, ``iter_events``, is one streaming pass: it yields each event as
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import deque
 from json.encoder import encode_basestring_ascii as _json_str
 
 from . import engine
@@ -237,15 +242,15 @@ def _ref_line(ref: VersionRef) -> str:
 _REPLICA_KINDS = frozenset((engine.APPLY_START, engine.REPLICA_DOWN, engine.REPLICA_UP))
 
 
-def _event_lines(events):
+def _event_lines(events, ref_lines: dict):
     """One line per event, the bytes ``json.dumps(event_to_json(ev))`` gives
     with compact separators, formatted from a fixed template per kind.
 
-    A returned ref is formatted once per ref object: the memo maps a write
-    id to the last ref formatted for it, and a different object with that
-    id is formatted from its own fields.
+    A returned ref is formatted once per ref object: the memo ref_lines,
+    kept for one file, maps a write id to (the last ref formatted for it,
+    its line), and a different object with that id is formatted from its
+    own fields.
     """
-    ref_lines: dict[int, tuple[VersionRef, str]] = {}
 
     def ref_line(ref):
         hit = ref_lines.get(ref.write_id)
@@ -290,11 +295,26 @@ def _event_lines(events):
             raise ValueError(f"unknown event kind {kind!r}")
 
 
-def write_events(log: SimulationLog, path) -> None:
+def written_chunks(meta: dict, chunks, path):
+    """Write the events file of meta and chunks to path, and yield each chunk
+    once its lines are written.
+
+    chunks is an iterable of event lists, such as the engine's
+    ``simulation_chunks``; the file is the one ``write_events`` writes for
+    the chained events. The header goes out when the first chunk is asked
+    for, and the file is complete and closed once the chunks run out.
+    """
+    ref_lines: dict[int, tuple[VersionRef, str]] = {}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(_meta_to_json(log.meta), separators=(",", ":")))
+        fh.write(json.dumps(_meta_to_json(meta), separators=(",", ":")))
         fh.write("\n")
-        fh.writelines(_event_lines(log.events))
+        for chunk in chunks:
+            fh.writelines(_event_lines(chunk, ref_lines))
+            yield chunk
+
+
+def write_events(log: SimulationLog, path) -> None:
+    deque(written_chunks(log.meta, (log.events,), path), maxlen=0)
 
 
 _decode = json.JSONDecoder().raw_decode

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from _oracles import _dom, apply_write, enumerate_star_writes, oracle_resolve, s
 from _randgen import random_scenario
 
 import quorumsim as qs
+from quorumsim import engine
 from quorumsim import (
     ASYNC_EDGE,
     CRASH_RECOVERY,
@@ -628,6 +630,105 @@ def test_lww_arrival_can_diverge_where_timestamp_converges():
     ts_log = run_simulation(topo, coop, [], wl, LWW_TIMESTAMP, seed=seed)
     states = {ts_log.final_stores[rid][0] for rid in range(3)}
     assert len(states) == 1  # same scenario and seed converges under timestamps
+
+
+# -- memory --------------------------------------------------------------------------
+
+LIVE_CLIENTS = 8
+LIVE_OPS = 300
+ROOT0_WEIGHT = 0.04
+CRASH_AT, CRASH_FOR, CRASH_TIMEOUT = 300_000, 300_000, 100_000
+
+
+def _live_ops_at_chunk_boundaries(failures, op_timeout, strategy):
+    """(virtual time, live engine ops) each time a chunk is handed out, with
+    the chunks consumed one at a time and freed by reference counting alone.
+
+    Three replicas on latencies in [0.5, 1.5] ms, no processing time, 1 ms
+    of think time. Replica 0 coordinates a few ops through a QUORUM star
+    over all three, replicas 1 and 2 the rest through QUORUM stars over
+    {1, 2} alone. An op needs one child's ack, so it takes at least 1 ms,
+    and a client issues at most one op per 2 ms. Without a failure, an op is
+    terminal, and every message of it handled, within 3 ms of its issue.
+    """
+    topo = mesh_topology(3, latency=qs.Uniform(500, 1500))
+    replication, reading = [], []
+    for root, placement, weight in ((0, [0, 1, 2], ROOT0_WEIGHT), (1, [1, 2], (1 - ROOT0_WEIGHT) / 2), (2, [1, 2], (1 - ROOT0_WEIGHT) / 2)):
+        model = qs.build_cooperation_model(topo, placement, root, qs.QUORUM, qs.QUORUM)
+        for graphs, g in ((replication, model.replication_graphs[0]), (reading, model.reading_graphs[0])):
+            graphs.append(CooperationGraph(len(replication) + len(reading), g.kind, g.root, g.edges, g.quorum_thresholds, weight))
+    wl = simple_workload(LIVE_CLIENTS, LIVE_OPS, think=Constant(1000), keys=UniformKeys(20))
+    seen = []
+    with engine.gc_paused():
+        _, chunks = engine.simulation_chunks(topo, CooperationModel(replication, reading), failures, wl, strategy, 5, op_timeout)
+        for chunk in chunks:
+            now = chunk[-1][1]
+            del chunk
+            seen.append((now, sum(type(o) is engine._Op for o in gc.get_objects())))
+    assert len(seen) >= 5  # the run spans several chunks
+    return seen
+
+
+def _per_client(span_us, gap_us=2_000):
+    """The most ops one client issues in a closed span, gap_us apart at least."""
+    return span_us // gap_us + 1
+
+
+# The loop's own locals may hold three ops: those of the last action, of the
+# last deadline popped and of the last entry drained from a recovery queue.
+LOOP_LOCALS = 3
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_finished_ops_are_freed_before_their_deadline(strategy):
+    """Under the default timeout every deadline lies past the end of the run,
+    yet the engine holds only ops still in flight.
+
+    Every op is terminal within 3 ms of its issue, so the first non-terminal
+    deadline in the FIFO belongs to an op issued within the last 3 ms, and
+    so does every entry behind it; an op with a message pending was issued
+    within the last 3 ms too. Holding each op until its deadline would
+    leave all 2,400 alive at the end.
+    """
+    seen = _live_ops_at_chunk_boundaries([], DEFAULT_OP_TIMEOUT, strategy)
+    assert max(count for _, count in seen) <= LIVE_CLIENTS * _per_client(3_000) + LOOP_LOCALS
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_ops_held_by_a_recovering_coordinator_stay_bounded(strategy):
+    """Replica 0 is down for D = 300 ms from t_d = 300 ms, with a timeout of
+    T = 100 ms. An op it coordinates inside that window is queued there and
+    stays non-terminal until its deadline, holding every op behind it in
+    the FIFO until then; its queued message holds the op itself until the
+    recovery.
+
+    Ops of replicas 1 and 2 never touch replica 0, so they are done within
+    3 ms. An op of replica 0 issued before t_d - 3 ms is done by t_d, and
+    one issued later is done by t_d + D + 3 ms. So from t_d + D + 3 ms on,
+    and before t_d, the bound of the default-timeout test holds.
+
+    Inside, the first non-terminal deadline in the FIFO is at or after now,
+    so its op, and every entry behind it, was issued within the last T: at
+    most T / 2 ms + 1 ops per client. An op of replica 0 issued earlier is
+    held by a queued message alone. Per client, at most 2 of those were
+    issued in the 3 ms before t_d (such an op may have committed, leaving a
+    late ack queued). One issued from t_d on was itself queued at its
+    coordinator and blocked its client for T until it timed out, so a
+    client has at most one of them issued within [t_d, now - T), and one
+    more for every further T + 1 ms.
+    """
+    failures = [FailureEvent(0, CRASH_AT, CRASH_RECOVERY, CRASH_FOR)]
+    seen = _live_ops_at_chunk_boundaries(failures, CRASH_TIMEOUT, strategy)
+    window_end = CRASH_AT + CRASH_FOR + 3_000
+    inside = [(now, count) for now, count in seen if CRASH_AT <= now < window_end]
+    assert inside  # a boundary falls where the FIFO is held
+    for now, count in seen:
+        if CRASH_AT <= now < window_end:
+            held_longer = 2 + _per_client(max(0, now - CRASH_TIMEOUT - CRASH_AT), CRASH_TIMEOUT + 1_000)
+            bound = LIVE_CLIENTS * (_per_client(CRASH_TIMEOUT) + held_longer) + LOOP_LOCALS
+        else:
+            bound = LIVE_CLIENTS * _per_client(3_000) + LOOP_LOCALS
+        assert count <= bound, (now, count, bound)
 
 
 # -- guards --------------------------------------------------------------------------

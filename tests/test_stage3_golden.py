@@ -47,6 +47,7 @@ from quorumsim import (
     run_simulation,
     scenario_to_json,
 )
+from quorumsim import cli, engine
 from quorumsim.cli import _load, list_presets, main
 
 GOLDEN = Path(__file__).with_name("stage3_golden.json")
@@ -187,6 +188,30 @@ def test_cli_run_and_analyze_write_what_the_two_public_calls_write(tmp_path, str
         expected = (lib_out / name).read_bytes()
         assert (run_out / name).read_bytes() == expected, name
         assert (analyze_out / name).read_bytes() == expected, name
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_cli_run_streams_the_events_file_write_events_writes(tmp_path, monkeypatch, strategy):
+    """Every way ``run`` writes a log, a worker process's too, gives the bytes
+    of ``write_events`` over ``run_simulation``, without that held-list path."""
+    sc = _scenario(MULTI_MASTER_CRASH, strategy)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario_to_json(sc)), encoding="utf-8")
+    log = _simulate(sc)
+    log.meta["scenario"] = sc.name
+    logio.write_events(log, tmp_path / EVENTS_FILE)
+    expected = (tmp_path / EVENTS_FILE).read_bytes()
+
+    def held_list(*args, **kwargs):
+        raise AssertionError("run built the event list")
+
+    monkeypatch.setattr(engine, "run_simulation", held_list)
+    assert not hasattr(cli, "run_simulation")
+    for name, extra in (("stage1", ["--stages", "1"]), ("all", ["--stages", "1,2,3"]), ("batch", ["--repeat", "3", "--jobs", "2"])):
+        out = tmp_path / name
+        assert main(["run", str(path), "--out", str(out), "--quiet", *extra]) == 0
+        got = out / f"seed_{GOLDEN_SEED}" / EVENTS_FILE if name == "batch" else out / EVENTS_FILE
+        assert got.read_bytes() == expected, name
 
 
 if __name__ == "__main__":
