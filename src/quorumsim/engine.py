@@ -10,10 +10,12 @@ Traversal semantics
 -------------------
 Writes: the coordinator applies first (ApplyStart on arrival, ApplyEnd after
 its sampled processing time, state mutated at ApplyEnd), then forwards a copy
-along every outgoing cooperation edge with a sampled one-way delay. A vertex
-acknowledges its parent once it has applied, every sync child has acked, and
-every quorum group g rooted at it has at least q_g acks; async children never
-block and send no ack. The op commits when the root's obligations are met.
+along every outgoing cooperation edge with a sampled one-way delay. A vertex's
+obligations are ack groups: its sync children are one group that needs all
+of them, and each quorum group g rooted at it needs q_g of its members. A
+vertex acknowledges its parent once it has applied and every group has its
+acks; async children never block and send no ack. The op commits when the
+root's obligations are met.
 
 Reads: the query fans out along the reading edges on arrival (it carries no
 data, so it travels while the local serve runs); each vertex's contribution
@@ -142,9 +144,6 @@ class SimulationLog:
     final_stores: dict
 
 
-# Edge synchronicity codes used by the compiled graphs.
-_SYNC, _ASYNC, _QUORUM = 0, 1, 2
-
 # Scheduled action codes. The first three are addressed to replica b of the
 # entry (t, tick, code, a, b, c) and pass the replica gate.
 _A_ACK, _A_DELIVER, _A_APPLY_END, _A_ISSUE, _A_DOWN, _A_UP = range(6)
@@ -155,33 +154,33 @@ _UP, _RECOVERING, _STOPPED = range(3)
 class _CompiledGraph:
     """Per-run view of one cooperation graph with prebound latency draws.
 
-    node[v]: (sync children count, {group: threshold} or None), the initial
-    obligations of v. fwd_of[v]: tuple of (child, base draw, per-byte rate)
-    or None; up_of[v]: (parent, mode, group, ack draw) for non-root vertices.
+    need_of[v]: {group: acks needed} or None, the initial obligations of v;
+    its sync children are one group, keyed SYNC, that needs all of them.
+    fwd_of[v]: tuple of (child, base draw, per-byte rate) or None; up_of[v]:
+    (parent, group or None for an async edge, ack draw) for non-root vertices.
     """
 
-    __slots__ = ("id", "root", "node", "fwd_of", "up_of")
+    __slots__ = ("id", "root", "need_of", "fwd_of", "up_of")
 
     def __init__(self, graph, streams, topology_edges):
         self.id = graph.id
         self.root = graph.root
         kids: dict[int, list] = {}
-        sync_need: dict[int, int] = {}
-        group_need: dict[int, dict[int, int]] = {}
-        up: dict[int, tuple[int, int, int | None]] = {}
+        need_of: dict[int, dict] = {}
+        up: dict[int, tuple] = {}
         for p, c, cls in graph.edges:
-            if cls.kind == SYNC:
-                mode, group = _SYNC, None
-                sync_need[p] = sync_need.get(p, 0) + 1
-            elif cls.kind == ASYNC:
-                mode, group = _ASYNC, None
-            else:
-                mode, group = _QUORUM, cls.group
-                group_need.setdefault(p, {})[group] = graph.quorum_thresholds[group]
             kids.setdefault(p, []).append(c)
-            up[c] = (p, mode, group)
+            group = None
+            if cls.kind == SYNC:
+                group = SYNC
+                need = need_of.setdefault(p, {})
+                need[SYNC] = need.get(SYNC, 0) + 1
+            elif cls.kind != ASYNC:
+                group = cls.group
+                need_of.setdefault(p, {})[group] = graph.quorum_thresholds[group]
+            up[c] = (p, group)
         vertices = graph.vertices()
-        self.node = {v: (sync_need.get(v, 0), group_need.get(v)) for v in vertices}
+        self.need_of = {v: need_of.get(v) for v in vertices}
         self.fwd_of = {}
         self.up_of = {}
         for v in vertices:
@@ -196,10 +195,10 @@ class _CompiledGraph:
             else:
                 self.fwd_of[v] = None
             if v != graph.root:
-                p, mode, group = up[v]
+                p, group = up[v]
                 model = topology_edges.get((v, p)) or topology_edges[(p, v)]
                 ack_draw = model.base.sampler(streams.stream(f"latency:{v}->{p}"))
-                self.up_of[v] = (p, mode, group, ack_draw)
+                self.up_of[v] = (p, group, ack_draw)
 
 
 class _Op:
@@ -221,7 +220,7 @@ class _Op:
 
 
 # Per-(op, vertex) traversal state list indices.
-_VS_APPLIED, _VS_SYNC, _VS_GROUPS, _VS_RESPONDED, _VS_CONTRIBS = range(5)
+_VS_APPLIED, _VS_NEED, _VS_RESPONDED, _VS_CONTRIBS = range(4)
 
 
 def _simulate(topology, coop, failures, workload, strat, seed, op_timeout, final):
@@ -255,8 +254,10 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout, final
     queue: list[list] = [[] for _ in range(n)]
     epoch = [0] * n
 
-    read_ctx = [dict() for _ in range(workload.n_clients)]  # client -> key -> vclock dict
-    write_ctr = [dict() for _ in range(workload.n_clients)]  # client -> key -> own counter
+    # client -> key -> causal context (a vclock dict); its entry for the client
+    # itself is the counter of the client's last write on the key, since every
+    # entry for the client that a read merges in names an earlier such write
+    read_ctx = [dict() for _ in range(workload.n_clients)]
 
     events: list = []
     ev_n = -1  # seq of the last emitted event
@@ -277,8 +278,13 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout, final
 
     # -- nested handlers over the closed-over state --------------------------
 
-    def client_next(client, t):
-        req = next_request(client, t)
+    def finish(t, op, kind, detail):
+        """End op at t with its one terminal event and draw its client's next request."""
+        nonlocal ev_n
+        op.terminal = True
+        ev_n += 1
+        events.append((ev_n, t, op.op_id, kind, (detail,)))
+        req = next_request(op.client, t)
         if req is not None:
             push(heap, (req.issue_time, tick(), _A_ISSUE, req, None, None))
 
@@ -297,19 +303,14 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout, final
         """Ack the parent / commit at the root once v's obligations are met."""
         nonlocal ev_n
         vs = op.vstate[v]
-        if vs[_VS_RESPONDED] or not vs[_VS_APPLIED] or vs[_VS_SYNC] > 0:
+        need = vs[_VS_NEED]
+        if vs[_VS_RESPONDED] or not vs[_VS_APPLIED] or (need and max(need.values()) > 0):
             return
-        groups = vs[_VS_GROUPS]
-        if groups:
-            for rem in groups.values():
-                if rem > 0:
-                    return
         vs[_VS_RESPONDED] = True
         graph = op.graph
         if v == graph.root:
             if op.terminal:
                 return
-            op.terminal = True
             if not op.is_write:
                 contribs = vs[_VS_CONTRIBS]
                 participants = sorted(r for r, _ in contribs)
@@ -323,12 +324,10 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout, final
                         for cid, cnt in ref.vclock or ():
                             if ctx.get(cid, 0) < cnt:
                                 ctx[cid] = cnt
-            ev_n += 1
-            events.append((ev_n, t, op.op_id, OP_COMMIT, (t - op.start,)))
-            client_next(op.client, t)
+            finish(t, op, OP_COMMIT, t - op.start)
             return
-        parent, mode, _, ack_draw = graph.up_of[v]
-        if mode == _ASYNC and op.is_write:
+        parent, group, ack_draw = graph.up_of[v]
+        if group is None and op.is_write:
             return  # an async copy imposes no obligation and sends no ack
         push(heap, (t + ack_draw(), tick(), _A_ACK, op, parent, (v, vs[_VS_CONTRIBS])))
 
@@ -360,8 +359,8 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout, final
             # local serve (proc_read) proceeds in parallel
             forward(t, op, v)
         proc = (pw_draw[v] if op.is_write else pr_draw[v])()
-        sync_need, group_need = op.graph.node[v]
-        op.vstate[v] = [False, sync_need, dict(group_need) if group_need else None, False, []]
+        need = op.graph.need_of[v]
+        op.vstate[v] = [False, dict(need) if need else None, False, []]
         if proc:
             push(heap, (t + proc, tick(), _A_APPLY_END, op, v, None))
         else:
@@ -375,10 +374,8 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout, final
         ref = vclock = None
         if is_write:
             if vclocks:
-                ctr = write_ctr[req.client_id]
-                ctr[req.key] = ctr.get(req.key, 0) + 1
                 ctx = read_ctx[req.client_id].setdefault(req.key, {})
-                ctx[req.client_id] = ctr[req.key]
+                ctx[req.client_id] = ctx.get(req.client_id, 0) + 1
                 vclock = tuple(sorted(ctx.items()))
             ref = VersionRef(req.write_id, req.client_id, req.client_timestamp, vclock)
 
@@ -389,10 +386,7 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout, final
 
         root = graph.root
         if replica_state[root] == _STOPPED:
-            op.terminal = True
-            ev_n += 1
-            events.append((ev_n, t, op.op_id, OP_FAIL, (FAIL_COORDINATOR_DOWN,)))
-            client_next(op.client, t)
+            finish(t, op, OP_FAIL, FAIL_COORDINATOR_DOWN)
             return
         if replica_state[root] == _UP:
             deliver(t, op, root)
@@ -413,10 +407,7 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout, final
             # op does nothing, so it leaves at once and frees its op
             deadline, op = timeouts.popleft()
             if not op.terminal:
-                op.terminal = True
-                ev_n += 1
-                events.append((ev_n, deadline, op.op_id, OP_FAIL, (FAIL_TIMEOUT,)))
-                client_next(op.client, deadline)
+                finish(deadline, op, OP_FAIL, FAIL_TIMEOUT)
             continue
         t, _, code, a, b, c = pop(heap)
         if code < _A_ISSUE:
@@ -436,11 +427,9 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout, final
                 if vs[_VS_RESPONDED]:
                     continue  # late ack: logged, then ignored
                 vs[_VS_CONTRIBS].extend(contribs)
-                mode, group = op.graph.up_of[child][1:3]
-                if mode == _SYNC:
-                    vs[_VS_SYNC] -= 1
-                elif mode == _QUORUM:
-                    vs[_VS_GROUPS][group] -= 1
+                group = op.graph.up_of[child][1]
+                if group is not None:
+                    vs[_VS_NEED][group] -= 1
                 oblig(t, op, b)
             elif code == _A_DELIVER:
                 deliver(t, a, b)

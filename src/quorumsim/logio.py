@@ -1,9 +1,9 @@
 """Serialization of event logs, metric reports, and verdict tables.
 
-Events file: JSON Lines. The first line is a ``run_meta`` header carrying the
-strategy, seed, and cooperation-graph summaries so the file is
-self-contained for re-analysis; every following line is one event with
-fields in fixed order (seq, time_us, op_id, kind, then kind-specific
+Events file: JSON Lines. The first line is the file's one ``run_meta``
+header, carrying the strategy, seed, and cooperation-graph summaries so the
+file is self-contained for re-analysis; every following line is one event
+with fields in fixed order (seq, time_us, op_id, kind, then kind-specific
 payload).
 
 The writer, ``written_chunks``, is one streaming pass too: it writes the
@@ -323,11 +323,13 @@ _decode = json.JSONDecoder().raw_decode
 def iter_events(path, meta: dict):
     """Yield the events of an events file in file order, in one pass.
 
-    The run_meta header fills meta when the pass reaches it, wherever it is
-    in the file (a later header replaces an earlier one). Every returned ref
-    of one write id is one object (see ``event_from_json``).
+    A file has one run_meta header, which fills meta when the pass reaches
+    it, wherever it is in the file; a second one raises MalformedLogError.
+    Every returned ref of one write id is one object (see
+    ``event_from_json``).
     """
     refs: dict = {}  # write id -> (its ref, the JSON object of its first return)
+    header_line = None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -342,9 +344,10 @@ def iter_events(path, meta: dict):
             if not isinstance(obj, dict) or "kind" not in obj:
                 raise MalformedLogError("line is not an event object", line_no)
             if obj["kind"] == "run_meta":
-                header = _meta_from_json(obj, line_no)
-                meta.clear()
-                meta.update(header)
+                if header_line is not None:
+                    raise MalformedLogError(f"second run_meta header (the first is on line {header_line})", line_no)
+                header_line = line_no
+                meta.update(_meta_from_json(obj, line_no))
                 continue
             yield event_from_json(obj, line_no, refs)
 

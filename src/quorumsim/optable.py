@@ -6,7 +6,9 @@ events; they read the table. It is built in one pass over a
 as the file stream of ``logio.iter_events``, with the events in any order.
 The pass keeps one record per op and no event. The table is where a log
 is checked: every op needs exactly one ``op_start`` and one terminal
-event, and no event may name an op without an ``op_start``.
+event, and no event may name an op without an ``op_start``. A commit's
+``latency_us`` is its time minus the op's start, and each committed read
+has exactly one ``read_return``, at its commit instant; no other op has one.
 ``check_dots`` adds the rule of a log with vector clocks: they must have
 the dot shape, by which stage 3 judges competing writes.
 """
@@ -160,7 +162,9 @@ def op_table(log, meta: dict | None = None) -> OpTable:
     after the pass, when a streamed header has filled meta.
 
     Raises MalformedLogError unless every op has exactly one op_start and
-    one terminal event and every event naming an op has that op's op_start.
+    one terminal event, every event naming an op has that op's op_start,
+    every commit's latency_us is its time minus the op's start, and exactly
+    the committed reads have a read_return, one each, at their commit.
     """
     if isinstance(log, OpTable):
         return log
@@ -184,6 +188,8 @@ def op_table(log, meta: dict | None = None) -> OpTable:
             op.client, op.kind, op.key, op.write_id, _, op.warmup, op.vclock = payload
             op.start = t
         elif code == _RETURN:
+            if op.return_time is not None:
+                raise MalformedLogError(f"op {op_id} has more than one read_return event")
             op.returned = tuple(payload[1])
             op.return_time = t
         elif code == _GRAPH:
@@ -202,5 +208,12 @@ def op_table(log, meta: dict | None = None) -> OpTable:
             raise MalformedLogError(f"op {op.op_id} has events but no op_start event")
         if op.status is None:
             raise MalformedLogError(f"op {op.op_id} has no terminal event")
+        if op.commit_us is not None and op.latency_us != op.commit_us - op.start:
+            raise MalformedLogError(f"op {op.op_id} has latency_us {op.latency_us}, not its commit time minus its start")
+        if op.kind == READ and op.commit_us is not None:
+            if op.return_time != op.commit_us:
+                raise MalformedLogError(f"op {op.op_id} is a committed read without a read_return at its commit")
+        elif op.return_time is not None:
+            raise MalformedLogError(f"op {op.op_id} has a read_return but is no committed read")
     rows = [ops[op_id] for op_id in sorted(ops)]
     return OpTable(rows, meta.get("graphs", {}) if meta is not None else {})

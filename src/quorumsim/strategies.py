@@ -22,9 +22,10 @@ object that judges one log's reads: under LWW one that holds each read's
 order key, under competing_writes one that holds each read's frontier, and
 under write_set the strategy itself.
 
-Dots. The engine gives each write a counter per (writer, key), one above the
-writer's last one, and makes the write's clock its writer's read context on
-the key with that counter as the writer's own entry. So a write is named by
+Dots. The engine keeps one causal context per (writer, key) and makes a
+write's clock that context with the writer's own entry raised by one, so
+each write has a counter one above its writer's last one on the key (no
+read brings in a higher entry for the writer). So a write is named by
 its dot (writer c, counter n), and a clock A built from such clocks
 dominates write (c, n) iff A[c] >= n (Preguiça et al., "Dotted Version
 Vectors", arXiv:1011.5808). The engine's ``apply`` and ``resolve`` use this
@@ -38,7 +39,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, islice
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 LWW_ARRIVAL = "lww_arrival"
 LWW_TIMESTAMP = "lww_timestamp"
@@ -117,15 +118,37 @@ class _Strategy:
         writes commit_map maps to their commit instants."""
         return self
 
+    def canonical(self, state):
+        """The final store's form of a many-version state: its refs by write id."""
+        return tuple(sorted(state, key=_write_id))
+
 
 class _LastWriteWins(_Strategy):
     """One version per key, totally ordered by order key.
+
+    A replica keeps the state whose ``order`` is largest and returns the ref
+    it holds, ``canonical(state)``; ``stored(ref, seq)`` is the state of a
+    write applied as event seq.
 
     ``judge(reads, commit_map)`` keeps the order key of each read's result.
     """
 
     def __init__(self, reads=(), commit_map=None):
         self.key = {r.op_id: self.returned_key(r.returned, commit_map) for r in reads}
+
+    def apply(self, kv, key, ref, seq):
+        new, cur = self.stored(ref, seq), kv.get(key)
+        if cur is None or self.order(new) > self.order(cur):
+            kv[key] = new
+
+    def snapshot(self, state):
+        return state, (self.canonical(state).write_id,)
+
+    def resolve(self, contribs):
+        if not contribs:
+            raise ValueError(_NO_CONTRIBUTIONS)
+        snaps = [snap for _, snap in contribs if snap is not None]
+        return [self.canonical(max(snaps, key=self.order)) if snaps else INITIAL]
 
     def judge(self, reads, commit_map):
         return type(self)(reads, commit_map)
@@ -157,27 +180,13 @@ class _LastWriteWins(_Strategy):
 
 
 class _LwwArrival(_LastWriteWins):
+    """A state is (ref, seq) and orders by (seq, write id), so a replica
+    keeps the write it applied last: seq rises with every ApplyEnd."""
+
     name = LWW_ARRIVAL
-
-    def apply(self, kv, key, ref, seq):
-        kv[key] = (ref, seq)
-
-    def snapshot(self, state):
-        return state, (state[0].write_id,)
-
-    def resolve(self, contribs):
-        if not contribs:
-            raise ValueError(_NO_CONTRIBUTIONS)
-        best, best_key = INITIAL, (-1, -1)
-        for _, snap in contribs:
-            if snap is not None:
-                key = (snap[1], snap[0].write_id)
-                if key > best_key:
-                    best_key, best = key, snap[0]
-        return [best]
-
-    def canonical(self, state):
-        return state[0]
+    stored = staticmethod(lambda ref, seq: (ref, seq))
+    order = staticmethod(lambda state: (state[1], state[0].write_id))
+    canonical = staticmethod(itemgetter(0))
 
     def write_key(self, w):
         return (0, 0, w.commit_us, w.write_id)  # of a committed write
@@ -188,27 +197,12 @@ class _LwwArrival(_LastWriteWins):
 
 
 class _LwwTimestamp(_LastWriteWins):
+    """A state is the ref itself, ordered by (client timestamp, write id)."""
+
     name = LWW_TIMESTAMP
-
-    def apply(self, kv, key, ref, seq):
-        cur = kv.get(key)
-        if cur is None or (ref.client_timestamp, ref.write_id) > (cur.client_timestamp, cur.write_id):
-            kv[key] = ref
-
-    def snapshot(self, state):
-        return state, (state.write_id,)
-
-    def resolve(self, contribs):
-        if not contribs:
-            raise ValueError(_NO_CONTRIBUTIONS)
-        best = INITIAL
-        for _, snap in contribs:
-            if snap is not None and (snap.client_timestamp, snap.write_id) > (best.client_timestamp, best.write_id):
-                best = snap
-        return [best]
-
-    def canonical(self, state):
-        return state
+    stored = staticmethod(lambda ref, seq: ref)
+    order = staticmethod(attrgetter("client_timestamp", "write_id"))
+    canonical = staticmethod(lambda state: state)
 
     def write_key(self, w):
         return (0, w.start, w.write_id)  # a write's client timestamp is its issue instant
@@ -240,9 +234,6 @@ class _WriteSet(_Strategy):
             if snap:
                 union |= snap
         return sorted(union, key=_write_id)
-
-    def canonical(self, state):
-        return tuple(sorted(state, key=_write_id))
 
     def marks(self, writes):
         return [w.write_id for w in writes]
@@ -329,9 +320,6 @@ class _CompetingWrites(_Strategy):
             for ref in snap or ():
                 heads = _add_head(heads, ref)
         return list(heads)
-
-    def canonical(self, state):
-        return tuple(sorted(state, key=_write_id))
 
     def judge(self, reads, commit_map):
         return _CompetingWrites(reads)

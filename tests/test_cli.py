@@ -186,10 +186,23 @@ def test_stages_2_and_3_reject_the_same_malformed_logs(scenario_file, tmp_path, 
     write_start = first("op_start", "write_id")
     read_return = first("read_return", "returned")
     ref = read_return["returned"][0]
+    write_ids = {ev["op_id"] for ev in events if ev["kind"] == "op_start" and ev["op"] == "write"}
+    write_commit = next(ev for ev in events if ev["kind"] == "op_commit" and ev["op_id"] in write_ids)
     next_seq = events[-1]["seq"] + 1
+    read, write = read_return["op_id"], write_commit["op_id"]
+    # each log that contradicts itself, and what its rejection must name
     malformed = {
-        "duplicated_terminal": events + [{**terminal, "seq": next_seq}],
-        "unknown_op": events + [{**apply_start, "seq": next_seq, "op_id": 10_000}],
+        "duplicated_terminal": (events + [{**terminal, "seq": next_seq}], f"op {terminal['op_id']} "),
+        "unknown_op": (events + [{**apply_start, "seq": next_seq, "op_id": 10_000}], "op 10000 "),
+        "latency": (changed(terminal, latency_us=-5_000_000), f"op {terminal['op_id']} has latency_us -5000000"),
+        "deleted_read_return": ([ev for ev in events if ev is not read_return], f"op {read} "),
+        "moved_read_return": (changed(read_return, time_us=read_return["time_us"] - 1), f"op {read} "),
+        "read_return_of_a_write": (
+            events + [{**read_return, "seq": next_seq, "op_id": write, "time_us": write_commit["time_us"]}],
+            f"op {write} ",
+        ),
+        "second_read_return": (events + [{**read_return, "seq": next_seq, "participants": [], "returned": []}], f"op {read} "),
+        "second_header": (events + [{**json.loads(header), "strategy": "write_set"}], "second run_meta header (the first is on line "),
     }
     # every field an analysis reads, with the wrong type: the reader names the line
     wrong_typed = {
@@ -214,7 +227,7 @@ def test_stages_2_and_3_reject_the_same_malformed_logs(scenario_file, tmp_path, 
         "reason": changed(terminal, kind="op_fail", reason=5),
     }
     rng = random.Random(7)
-    for name, bad in {**malformed, **wrong_typed}.items():
+    for name, bad in {**{name: bad for name, (bad, _) in malformed.items()}, **wrong_typed}.items():
         shuffled = list(bad)
         rng.shuffle(shuffled)
         for order, evs in (("ordered", bad), ("shuffled", shuffled)):
@@ -226,7 +239,7 @@ def test_stages_2_and_3_reject_the_same_malformed_logs(scenario_file, tmp_path, 
                 assert main(argv) == 1, (name, order, stages)
                 err = capsys.readouterr().err
                 assert "MALFORMED_LOG" in err and "Traceback" not in err, (name, order, stages, err)
-                assert name in malformed or "(line " in err, (name, order, stages, err)
+                assert (malformed[name][1] if name in malformed else "(line ") in err, (name, order, stages, err)
                 assert not (tmp_path / "out").exists()
 
 

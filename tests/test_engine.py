@@ -10,6 +10,7 @@ from _randgen import random_scenario
 
 import quorumsim as qs
 from quorumsim import engine
+from quorumsim.logio import write_events
 from quorumsim import (
     ASYNC_EDGE,
     CRASH_RECOVERY,
@@ -187,6 +188,47 @@ def test_quorum_commit_with_late_straggler():
     assert late_ack and late_ack[0][1] == 18_000
     terminals = [e for e in log.events if e[3] in (OP_COMMIT, OP_FAIL)]
     assert len(terminals) == 1
+
+
+def _sync_edges_as_quorum_groups(graph):
+    """graph with each parent's sync edges made one quorum group whose
+    threshold is their count."""
+    group_of: dict[int, int] = {}
+    thresholds = dict(graph.quorum_thresholds)
+    edges = []
+    for p, c, cls in graph.edges:
+        if cls == SYNC_EDGE:
+            if p not in group_of:
+                group_of[p] = max(thresholds, default=-1) + 1
+                thresholds[group_of[p]] = 0
+            thresholds[group_of[p]] += 1
+            cls = quorum_edge(group_of[p])
+        edges.append((p, c, cls))
+    return CooperationGraph(graph.id, graph.kind, graph.root, edges, thresholds, graph.weight)
+
+
+@pytest.mark.parametrize("name", STRATEGIES)
+def test_sync_children_are_one_ack_group_that_needs_all_of_them(name, tmp_path):
+    # the engine holds a vertex's sync children as one ack group; a quorum
+    # group of the same edges whose threshold is their count must give the
+    # same events.jsonl, byte for byte
+    rng = random.Random(f"sync-group:{name}")
+    sync_edges = 0
+    for case in range(25):
+        topo, coop, failures, wl = random_scenario(rng, allow_crash_stop=True)
+        sync_edges += sum(cls == SYNC_EDGE for g in (*coop.replication_graphs, *coop.reading_graphs) for _, _, cls in g.edges)
+        as_groups = CooperationModel(
+            [_sync_edges_as_quorum_groups(g) for g in coop.replication_graphs],
+            [_sync_edges_as_quorum_groups(g) for g in coop.reading_graphs],
+        )
+        assert qs.validate_scenario(topo, as_groups, failures, wl).ok
+        seed, timeout = rng.randrange(10_000), rng.choice([20_000, DEFAULT_OP_TIMEOUT])
+        paths = []
+        for label, model in (("sync", coop), ("groups", as_groups)):
+            paths.append(tmp_path / f"{case}_{label}.jsonl")
+            write_events(run_simulation(topo, model, failures, wl, name, seed=seed, op_timeout=timeout), paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes(), case
+    assert sync_edges > 50, sync_edges
 
 
 # -- determinism ------------------------------------------------------------------
