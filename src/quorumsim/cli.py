@@ -154,9 +154,13 @@ def _run_one(scenario: Scenario, seed: int, out_dir: Path, stages) -> dict:
                 wfrc_violation_probability=report3["wfrc_violation_probability"],
             )
         return row
+    except MemoryError:
+        pass  # removing the outputs needs memory too: leaving here frees the run's state
     except BaseException:
         shutil.rmtree(out_dir, ignore_errors=True)
         raise
+    shutil.rmtree(out_dir, ignore_errors=True)
+    raise MemoryError
 
 
 def cmd_run(args) -> int:
@@ -318,16 +322,17 @@ def main(argv=None) -> int:
     try:
         with gc_paused():
             return args.fn(args)
-    except (ScenarioFormatError, FileNotFoundError, PermissionError, IsADirectoryError) as e:
+    except (ScenarioFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     except (LevelError, MalformedLogError) as e:
         code = getattr(e, "code", "ERROR")
         print(f"{code}: {e}", file=sys.stderr)
         return EXIT_DOMAIN
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+    except MemoryError:
+        # validation does not bound a run's size: a run too large to fit ends here
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

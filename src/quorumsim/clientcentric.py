@@ -7,7 +7,8 @@ live with the strategies (``strategies``).
 A read's staleness reference point is its issue instant: the read is stale
 iff its result fails to reflect some write committed at or before that
 instant. Warmup ops take part in session context but are excluded from
-every numerator and denominator.
+every numerator and denominator. Only committed reads are judged, and each
+is timed at its commit, where the op table puts its return.
 
 ``clientcentric_outputs`` is the one judge: it gives the report and the
 per-read verdicts from one op table, and ``build_clientcentric_report``
@@ -21,7 +22,6 @@ MalformedLogError, a log whose vector clocks lack the dot shape
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import repeat
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -60,8 +60,9 @@ def _judged(log, strategy: str):
 # -- internal scans over the op table ------------------------------------------
 #
 # Each scan behind the report and the verdicts is linear in the table's ops
-# plus the returned refs, up to a log factor from sorting and bisection;
-# under competing_writes a read costs O(writers) more.
+# plus the returned refs, up to a log factor from sorting and bisection, and
+# the MWC count moves one list entry per violating triple; under
+# competing_writes a read costs O(writers) more.
 
 
 _key_of = attrgetter("key")
@@ -131,38 +132,22 @@ def _mwc_counts(write_sessions):
     Triples whose later write is a warmup op are not counted. Per session and
     replica, a later write's applicable triples are the earlier writes
     applied there and its violating ones those applied after it: inversions
-    between session order and ApplyEnd order. Where a replica applied the
-    session out of order, they are counted on a Fenwick tree over ApplyEnd
-    ranks.
+    between session order and ApplyEnd order. Each replica's ApplyEnds so far
+    are kept sorted, so a write's violating triples are those above its own
+    ApplyEnd, found by bisection; inserting it moves exactly those.
     """
     per_client: dict[int, list[int]] = {}
     for session in write_sessions.values():
         counts = per_client.setdefault(session[0].client, [0, 0])
         at_replica: dict[int, list] = {}
-        unordered = set()
         for w in session:
             for replica, at in w.applies.items():
                 applied = at_replica.setdefault(replica, [])
-                if applied and applied[-1][0] > at:
-                    unordered.add(replica)
+                i = bisect_right(applied, at)
                 if not w.warmup:
                     counts[0] += len(applied)
-                applied.append((at, w.warmup))
-        for replica in unordered:
-            applied = at_replica[replica]
-            rank = {at: i for i, (at, _) in enumerate(sorted(applied), 1)}
-            tree = [0] * (len(rank) + 1)
-            for earlier, (at, warmup) in enumerate(applied):
-                i = rank[at]
-                if not warmup:
-                    not_after, j = 0, i
-                    while j:
-                        not_after += tree[j]
-                        j &= j - 1
-                    counts[1] += earlier - not_after
-                while i < len(tree):
-                    tree[i] += 1
-                    i += i & -i
+                    counts[1] += len(applied) - i
+                applied.insert(i, at)
     return per_client
 
 
@@ -209,14 +194,9 @@ def _wfrc_scan(read_sessions, write_sessions):
 
 def _frontier(refs, applies_of) -> dict:
     """replica -> latest ApplyEnd of refs, over replicas that applied every ref."""
-    applies = [applies_of.get(ref.write_id, {}) for ref in refs]
-    if len(applies) == 1:
-        return applies[0]  # a read returns one ref under LWW: its own ApplyEnds
-    frontier = {}
-    for replica in applies[0]:
-        ats = list(map(dict.get, applies, repeat(replica)))
-        if None not in ats:
-            frontier[replica] = max(ats)
+    frontier, *rest = [applies_of.get(ref.write_id, {}) for ref in refs]
+    for applies in rest:
+        frontier = {replica: max(at, applies[replica]) for replica, at in frontier.items() if replica in applies}
     return frontier
 
 
@@ -247,7 +227,7 @@ def _last_unseen(writes_in_order, read_sessions, own, strat):
     among the reads returning at or after the write's commit."""
     last: dict[int, int] = {}  # write op id -> instant
     for ck, order in own.items():
-        reads = [r for r in read_sessions.get(ck, ()) if r.return_time is not None]
+        reads = read_sessions.get(ck)
         if reads:
             strat.unseen(order, reads, last)
     return [

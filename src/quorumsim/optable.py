@@ -9,8 +9,11 @@ is checked: every op needs exactly one ``op_start`` and one terminal
 event, and no event may name an op without an ``op_start``. A commit's
 ``latency_us`` is its time minus the op's start, and each committed read
 has exactly one ``read_return``, at its commit instant; no other op has one.
-``check_dots`` adds the rule of a log with vector clocks: they must have
-the dot shape, by which stage 3 judges competing writes.
+An op has at most one ``apply_end`` per replica and one ``graph_chosen``,
+whose graph the header lists if it lists any. A returned ref of a logged
+write carries that write's client id, and its start as the client
+timestamp. ``check_dots`` adds the rule of a log with vector clocks: they
+must have the dot shape, by which stage 3 judges competing writes.
 """
 
 from __future__ import annotations
@@ -24,16 +27,6 @@ from .errors import MalformedLogError
 from .workload import READ, WRITE
 
 COMMITTED = "committed"
-
-_APPLY_END, _START, _RETURN, _GRAPH, _COMMIT, _FAIL = range(6)
-_CODE = {
-    APPLY_END: _APPLY_END,
-    OP_START: _START,
-    READ_RETURN: _RETURN,
-    GRAPH_CHOSEN: _GRAPH,
-    OP_COMMIT: _COMMIT,
-    OP_FAIL: _FAIL,
-}
 
 
 @dataclass(slots=True)
@@ -163,8 +156,10 @@ def op_table(log, meta: dict | None = None) -> OpTable:
 
     Raises MalformedLogError unless every op has exactly one op_start and
     one terminal event, every event naming an op has that op's op_start,
-    every commit's latency_us is its time minus the op's start, and exactly
-    the committed reads have a read_return, one each, at their commit.
+    every commit's latency_us is its time minus the op's start, exactly
+    the committed reads have a read_return, one each, at their commit, and
+    the rules of the module docstring on apply_end, graph_chosen and
+    returned refs hold.
     """
     if isinstance(log, OpTable):
         return log
@@ -172,37 +167,40 @@ def op_table(log, meta: dict | None = None) -> OpTable:
     if hasattr(log, "events"):
         events, meta = log.events, log.meta
     ops: dict[int, OpRecord] = {}
-    code_of = _CODE
     for seq, t, op_id, kind, payload in events:
         if op_id is None:
             continue
         op = ops.get(op_id)
         if op is None:
             op = ops[op_id] = OpRecord(op_id)
-        code = code_of.get(kind)
-        if code == _APPLY_END:
+        if kind == APPLY_END:
+            if payload[0] in op.applies:
+                raise MalformedLogError(f"op {op_id} has more than one apply_end at replica {payload[0]}")
             op.applies[payload[0]] = (t, seq)
-        elif code == _START:
+        elif kind == OP_START:
             if op.start is not None:
                 raise MalformedLogError(f"op {op_id} has more than one op_start event")
             op.client, op.kind, op.key, op.write_id, _, op.warmup, op.vclock = payload
             op.start = t
-        elif code == _RETURN:
+        elif kind == READ_RETURN:
             if op.return_time is not None:
                 raise MalformedLogError(f"op {op_id} has more than one read_return event")
             op.returned = tuple(payload[1])
             op.return_time = t
-        elif code == _GRAPH:
+        elif kind == GRAPH_CHOSEN:
+            if op.graph_id is not None:
+                raise MalformedLogError(f"op {op_id} has more than one graph_chosen event")
             op.graph_id = payload[0]
-        elif code is not None:
+        elif kind == OP_COMMIT or kind == OP_FAIL:
             if op.status is not None:
                 raise MalformedLogError(f"op {op_id} has more than one terminal event")
-            if code == _COMMIT:
+            if kind == OP_COMMIT:
                 op.status = COMMITTED
                 op.commit_us = t
                 op.latency_us = payload[0]
             else:
                 op.status = f"failed:{payload[0]}"
+    graphs = meta.get("graphs", {}) if meta is not None else {}
     for op in ops.values():
         if op.start is None:
             raise MalformedLogError(f"op {op.op_id} has events but no op_start event")
@@ -215,5 +213,19 @@ def op_table(log, meta: dict | None = None) -> OpTable:
                 raise MalformedLogError(f"op {op.op_id} is a committed read without a read_return at its commit")
         elif op.return_time is not None:
             raise MalformedLogError(f"op {op.op_id} has a read_return but is no committed read")
+        # hand-built logs list no graphs, so only a listing header is checked
+        if graphs and op.graph_id is not None and op.graph_id not in graphs:
+            raise MalformedLogError(f"op {op.op_id} chose graph {op.graph_id}, which the header does not list")
     rows = [ops[op_id] for op_id in sorted(ops)]
-    return OpTable(rows, meta.get("graphs", {}) if meta is not None else {})
+    # A ref naming no logged write, or with another clock, is left to
+    # check_dots; a ref object found right is not checked again.
+    writes = {op.write_id: op for op in rows if op.kind == WRITE}
+    checked: dict[int, object] = {}  # write id -> the ref object found right
+    for op in rows:
+        for ref in op.returned:
+            if checked.get(ref.write_id) is not ref:
+                w = writes.get(ref.write_id)
+                if w is not None and (ref.client_id, ref.client_timestamp) != (w.client, w.start):
+                    raise MalformedLogError(f"op {op.op_id} returned write {ref.write_id} unlike its op_start's client or time")
+                checked[ref.write_id] = ref
+    return OpTable(rows, graphs)

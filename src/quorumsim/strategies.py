@@ -175,7 +175,7 @@ class _LastWriteWins(_Strategy):
         """A read misses w iff its order key is below w's, so the answer is
         the latest return among the reads ranked below w, if not before w's
         commit."""
-        ranked = [(self.key[r.op_id], r.return_time) for r in reads]
+        ranked = [(self.key[r.op_id], r.commit_us) for r in reads]
         _last_unseen_by_rank(ranked, order.writes, self.write_key, last)
 
 
@@ -262,8 +262,8 @@ class _WriteSet(_Strategy):
         read's returned refs."""
         marks = order.marks
         pending = list(range(len(marks)))  # unresolved positions, ascending
-        for r in sorted(reads, key=lambda r: r.return_time, reverse=True):
-            del pending[bisect_left(pending, order.upto(r.return_time)):]
+        for r in sorted(reads, key=lambda r: r.commit_us, reverse=True):
+            del pending[bisect_left(pending, order.upto(r.commit_us)):]
             if not pending:
                 break
             reflects = self.reflects(r.returned)
@@ -272,14 +272,12 @@ class _WriteSet(_Strategy):
                 if reflects(marks[i]):
                     kept.append(i)
                 else:
-                    last[order.writes[i].op_id] = r.return_time
+                    last[order.writes[i].op_id] = r.commit_us
             pending = kept
 
 
 def _frontier(refs) -> dict:
     """client -> the largest entry any of refs' clocks has for it."""
-    if len(refs) == 1:
-        return dict(refs[0].vclock)
     out: dict[int, int] = {}
     for ref in refs:
         for cid, n in ref.vclock:
@@ -354,7 +352,7 @@ class _CompetingWrites(_Strategy):
         """A session's writes share one writer c: a read misses write (c, n)
         iff its frontier's entry for c is below n, a total order as under LWW."""
         c = order.writes[0].client
-        ranked = [(self.frontier[r.op_id].get(c, 0), r.return_time) for r in reads]
+        ranked = [(self.frontier[r.op_id].get(c, 0), r.commit_us) for r in reads]
         _last_unseen_by_rank(ranked, order.writes, lambda w: _entry(w.vclock, c), last)
 
 

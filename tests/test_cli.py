@@ -190,6 +190,16 @@ def test_stages_2_and_3_reject_the_same_malformed_logs(scenario_file, tmp_path, 
     write_commit = next(ev for ev in events if ev["kind"] == "op_commit" and ev["op_id"] in write_ids)
     next_seq = events[-1]["seq"] + 1
     read, write = read_return["op_id"], write_commit["op_id"]
+    apply_end, graph_chosen = first("apply_end"), first("graph_chosen")
+
+    def every_ref(**fields):
+        """events with fields changed in every returned ref to ref's write."""
+
+        def change(r):
+            return {**r, **fields} if r["write_id"] == ref["write_id"] else r
+
+        return [{**ev, "returned": list(map(change, ev["returned"]))} if ev["kind"] == "read_return" else ev for ev in events]
+
     # each log that contradicts itself, and what its rejection must name
     malformed = {
         "duplicated_terminal": (events + [{**terminal, "seq": next_seq}], f"op {terminal['op_id']} "),
@@ -203,6 +213,14 @@ def test_stages_2_and_3_reject_the_same_malformed_logs(scenario_file, tmp_path, 
         ),
         "second_read_return": (events + [{**read_return, "seq": next_seq, "participants": [], "returned": []}], f"op {read} "),
         "second_header": (events + [{**json.loads(header), "strategy": "write_set"}], "second run_meta header (the first is on line "),
+        "second_apply_end": (
+            events + [{**apply_end, "seq": next_seq, "time_us": apply_end["time_us"] + 10_000_000}],
+            f"op {apply_end['op_id']} has more than one apply_end at replica {apply_end['replica']}",
+        ),
+        "second_graph_chosen": (events + [{**graph_chosen, "seq": next_seq}], f"op {graph_chosen['op_id']} has more than one graph_chosen"),
+        "unknown_graph": (changed(graph_chosen, graph_id=999), f"op {graph_chosen['op_id']} chose graph 999, which the header"),
+        "ref_with_another_start": (every_ref(client_ts_us=ref["client_ts_us"] + 10_000_000), f"returned write {ref['write_id']} unlike its op_start"),
+        "ref_with_another_writer": (every_ref(client_id=1 - ref["client_id"]), f"returned write {ref['write_id']} unlike its op_start"),
     }
     # every field an analysis reads, with the wrong type: the reader names the line
     wrong_typed = {
@@ -615,3 +633,27 @@ def test_validate_quorum_check_and_analyze_run_without_numpy(tmp_path):
     assert proc.stdout.splitlines()[-2:] == ["OK", "W=2 R=1 RF=3 EVENTUAL"]
     for name in _REPORTS:
         assert (analyzed / name).read_bytes() == (ran / name).read_bytes(), name
+
+
+# -- a run out of memory ------------------------------------------------------------------
+
+_UNDER_A_MEMORY_LIMIT = """
+import resource, sys
+from quorumsim.cli import main
+limit, argv = int(sys.argv[1]), sys.argv[2:]
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))  # this child only
+sys.exit(main(argv))
+"""
+
+
+def test_a_run_out_of_memory_is_one_error_line(tmp_path):
+    # validation does not bound a run's size, so this client count validates
+    doc = scenario_to_json(_load("preset:quorum_zipfian"))
+    doc["workload"]["clients"] = 10**30
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 0
+    out = tmp_path / "out"
+    proc = _python("-c", _UNDER_A_MEMORY_LIMIT, str(384 * 2**20), "run", str(path), "--out", str(out))
+    assert (proc.returncode, proc.stderr) == (1, "error: out of memory\n")
+    assert not out.exists()

@@ -227,6 +227,29 @@ def test_mwc_flags_async_overtake():
     assert oracle_mwc(log) == {(0, 1, 1)}
 
 
+def test_mwc_counts_every_pair_of_a_session_applied_in_reverse():
+    # replica 0 applies client 0's n writes in issue order and replica 1 in
+    # reverse, so each of the n(n-1)/2 pairs is a violating triple at
+    # replica 1; replica 2 applies them shuffled, checked by the oracle
+    n = 12
+    shuffled = list(range(n))
+    random.Random(0).shuffle(shuffled)
+    events = []
+    for w in range(n):
+        events.append((len(events), 10 * w, w, "op_start", (0, "write", 0, w, 64, False, None)))
+        events.append((len(events), 10 * w + 1, w, "apply_end", (0, w)))
+        events.append((len(events), 10 * w + 2, w, "op_commit", (2,)))
+    for replica, order in ((1, reversed(range(n))), (2, shuffled)):
+        for w in order:
+            events.append((len(events), 1_000 + len(events), w, "apply_end", (replica, w)))
+    at_replica_1 = {triple for triple in oracle_mwc(events) if triple[2] == 1}
+    assert len(at_replica_1) == n * (n - 1) // 2
+    assert stage3_findings(events, LWW_TIMESTAMP)["mwc"] == {0: len(oracle_mwc(events))}
+    report = clientcentric_outputs(events, LWW_TIMESTAMP)[0]
+    assert report["denominators"]["mwc"] == 3 * n * (n - 1) // 2
+    assert report["per_client"] == oracle_report_counts(events, LWW_TIMESTAMP)["per_client"]
+
+
 def test_wfrc_vacuous_when_read_saw_nothing():
     topo, coop, wl = staleness_control_scenario(n_writes=2, n_reads=4)
     log = run_simulation(topo, coop, [], wl, LWW_TIMESTAMP, seed=1)
@@ -287,7 +310,7 @@ def test_detectors_agree_with_oracles_on_engine_logs(strategy):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_report_counts_and_last_unseen_agree_with_oracles(strategy):
     # the report's denominators, per-client counts and last-unseen instants
-    # come from sweeps and a Fenwick tree, not from the detectors' verdict
+    # come from sweeps and sorted lists, not from the detectors' verdict
     # sets; late applies make MWC inversions, instant ops let a read return
     # at its own write's commit instant, and half the logs flag random
     # ops as warmup

@@ -13,7 +13,10 @@ The stage-3 digests were recorded before the stage-3 scans were rewritten to
 run in one linear pass, the stage-2 digests and the crash cases before both
 stages were moved onto one op table, the log digests before the events writer
 moved from ``json.dumps`` to per-kind line templates; any change to them is a
-change of the output. To re-record after a deliberate output change:
+change of the output. ``analyze`` under Python 3.10, 3.12 and 3.13 must
+reproduce the stage-2 and stage-3 digests from logs written by the running
+interpreter; a version not installed is skipped. To re-record after a
+deliberate output change:
 
     PYTHONPATH=src python tests/test_stage3_golden.py
 """
@@ -23,6 +26,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
+import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -212,6 +218,64 @@ def test_cli_run_streams_the_events_file_write_events_writes(tmp_path, monkeypat
         assert main(["run", str(path), "--out", str(out), "--quiet", *extra]) == 0
         got = out / f"seed_{GOLDEN_SEED}" / EVENTS_FILE if name == "batch" else out / EVENTS_FILE
         assert got.read_bytes() == expected, name
+
+
+# -- analyze under other Python versions --------------------------------------------
+
+OTHER_PYTHONS = ("3.10", "3.12", "3.13")
+_SRC = Path(__file__).resolve().parent.parent / "src"
+_ANALYZE_EVERY_CASE = """
+import hashlib, json, sys
+from pathlib import Path
+from quorumsim.cli import main
+root, cases = Path(sys.argv[1]), sys.argv[2:]
+digests = {}
+for case in cases:
+    out = root / case / ("python" + sys.version.split()[0])
+    assert main(["analyze", str(root / case / "events.jsonl"), "--out", str(out), "--quiet"]) == 0, case
+    digests[case] = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+print(json.dumps(digests))
+"""
+
+
+def _interpreter(version: str) -> str | None:
+    """A working python of version (X.Y), from pyenv's versions or PATH, or None."""
+    root = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv") / "versions"
+    for exe in [*sorted(root.glob(f"{version}.*/bin/python{version}")), shutil.which(f"python{version}")]:
+        if exe is None:
+            continue
+        probe = [str(exe), "-c", "import sys; print('%d.%d' % sys.version_info[:2])"]
+        proc = subprocess.run(probe, capture_output=True, text=True, timeout=60)
+        if proc.returncode == 0 and proc.stdout.strip() == version:
+            return str(exe)
+    return None
+
+
+@pytest.fixture(scope="module")
+def case_logs(tmp_path_factory):
+    """root/<name>/<strategy>/events.jsonl for every case, written by this interpreter."""
+    root = tmp_path_factory.mktemp("logs")
+    for name, strategy in CASES:
+        (root / name / strategy).mkdir(parents=True)
+        logio.write_events(_simulate(_scenario(name, strategy)), root / name / strategy / EVENTS_FILE)
+    return root
+
+
+@pytest.mark.parametrize("version", OTHER_PYTHONS)
+def test_analyze_under_other_pythons_matches_recorded_digests(golden, case_logs, version):
+    """``analyze`` loads no numpy, so another interpreter with only the
+    sources reproduces every stage-2 and stage-3 digest from these logs."""
+    python = _interpreter(version)
+    if python is None:
+        pytest.skip(f"no working Python {version} interpreter found")
+    cases = [f"{name}/{s}" for name, s in CASES]
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    proc = subprocess.run(
+        [python, "-c", _ANALYZE_EVERY_CASE, str(case_logs), *cases], env=env, capture_output=True, text=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = {case: {f: golden[case][f] for f in STAGE2_FILES + STAGE3_FILES} for case in cases}
+    assert json.loads(proc.stdout) == expected
 
 
 if __name__ == "__main__":
