@@ -13,15 +13,18 @@ is timed at its commit, where the op table puts its return.
 ``clientcentric_outputs`` is the one judge: it gives the report and the
 per-read verdicts from one op table, and ``build_clientcentric_report``
 and ``read_verdicts`` are its two halves. It reads the log through its op
-table (``optable``) and accepts a built table in place of the log. Under
-competing_writes it judges reads by dots and rejects, with
-MalformedLogError, a log whose vector clocks lack the dot shape
-(``optable.check_dots``).
+table (``optable``) and accepts a built table in place of the log. The
+table guarantees that every returned ref names a logged write of the
+read's key, found by id in ``OpTable.writes``, and a verdict keeps its
+read's own tuple of returned refs. Under competing_writes it judges reads
+by dots and rejects, with MalformedLogError, a log whose vector clocks
+lack the dot shape (``optable.check_dots``).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import repeat
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -40,21 +43,8 @@ class ReadVerdict(NamedTuple):
     stale: bool
     mrc: bool
     rywc: bool
-    returned_write_ids: tuple[int, ...]
+    returned: tuple  # the read's returned VersionRefs, the op table's own tuple
     warmup: bool = False
-
-
-def _judged(log, strategy: str):
-    """(the object judging the log's reads under strategy, reads, writes),
-    reads and writes in issue (op-id) order."""
-    strat = strategies.strategy(strategy)
-    table = op_table(log)
-    if strat.vclocks:
-        check_dots(table)
-    reads = [op for op in table.ops if op.kind == READ]
-    writes = [op for op in table.ops if op.kind == WRITE]
-    commit_map = {w.write_id: w.commit_us for w in writes if w.commit_us is not None}
-    return strat.judge(reads, commit_map), reads, writes
 
 
 # -- internal scans over the op table ------------------------------------------
@@ -151,7 +141,7 @@ def _mwc_counts(write_sessions):
     return per_client
 
 
-def _wfrc_scan(read_sessions, write_sessions):
+def _wfrc_scan(read_sessions, write_sessions, writes_by_id):
     """client -> [applicable writes, violating writes].
 
     A write applies when its session has a committed read before it, and
@@ -163,7 +153,6 @@ def _wfrc_scan(read_sessions, write_sessions):
     replicas that applied all of it) or the frontier's ApplyEnd there is
     later than the write's.
     """
-    applies_of = {w.write_id: w.applies for session in write_sessions.values() for w in session}
     per_client: dict[int, list[int]] = {}
     for ck, writes in write_sessions.items():
         reads = read_sessions.get(ck)
@@ -182,7 +171,7 @@ def _wfrc_scan(read_sessions, write_sessions):
             if not last_read.returned:
                 continue
             if cached is None or cached[0] is not last_read:
-                cached = (last_read, _frontier(last_read.returned, applies_of))
+                cached = (last_read, _frontier(last_read.returned, writes_by_id))
             frontier = cached[1]
             for replica, at_w in w.applies.items():
                 at_s = frontier.get(replica)
@@ -192,11 +181,20 @@ def _wfrc_scan(read_sessions, write_sessions):
     return per_client
 
 
-def _frontier(refs, applies_of) -> dict:
-    """replica -> latest ApplyEnd of refs, over replicas that applied every ref."""
-    frontier, *rest = [applies_of.get(ref.write_id, {}) for ref in refs]
-    for applies in rest:
-        frontier = {replica: max(at, applies[replica]) for replica, at in frontier.items() if replica in applies}
+def _frontier(refs, writes_by_id) -> dict:
+    """replica -> latest ApplyEnd of refs, over replicas that applied every ref.
+
+    Folded replica by replica, one lookup per ref at each replica of the
+    first; a one-ref read (every LWW read) gives its write's own map.
+    """
+    first, *rest = [writes_by_id[ref.write_id].applies for ref in refs]
+    if not rest:
+        return first
+    frontier = {}
+    for replica, at in first.items():
+        ats = list(map(dict.get, rest, repeat(replica)))
+        if None not in ats:
+            frontier[replica] = max(at, *ats)
     return frontier
 
 
@@ -215,7 +213,7 @@ def _verdicts(committed, writes, strat, mrc, rywc) -> list[ReadVerdict]:
             r.op_id in stale,
             r.op_id in mrc,
             r.op_id in rywc,
-            tuple([ref.write_id for ref in r.returned]),
+            r.returned,
             r.warmup,
         )
         for r in committed
@@ -254,7 +252,13 @@ _PER_CLIENT = (
 def clientcentric_outputs(log, strategy: str) -> tuple[dict, list[ReadVerdict]]:
     """The stage-3 report and the verdicts of the committed reads, from one
     op table."""
-    strat, reads, writes_in_order = _judged(log, strategy)
+    strat = strategies.strategy(strategy)
+    table = op_table(log)
+    if strat.vclocks:
+        check_dots(table)
+    reads = [op for op in table.ops if op.kind == READ]
+    writes_in_order = [op for op in table.ops if op.kind == WRITE]
+    strat = strat.judge(reads, table.writes)
     committed = [r for r in reads if r.commit_us is not None]
 
     # The per-session scans run, and their structures are freed, before the
@@ -267,7 +271,7 @@ def clientcentric_outputs(log, strategy: str) -> tuple[dict, list[ReadVerdict]]:
     unseen = _last_unseen(writes_in_order, read_sessions, own, strat)
     write_sessions = _sessions(writes_in_order)
     mwc_per_client = _mwc_counts(write_sessions)
-    wfrc_per_client = _wfrc_scan(read_sessions, write_sessions)
+    wfrc_per_client = _wfrc_scan(read_sessions, write_sessions, table.writes)
     del read_sessions, own, write_sessions
 
     verdicts = _verdicts(committed, writes_in_order, strat, mrc, rywc)
@@ -341,5 +345,5 @@ def build_clientcentric_report(log, strategy: str) -> dict:
 
 
 def read_verdicts(log, strategy: str) -> list[ReadVerdict]:
-    """Per committed read: staleness, MRC, RYWC and the returned write ids."""
+    """Per committed read: staleness, MRC, RYWC and the returned writes."""
     return clientcentric_outputs(log, strategy)[1]

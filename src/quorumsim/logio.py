@@ -385,7 +385,7 @@ def write_read_verdicts(verdicts, path) -> None:
                     str(v.stale).lower(),
                     str(v.mrc).lower(),
                     str(v.rywc).lower(),
-                    ";".join(str(w) for w in v.returned_write_ids),
+                    ";".join(str(ref.write_id) for ref in v.returned),
                 ]
             )
 

@@ -10,14 +10,17 @@ event, and no event may name an op without an ``op_start``. A commit's
 ``latency_us`` is its time minus the op's start, and each committed read
 has exactly one ``read_return``, at its commit instant; no other op has one.
 An op has at most one ``apply_end`` per replica and one ``graph_chosen``,
-whose graph the header lists if it lists any. A returned ref of a logged
-write carries that write's client id, and its start as the client
-timestamp. ``check_dots`` adds the rule of a log with vector clocks: they
-must have the dot shape, by which stage 3 judges competing writes.
+whose graph the header lists if it lists any. Every returned ref names a
+logged write of the read's key and carries that write's client id, its
+start as the client timestamp and its clock (None for both outside
+competing_writes). ``OpTable.writes`` is the one index of the writes by
+id. ``check_dots`` adds the rule of a log with vector clocks: they must
+have the dot shape, by which stage 3 judges competing writes.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import eq, ge
@@ -52,11 +55,12 @@ class OpRecord:
 
 @dataclass(slots=True)
 class OpTable:
-    """The ops in op-id order and the log's graph metadata (id -> kind, root,
-    vertices)."""
+    """The ops in op-id order, the log's graph metadata (id -> kind, root,
+    vertices) and the writes by write id."""
 
     ops: list[OpRecord]
     graphs: dict
+    writes: dict[int, OpRecord]
 
 
 def check_dots(table: OpTable) -> None:
@@ -74,7 +78,7 @@ def check_dots(table: OpTable) -> None:
        key issued no later than V's own, and V dominates that write's clock
        V_(c,m);
     4. every returned ref names a write of the read's key and carries that
-       write's logged clock.
+       write's logged clock, which the op table guarantees.
 
     Claim: if A is the elementwise maximum of some write clocks of a key,
     A dominates V_w iff A[c] >= n_w. Only if: V_w[c] = n_w. If: A[c] = m is
@@ -84,9 +88,9 @@ def check_dots(table: OpTable) -> None:
     are such clocks, so the claim holds for each of them and for their
     maximum, which is what stage 3 compares.
     """
-    broken = [b for b in (_first_misshapen_write(table.ops), _first_misshapen_read(table.ops)) if b]
+    broken = _first_misshapen_write(table.ops)
     if broken:
-        op, why = min(broken, key=lambda b: b[0].op_id)
+        op, why = broken
         raise MalformedLogError(f"op {op.op_id} breaks the dot shape of vector clocks: {why}")
 
 
@@ -129,19 +133,6 @@ def _first_misshapen_write(ops):
             checked.update(compress(clients, map(eq, got, counters)))
         clock_of[(key, me, n)] = op.vclock
         last[(me, key)] = (n, clock)
-    return None
-
-
-def _first_misshapen_read(ops):
-    """(read, why) for the first read of ops (in op-id order) that breaks
-    condition 4 of ``check_dots``, or None."""
-    writes = {op.write_id: op for op in ops if op.kind == WRITE}
-    for op in ops:
-        if op.kind == READ:
-            for ref in op.returned:
-                w = writes.get(ref.write_id)
-                if w is None or w.key != op.key or ref.vclock != w.vclock:
-                    return op, f"returned write {ref.write_id} is no write of key {op.key} with that clock"
     return None
 
 
@@ -217,15 +208,18 @@ def op_table(log, meta: dict | None = None) -> OpTable:
         if graphs and op.graph_id is not None and op.graph_id not in graphs:
             raise MalformedLogError(f"op {op.op_id} chose graph {op.graph_id}, which the header does not list")
     rows = [ops[op_id] for op_id in sorted(ops)]
-    # A ref naming no logged write, or with another clock, is left to
-    # check_dots; a ref object found right is not checked again.
     writes = {op.write_id: op for op in rows if op.kind == WRITE}
-    checked: dict[int, object] = {}  # write id -> the ref object found right
+    # a ref object found right for a key is not checked again for that key
+    checked_by_key: dict[int, dict[int, object]] = defaultdict(dict)  # key -> write id -> that ref
     for op in rows:
-        for ref in op.returned:
-            if checked.get(ref.write_id) is not ref:
-                w = writes.get(ref.write_id)
-                if w is not None and (ref.client_id, ref.client_timestamp) != (w.client, w.start):
-                    raise MalformedLogError(f"op {op.op_id} returned write {ref.write_id} unlike its op_start's client or time")
-                checked[ref.write_id] = ref
-    return OpTable(rows, graphs)
+        if op.returned:
+            checked = checked_by_key[op.key]
+            for ref in op.returned:
+                if checked.get(ref.write_id) is not ref:
+                    w = writes.get(ref.write_id)
+                    if w is None or w.key != op.key:
+                        raise MalformedLogError(f"op {op.op_id} returned write {ref.write_id}, which is no logged write of key {op.key}")
+                    if (ref.client_id, ref.client_timestamp, ref.vclock) != (w.client, w.start, w.vclock):
+                        raise MalformedLogError(f"op {op.op_id} returned write {ref.write_id} unlike its op_start's client, time or clock")
+                    checked[ref.write_id] = ref
+    return OpTable(rows, graphs, writes)

@@ -17,8 +17,9 @@ lww_timestamp and the commit order (commit time, write id) for lww_arrival,
 with uncommitted versions below every committed one and the initial version
 below everything. ``misses`` checks a read against a prefix of committed
 writes through ``marks``: the running maximum order key, the write ids or
-the highest counter per writer. ``judge(reads, commit_map)`` gives the
-object that judges one log's reads: under LWW one that holds each read's
+the highest counter per writer. ``judge(reads, writes)`` gives the object
+that judges one log's reads, given the op table's writes by id (each
+returned ref names one of them): under LWW one that holds each read's
 order key, under competing_writes one that holds each read's frontier, and
 under write_set the strategy itself.
 
@@ -113,9 +114,9 @@ class _Strategy:
     vclocks = False
     version_order = None
 
-    def judge(self, reads, commit_map):
-        """The object that judges the reads of one log, whose committed
-        writes commit_map maps to their commit instants."""
+    def judge(self, reads, writes):
+        """The object that judges the reads of one log, whose writes the
+        op table's map writes holds by write id."""
         return self
 
     def canonical(self, state):
@@ -130,11 +131,11 @@ class _LastWriteWins(_Strategy):
     it holds, ``canonical(state)``; ``stored(ref, seq)`` is the state of a
     write applied as event seq.
 
-    ``judge(reads, commit_map)`` keeps the order key of each read's result.
+    ``judge(reads, writes)`` keeps the order key of each read's result.
     """
 
-    def __init__(self, reads=(), commit_map=None):
-        self.key = {r.op_id: self.returned_key(r.returned, commit_map) for r in reads}
+    def __init__(self, reads=(), writes=None):
+        self.key = {r.op_id: self.returned_key(r.returned, writes) for r in reads}
 
     def apply(self, kv, key, ref, seq):
         new, cur = self.stored(ref, seq), kv.get(key)
@@ -150,11 +151,11 @@ class _LastWriteWins(_Strategy):
         snaps = [snap for _, snap in contribs if snap is not None]
         return [self.canonical(max(snaps, key=self.order)) if snaps else INITIAL]
 
-    def judge(self, reads, commit_map):
-        return type(self)(reads, commit_map)
+    def judge(self, reads, writes):
+        return type(self)(reads, writes)
 
-    def returned_key(self, refs, commit_map):
-        return max([self.ref_key(r, commit_map) for r in refs], default=_INITIAL_KEY)
+    def returned_key(self, refs, writes):
+        return max([self.ref_key(r, writes) for r in refs], default=_INITIAL_KEY)
 
     def marks(self, writes):
         return list(accumulate(map(self.write_key, writes), max))
@@ -191,8 +192,8 @@ class _LwwArrival(_LastWriteWins):
     def write_key(self, w):
         return (0, 0, w.commit_us, w.write_id)  # of a committed write
 
-    def ref_key(self, r, commit_map):
-        c = commit_map.get(r.write_id)
+    def ref_key(self, r, writes):
+        c = writes[r.write_id].commit_us
         return (0, 0, c, r.write_id) if c is not None else (0, -1, 0, r.write_id)
 
 
@@ -207,7 +208,7 @@ class _LwwTimestamp(_LastWriteWins):
     def write_key(self, w):
         return (0, w.start, w.write_id)  # a write's client timestamp is its issue instant
 
-    def ref_key(self, r, commit_map):
+    def ref_key(self, r, writes):
         return (0, r.client_timestamp, r.write_id)
 
 
@@ -319,7 +320,7 @@ class _CompetingWrites(_Strategy):
                 heads = _add_head(heads, ref)
         return list(heads)
 
-    def judge(self, reads, commit_map):
+    def judge(self, reads, writes):
         return _CompetingWrites(reads)
 
     def marks(self, writes):

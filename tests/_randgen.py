@@ -168,9 +168,9 @@ def random_log(rng: random.Random, strategy: str, max_events=50, warmup_share=0.
     and, if a read, returns at once. A share of 0 draws nothing, so the
     defaults keep the logs of earlier seeds.
 
-    Under competing_writes the clocks have the dot shape that stage 3
-    requires (``optable.check_dots``), and a read returns only writes of its
-    own key.
+    A read returns only logged writes of its own key, as the op table
+    requires, and under competing_writes the clocks have the dot shape that
+    stage 3 requires (``optable.check_dots``).
     """
     n_clients = rng.randint(1, 3)
     n_keys = rng.randint(1, 3)
@@ -235,7 +235,12 @@ def random_log(rng: random.Random, strategy: str, max_events=50, warmup_share=0.
             replica = rng.randrange(n_replicas)
             serve = start if instant else start + rng.randint(0, 30)
             if rng.random() < 0.9:
-                pool = [w for w in (key_writes.get(key, []) if competing else issued_writes) if rng.random() < 0.5]
+                # outside competing_writes one draw per issued write, so a
+                # seed's later draws do not depend on the keys; then only
+                # the writes of the read's key stay (the op table's rule)
+                own = key_writes.get(key, [])
+                pool = [w for w in (own if competing else issued_writes) if rng.random() < 0.5]
+                pool = [w for w in pool if w in own]
                 if strategy in ("lww_timestamp", "lww_arrival"):
                     pool = pool[-1:]
                 returned = tuple(pool)

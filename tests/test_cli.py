@@ -170,10 +170,15 @@ def test_run_and_analyze_build_the_op_table_once(scenario_file, tmp_path, monkey
 
 
 def test_stages_2_and_3_reject_the_same_malformed_logs(scenario_file, tmp_path, capsys):
-    run_dir = tmp_path / "run"
-    assert main(["run", str(scenario_file), "--out", str(run_dir), "--stages", "1", "--quiet"]) == 0
-    header, *lines = (run_dir / "events.jsonl").read_text().splitlines()
-    events = [json.loads(line) for line in lines]
+    def logged(strategy):
+        """The header line and the events of the fixture's run under strategy, stage 1 only."""
+        path, run_dir = tmp_path / f"{strategy}.json", tmp_path / f"run_{strategy}"
+        path.write_text(json.dumps({**json.loads(scenario_file.read_text()), "strategy": strategy}))
+        assert main(["run", str(path), "--out", str(run_dir), "--stages", "1", "--quiet"]) == 0
+        header, *lines = (run_dir / "events.jsonl").read_text().splitlines()
+        return header, [json.loads(line) for line in lines]
+
+    header, events = logged("lww_timestamp")
 
     def first(kind, *fields):
         return next(ev for ev in events if ev["kind"] == kind and all(ev.get(f) for f in fields))
@@ -192,13 +197,13 @@ def test_stages_2_and_3_reject_the_same_malformed_logs(scenario_file, tmp_path, 
     read, write = read_return["op_id"], write_commit["op_id"]
     apply_end, graph_chosen = first("apply_end"), first("graph_chosen")
 
-    def every_ref(**fields):
-        """events with fields changed in every returned ref to ref's write."""
+    def every_ref(evs, ref, **fields):
+        """evs with fields changed in every returned ref to ref's write."""
 
         def change(r):
             return {**r, **fields} if r["write_id"] == ref["write_id"] else r
 
-        return [{**ev, "returned": list(map(change, ev["returned"]))} if ev["kind"] == "read_return" else ev for ev in events]
+        return [{**ev, "returned": list(map(change, ev["returned"]))} if ev["kind"] == "read_return" else ev for ev in evs]
 
     # each log that contradicts itself, and what its rejection must name
     malformed = {
@@ -219,8 +224,8 @@ def test_stages_2_and_3_reject_the_same_malformed_logs(scenario_file, tmp_path, 
         ),
         "second_graph_chosen": (events + [{**graph_chosen, "seq": next_seq}], f"op {graph_chosen['op_id']} has more than one graph_chosen"),
         "unknown_graph": (changed(graph_chosen, graph_id=999), f"op {graph_chosen['op_id']} chose graph 999, which the header"),
-        "ref_with_another_start": (every_ref(client_ts_us=ref["client_ts_us"] + 10_000_000), f"returned write {ref['write_id']} unlike its op_start"),
-        "ref_with_another_writer": (every_ref(client_id=1 - ref["client_id"]), f"returned write {ref['write_id']} unlike its op_start"),
+        "ref_with_another_start": (every_ref(events, ref, client_ts_us=ref["client_ts_us"] + 10_000_000), f"returned write {ref['write_id']} unlike its op_start"),
+        "ref_with_another_writer": (every_ref(events, ref, client_id=1 - ref["client_id"]), f"returned write {ref['write_id']} unlike its op_start"),
     }
     # every field an analysis reads, with the wrong type: the reader names the line
     wrong_typed = {
@@ -244,20 +249,46 @@ def test_stages_2_and_3_reject_the_same_malformed_logs(scenario_file, tmp_path, 
         "ref_client_ts_us": changed(read_return, returned=[{**ref, "client_ts_us": 1.5}]),
         "reason": changed(terminal, kind="op_fail", reason=5),
     }
+    cases = {name: (header, bad, named) for name, (bad, named) in malformed.items()}
+    cases.update((name, (header, bad, "(line ")) for name, bad in wrong_typed.items())
+
+    # a returned write that is not the logged write of the read's key, under
+    # each strategy: every returned ref must name one and carry its fields
+    for strategy in ("lww_timestamp", "write_set"):
+        header_s, evs = logged(strategy)
+        key_of = {ev["op_id"]: ev["key"] for ev in evs if ev["kind"] == "op_start"}
+        returns = [ev for ev in evs if ev["kind"] == "read_return" and ev["returned"]]
+        # another key's write, returned right by an earlier read of its key
+        earlier = returns[0]
+        read_return = next(ev for ev in returns if ev["op_id"] > earlier["op_id"] and key_of[ev["op_id"]] != key_of[earlier["op_id"]])
+        key = key_of[read_return["op_id"]]
+        for name, ref in (
+            ("ref_of_another_key", earlier["returned"][0]),
+            ("ref_of_an_unlogged_write", {"write_id": 99_999, "client_id": 0, "client_ts_us": 0}),
+        ):
+            bad = [{**ev, "returned": [ref]} if ev is read_return else ev for ev in evs]
+            named = f"op {read_return['op_id']} returned write {ref['write_id']}, which is no logged write of key {key}"
+            cases[f"{name}_{strategy}"] = (header_s, bad, named)
+    header_s, evs = logged("competing_writes")
+    clocked = next(ev for ev in evs if ev["kind"] == "read_return" and ev["returned"])["returned"][0]
+    clock = {**clocked["vclock"], "9": 1}  # an entry of no client: not its write's clock
+    named = f"returned write {clocked['write_id']} unlike its op_start"
+    cases["ref_with_another_clock"] = (header_s, every_ref(evs, clocked, vclock=clock), named)
+
     rng = random.Random(7)
-    for name, bad in {**{name: bad for name, (bad, _) in malformed.items()}, **wrong_typed}.items():
+    for name, (head, bad, named) in cases.items():
         shuffled = list(bad)
         rng.shuffle(shuffled)
         for order, evs in (("ordered", bad), ("shuffled", shuffled)):
             path = tmp_path / f"{name}_{order}.jsonl"
-            path.write_text("\n".join([header, *map(json.dumps, evs)]) + "\n")
+            path.write_text("\n".join([head, *map(json.dumps, evs)]) + "\n")
             for stages in ("2", "3"):
                 capsys.readouterr()
                 argv = ["analyze", str(path), "--out", str(tmp_path / "out"), "--stages", stages]
                 assert main(argv) == 1, (name, order, stages)
                 err = capsys.readouterr().err
                 assert "MALFORMED_LOG" in err and "Traceback" not in err, (name, order, stages, err)
-                assert (malformed[name][1] if name in malformed else "(line ") in err, (name, order, stages, err)
+                assert named in err, (name, order, stages, err)
                 assert not (tmp_path / "out").exists()
 
 

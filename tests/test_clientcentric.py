@@ -143,7 +143,9 @@ def test_staleness_control_rate_in_report():
 # -- MRC / RYWC session examples -----------------------------------------------------
 
 def synthetic_reads(returns, client=0, key=0):
-    """Committed reads at 10, 20, ... returning the given ref tuples."""
+    """Committed reads at 10, 20, ... returning the given ref tuples, and
+    each returned write logged on key, started at its client timestamp by
+    its client and committed 1 us later."""
     events = []
     op = 0
     t = 0
@@ -152,6 +154,11 @@ def synthetic_reads(returns, client=0, key=0):
         events.append((len(events), t, op, "op_start", (client, "read", key, None, 64, False, None)))
         events.append((len(events), t, op, "read_return", ((0,), tuple(refs))))
         events.append((len(events), t, op, "op_commit", (0,)))
+        op += 1
+    for ref in {ref.write_id: ref for refs in returns for ref in refs}.values():
+        start = ref.client_timestamp
+        events.append((len(events), start, op, "op_start", (ref.client_id, "write", key, ref.write_id, 64, False, ref.vclock)))
+        events.append((len(events), start + 1, op, "op_commit", (1,)))
         op += 1
     return events
 

@@ -152,21 +152,33 @@ def _sequenced(*ops):
 def test_hand_built_logs_without_the_shape_are_rejected():
     ref = VersionRef(1, 1, 10, ((1, 1),))
     first_write = _write(0, 1, 0, 1, ((1, 1),))
-    rejected = [
+    misclocked = _write(0, 1, 0, 1, ((1, 1), (2, 1)))
+    # returned refs the op table rejects, for any strategy, before the dot
+    # shape is checked (condition 4 of check_dots)
+    misreturned = [
         # a read returning a head whose write is not in the log
         (1, _sequenced(first_write, _read(1, 0, [VersionRef(2, 2, 20, ((1, 1), (2, 1)))]))),
+        # a log without writes: the returned refs are still checked
+        (0, _sequenced(_read(0, 0, [ref]))),
+        # a read returning a write of another key, before a later write
+        # that breaks the shape
+        (1, _sequenced(first_write, _read(1, 5, [ref]), _write(2, 2, 0, 2, None, t=400))),
+        # and after an earlier write that breaks it
+        (1, _sequenced(misclocked, _read(1, 5, [ref]))),
+    ]
+    for op_id, events in misreturned:
+        assert not oracle_dot_shape(events)
+        with pytest.raises(MalformedLogError, match=rf"^op {op_id} returned write \d+, which is no logged write of key"):
+            clientcentric_outputs(events, COMPETING_WRITES)
+    misshapen = [
         # a write without a clock
         (2, _sequenced(first_write, _read(1, 0, [ref]), _write(2, 2, 0, 2, None, t=400))),
         # a counter that does not rise
         (3, _sequenced(first_write, _write(3, 1, 0, 2, ((1, 1),), t=200))),
-        # a log without writes: the returned refs are still checked
-        (0, _sequenced(_read(0, 0, [ref]))),
-        # the first op in op-id order is named, a read before a later write
-        (1, _sequenced(first_write, _read(1, 5, [ref]), _write(2, 2, 0, 2, None, t=400))),
-        # and a write before a later read
-        (0, _sequenced(_write(0, 1, 0, 1, ((1, 1), (2, 1))), _read(1, 5, [ref]))),
+        # the misclocked write, once the read returns it as logged
+        (0, _sequenced(misclocked, _read(1, 0, [VersionRef(1, 1, 10, ((1, 1), (2, 1)))]))),
     ]
-    for op_id, events in rejected:
+    for op_id, events in misshapen:
         assert not oracle_dot_shape(events)
         with pytest.raises(MalformedLogError, match=rf"^op {op_id} breaks the dot shape"):
             clientcentric_outputs(events, COMPETING_WRITES)
