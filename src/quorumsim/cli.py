@@ -2,7 +2,9 @@
 
 Exit codes are a stable API: 0 success, 1 domain error (invalid scenario,
 unsatisfiable level, malformed log), 2 I/O or parse error. Scenario paths
-may be ``preset:NAME`` to load one of the bundled presets.
+may be ``preset:NAME`` to load one of the bundled presets. Each command
+loads only the modules of its own layers, its ``layers`` default: analyze
+no simulator module, validate and quorum-check no analysis module.
 """
 
 from __future__ import annotations
@@ -12,19 +14,16 @@ import json
 import shutil
 import sys
 from collections import deque
-from importlib import resources
+from importlib import import_module, resources
 from itertools import chain
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import logio
-from .clientcentric import clientcentric_outputs
-from .datacentric import datacentric_outputs
-from .engine import gc_paused, simulation_chunks
-from .errors import MalformedLogError
-from .levels import LevelError, is_immediately_consistent, parse_level, required_acks
-from .model import QuorumSpec, validate_scenario
-from .optable import op_table
-from .scenario import Scenario, ScenarioFormatError, load_scenario, scenario_from_json
+from .errors import LevelError, MalformedLogError, ScenarioFormatError
+from .events import gc_paused
+
+if TYPE_CHECKING:
+    from .scenario import Scenario
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -44,6 +43,8 @@ def list_presets() -> list[str]:
 
 
 def _load(path_arg: str) -> Scenario:
+    from .scenario import load_scenario, scenario_from_json
+
     if path_arg.startswith("preset:"):
         name = path_arg[len("preset:"):]
         ref = resources.files("quorumsim") / "presets" / f"{name}.json"
@@ -58,6 +59,8 @@ def _load(path_arg: str) -> Scenario:
 
 
 def _validate(scenario: Scenario):
+    from .model import validate_scenario
+
     return validate_scenario(
         scenario.topology, scenario.coop, list(scenario.failures), scenario.workload, scenario.op_timeout_us
     )
@@ -94,6 +97,10 @@ def _write_stages(table, strategy: str, stages, out_dir: Path) -> tuple[dict | N
     rejected log leaves no report behind. Returns the (data-centric,
     client-centric) reports, None for a stage not run.
     """
+    from . import logio
+    from .clientcentric import clientcentric_outputs
+    from .datacentric import datacentric_outputs
+
     report2 = report3 = None
     if 3 in stages:
         report3, verdicts = clientcentric_outputs(table, strategy)
@@ -115,6 +122,10 @@ def _run_one(scenario: Scenario, seed: int, out_dir: Path, stages) -> dict:
     table as they come, so the event list is never held. Returns the
     summary row; removes partial outputs if anything fails.
     """
+    from . import logio
+    from .engine import simulation_chunks
+    from .optable import op_table
+
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         meta, chunks = simulation_chunks(
@@ -164,6 +175,8 @@ def _run_one(scenario: Scenario, seed: int, out_dir: Path, stages) -> dict:
 
 
 def cmd_run(args) -> int:
+    from . import logio
+
     if args.repeat is not None and args.repeat < 1:
         raise ScenarioFormatError(f"--repeat must be at least 1, got {args.repeat}")
     if args.jobs < 1:
@@ -189,7 +202,9 @@ def cmd_run(args) -> int:
     else:
         # Seeds are CPU-bound Python, so they run in worker processes; the
         # imports stay here because they cost every other command time.
-        # numpy is loaded before the pool starts so that forked workers share it.
+        # numpy is imported before the pool starts, so forked workers share
+        # its core. Each still imports numpy.random at its first draw:
+        # importing that here costs the parent more memory than it saves.
         from concurrent.futures import ProcessPoolExecutor
 
         import numpy  # noqa: F401
@@ -222,6 +237,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import logio
+    from .optable import op_table
+
     stages = _parse_stages(args.stages, allowed=(2, 3))
     meta: dict = {}
     # one pass from the file into the op table: the event list is never held
@@ -260,6 +278,9 @@ def _parse_dc_counts(text: str | None, rf: int) -> dict[str, int] | None:
 
 
 def cmd_quorum_check(args) -> int:
+    from .levels import is_immediately_consistent, parse_level, required_acks
+    from .model import QuorumSpec
+
     write_cl = parse_level(args.write_cl)
     read_cl = parse_level(args.read_cl)
     dc_counts = _parse_dc_counts(args.dc_counts, args.rf)
@@ -285,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check a scenario file against all model invariants")
     p.add_argument("scenario", help="scenario JSON path or preset:NAME")
     p.add_argument("--quiet", action="store_true")
-    p.set_defaults(fn=cmd_validate)
+    p.set_defaults(fn=cmd_validate, layers=("scenario", "model"))
 
     p = sub.add_parser("run", help="simulate a scenario and write logs and metrics")
     p.add_argument("scenario", help="scenario JSON path or preset:NAME")
@@ -295,14 +316,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeat", type=int, default=None, help="run K seeds (base, base+1, ...) with a summary")
     p.add_argument("--jobs", type=int, default=1, help="worker processes for --repeat (1: run in this process)")
     p.add_argument("--quiet", action="store_true")
-    p.set_defaults(fn=cmd_run)
+    p.set_defaults(fn=cmd_run, layers=("scenario", "engine", "logio", "optable", "datacentric", "clientcentric"))
 
     p = sub.add_parser("analyze", help="recompute stage 2/3 metrics from a stored events file")
     p.add_argument("events", help="events.jsonl path")
     p.add_argument("--out", default="out", help="output directory (default: ./out)")
     p.add_argument("--stages", default="2,3", help="comma list out of 2,3")
     p.add_argument("--quiet", action="store_true")
-    p.set_defaults(fn=cmd_analyze)
+    p.set_defaults(fn=cmd_analyze, layers=("logio", "optable", "datacentric", "clientcentric"))
 
     p = sub.add_parser("quorum-check", help="evaluate W + R > RF for a level pairing")
     p.add_argument("--rf", type=int, required=True)
@@ -311,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dc-counts", default=None, help="replicas per datacenter, e.g. NY=3,SF=3")
     p.add_argument("--coordinator-dc", default=None)
     p.add_argument("--quiet", action="store_true")
-    p.set_defaults(fn=cmd_quorum_check)
+    p.set_defaults(fn=cmd_quorum_check, layers=("levels", "model"))
 
     return parser
 
@@ -319,6 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A command's layers load before the collector is paused, which would keep
+    # their import-time garbage, and before any --jobs worker forks.
+    for layer in args.layers:
+        import_module(f".{layer}", __package__)
     try:
         with gc_paused():
             return args.fn(args)

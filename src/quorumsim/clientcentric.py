@@ -29,10 +29,9 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from . import strategies
-from .engine import gc_paused
 from .errors import MalformedLogError
+from .events import READ, WRITE, gc_paused
 from .optable import OpRecord, check_dots, op_table
-from .workload import READ, WRITE
 
 
 class ReadVerdict(NamedTuple):

@@ -24,9 +24,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 
-from .engine import gc_paused
+from .events import READ, WRITE, gc_paused
 from .optable import COMMITTED, op_table
-from .workload import READ, WRITE
 
 # Fixed log-scale bucket edges: 1 us .. 100 s, 5 buckets per decade. Values
 # of exactly zero get their own bucket so reports stay comparable across runs.

@@ -53,9 +53,6 @@ streaming entry point, and ``run_simulation`` collects the same chunks.
 
 from __future__ import annotations
 
-import gc
-from contextlib import contextmanager
-from dataclasses import dataclass
 from bisect import bisect_right
 from collections import deque
 from collections.abc import Iterator
@@ -64,9 +61,12 @@ from itertools import accumulate, chain, count
 
 from . import strategies
 from .distributions import StreamFactory
+from .events import (ACK, APPLY_END, APPLY_START, GRAPH_CHOSEN, OP_COMMIT, OP_FAIL, OP_START, READ_RETURN,
+                     REPLICA_DOWN, REPLICA_UP, WRITE, SimulationLog, gc_paused)
 from .model import (
     ASYNC,
     CRASH_STOP,
+    DEFAULT_OP_TIMEOUT,
     SYNC,
     CooperationModel,
     FailureEvent,
@@ -74,74 +74,19 @@ from .model import (
     validate_scenario,
 )
 from .strategies import VersionRef
-from .workload import WRITE, WorkloadDriver, WorkloadSpec
-
-# Event kinds, in the order they may appear for one op.
-OP_START = "op_start"
-GRAPH_CHOSEN = "graph_chosen"
-APPLY_START = "apply_start"
-APPLY_END = "apply_end"
-ACK = "ack_received"
-READ_RETURN = "read_return"
-OP_COMMIT = "op_commit"
-OP_FAIL = "op_fail"
-REPLICA_DOWN = "replica_down"
-REPLICA_UP = "replica_up"
+from .workload import WorkloadDriver, WorkloadSpec
 
 FAIL_TIMEOUT = "TIMEOUT"
 FAIL_COORDINATOR_DOWN = "COORDINATOR_DOWN"
 
-DEFAULT_OP_TIMEOUT = 10_000_000  # 10 s of virtual time
-
 # The loop hands its events out once it holds at least this many.
 _CHUNK_EVENTS = 4096
-
-
-@contextmanager
-def gc_paused():
-    """Pause the cyclic garbage collector for the block.
-
-    Simulation and analysis allocate millions of cycle-free tuples, so
-    generational GC passes are pure overhead there. Nested use leaves the
-    collector as the outermost block found it.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 class ScenarioInvalidError(Exception):
     def __init__(self, report):
         super().__init__("; ".join(str(v) for v in report.violations))
         self.report = report
-
-
-@dataclass
-class SimulationLog:
-    """The totally ordered Stage-1 event stream plus run metadata.
-
-    events are tuples (seq, time_us, op_id, kind, payload); payload layouts:
-      op_start      (client_id, op_kind, key, write_id, payload_bytes, warmup, vclock)
-      graph_chosen  (graph_id,)
-      apply_start   (replica,)
-      apply_end     (replica, write_id) for writes; (replica, value_write_ids) for reads
-      ack_received  (parent, child)
-      read_return   (participants, returned_refs)
-      op_commit     (latency_us,)
-      op_fail       (reason,)
-      replica_down / replica_up  (replica,)
-
-    final_stores maps replica -> key -> canonical state (diagnostic; not part
-    of the serialized log).
-    """
-
-    meta: dict
-    events: list
-    final_stores: dict
 
 
 # Scheduled action codes. The first three are addressed to replica b of the

@@ -9,6 +9,7 @@ model whose quorum thresholds realize those ack counts.
 
 from __future__ import annotations
 
+from .errors import LevelError
 from .model import (
     ASYNC_EDGE,
     READING,
@@ -36,14 +37,6 @@ SUPPORTED_LEVELS = (ONE, TWO, THREE, QUORUM, ALL, LOCAL_ONE, LOCAL_QUORUM)
 UNSUPPORTED_LEVELS = ("ANY", "SERIAL", "LOCAL_SERIAL", "EACH_QUORUM")
 
 LOCAL_LEVELS = (LOCAL_ONE, LOCAL_QUORUM)
-
-
-class LevelError(ValueError):
-    """Consistency-level domain error with a machine-readable code."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
 
 
 def parse_level(text: str) -> str:

@@ -34,11 +34,10 @@ import json
 from collections import deque
 from json.encoder import encode_basestring_ascii as _json_str
 
-from . import engine
-from .engine import SimulationLog
 from .errors import MalformedLogError
+from .events import (ACK, APPLY_END, APPLY_START, GRAPH_CHOSEN, OP_COMMIT, OP_FAIL, OP_START, READ, READ_RETURN,
+                     REPLICA_DOWN, REPLICA_UP, WRITE, SimulationLog)
 from .strategies import STRATEGIES, VersionRef
-from .workload import READ, WRITE
 
 FORMAT_VERSION = 1
 _OP_KINDS = (READ, WRITE)
@@ -106,7 +105,7 @@ def _interned_ref(obj, refs: dict, line: int | None) -> VersionRef:
 def event_to_json(ev) -> dict:
     seq, t, op_id, kind, payload = ev
     obj = {"seq": seq, "time_us": t, "op_id": op_id, "kind": kind}
-    if kind == engine.OP_START:
+    if kind == OP_START:
         client, op_kind, key, write_id, payload_bytes, warmup, vclock = payload
         obj["client_id"] = client
         obj["op"] = op_kind
@@ -117,27 +116,27 @@ def event_to_json(ev) -> dict:
         obj["warmup"] = warmup
         if vclock is not None:
             obj["vclock"] = {str(cid): n for cid, n in vclock}
-    elif kind == engine.GRAPH_CHOSEN:
+    elif kind == GRAPH_CHOSEN:
         obj["graph_id"] = payload[0]
-    elif kind == engine.APPLY_START:
+    elif kind == APPLY_START:
         obj["replica"] = payload[0]
-    elif kind == engine.APPLY_END:
+    elif kind == APPLY_END:
         obj["replica"] = payload[0]
         if isinstance(payload[1], tuple):
             obj["value"] = list(payload[1])
         else:
             obj["write_id"] = payload[1]
-    elif kind == engine.ACK:
+    elif kind == ACK:
         obj["parent"] = payload[0]
         obj["child"] = payload[1]
-    elif kind == engine.READ_RETURN:
+    elif kind == READ_RETURN:
         obj["participants"] = list(payload[0])
         obj["returned"] = [_ref_to_json(r) for r in payload[1]]
-    elif kind == engine.OP_COMMIT:
+    elif kind == OP_COMMIT:
         obj["latency_us"] = payload[0]
-    elif kind == engine.OP_FAIL:
+    elif kind == OP_FAIL:
         obj["reason"] = payload[0]
-    elif kind in (engine.REPLICA_DOWN, engine.REPLICA_UP):
+    elif kind in (REPLICA_DOWN, REPLICA_UP):
         obj["replica"] = payload[0]
     else:
         raise ValueError(f"unknown event kind {kind!r}")
@@ -156,7 +155,7 @@ def event_from_json(obj, line: int | None = None, refs: dict | None = None):
         seq, t, op_id, kind = obj["seq"], obj["time_us"], obj["op_id"], obj["kind"]
         if type(seq) is not int or type(t) is not int or not (op_id is None or type(op_id) is int):
             raise MalformedLogError("event seq and time_us must be integers, op_id an integer or null", line)
-        if kind == engine.OP_START:
+        if kind == OP_START:
             op_kind, write_id = obj["op"], obj.get("write_id")
             if op_kind not in _OP_KINDS:
                 raise MalformedLogError(f"op_start op must be one of {', '.join(_OP_KINDS)}", line)
@@ -169,29 +168,29 @@ def event_from_json(obj, line: int | None = None, refs: dict | None = None):
                 _typed(obj["warmup"], bool),
                 _vclock_from_json(obj.get("vclock")),
             )
-        elif kind == engine.GRAPH_CHOSEN:
+        elif kind == GRAPH_CHOSEN:
             payload = (_typed(obj["graph_id"]),)
-        elif kind == engine.APPLY_START:
+        elif kind == APPLY_START:
             payload = (_typed(obj["replica"]),)
-        elif kind == engine.APPLY_END:
+        elif kind == APPLY_END:
             if "value" in obj:
                 payload = (_typed(obj["replica"]), tuple(_typed(obj["value"], list)))
             else:
                 payload = (_typed(obj["replica"]), _typed(obj["write_id"]))
-        elif kind == engine.ACK:
+        elif kind == ACK:
             payload = (_typed(obj["parent"]), _typed(obj["child"]))
-        elif kind == engine.READ_RETURN:
+        elif kind == READ_RETURN:
             returned = _typed(obj["returned"], list)
             if refs is None:
                 returned = tuple(map(_ref_from_json, returned))
             else:
                 returned = tuple([_interned_ref(r, refs, line) for r in returned])
             payload = (tuple(_typed(obj["participants"], list)), returned)
-        elif kind == engine.OP_COMMIT:
+        elif kind == OP_COMMIT:
             payload = (_typed(obj["latency_us"]),)
-        elif kind == engine.OP_FAIL:
+        elif kind == OP_FAIL:
             payload = (_typed(obj["reason"], str),)
-        elif kind in (engine.REPLICA_DOWN, engine.REPLICA_UP):
+        elif kind in (REPLICA_DOWN, REPLICA_UP):
             payload = (_typed(obj["replica"]),)
         else:
             raise MalformedLogError(f"unknown event kind {kind!r}", line)
@@ -239,7 +238,7 @@ def _ref_line(ref: VersionRef) -> str:
     return f'{{"write_id":{ref.write_id},"client_id":{ref.client_id},"client_ts_us":{ref.client_timestamp}{vclock}}}'
 
 
-_REPLICA_KINDS = frozenset((engine.APPLY_START, engine.REPLICA_DOWN, engine.REPLICA_UP))
+_REPLICA_KINDS = frozenset((APPLY_START, REPLICA_DOWN, REPLICA_UP))
 
 
 def _event_lines(events, ref_lines: dict):
@@ -262,15 +261,15 @@ def _event_lines(events, ref_lines: dict):
         head = f'{{"seq":{seq},"time_us":{t},"op_id":{"null" if op_id is None else op_id},"kind":"{kind}"'
         if kind in _REPLICA_KINDS:
             yield f'{head},"replica":{payload[0]}}}\n'
-        elif kind == engine.ACK:
+        elif kind == ACK:
             yield f'{head},"parent":{payload[0]},"child":{payload[1]}}}\n'
-        elif kind == engine.APPLY_END:
+        elif kind == APPLY_END:
             replica, value = payload
             if isinstance(value, tuple):
                 yield f'{head},"replica":{replica},"value":[{",".join(map(str, value))}]}}\n'
             else:
                 yield f'{head},"replica":{replica},"write_id":{value}}}\n'
-        elif kind == engine.OP_START:
+        elif kind == OP_START:
             client, op_kind, key, write_id, payload_bytes, warmup, vclock = payload
             line = f'{head},"client_id":{client},"op":{_json_str(op_kind)},"key":{key}'
             if write_id is not None:
@@ -279,17 +278,17 @@ def _event_lines(events, ref_lines: dict):
             if vclock is not None:
                 line = f'{line},"vclock":{_vclock_line(vclock)}'
             yield line + "}\n"
-        elif kind == engine.GRAPH_CHOSEN:
+        elif kind == GRAPH_CHOSEN:
             yield f'{head},"graph_id":{payload[0]}}}\n'
-        elif kind == engine.READ_RETURN:
+        elif kind == READ_RETURN:
             participants, refs = payload
             yield (
                 f'{head},"participants":[{",".join(map(str, participants))}],'
                 f'"returned":[{",".join(map(ref_line, refs))}]}}\n'
             )
-        elif kind == engine.OP_COMMIT:
+        elif kind == OP_COMMIT:
             yield f'{head},"latency_us":{payload[0]}}}\n'
-        elif kind == engine.OP_FAIL:
+        elif kind == OP_FAIL:
             yield f'{head},"reason":{_json_str(payload[0])}}}\n'
         else:
             raise ValueError(f"unknown event kind {kind!r}")

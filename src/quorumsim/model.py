@@ -11,11 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isfinite
+from typing import TYPE_CHECKING
 
-from .distributions import Distribution
+if TYPE_CHECKING:
+    from .distributions import Distribution
 
 Timestamp = int
 Span = int
+
+DEFAULT_OP_TIMEOUT = 10_000_000  # 10 s of virtual time
 
 REPLICATION = "replication"
 READING = "reading"

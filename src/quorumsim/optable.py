@@ -9,13 +9,15 @@ is checked: every op needs exactly one ``op_start`` and one terminal
 event, and no event may name an op without an ``op_start``. A commit's
 ``latency_us`` is its time minus the op's start, and each committed read
 has exactly one ``read_return``, at its commit instant; no other op has one.
-An op has at most one ``apply_end`` per replica and one ``graph_chosen``,
-whose graph the header lists if it lists any. Every returned ref names a
-logged write of the read's key and carries that write's client id, its
-start as the client timestamp and its clock (None for both outside
-competing_writes). ``OpTable.writes`` is the one index of the writes by
-id. ``check_dots`` adds the rule of a log with vector clocks: they must
-have the dot shape, by which stage 3 judges competing writes.
+An op has at most one ``apply_end`` per replica, each carrying the write's
+own ``write_id`` for a write and a ``value`` list for a read (whose ids are
+type-checked only, since no stage reads them), and at most one
+``graph_chosen``, whose graph the header lists if it lists any. Every
+returned ref names a logged write of the read's key and carries that
+write's client id, its start as the client timestamp and its clock (None
+for both outside competing_writes). ``OpTable.writes`` is the one index of
+the writes by id. ``check_dots`` adds the rule of a log with vector clocks:
+they must have the dot shape, by which stage 3 judges competing writes.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import eq, ge
 
-from .engine import APPLY_END, GRAPH_CHOSEN, OP_COMMIT, OP_FAIL, OP_START, READ_RETURN, gc_paused
 from .errors import MalformedLogError
-from .workload import READ, WRITE
+from .events import APPLY_END, GRAPH_CHOSEN, OP_COMMIT, OP_FAIL, OP_START, READ, READ_RETURN, WRITE, gc_paused
 
 COMMITTED = "committed"
+_MIXED = object()  # OpRecord.applied of an op whose ApplyEnds carry different things
 
 
 @dataclass(slots=True)
@@ -49,6 +51,7 @@ class OpRecord:
     commit_us: int | None = None  # time of the commit event
     latency_us: int | None = None
     applies: dict = field(default_factory=dict)  # replica -> (time, seq) of an ApplyEnd
+    applied: object = None  # what its ApplyEnds carry: a write id, or READ for a value list
     returned: tuple = ()  # a read's returned VersionRefs
     return_time: int | None = None
 
@@ -165,9 +168,12 @@ def op_table(log, meta: dict | None = None) -> OpTable:
         if op is None:
             op = ops[op_id] = OpRecord(op_id)
         if kind == APPLY_END:
-            if payload[0] in op.applies:
-                raise MalformedLogError(f"op {op_id} has more than one apply_end at replica {payload[0]}")
-            op.applies[payload[0]] = (t, seq)
+            replica, carried = payload
+            if replica in op.applies:
+                raise MalformedLogError(f"op {op_id} has more than one apply_end at replica {replica}")
+            carried = READ if isinstance(carried, tuple) else carried  # a read's value ids are not kept
+            op.applied = carried if not op.applies or op.applied == carried else _MIXED
+            op.applies[replica] = (t, seq)
         elif kind == OP_START:
             if op.start is not None:
                 raise MalformedLogError(f"op {op_id} has more than one op_start event")
@@ -197,6 +203,8 @@ def op_table(log, meta: dict | None = None) -> OpTable:
             raise MalformedLogError(f"op {op.op_id} has events but no op_start event")
         if op.status is None:
             raise MalformedLogError(f"op {op.op_id} has no terminal event")
+        if op.applies and op.applied != (READ if op.kind == READ else op.write_id):
+            raise MalformedLogError(f"op {op.op_id} has an apply_end unlike its op: a write's carries its write_id, a read's a value list")
         if op.commit_us is not None and op.latency_us != op.commit_us - op.start:
             raise MalformedLogError(f"op {op.op_id} has latency_us {op.latency_us}, not its commit time minus its start")
         if op.kind == READ and op.commit_us is not None:

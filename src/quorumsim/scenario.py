@@ -25,12 +25,13 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from .distributions import Constant, Empirical, Exponential, LogNormal, Uniform, UniformKeys, Zipfian
-from .engine import DEFAULT_OP_TIMEOUT
+from .errors import ScenarioFormatError
 from .levels import build_cooperation_model, parse_level
 from .model import (
     ASYNC_EDGE,
     CRASH_RECOVERY,
     CRASH_STOP,
+    DEFAULT_OP_TIMEOUT,
     READING,
     REPLICATION,
     SYNC_EDGE,
@@ -44,10 +45,6 @@ from .model import (
 )
 from .strategies import STRATEGIES
 from .workload import ClientOverride, WorkloadSpec
-
-
-class ScenarioFormatError(ValueError):
-    """The scenario document is structurally unusable (CLI exit 2)."""
 
 
 @dataclass

@@ -9,11 +9,12 @@ are the virtual clock itself, so client_timestamp always equals issue time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .distributions import Distribution, KeyDistribution
+from .events import READ, WRITE
 
-READ = "read"
-WRITE = "write"
+if TYPE_CHECKING:
+    from .distributions import Distribution, KeyDistribution
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import multiprocessing
 import os
 import pickle
 import random
@@ -196,6 +197,7 @@ def test_stages_2_and_3_reject_the_same_malformed_logs(scenario_file, tmp_path, 
     next_seq = events[-1]["seq"] + 1
     read, write = read_return["op_id"], write_commit["op_id"]
     apply_end, graph_chosen = first("apply_end"), first("graph_chosen")
+    write_apply_end, read_apply_end = first("apply_end", "write_id"), first("apply_end", "value")
 
     def every_ref(evs, ref, **fields):
         """evs with fields changed in every returned ref to ref's write."""
@@ -222,7 +224,12 @@ def test_stages_2_and_3_reject_the_same_malformed_logs(scenario_file, tmp_path, 
             events + [{**apply_end, "seq": next_seq, "time_us": apply_end["time_us"] + 10_000_000}],
             f"op {apply_end['op_id']} has more than one apply_end at replica {apply_end['replica']}",
         ),
-        "second_graph_chosen": (events + [{**graph_chosen, "seq": next_seq}], f"op {graph_chosen['op_id']} has more than one graph_chosen"),
+        "apply_end_of_another_write": (changed(write_apply_end, write_id=99_999), f"op {write_apply_end['op_id']} has an apply_end unlike its op"),
+        "apply_end_form_of_the_other_kind": (
+            [{**{f: v for f, v in ev.items() if f != "value"}, "write_id": write_start["write_id"]} if ev is read_apply_end else ev for ev in events],
+            f"op {read_apply_end['op_id']} has an apply_end unlike its op",
+        ),
+        "second_graph_chosen":(events + [{**graph_chosen, "seq": next_seq}], f"op {graph_chosen['op_id']} has more than one graph_chosen"),
         "unknown_graph": (changed(graph_chosen, graph_id=999), f"op {graph_chosen['op_id']} chose graph 999, which the header"),
         "ref_with_another_start": (every_ref(events, ref, client_ts_us=ref["client_ts_us"] + 10_000_000), f"returned write {ref['write_id']} unlike its op_start"),
         "ref_with_another_writer": (every_ref(events, ref, client_id=1 - ref["client_id"]), f"returned write {ref['write_id']} unlike its op_start"),
@@ -664,6 +671,98 @@ def test_validate_quorum_check_and_analyze_run_without_numpy(tmp_path):
     assert proc.stdout.splitlines()[-2:] == ["OK", "W=2 R=1 RF=3 EVENTUAL"]
     for name in _REPORTS:
         assert (analyzed / name).read_bytes() == (ran / name).read_bytes(), name
+
+
+# -- each command loads only its own layers -----------------------------------------------
+
+_SIMULATOR = tuple(f"quorumsim.{m}" for m in ("engine", "distributions", "scenario", "model", "levels", "workload"))
+_ANALYSIS = tuple(f"quorumsim.{m}" for m in ("engine", "logio", "optable", "clientcentric", "datacentric"))
+_WITH_BLOCKED = """
+import sys
+blocked, argv = sys.argv[1].split(","), sys.argv[2:]
+for name in blocked:
+    sys.modules[name] = None  # from here on, any import of name raises ImportError
+from quorumsim.cli import main
+sys.exit(main(argv))
+"""
+
+
+def test_analyze_loads_no_simulator_module(scenario_file, tmp_path):
+    competing = tmp_path / "competing.json"
+    competing.write_text(json.dumps({**json.loads(scenario_file.read_text()), "strategy": "competing_writes"}))
+    blocked = ",".join((*_SIMULATOR, "numpy", "hashlib"))
+    for source in ("preset:one_zipfian", str(competing)):
+        ran = tmp_path / "run"
+        assert main(["run", source, "--out", str(ran), "--quiet"]) == 0
+        for stages, reports in (("2,3", _REPORTS), ("2", _REPORTS[:2])):
+            out = tmp_path / "analyzed"
+            proc = _python("-c", _WITH_BLOCKED, blocked, "analyze", str(ran / "events.jsonl"), "--out", str(out), "--stages", stages)
+            assert proc.returncode == 0, (source, stages, proc.stderr)
+            assert sorted(p.name for p in out.iterdir()) == sorted(reports)
+            for name in reports:
+                assert (out / name).read_bytes() == (ran / name).read_bytes(), (source, stages, name)
+            shutil.rmtree(out)
+        shutil.rmtree(ran)
+
+
+def test_validate_and_quorum_check_load_no_analysis_module(scenario_file):
+    for argv, said in (
+        (["validate", "preset:quorum_zipfian"], "OK"),
+        (["validate", str(scenario_file)], "OK"),
+        (["quorum-check", "--rf", "3", "--write-cl", "QUORUM", "--read-cl", "ONE"], "W=2 R=1 RF=3 EVENTUAL"),
+    ):
+        proc = _python("-c", _WITH_BLOCKED, ",".join(_ANALYSIS), *argv)
+        assert (proc.returncode, proc.stdout.splitlines()[-1:]) == (0, [said]), (argv, proc.stderr)
+
+
+def test_importing_the_package_loads_no_submodule():
+    proc = _python("-c", "import sys, quorumsim; print(sorted(m for m in sys.modules if m.startswith('quorumsim.')))")
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_package_exports_resolve_to_their_defining_modules():
+    import quorumsim
+
+    listed = dir(quorumsim)
+    for name in quorumsim.__all__:
+        value = getattr(quorumsim, name)
+        module = sys.modules[getattr(value, "__module__", None) or f"quorumsim.{quorumsim._MODULE_OF[name]}"]
+        assert module.__name__ == f"quorumsim.{quorumsim._MODULE_OF[name]}", name
+        assert getattr(module, name) is value, name
+        assert name in listed, name
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        quorumsim.no_such_name
+
+
+_AFTER_THE_FORK = """
+import os, sys
+from quorumsim import cli
+
+def package_modules():
+    return {m for m in sys.modules if m.split(".")[0] == "quorumsim"}
+
+at_fork = set()
+os.register_at_fork(after_in_child=lambda: at_fork.update(package_modules()))
+parent, run_one = os.getpid(), cli._run_one
+
+def probed_run_one(*args):
+    row = run_one(*args)
+    assert os.getpid() != parent, "a seed ran in the parent process"
+    new = package_modules() - at_fork
+    assert not new, f"a worker imported {sorted(new)} after the fork"
+    return row
+
+cli._run_one = probed_run_one  # workers find it in the forked __main__
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(multiprocessing.get_all_start_methods()[0] != "fork", reason="workers are not forked here")
+def test_jobs_workers_import_no_package_module_after_the_fork(scenario_file, tmp_path):
+    out = tmp_path / "jobs2"
+    proc = _python("-c", _AFTER_THE_FORK, "run", str(scenario_file), "--out", str(out), "--repeat", "4", "--jobs", "2", "--quiet")
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in out.iterdir()) == ["seed_11", "seed_12", "seed_13", "seed_14", "summary.json"]
 
 
 # -- a run out of memory ------------------------------------------------------------------
