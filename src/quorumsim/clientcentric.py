@@ -14,9 +14,9 @@ is timed at its commit, where the op table puts its return.
 per-read verdicts from one op table, and ``build_clientcentric_report``
 and ``read_verdicts`` are its two halves. It reads the log through its op
 table (``optable``) and accepts a built table in place of the log. The
-table guarantees that every returned ref names a logged write of the
-read's key, found by id in ``OpTable.writes``, and a verdict keeps its
-read's own tuple of returned refs. Under competing_writes it judges reads
+table holds each read's returned writes as their own records, checked to
+be logged writes of the read's key, and a verdict keeps its read's own
+tuple of them. Under competing_writes it judges reads
 by dots and rejects, with MalformedLogError, a log whose vector clocks
 lack the dot shape (``optable.check_dots``).
 """
@@ -42,14 +42,14 @@ class ReadVerdict(NamedTuple):
     stale: bool
     mrc: bool
     rywc: bool
-    returned: tuple  # the read's returned VersionRefs, the op table's own tuple
+    returned: tuple  # the read's returned writes' OpRecords, the op table's own tuple
     warmup: bool = False
 
 
 # -- internal scans over the op table ------------------------------------------
 #
 # Each scan behind the report and the verdicts is linear in the table's ops
-# plus the returned refs, up to a log factor from sorting and bisection, and
+# plus the returned writes, up to a log factor from sorting and bisection, and
 # the MWC count moves one list entry per violating triple; under
 # competing_writes a read costs O(writers) more.
 
@@ -140,7 +140,7 @@ def _mwc_counts(write_sessions):
     return per_client
 
 
-def _wfrc_scan(read_sessions, write_sessions, writes_by_id):
+def _wfrc_scan(read_sessions, write_sessions):
     """client -> [applicable writes, violating writes].
 
     A write applies when its session has a committed read before it, and
@@ -170,7 +170,7 @@ def _wfrc_scan(read_sessions, write_sessions, writes_by_id):
             if not last_read.returned:
                 continue
             if cached is None or cached[0] is not last_read:
-                cached = (last_read, _frontier(last_read.returned, writes_by_id))
+                cached = (last_read, _frontier(last_read.returned))
             frontier = cached[1]
             for replica, at_w in w.applies.items():
                 at_s = frontier.get(replica)
@@ -180,13 +180,13 @@ def _wfrc_scan(read_sessions, write_sessions, writes_by_id):
     return per_client
 
 
-def _frontier(refs, writes_by_id) -> dict:
-    """replica -> latest ApplyEnd of refs, over replicas that applied every ref.
+def _frontier(writes) -> dict:
+    """replica -> latest ApplyEnd of writes, over replicas that applied every one.
 
-    Folded replica by replica, one lookup per ref at each replica of the
-    first; a one-ref read (every LWW read) gives its write's own map.
+    Folded replica by replica, one lookup per write at each replica of the
+    first; a one-write read (every LWW read) gives its write's own map.
     """
-    first, *rest = [writes_by_id[ref.write_id].applies for ref in refs]
+    first, *rest = [w.applies for w in writes]
     if not rest:
         return first
     frontier = {}
@@ -257,7 +257,7 @@ def clientcentric_outputs(log, strategy: str) -> tuple[dict, list[ReadVerdict]]:
         check_dots(table)
     reads = [op for op in table.ops if op.kind == READ]
     writes_in_order = [op for op in table.ops if op.kind == WRITE]
-    strat = strat.judge(reads, table.writes)
+    strat = strat.judge(reads)
     committed = [r for r in reads if r.commit_us is not None]
 
     # The per-session scans run, and their structures are freed, before the
@@ -270,7 +270,7 @@ def clientcentric_outputs(log, strategy: str) -> tuple[dict, list[ReadVerdict]]:
     unseen = _last_unseen(writes_in_order, read_sessions, own, strat)
     write_sessions = _sessions(writes_in_order)
     mwc_per_client = _mwc_counts(write_sessions)
-    wfrc_per_client = _wfrc_scan(read_sessions, write_sessions, table.writes)
+    wfrc_per_client = _wfrc_scan(read_sessions, write_sessions)
     del read_sessions, own, write_sessions
 
     verdicts = _verdicts(committed, writes_in_order, strat, mrc, rywc)

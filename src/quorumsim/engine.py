@@ -322,7 +322,7 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout, final
                 ctx = read_ctx[req.client_id].setdefault(req.key, {})
                 ctx[req.client_id] = ctx.get(req.client_id, 0) + 1
                 vclock = tuple(sorted(ctx.items()))
-            ref = VersionRef(req.write_id, req.client_id, req.client_timestamp, vclock)
+            ref = VersionRef(req.write_id, req.client_id, req.issue_time, vclock)
 
         op = _Op(req, graph, ref)
         events.append((ev_n + 1, t, op.op_id, OP_START, (req.client_id, req.kind, req.key, req.write_id, req.payload_bytes, req.warmup, vclock)))
@@ -431,14 +431,12 @@ def simulation_chunks(
     chunk it has handed out. When the run ends, the canonical final stores
     fill final_stores if it is given.
 
-    Raises ScenarioInvalidError when validate_scenario reports violations and
-    ValueError for an unknown strategy or non-positive timeout, both before
+    Raises ScenarioInvalidError when validate_scenario reports violations
+    (of op_timeout too) and ValueError for an unknown strategy, both before
     the first chunk.
     """
     strat = strategies.strategy(strategy)
-    if op_timeout <= 0:
-        raise ValueError(f"op_timeout must be positive, got {op_timeout}")
-    report = validate_scenario(topology, coop, failures, workload)
+    report = validate_scenario(topology, coop, failures, workload, op_timeout)
     if not report.ok:
         raise ScenarioInvalidError(report)
     meta = {
@@ -465,8 +463,8 @@ def run_simulation(
     """Execute one scenario and return the complete deterministic event log:
     the chunks of ``simulation_chunks`` in one list, and the final stores.
 
-    Raises ScenarioInvalidError when validate_scenario reports violations and
-    ValueError for an unknown strategy or non-positive timeout.
+    Raises ScenarioInvalidError when validate_scenario reports violations
+    (of op_timeout too) and ValueError for an unknown strategy.
     """
     final_stores: dict = {}
     meta, chunks = simulation_chunks(topology, coop, failures, workload, strategy, seed, op_timeout, final_stores)

@@ -20,11 +20,12 @@ The reader, ``iter_events``, is one streaming pass: it yields each event as
 its line is read, so ``analyze`` feeds the op table without holding the
 event list, and ``read_events`` is that pass collected into a list. It
 accepts any valid JSON formatting, ignores unknown fields and tolerates
-shuffled event lines, the header included. It keeps one ``VersionRef`` per
-write id; ``event_from_json`` on one decoded line, without that cache, is
-its reference form. Structural problems, a field that a stage reads with
-the wrong type, and a write returned with fields that differ from its
-first return raise MalformedLogError with the 1-based line number.
+shuffled event lines, the header included. A write returned exactly as at
+its first return reuses that return's ``VersionRef``; the op table checks
+any other return against the write's op_start. ``event_from_json`` on one
+decoded line, without that cache, is its reference form. Structural
+problems and a field that a stage reads with the wrong type raise
+MalformedLogError with the 1-based line number.
 """
 
 from __future__ import annotations
@@ -57,6 +58,13 @@ def _typed(value, cls=int):
     return value
 
 
+def _ints(values) -> tuple:
+    """values, a list of ints (never bools), as a tuple."""
+    if type(values) is not list or not all(type(v) is int for v in values):
+        raise TypeError("expected a list of int")
+    return tuple(values)
+
+
 def _vclock_from_json(vclock) -> tuple | None:
     if vclock is None:
         return None
@@ -83,13 +91,13 @@ def _exact_ints(obj) -> bool:
     )
 
 
-def _interned_ref(obj, refs: dict, line: int | None) -> VersionRef:
-    """The ref of obj, the one refs already holds for its write id if any.
+def _interned_ref(obj, refs: dict) -> VersionRef:
+    """The ref of obj: the one refs holds for its write id, if obj's fields
+    equal that ref's, and else a new one.
 
-    refs maps a write id to (its ref, the JSON object it was read from). A
-    ref whose fields differ from those of the first one seen for its write
-    id raises MalformedLogError, and so does one whose fields equal them in
-    value only (false for 0, 1.0 for 1).
+    refs maps a write id to (its ref, the JSON object of its first return).
+    The fields of every return are type-checked, so one equal to the first
+    in value only (false for 0, 1.0 for 1) raises TypeError.
     """
     seen = refs.get(obj["write_id"])
     if seen is None:
@@ -97,8 +105,10 @@ def _interned_ref(obj, refs: dict, line: int | None) -> VersionRef:
         refs[ref.write_id] = (ref, obj)
         return ref
     ref, first = seen
-    if (obj != first or not _exact_ints(obj)) and _ref_from_json(obj) != ref:
-        raise MalformedLogError(f"returned write {ref.write_id} differs from its first return in the log", line)
+    if obj != first or not _exact_ints(obj):
+        new = _ref_from_json(obj)
+        if new != ref:
+            return new
     return ref
 
 
@@ -148,8 +158,9 @@ def event_from_json(obj, line: int | None = None, refs: dict | None = None):
 
     Without refs this is the reference form: every returned ref is a new
     object. With refs, the cache of one pass over a log, a returned ref
-    reuses the object of the first return of its write id. A field that a
-    stage reads and that has the wrong type raises MalformedLogError.
+    equal to the first return of its write id reuses that return's object.
+    A field that a stage reads and that has the wrong type, a value id
+    included, raises MalformedLogError.
     """
     try:
         seq, t, op_id, kind = obj["seq"], obj["time_us"], obj["op_id"], obj["kind"]
@@ -174,7 +185,7 @@ def event_from_json(obj, line: int | None = None, refs: dict | None = None):
             payload = (_typed(obj["replica"]),)
         elif kind == APPLY_END:
             if "value" in obj:
-                payload = (_typed(obj["replica"]), tuple(_typed(obj["value"], list)))
+                payload = (_typed(obj["replica"]), _ints(obj["value"]))
             else:
                 payload = (_typed(obj["replica"]), _typed(obj["write_id"]))
         elif kind == ACK:
@@ -184,7 +195,7 @@ def event_from_json(obj, line: int | None = None, refs: dict | None = None):
             if refs is None:
                 returned = tuple(map(_ref_from_json, returned))
             else:
-                returned = tuple([_interned_ref(r, refs, line) for r in returned])
+                returned = tuple([_interned_ref(r, refs) for r in returned])
             payload = (tuple(_typed(obj["participants"], list)), returned)
         elif kind == OP_COMMIT:
             payload = (_typed(obj["latency_us"]),)
@@ -212,9 +223,8 @@ def _graph_from_json(info) -> dict:
     """A header graph entry: an object whose ``vertices``, if given, are integers."""
     if not isinstance(info, dict):
         raise ValueError("graph entry is not an object")
-    vertices = info.get("vertices")
-    if vertices is not None and (type(vertices) is not list or any(type(v) is not int for v in vertices)):
-        raise ValueError("graph vertices must be a list of integers")
+    if info.get("vertices") is not None:
+        _ints(info["vertices"])
     return info
 
 
@@ -222,7 +232,7 @@ def _meta_from_json(obj, line: int) -> dict:
     meta = {k: v for k, v in obj.items() if k not in ("kind", "format", "graphs")}
     try:
         meta["graphs"] = {int(gid): _graph_from_json(info) for gid, info in obj.get("graphs", {}).items()}
-    except (AttributeError, ValueError):
+    except (AttributeError, TypeError, ValueError):
         raise MalformedLogError("run_meta header has a field of the wrong type", line) from None
     if "strategy" in meta and meta["strategy"] not in STRATEGIES:
         raise MalformedLogError(f"run_meta header names unknown strategy {meta['strategy']!r}", line)
@@ -324,7 +334,7 @@ def iter_events(path, meta: dict):
 
     A file has one run_meta header, which fills meta when the pass reaches
     it, wherever it is in the file; a second one raises MalformedLogError.
-    Every returned ref of one write id is one object (see
+    The returns of one write id that are equal share one ref object (see
     ``event_from_json``).
     """
     refs: dict = {}  # write id -> (its ref, the JSON object of its first return)
@@ -384,7 +394,7 @@ def write_read_verdicts(verdicts, path) -> None:
                     str(v.stale).lower(),
                     str(v.mrc).lower(),
                     str(v.rywc).lower(),
-                    ";".join(str(ref.write_id) for ref in v.returned),
+                    ";".join(str(w.write_id) for w in v.returned),
                 ]
             )
 

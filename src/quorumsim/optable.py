@@ -15,9 +15,10 @@ type-checked only, since no stage reads them), and at most one
 ``graph_chosen``, whose graph the header lists if it lists any. Every
 returned ref names a logged write of the read's key and carries that
 write's client id, its start as the client timestamp and its clock (None
-for both outside competing_writes). ``OpTable.writes`` is the one index of
-the writes by id. ``check_dots`` adds the rule of a log with vector clocks:
-they must have the dot shape, by which stage 3 judges competing writes.
+for both outside competing_writes). Once checked, a read's returned refs
+give way to its writes' own records, so the analyses read no ref.
+``check_dots`` adds the rule of a log with vector clocks: they must have
+the dot shape, by which stage 3 judges competing writes.
 """
 
 from __future__ import annotations
@@ -52,18 +53,17 @@ class OpRecord:
     latency_us: int | None = None
     applies: dict = field(default_factory=dict)  # replica -> (time, seq) of an ApplyEnd
     applied: object = None  # what its ApplyEnds carry: a write id, or READ for a value list
-    returned: tuple = ()  # a read's returned VersionRefs
+    returned: tuple = ()  # a read's returned writes: their OpRecords once the table is built
     return_time: int | None = None
 
 
 @dataclass(slots=True)
 class OpTable:
-    """The ops in op-id order, the log's graph metadata (id -> kind, root,
-    vertices) and the writes by write id."""
+    """The ops in op-id order and the log's graph metadata (id -> kind,
+    root, vertices)."""
 
     ops: list[OpRecord]
     graphs: dict
-    writes: dict[int, OpRecord]
 
 
 def check_dots(table: OpTable) -> None:
@@ -80,8 +80,8 @@ def check_dots(table: OpTable) -> None:
     3. every entry (c, m) of a write clock V names a write (c, m) on that
        key issued no later than V's own, and V dominates that write's clock
        V_(c,m);
-    4. every returned ref names a write of the read's key and carries that
-       write's logged clock, which the op table guarantees.
+    4. a read's returned writes are writes of its key, held as their own
+       records, so stage 3 reads each one's logged clock.
 
     Claim: if A is the elementwise maximum of some write clocks of a key,
     A dominates V_w iff A[c] >= n_w. Only if: V_w[c] = n_w. If: A[c] = m is
@@ -153,7 +153,8 @@ def op_table(log, meta: dict | None = None) -> OpTable:
     every commit's latency_us is its time minus the op's start, exactly
     the committed reads have a read_return, one each, at their commit, and
     the rules of the module docstring on apply_end, graph_chosen and
-    returned refs hold.
+    returned refs hold. Each read's ``returned`` is then its returned
+    writes' records, in the order of its refs.
     """
     if isinstance(log, OpTable):
         return log
@@ -217,7 +218,8 @@ def op_table(log, meta: dict | None = None) -> OpTable:
             raise MalformedLogError(f"op {op.op_id} chose graph {op.graph_id}, which the header does not list")
     rows = [ops[op_id] for op_id in sorted(ops)]
     writes = {op.write_id: op for op in rows if op.kind == WRITE}
-    # a ref object found right for a key is not checked again for that key
+    # a ref object found right for a key is not checked again for that key;
+    # once checked, a read's refs give way to its writes' records
     checked_by_key: dict[int, dict[int, object]] = defaultdict(dict)  # key -> write id -> that ref
     for op in rows:
         if op.returned:
@@ -230,4 +232,5 @@ def op_table(log, meta: dict | None = None) -> OpTable:
                     if (ref.client_id, ref.client_timestamp, ref.vclock) != (w.client, w.start, w.vclock):
                         raise MalformedLogError(f"op {op.op_id} returned write {ref.write_id} unlike its op_start's client, time or clock")
                     checked[ref.write_id] = ref
-    return OpTable(rows, graphs, writes)
+            op.returned = tuple([writes[ref.write_id] for ref in op.returned])
+    return OpTable(rows, graphs)

@@ -17,11 +17,11 @@ lww_timestamp and the commit order (commit time, write id) for lww_arrival,
 with uncommitted versions below every committed one and the initial version
 below everything. ``misses`` checks a read against a prefix of committed
 writes through ``marks``: the running maximum order key, the write ids or
-the highest counter per writer. ``judge(reads, writes)`` gives the object
-that judges one log's reads, given the op table's writes by id (each
-returned ref names one of them): under LWW one that holds each read's
-order key, under competing_writes one that holds each read's frontier, and
-under write_set the strategy itself.
+the highest counter per writer. ``judge(reads)`` gives the object that
+judges one log's reads, whose ``returned`` holds the op table's records of
+the writes they returned: under LWW one that holds each read's order key,
+under competing_writes one that holds each read's frontier, and under
+write_set one that needs neither.
 
 Dots. The engine keeps one causal context per (writer, key) and makes a
 write's clock that context with the writer's own entry raised by one, so
@@ -114,10 +114,11 @@ class _Strategy:
     vclocks = False
     version_order = None
 
-    def judge(self, reads, writes):
-        """The object that judges the reads of one log, whose writes the
-        op table's map writes holds by write id."""
-        return self
+    def __init__(self, reads=()):
+        """The strategy, or with reads (op table records) the judge of them."""
+
+    def judge(self, reads):
+        return type(self)(reads)
 
     def canonical(self, state):
         """The final store's form of a many-version state: its refs by write id."""
@@ -131,11 +132,12 @@ class _LastWriteWins(_Strategy):
     it holds, ``canonical(state)``; ``stored(ref, seq)`` is the state of a
     write applied as event seq.
 
-    ``judge(reads, writes)`` keeps the order key of each read's result.
+    ``judge(reads)`` keeps the order key of each read's result: the
+    largest ``write_key`` of its returned writes.
     """
 
-    def __init__(self, reads=(), writes=None):
-        self.key = {r.op_id: self.returned_key(r.returned, writes) for r in reads}
+    def __init__(self, reads=()):
+        self.key = {r.op_id: max(map(self.write_key, r.returned), default=_INITIAL_KEY) for r in reads}
 
     def apply(self, kv, key, ref, seq):
         new, cur = self.stored(ref, seq), kv.get(key)
@@ -150,12 +152,6 @@ class _LastWriteWins(_Strategy):
             raise ValueError(_NO_CONTRIBUTIONS)
         snaps = [snap for _, snap in contribs if snap is not None]
         return [self.canonical(max(snaps, key=self.order)) if snaps else INITIAL]
-
-    def judge(self, reads, writes):
-        return type(self)(reads, writes)
-
-    def returned_key(self, refs, writes):
-        return max([self.ref_key(r, writes) for r in refs], default=_INITIAL_KEY)
 
     def marks(self, writes):
         return list(accumulate(map(self.write_key, writes), max))
@@ -190,11 +186,8 @@ class _LwwArrival(_LastWriteWins):
     canonical = staticmethod(itemgetter(0))
 
     def write_key(self, w):
-        return (0, 0, w.commit_us, w.write_id)  # of a committed write
-
-    def ref_key(self, r, writes):
-        c = writes[r.write_id].commit_us
-        return (0, 0, c, r.write_id) if c is not None else (0, -1, 0, r.write_id)
+        c = w.commit_us  # an uncommitted write is below every committed one
+        return (0, 0, c, w.write_id) if c is not None else (0, -1, 0, w.write_id)
 
 
 class _LwwTimestamp(_LastWriteWins):
@@ -207,9 +200,6 @@ class _LwwTimestamp(_LastWriteWins):
 
     def write_key(self, w):
         return (0, w.start, w.write_id)  # a write's client timestamp is its issue instant
-
-    def ref_key(self, r, writes):
-        return (0, r.client_timestamp, r.write_id)
 
 
 class _WriteSet(_Strategy):
@@ -240,17 +230,17 @@ class _WriteSet(_Strategy):
         return [w.write_id for w in writes]
 
     def reflects(self, returned):
-        return {ref.write_id for ref in returned}.__contains__
+        return {w.write_id for w in returned}.__contains__
 
     def misses(self, read, marks, hi):
         # stops at the first mark not reflected, so a read costs
-        # O(returned refs), not O(hi)
+        # O(returned writes), not O(hi)
         return not all(map(self.reflects(read.returned), islice(marks, hi)))
 
     def mrc(self, session):
         running: set[int] = set()
         for r in session:
-            ids = {ref.write_id for ref in r.returned}
+            ids = {w.write_id for w in r.returned}
             if not running <= ids:
                 yield r.op_id
             running |= ids
@@ -260,7 +250,7 @@ class _WriteSet(_Strategy):
         eligible writes (committed by its return) are a prefix of the commit
         order that only shrinks; each one the read misses is resolved at its
         return, and the rest stay pending. Every write kept is one of the
-        read's returned refs."""
+        read's returned writes."""
         marks = order.marks
         pending = list(range(len(marks)))  # unresolved positions, ascending
         for r in sorted(reads, key=lambda r: r.commit_us, reverse=True):
@@ -277,11 +267,11 @@ class _WriteSet(_Strategy):
             pending = kept
 
 
-def _frontier(refs) -> dict:
-    """client -> the largest entry any of refs' clocks has for it."""
+def _frontier(writes) -> dict:
+    """client -> the largest entry any of writes' clocks has for it."""
     out: dict[int, int] = {}
-    for ref in refs:
-        for cid, n in ref.vclock:
+    for w in writes:
+        for cid, n in w.vclock:
             if out.get(cid, 0) < n:
                 out[cid] = n
     return out
@@ -319,9 +309,6 @@ class _CompetingWrites(_Strategy):
             for ref in snap or ():
                 heads = _add_head(heads, ref)
         return list(heads)
-
-    def judge(self, reads, writes):
-        return _CompetingWrites(reads)
 
     def marks(self, writes):
         writers = sorted({w.client for w in writes})

@@ -3,7 +3,7 @@
 Each client keeps at most one request outstanding: the next request is drawn
 only when the previous one has committed or failed, which keeps every client
 session well ordered for the per-client consistency analysis. Client clocks
-are the virtual clock itself, so client_timestamp always equals issue time.
+are the virtual clock itself, so a write's client timestamp is its issue time.
 """
 
 from __future__ import annotations
@@ -81,8 +81,7 @@ class Request:
     client_id: int
     kind: str  # READ | WRITE
     key: int
-    issue_time: int
-    client_timestamp: int  # equals issue_time: clocks are perfectly synchronized
+    issue_time: int  # also a write's client timestamp: clocks are perfectly synchronized
     payload_bytes: int
     write_id: int | None = None
     warmup: bool = False
@@ -145,4 +144,4 @@ class WorkloadDriver:
         self._next_op_id += 1
         warmup = state.issued < self.spec.warmup_ops
         state.issued += 1
-        return Request(op_id, client_id, kind, key, issue, issue, payload, write_id, warmup)
+        return Request(op_id, client_id, kind, key, issue, payload, write_id, warmup)

@@ -207,6 +207,19 @@ def test_stages_2_and_3_reject_the_same_malformed_logs(scenario_file, tmp_path, 
 
         return [{**ev, "returned": list(map(change, ev["returned"]))} if ev["kind"] == "read_return" else ev for ev in evs]
 
+    def returned_again(evs, fields):
+        """evs with the fields that fields(ref) gives changed in a later
+        return of a write an earlier read returned right, and what its
+        rejection must name."""
+        seen = set()
+        for ev in evs:
+            for r in ev.get("returned", ()):
+                if r["write_id"] in seen:
+                    bad = {**ev, "returned": [{**x, **fields(x)} if x is r else x for x in ev["returned"]]}
+                    return [bad if e is ev else e for e in evs], f"op {ev['op_id']} returned write {r['write_id']} unlike its op_start"
+                seen.add(r["write_id"])
+        raise AssertionError("no write is returned twice")
+
     # each log that contradicts itself, and what its rejection must name
     malformed = {
         "duplicated_terminal": (events + [{**terminal, "seq": next_seq}], f"op {terminal['op_id']} "),
@@ -233,6 +246,8 @@ def test_stages_2_and_3_reject_the_same_malformed_logs(scenario_file, tmp_path, 
         "unknown_graph": (changed(graph_chosen, graph_id=999), f"op {graph_chosen['op_id']} chose graph 999, which the header"),
         "ref_with_another_start": (every_ref(events, ref, client_ts_us=ref["client_ts_us"] + 10_000_000), f"returned write {ref['write_id']} unlike its op_start"),
         "ref_with_another_writer": (every_ref(events, ref, client_id=1 - ref["client_id"]), f"returned write {ref['write_id']} unlike its op_start"),
+        "ref_returned_again_with_another_start": returned_again(events, lambda r: {"client_ts_us": r["client_ts_us"] + 1}),
+        "value_ids": (changed(read_apply_end, value=["x", None, 1.5]), "field of the wrong type (line "),
     }
     # every field an analysis reads, with the wrong type: the reader names the line
     wrong_typed = {
@@ -281,6 +296,8 @@ def test_stages_2_and_3_reject_the_same_malformed_logs(scenario_file, tmp_path, 
     clock = {**clocked["vclock"], "9": 1}  # an entry of no client: not its write's clock
     named = f"returned write {clocked['write_id']} unlike its op_start"
     cases["ref_with_another_clock"] = (header_s, every_ref(evs, clocked, vclock=clock), named)
+    raised = returned_again(evs, lambda r: {"vclock": {**r["vclock"], "0": r["vclock"].get("0", 0) + 1}})
+    cases["ref_returned_again_with_a_raised_clock_entry"] = (header_s, *raised)
 
     rng = random.Random(7)
     for name, (head, bad, named) in cases.items():

@@ -21,8 +21,10 @@ from quorumsim import (
     VersionRef,
     WorkloadSpec,
     clientcentric_outputs,
+    op_table,
     run_simulation,
 )
+from quorumsim.events import WRITE
 from quorumsim.model import READING, REPLICATION
 from quorumsim.strategies import (
     COMPETING_WRITES,
@@ -308,10 +310,19 @@ def test_detectors_agree_with_quadratic_oracles_on_synthetic_logs(strategy):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_detectors_agree_with_oracles_on_engine_logs(strategy):
     rng = random.Random(len(strategy))
+    returned = 0
     for _ in range(10):
         topo, coop, failures, wl = random_scenario(rng, allow_crash_stop=True, max_total_ops=60)
         log = run_simulation(topo, coop, failures, wl, strategy, seed=rng.randrange(1_000))
-        assert stage3_findings(log, strategy) == oracle_findings(log, strategy)
+        table = op_table(log)
+        assert stage3_findings(table, strategy) == oracle_findings(log, strategy)
+        # a read's returned writes, in its record and its verdict, are the
+        # table's own records of those writes
+        records = {op.write_id: op for op in table.ops if op.kind == WRITE}
+        for r in [*table.ops, *clientcentric_outputs(table, strategy)[1]]:
+            assert all(w is records[w.write_id] for w in r.returned)
+            returned += len(r.returned)
+    assert returned
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

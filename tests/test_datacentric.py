@@ -285,7 +285,7 @@ def test_library_calls_pause_gc(call):
     else:
         # hand the others a built table, so the probe sees their own pause
         table = op_table(log)
-        arg = OpTable(_GcProbe(table.ops, seen), table.graphs, table.writes)
+        arg = OpTable(_GcProbe(table.ops, seen), table.graphs)
         fn = {
             "op_records": op_records,
             "build_datacentric_report": build_datacentric_report,

@@ -790,5 +790,6 @@ def test_bad_arguments_rejected():
     topo = mesh_topology(1)
     with pytest.raises(ValueError):
         run_simulation(topo, bare_root_coop(), [], write_only_workload(1), "bogus", seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ScenarioInvalidError) as e:
         run_simulation(topo, bare_root_coop(), [], write_only_workload(1), LWW_TIMESTAMP, seed=1, op_timeout=0)
+    assert [v.code for v in e.value.report.violations] == ["OP_TIMEOUT_NOT_POSITIVE"]

@@ -81,16 +81,6 @@ def test_write_ids_unique_and_only_on_writes():
     assert len(wids) == len(set(wids))
 
 
-def test_client_timestamp_equals_issue_time():
-    spec = simple_workload(1, 20)
-    d = driver(spec)
-    now = 0
-    for _ in range(20):
-        req = d.next_request(0, now)
-        assert req.client_timestamp == req.issue_time
-        now = req.issue_time
-
-
 def test_warmup_flags_first_ops_per_client():
     spec = simple_workload(2, 10, warmup=3)
     d = driver(spec)
