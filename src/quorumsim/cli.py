@@ -3,8 +3,10 @@
 Exit codes are a stable API: 0 success, 1 domain error (invalid scenario,
 unsatisfiable level, malformed log), 2 I/O or parse error. Scenario paths
 may be ``preset:NAME`` to load one of the bundled presets. Each command
-loads only the modules of its own layers, its ``layers`` default: analyze
-no simulator module, validate and quorum-check no analysis module.
+loads only the modules of its own layers, its ``layers`` default and those
+of the stages it runs (``STAGE_LAYERS``): analyze no simulator module,
+validate and quorum-check no analysis module, and no command the module of
+a stage that ``--stages`` leaves out.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ EXIT_DOMAIN = 1
 EXIT_IO = 2
 
 ALL_STAGES = (1, 2, 3)
+# the modules each stage adds to its command's own layers
+STAGE_LAYERS = {1: (), 2: ("optable", "datacentric"), 3: ("optable", "clientcentric")}
 
 
 def _say(args, message):
@@ -79,7 +83,7 @@ def cmd_validate(args) -> int:
     return EXIT_DOMAIN
 
 
-def _parse_stages(text: str, allowed=ALL_STAGES) -> tuple[int, ...]:
+def _parse_stages(text: str, allowed) -> tuple[int, ...]:
     try:
         stages = tuple(sorted({int(s) for s in text.split(",") if s.strip()}))
     except ValueError:
@@ -94,24 +98,29 @@ def _write_stages(table, strategy: str, stages, out_dir: Path) -> tuple[dict | N
     """Write the stage 2 and stage 3 outputs that stages asks for into out_dir.
 
     Stage 3, which can reject a log, runs before any file is written, so a
-    rejected log leaves no report behind. Returns the (data-centric,
+    rejected log leaves no report behind. Its files are written and its
+    verdicts released before stage 2 builds its rows, so memory peaks at the
+    op table plus the larger stage, not plus both. Returns the (data-centric,
     client-centric) reports, None for a stage not run.
     """
     from . import logio
-    from .clientcentric import clientcentric_outputs
-    from .datacentric import datacentric_outputs
 
     report2 = report3 = None
     if 3 in stages:
+        from .clientcentric import clientcentric_outputs
+
         report3, verdicts = clientcentric_outputs(table, strategy)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if 2 in stages:
-        report2, records = datacentric_outputs(table)
-        logio.write_json_report(report2, out_dir / "datacentric.json")
-        logio.write_op_table(records, out_dir / "ops.csv")
-    if 3 in stages:
+        out_dir.mkdir(parents=True, exist_ok=True)
         logio.write_json_report(report3, out_dir / "clientcentric.json")
         logio.write_read_verdicts(verdicts, out_dir / "read_verdicts.csv")
+        del verdicts
+    if 2 in stages:
+        from .datacentric import datacentric_outputs
+
+        report2, records = datacentric_outputs(table)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        logio.write_json_report(report2, out_dir / "datacentric.json")
+        logio.write_op_table(records, out_dir / "ops.csv")
     return report2, report3
 
 
@@ -124,7 +133,6 @@ def _run_one(scenario: Scenario, seed: int, out_dir: Path, stages) -> dict:
     """
     from . import logio
     from .engine import simulation_chunks
-    from .optable import op_table
 
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
@@ -142,6 +150,8 @@ def _run_one(scenario: Scenario, seed: int, out_dir: Path, stages) -> dict:
         if 1 in stages:
             chunks = logio.written_chunks(meta, chunks, out_dir / "events.jsonl")
         if 2 in stages or 3 in stages:
+            from .optable import op_table
+
             table = op_table(chain.from_iterable(chunks), meta)
             report2, report3 = _write_stages(table, scenario.strategy, stages, out_dir)
         else:
@@ -187,7 +197,7 @@ def cmd_run(args) -> int:
         for v in report.violations:
             print(f"{v.code}: {v.message}", file=sys.stderr)
         return EXIT_DOMAIN
-    stages = _parse_stages(args.stages)
+    stages = args.stages
     base_seed = args.seed if args.seed is not None else (scenario.seed if scenario.seed is not None else 0)
     out = Path(args.out)
 
@@ -240,7 +250,7 @@ def cmd_analyze(args) -> int:
     from . import logio
     from .optable import op_table
 
-    stages = _parse_stages(args.stages, allowed=(2, 3))
+    stages = args.stages
     meta: dict = {}
     # one pass from the file into the op table: the event list is never held
     table = op_table(logio.iter_events(args.events, meta), meta)
@@ -316,14 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeat", type=int, default=None, help="run K seeds (base, base+1, ...) with a summary")
     p.add_argument("--jobs", type=int, default=1, help="worker processes for --repeat (1: run in this process)")
     p.add_argument("--quiet", action="store_true")
-    p.set_defaults(fn=cmd_run, layers=("scenario", "engine", "logio", "optable", "datacentric", "clientcentric"))
+    p.set_defaults(fn=cmd_run, layers=("scenario", "engine", "logio"), allowed_stages=ALL_STAGES)
 
     p = sub.add_parser("analyze", help="recompute stage 2/3 metrics from a stored events file")
     p.add_argument("events", help="events.jsonl path")
     p.add_argument("--out", default="out", help="output directory (default: ./out)")
     p.add_argument("--stages", default="2,3", help="comma list out of 2,3")
     p.add_argument("--quiet", action="store_true")
-    p.set_defaults(fn=cmd_analyze, layers=("logio", "optable", "datacentric", "clientcentric"))
+    p.set_defaults(fn=cmd_analyze, layers=("logio",), allowed_stages=(2, 3))
 
     p = sub.add_parser("quorum-check", help="evaluate W + R > RF for a level pairing")
     p.add_argument("--rf", type=int, required=True)
@@ -340,11 +350,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # A command's layers load before the collector is paused, which would keep
-    # their import-time garbage, and before any --jobs worker forks.
-    for layer in args.layers:
-        import_module(f".{layer}", __package__)
     try:
+        layers = list(args.layers)
+        if "stages" in args:
+            args.stages = _parse_stages(args.stages, args.allowed_stages)
+            layers.extend(chain.from_iterable(STAGE_LAYERS[s] for s in args.stages))
+        # A command's layers load before the collector is paused, which would
+        # keep their import-time garbage, and before any --jobs worker forks.
+        for layer in layers:
+            import_module(f".{layer}", __package__)
         with gc_paused():
             return args.fn(args)
     except (ScenarioFormatError, OSError) as e:

@@ -22,10 +22,14 @@ event list, and ``read_events`` is that pass collected into a list. It
 accepts any valid JSON formatting, ignores unknown fields and tolerates
 shuffled event lines, the header included. A write returned exactly as at
 its first return reuses that return's ``VersionRef``; the op table checks
-any other return against the write's op_start. ``event_from_json`` on one
+any other return against the write's op_start. An op_start's ``op`` is
+handed on as the shared ``READ`` or ``WRITE`` constant, as the engine's
+events carry it, not as a decoded copy per line. ``event_from_json`` on one
 decoded line, without that cache, is its reference form. Structural
 problems and a field that a stage reads with the wrong type raise
-MalformedLogError with the 1-based line number.
+MalformedLogError with the 1-based line number; a clock key that is not a
+client id's canonical decimal form ("07" for 7) counts as wrong-typed, so
+no clock names a client twice.
 """
 
 from __future__ import annotations
@@ -65,10 +69,19 @@ def _ints(values) -> tuple:
     return tuple(values)
 
 
+def _client_of(key: str) -> int:
+    """The client id that a clock key names, which must be its canonical
+    decimal form: a second spelling of one id ("07", "+7") would repeat it."""
+    client = int(key)
+    if str(client) != key:
+        raise ValueError("clock key is not a canonical decimal")
+    return client
+
+
 def _vclock_from_json(vclock) -> tuple | None:
     if vclock is None:
         return None
-    return tuple(sorted((int(c), _typed(n)) for c, n in vclock.items()))
+    return tuple(sorted((_client_of(c), _typed(n)) for c, n in vclock.items()))
 
 
 def _ref_from_json(obj) -> VersionRef:
@@ -159,7 +172,8 @@ def event_from_json(obj, line: int | None = None, refs: dict | None = None):
     Without refs this is the reference form: every returned ref is a new
     object. With refs, the cache of one pass over a log, a returned ref
     equal to the first return of its write id reuses that return's object.
-    A field that a stage reads and that has the wrong type, a value id
+    An op_start's op kind is the module constant READ or WRITE. A field that
+    a stage reads and that has the wrong type, a value id or a clock key
     included, raises MalformedLogError.
     """
     try:
@@ -172,7 +186,7 @@ def event_from_json(obj, line: int | None = None, refs: dict | None = None):
                 raise MalformedLogError(f"op_start op must be one of {', '.join(_OP_KINDS)}", line)
             payload = (
                 _typed(obj["client_id"]),
-                op_kind,
+                READ if op_kind == READ else WRITE,  # the shared constant, not the decoded copy
                 _typed(obj["key"]),
                 write_id if write_id is None else _typed(write_id),
                 _typed(obj["payload_bytes"]),

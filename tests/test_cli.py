@@ -8,6 +8,7 @@ import random
 import shutil
 import subprocess
 import sys
+import weakref
 from importlib import resources
 from pathlib import Path
 
@@ -15,8 +16,9 @@ import pytest
 
 from _builders import WRONG_TYPED_DISTRIBUTIONS
 from _randgen import random_scenario
-from quorumsim import Scenario, clientcentric, optable, scenario_from_json, scenario_to_json
+from quorumsim import Scenario, clientcentric, datacentric, optable, scenario_from_json, scenario_to_json
 from quorumsim.cli import _load, list_presets, main
+from quorumsim.events import READ, WRITE
 
 
 @pytest.fixture()
@@ -298,6 +300,15 @@ def test_stages_2_and_3_reject_the_same_malformed_logs(scenario_file, tmp_path, 
     cases["ref_with_another_clock"] = (header_s, every_ref(evs, clocked, vclock=clock), named)
     raised = returned_again(evs, lambda r: {"vclock": {**r["vclock"], "0": r["vclock"].get("0", 0) + 1}})
     cases["ref_returned_again_with_a_raised_clock_entry"] = (header_s, *raised)
+    # a clock key that is not its client's canonical decimal ("07" for 7)
+    # names that client a second time: the reader names the line
+    last_write = [ev for ev in evs if ev["kind"] == "op_start" and ev.get("vclock")][-1]
+    cid, n = next(iter(last_write["vclock"].items()))
+    twice = {"0" + cid: n, **last_write["vclock"], cid: n + 1}
+    cases["op_start_clock_naming_a_client_twice"] = (header_s, [{**ev, "vclock": twice} if ev is last_write else ev for ev in evs], "(line ")
+    cid, n = next(iter(clocked["vclock"].items()))
+    twice = {**clocked["vclock"], "+" + cid: n}
+    cases["ref_clock_naming_a_client_twice"] = (header_s, every_ref(evs, clocked, vclock=twice), "(line ")
 
     rng = random.Random(7)
     for name, (head, bad, named) in cases.items():
@@ -344,8 +355,43 @@ def test_run_and_analyze_check_the_dot_shape_once(scenario_file, tmp_path, monke
     events = str(run_dir / "events.jsonl")
     assert main(["analyze", events, "--out", str(tmp_path / "analyzed"), "--quiet"]) == 0
     assert len(checked) == 2
+    # the reader hands on the shared op-kind constants, as the engine does
+    for table in checked:
+        assert all(op.kind is READ or op.kind is WRITE for op in table.ops)
     assert main(["analyze", events, "--out", str(tmp_path / "stage2"), "--stages", "2", "--quiet"]) == 0
     assert len(checked) == 2
+
+
+class _Verdicts(list):
+    """A verdict list that a weakref can name."""
+
+
+def test_stage_3_verdicts_are_released_before_stage_2_runs(scenario_file, tmp_path, monkeypatch):
+    plain = tmp_path / "plain"
+    assert main(["run", str(scenario_file), "--out", str(plain), "--quiet"]) == 0
+    stage3, stage2 = clientcentric.clientcentric_outputs, datacentric.datacentric_outputs
+    verdicts = []  # a weakref to the verdict list of each stage-3 call
+    alive = []  # whether that list was still alive when stage 2 started
+
+    def clientcentric_outputs(table, strategy):
+        report, listed = stage3(table, strategy)
+        listed = _Verdicts(listed)
+        verdicts.append(weakref.ref(listed))
+        return report, listed
+
+    def datacentric_outputs(table):
+        alive.append(verdicts[-1]() is not None)
+        return stage2(table)
+
+    monkeypatch.setattr(clientcentric, "clientcentric_outputs", clientcentric_outputs)
+    monkeypatch.setattr(datacentric, "datacentric_outputs", datacentric_outputs)
+    ran, analyzed = tmp_path / "run", tmp_path / "analyzed"
+    assert main(["run", str(scenario_file), "--out", str(ran), "--quiet"]) == 0
+    assert main(["analyze", str(ran / "events.jsonl"), "--out", str(analyzed), "--quiet"]) == 0
+    assert (len(verdicts), alive) == (2, [False, False])
+    for out in (ran, analyzed):
+        for name in _REPORTS:
+            assert (out / name).read_bytes() == (plain / name).read_bytes(), (out.name, name)
 
 
 def test_analyze_rejects_a_competing_writes_log_without_the_dot_shape(scenario_file, tmp_path, capsys):
@@ -707,19 +753,38 @@ sys.exit(main(argv))
 def test_analyze_loads_no_simulator_module(scenario_file, tmp_path):
     competing = tmp_path / "competing.json"
     competing.write_text(json.dumps({**json.loads(scenario_file.read_text()), "strategy": "competing_writes"}))
-    blocked = ",".join((*_SIMULATOR, "numpy", "hashlib"))
+    blocked = (*_SIMULATOR, "numpy", "hashlib")
+    # each stage loads only its own analysis module
     for source in ("preset:one_zipfian", str(competing)):
         ran = tmp_path / "run"
         assert main(["run", source, "--out", str(ran), "--quiet"]) == 0
-        for stages, reports in (("2,3", _REPORTS), ("2", _REPORTS[:2])):
+        for stages, reports, unused in (
+            ("2,3", _REPORTS, ()),
+            ("2", _REPORTS[:2], ("quorumsim.clientcentric",)),
+            ("3", _REPORTS[2:], ("quorumsim.datacentric",)),
+        ):
             out = tmp_path / "analyzed"
-            proc = _python("-c", _WITH_BLOCKED, blocked, "analyze", str(ran / "events.jsonl"), "--out", str(out), "--stages", stages)
+            events = str(ran / "events.jsonl")
+            proc = _python("-c", _WITH_BLOCKED, ",".join((*blocked, *unused)), "analyze", events, "--out", str(out), "--stages", stages)
             assert proc.returncode == 0, (source, stages, proc.stderr)
             assert sorted(p.name for p in out.iterdir()) == sorted(reports)
             for name in reports:
                 assert (out / name).read_bytes() == (ran / name).read_bytes(), (source, stages, name)
             shutil.rmtree(out)
+        # run --stages 1 loads no analysis module, and writes the same log
+        out = tmp_path / "stage1"
+        unused = ",".join(f"quorumsim.{m}" for m in ("optable", "datacentric", "clientcentric"))
+        proc = _python("-c", _WITH_BLOCKED, unused, "run", source, "--out", str(out), "--stages", "1", "--quiet")
+        assert proc.returncode == 0, (source, proc.stderr)
+        assert [p.name for p in out.iterdir()] == ["events.jsonl"]
+        assert (out / "events.jsonl").read_bytes() == (ran / "events.jsonl").read_bytes(), source
+        shutil.rmtree(out)
         shutil.rmtree(ran)
+    # a bad --stages is still an argument error, whatever the modules
+    for argv in (["analyze", "no_such.jsonl", "--stages", "1"], ["run", "preset:one_zipfian", "--stages", "4,x"]):
+        proc = _python("-c", _WITH_BLOCKED, ",".join(blocked), *argv, "--out", str(tmp_path / "bad"))
+        assert (proc.returncode, proc.stderr.startswith("error: ")) == (2, True), (argv, proc.stderr)
+        assert not (tmp_path / "bad").exists()
 
 
 def test_validate_and_quorum_check_load_no_analysis_module(scenario_file):
