@@ -26,7 +26,7 @@ _EXPORTS = {
     " quorum_edge validate_scenario",
     "optable": "OpRecord OpTable op_table",
     "scenario": "Scenario load_scenario scenario_from_json scenario_to_json",
-    "strategies": "COMPETING_WRITES INITIAL LWW_ARRIVAL LWW_TIMESTAMP STRATEGIES WRITE_SET VersionRef",
+    "strategies": "COMPETING_WRITES LWW_ARRIVAL LWW_TIMESTAMP STRATEGIES WRITE_SET VersionRef",
     "workload": "ClientOverride Request WorkloadDriver WorkloadSpec",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

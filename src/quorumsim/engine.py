@@ -4,7 +4,9 @@ One run is single-threaded and fully deterministic: a single virtual clock,
 one event queue ordered by (time, schedule sequence), and labeled RNG streams
 per purpose (arrivals, op kind, keys, payload sizes, graph choice, one per
 directed edge, one per replica's processing). Identical (scenario, seed)
-pairs produce identical logs.
+pairs produce identical logs. One counter numbers the events in the order
+they are emitted; under lww_arrival a write's ApplyEnd number is also the
+arrival order its replica stores.
 
 Traversal semantics
 -------------------
@@ -99,10 +101,11 @@ _UP, _RECOVERING, _STOPPED = range(3)
 class _CompiledGraph:
     """Per-run view of one cooperation graph with prebound latency draws.
 
-    need_of[v]: {group: acks needed} or None, the initial obligations of v;
-    its sync children are one group, keyed SYNC, that needs all of them.
-    fwd_of[v]: tuple of (child, base draw, per-byte rate) or None; up_of[v]:
-    (parent, group or None for an async edge, ack draw) for non-root vertices.
+    need_of[v]: {group: acks needed}, the initial obligations of v (empty if
+    none); its sync children are one group, keyed SYNC, that needs all of
+    them. fwd_of[v]: list of (child, base draw, per-byte rate), empty at a
+    leaf; up_of[v]: (parent, group or None for an async edge, ack draw) for
+    non-root vertices.
     """
 
     __slots__ = ("id", "root", "need_of", "fwd_of", "up_of")
@@ -110,40 +113,24 @@ class _CompiledGraph:
     def __init__(self, graph, streams, topology_edges):
         self.id = graph.id
         self.root = graph.root
-        kids: dict[int, list] = {}
-        need_of: dict[int, dict] = {}
-        up: dict[int, tuple] = {}
+        vertices = graph.vertices()
+        self.need_of = {v: {} for v in vertices}
+        self.fwd_of = {v: [] for v in vertices}
+        self.up_of = {}
         for p, c, cls in graph.edges:
-            kids.setdefault(p, []).append(c)
+            model = topology_edges[(p, c)]
+            draw = model.base.sampler(streams.stream(f"latency:{p}->{c}"))
+            self.fwd_of[p].append((c, draw, model.per_byte_us))
             group = None
             if cls.kind == SYNC:
                 group = SYNC
-                need = need_of.setdefault(p, {})
+                need = self.need_of[p]
                 need[SYNC] = need.get(SYNC, 0) + 1
             elif cls.kind != ASYNC:
                 group = cls.group
-                need_of.setdefault(p, {})[group] = graph.quorum_thresholds[group]
-            up[c] = (p, group)
-        vertices = graph.vertices()
-        self.need_of = {v: need_of.get(v) for v in vertices}
-        self.fwd_of = {}
-        self.up_of = {}
-        for v in vertices:
-            children = kids.get(v)
-            if children:
-                entries = []
-                for c in children:
-                    model = topology_edges[(v, c)]
-                    draw = model.base.sampler(streams.stream(f"latency:{v}->{c}"))
-                    entries.append((c, draw, model.per_byte_us))
-                self.fwd_of[v] = tuple(entries)
-            else:
-                self.fwd_of[v] = None
-            if v != graph.root:
-                p, group = up[v]
-                model = topology_edges.get((v, p)) or topology_edges[(p, v)]
-                ack_draw = model.base.sampler(streams.stream(f"latency:{v}->{p}"))
-                self.up_of[v] = (p, group, ack_draw)
+                self.need_of[p][group] = graph.quorum_thresholds[group]
+            back = topology_edges.get((c, p)) or model
+            self.up_of[c] = (p, group, back.base.sampler(streams.stream(f"latency:{c}->{p}")))
 
 
 class _Op:
@@ -205,7 +192,7 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout, final
     read_ctx = [dict() for _ in range(workload.n_clients)]
 
     events: list = []
-    ev_n = -1  # seq of the last emitted event
+    seq = count().__next__  # numbers every event of the run, from 0
     heap: list = []
     tick = count(1).__next__
     push = heappush
@@ -225,10 +212,8 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout, final
 
     def finish(t, op, kind, detail):
         """End op at t with its one terminal event and draw its client's next request."""
-        nonlocal ev_n
         op.terminal = True
-        ev_n += 1
-        events.append((ev_n, t, op.op_id, kind, (detail,)))
+        events.append((seq(), t, op.op_id, kind, (detail,)))
         req = next_request(op.client, t)
         if req is not None:
             push(heap, (req.issue_time, tick(), _A_ISSUE, req, None, None))
@@ -246,7 +231,6 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout, final
 
     def oblig(t, op, v):
         """Ack the parent / commit at the root once v's obligations are met."""
-        nonlocal ev_n
         vs = op.vstate[v]
         need = vs[_VS_NEED]
         if vs[_VS_RESPONDED] or not vs[_VS_APPLIED] or (need and max(need.values()) > 0):
@@ -258,11 +242,8 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout, final
                 return
             if not op.is_write:
                 contribs = vs[_VS_CONTRIBS]
-                participants = sorted(r for r, _ in contribs)
-                returned = resolve(contribs)
-                refs = tuple(r for r in returned if r.write_id >= 0)
-                ev_n += 1
-                events.append((ev_n, t, op.op_id, READ_RETURN, (tuple(participants), refs)))
+                refs = tuple(resolve(contribs))
+                events.append((seq(), t, op.op_id, READ_RETURN, (tuple(sorted(r for r, _ in contribs)), refs)))
                 if vclocks and refs:
                     ctx = read_ctx[op.client].setdefault(op.key, {})
                     for ref in refs:
@@ -278,27 +259,24 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout, final
 
     def apply_end(t, op, v):
         """ApplyEnd at v: mutate or snapshot, fan a write's copies out, obligations."""
-        nonlocal ev_n
         vs = op.vstate[v]
         vs[_VS_APPLIED] = True
-        ev_n += 1
+        n = seq()
         if op.is_write:
-            events.append((ev_n, t, op.op_id, APPLY_END, (v, op.write_id)))
-            apply(store[v], op.key, op.ref, ev_n)
+            events.append((n, t, op.op_id, APPLY_END, (v, op.write_id)))
+            apply(store[v], op.key, op.ref, n)
             # the copy carries the applied data, so it leaves after ApplyEnd
             forward(t, op, v)
         else:
             state = store[v].get(op.key)
             snap, ids = (None, ()) if state is None else snapshot(state)
-            events.append((ev_n, t, op.op_id, APPLY_END, (v, ids)))
+            events.append((n, t, op.op_id, APPLY_END, (v, ids)))
             vs[_VS_CONTRIBS].append((v, snap))
         oblig(t, op, v)
 
     def deliver(t, op, v):
         """Arrival of the op at up replica v."""
-        nonlocal ev_n
-        ev_n += 1
-        events.append((ev_n, t, op.op_id, APPLY_START, (v,)))
+        events.append((seq(), t, op.op_id, APPLY_START, (v,)))
         if not op.is_write:
             # a read query carries no data; it fans out on arrival while the
             # local serve (proc_read) proceeds in parallel
@@ -312,7 +290,6 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout, final
             apply_end(t, op, v)
 
     def issue(t, req):
-        nonlocal ev_n
         is_write = req.kind == WRITE
         graphs, cum = (rep_graphs, rep_cum) if is_write else (read_graphs, read_cum)
         graph = graphs[min(bisect_right(cum, graph_u()), len(graphs) - 1)]
@@ -325,9 +302,8 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout, final
             ref = VersionRef(req.write_id, req.client_id, req.issue_time, vclock)
 
         op = _Op(req, graph, ref)
-        events.append((ev_n + 1, t, op.op_id, OP_START, (req.client_id, req.kind, req.key, req.write_id, req.payload_bytes, req.warmup, vclock)))
-        events.append((ev_n + 2, t, op.op_id, GRAPH_CHOSEN, (graph.id,)))
-        ev_n += 2
+        events.append((seq(), t, op.op_id, OP_START, (req.client_id, req.kind, req.key, req.write_id, req.payload_bytes, req.warmup, vclock)))
+        events.append((seq(), t, op.op_id, GRAPH_CHOSEN, (graph.id,)))
 
         root = graph.root
         if replica_state[root] == _STOPPED:
@@ -366,8 +342,7 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout, final
             if code == _A_ACK:
                 op = a
                 child, contribs = c
-                ev_n += 1
-                events.append((ev_n, t, op.op_id, ACK, (b, child)))
+                events.append((seq(), t, op.op_id, ACK, (b, child)))
                 vs = op.vstate[b]
                 if vs[_VS_RESPONDED]:
                     continue  # late ack: logged, then ignored
@@ -384,8 +359,7 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout, final
             issue(t, a)
         elif code == _A_DOWN:
             replica, kind, down_for = a, b, c
-            ev_n += 1
-            events.append((ev_n, t, None, REPLICA_DOWN, (replica,)))
+            events.append((seq(), t, None, REPLICA_DOWN, (replica,)))
             epoch[replica] += 1
             if kind == CRASH_STOP:
                 replica_state[replica] = _STOPPED
@@ -397,8 +371,7 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout, final
             replica, up_epoch = a, b
             if up_epoch != epoch[replica]:
                 continue  # a later failure superseded this recovery
-            ev_n += 1
-            events.append((ev_n, t, None, REPLICA_UP, (replica,)))
+            events.append((seq(), t, None, REPLICA_UP, (replica,)))
             replica_state[replica] = _UP
             # Deferred work drains FIFO at the recovery instant; the drained
             # list is dropped at once, so it holds no op past its messages.

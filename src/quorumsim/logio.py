@@ -173,8 +173,8 @@ def event_from_json(obj, line: int | None = None, refs: dict | None = None):
     object. With refs, the cache of one pass over a log, a returned ref
     equal to the first return of its write id reuses that return's object.
     An op_start's op kind is the module constant READ or WRITE. A field that
-    a stage reads and that has the wrong type, a value id or a clock key
-    included, raises MalformedLogError.
+    a stage reads and that has the wrong type, a value id, a participant or
+    a clock key included, raises MalformedLogError.
     """
     try:
         seq, t, op_id, kind = obj["seq"], obj["time_us"], obj["op_id"], obj["kind"]
@@ -210,7 +210,7 @@ def event_from_json(obj, line: int | None = None, refs: dict | None = None):
                 returned = tuple(map(_ref_from_json, returned))
             else:
                 returned = tuple([_interned_ref(r, refs) for r in returned])
-            payload = (tuple(_typed(obj["participants"], list)), returned)
+            payload = (_ints(obj["participants"]), returned)
         elif kind == OP_COMMIT:
             payload = (_typed(obj["latency_us"]),)
         elif kind == OP_FAIL:

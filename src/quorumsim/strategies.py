@@ -7,8 +7,9 @@ vector-clock dominance. A replica's state per key is, in that order,
 (ref, arrival seq), a ref, a set of refs (copied on read) or a tuple of heads.
 
 The engine binds ``apply`` (a write, in place), ``snapshot`` (a read of one
-replica), ``resolve`` (a read's result from its non-empty contributions),
-``canonical`` (the final store) and the ``vclocks`` flag once per run.
+replica), ``resolve`` (a read's result from its non-empty contributions,
+empty when none holds a version), ``canonical`` (the final store) and the
+``vclocks`` flag once per run.
 
 Stage 3 asks whether a result "reflects" a write: order-key dominance under
 LWW, set inclusion under write_set, vector-clock dominance under
@@ -54,8 +55,7 @@ class VersionRef:
     """Identity of one write as stored and returned by replicas.
 
     vclock is a canonical sorted tuple of (client_id, counter) pairs, present
-    only under the competing-writes strategy. write_id -1 is the distinguished
-    initial (pre-any-write) version.
+    only under the competing-writes strategy.
     """
 
     write_id: int
@@ -63,8 +63,6 @@ class VersionRef:
     client_timestamp: int
     vclock: tuple[tuple[int, int], ...] | None = None
 
-
-INITIAL = VersionRef(-1, -1, -1, ())
 
 _write_id = attrgetter("write_id")
 _INITIAL_KEY = (-1,)  # below the order key of every version
@@ -151,7 +149,7 @@ class _LastWriteWins(_Strategy):
         if not contribs:
             raise ValueError(_NO_CONTRIBUTIONS)
         snaps = [snap for _, snap in contribs if snap is not None]
-        return [self.canonical(max(snaps, key=self.order)) if snaps else INITIAL]
+        return [self.canonical(max(snaps, key=self.order))] if snaps else []
 
     def marks(self, writes):
         return list(accumulate(map(self.write_key, writes), max))

@@ -29,7 +29,7 @@ from quorumsim.engine import (
     OP_START,
     READ_RETURN,
 )
-from quorumsim.strategies import COMPETING_WRITES, INITIAL, LWW_ARRIVAL, LWW_TIMESTAMP, WRITE_SET
+from quorumsim.strategies import COMPETING_WRITES, LWW_ARRIVAL, LWW_TIMESTAMP, WRITE_SET
 
 
 def _events(log):
@@ -471,14 +471,14 @@ def apply_write(strategy: str, store_state, incoming, arrival_seq: int):
 def oracle_resolve(strategy: str, contributions) -> list:
     """The versions a read returns from (replica, snapshot) contributions
     shaped as in apply_write: the maximum by (arrival seq, write id) or
-    (client timestamp, write id) under LWW, INITIAL when every snapshot is
+    (client timestamp, write id) under LWW, none when every snapshot is
     empty; the union by write id under write_set; the head antichain under
     competing_writes."""
     snaps = [snap for _, snap in contributions if snap]
     if strategy == LWW_ARRIVAL:
-        return [max(snaps, key=lambda s: (s[1], s[0].write_id))[0]] if snaps else [INITIAL]
+        return [max(snaps, key=lambda s: (s[1], s[0].write_id))[0]] if snaps else []
     if strategy == LWW_TIMESTAMP:
-        return [max(snaps, key=_ts_key)] if snaps else [INITIAL]
+        return [max(snaps, key=_ts_key)] if snaps else []
     pool = [ref for snap in snaps for ref in snap]
     if strategy == WRITE_SET:
         return sorted(set(pool), key=lambda r: r.write_id)

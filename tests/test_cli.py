@@ -268,6 +268,7 @@ def test_stages_2_and_3_reject_the_same_malformed_logs(scenario_file, tmp_path, 
         "apply_end_write_id": changed(first("apply_end", "write_id"), write_id=[1]),
         "value": changed(first("apply_end", "value"), value="1"),
         "participants": changed(read_return, participants=0),
+        "participant_ids": changed(read_return, participants=["a", None]),
         "ref_write_id": changed(read_return, returned=[{**ref, "write_id": str(ref["write_id"])}]),
         "ref_client_id": changed(read_return, returned=[{**ref, "client_id": str(ref["client_id"])}]),
         "ref_client_ts_us": changed(read_return, returned=[{**ref, "client_ts_us": 1.5}]),

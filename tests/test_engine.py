@@ -19,7 +19,6 @@ from quorumsim import (
     CooperationGraph,
     CooperationModel,
     FailureEvent,
-    INITIAL,
     LatencyModel,
     READING,
     REPLICATION,
@@ -146,6 +145,24 @@ def test_sync_star_commit_is_round_trip():
     assert_log_invariants(log)
 
 
+@pytest.mark.parametrize("reverse_us, latency_us", [(None, 10_000), (700, 5_700)])
+def test_an_ack_without_a_reverse_edge_draws_on_the_forward_edge(reverse_us, latency_us):
+    """A sync star whose topology has only the forward edges: each ack takes
+    its forward edge's constant. Its twin with reverse edges takes theirs."""
+    forward_us = {1: 3_000, 2: 5_000}
+    edges = {(0, c): LatencyModel(Constant(d)) for c, d in forward_us.items()}
+    if reverse_us is not None:
+        edges.update({(c, 0): LatencyModel(Constant(reverse_us)) for c in forward_us})
+    topo = ReplicaGraph([replica(i) for i in range(3)], edges)
+    coop = CooperationModel(
+        [CooperationGraph(0, REPLICATION, 0, [(0, c, SYNC_EDGE) for c in forward_us])],
+        [CooperationGraph(1, READING, 0, [])],
+    )
+    log = run_simulation(topo, coop, [], write_only_workload(2, think=Constant(1_000)), LWW_TIMESTAMP, seed=1)
+    assert [e[4] for e in log.events if e[3] == OP_COMMIT] == [(latency_us,), (latency_us,)]
+    assert_log_invariants(log)
+
+
 def test_all_sync_applies_complete_before_commit():
     rng = random.Random(7)
     for _ in range(10):
@@ -254,7 +271,8 @@ def r(write_id, client, ts, vclock=None):
 def test_resolve_read_lww_timestamp_picks_max():
     a, b = r(1, 0, 5_000), r(2, 1, 9_000)
     assert strategy(LWW_TIMESTAMP).resolve([(0, a), (1, b)]) == [b]
-    assert strategy(LWW_TIMESTAMP).resolve([(0, None)]) == [INITIAL]
+    for name in STRATEGIES:  # no replica holds a version: the read returns none
+        assert strategy(name).resolve([(0, None), (1, None)]) == []
 
 
 def test_resolve_read_write_set_union():
