@@ -10,23 +10,24 @@ The writer, ``written_chunks``, is one streaming pass too: it writes the
 header, then the lines of each chunk of events it is given, and passes each
 chunk on once written, so ``run`` feeds the engine's chunks through it into
 the op table without holding the event list. ``write_events`` is that
-writer over a held log. It formats each event line from a fixed template
-per kind, with no whitespace and strings ASCII-escaped, and expects the
-engine's field types; it formats each returned ref object once per file.
-``event_to_json`` is the reference form: each line equals
-``json.dumps(event_to_json(ev), separators=(",", ":"))``.
+writer over a held log. Each line comes from one f-string per kind, equal
+to the reference ``json.dumps(event_to_json(ev), separators=(",", ":"))``.
+Each row of ``ops.csv`` and ``read_verdicts.csv`` comes from one f-string,
+as ``csv.writer`` writes it; each JSON report is streamed as the bytes of
+``json.dump(report, fh, indent=2, sort_keys=True)`` plus a newline.
 
 The reader, ``iter_events``, is one streaming pass: it yields each event as
 its line is read, so ``analyze`` feeds the op table without holding the
 event list, and ``read_events`` is that pass collected into a list. It
-accepts any valid JSON formatting, ignores unknown fields and tolerates
-shuffled event lines, the header included. A write returned exactly as at
-its first return reuses that return's ``VersionRef``; the op table checks
-any other return against the write's op_start. An op_start's ``op`` is
-handed on as the shared ``READ`` or ``WRITE`` constant, as the engine's
-events carry it, not as a decoded copy per line. ``event_from_json`` on one
-decoded line, without that cache, is its reference form. Structural
-problems and a field that a stage reads with the wrong type raise
+scans each line with json's C scanner and decodes it with its kind's
+decoder from the table of ``event_from_json``. It accepts any valid JSON
+formatting and shuffled event lines, the header included. An event line
+carries exactly the fields the writer writes for its kind (and variant);
+the header and a returned ref may carry more. A write returned exactly as
+at its first return reuses that return's ``VersionRef``; the op table
+checks any other return against the write's op_start. The kind and an
+op_start's ``op`` are handed on as the shared module constants. A
+structural problem, a missing, wrong-typed or unknown field raises
 MalformedLogError with the 1-based line number; a clock key that is not a
 client id's canonical decimal form ("07" for 7) counts as wrong-typed, so
 no clock names a client twice.
@@ -34,10 +35,11 @@ no clock names a client twice.
 
 from __future__ import annotations
 
-import csv
 import json
 from collections import deque
+from json.scanner import make_scanner
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import itemgetter
 
 from .errors import MalformedLogError
 from .events import (ACK, APPLY_END, APPLY_START, GRAPH_CHOSEN, OP_COMMIT, OP_FAIL, OP_START, READ, READ_RETURN,
@@ -64,8 +66,11 @@ def _typed(value, cls=int):
 
 def _ints(values) -> tuple:
     """values, a list of ints (never bools), as a tuple."""
-    if type(values) is not list or not all(type(v) is int for v in values):
+    if type(values) is not list:
         raise TypeError("expected a list of int")
+    for v in values:  # a loop, not all(): it runs on every read's lines
+        if type(v) is not int:
+            raise TypeError("expected a list of int")
     return tuple(values)
 
 
@@ -79,50 +84,17 @@ def _client_of(key: str) -> int:
 
 
 def _vclock_from_json(vclock) -> tuple | None:
-    if vclock is None:
-        return None
-    return tuple(sorted((_client_of(c), _typed(n)) for c, n in vclock.items()))
+    return None if vclock is None else tuple(sorted((_client_of(c), _typed(n)) for c, n in vclock.items()))
 
 
 def _ref_from_json(obj) -> VersionRef:
-    return VersionRef(
-        _typed(obj["write_id"]),
-        _typed(obj["client_id"]),
-        _typed(obj["client_ts_us"]),
-        _vclock_from_json(obj.get("vclock")),
-    )
+    ids = _typed(obj["write_id"]), _typed(obj["client_id"]), _typed(obj["client_ts_us"])
+    return VersionRef(*ids, _vclock_from_json(obj.get("vclock")))
 
 
-def _exact_ints(obj) -> bool:
-    """Whether a returned ref's ints, its vclock counters too, are of type int."""
-    vclock = obj.get("vclock")
-    return (
-        type(obj["write_id"]) is int
-        and type(obj["client_id"]) is int
-        and type(obj["client_ts_us"]) is int
-        and (vclock is None or all(type(n) is int for n in vclock.values()))
-    )
-
-
-def _interned_ref(obj, refs: dict) -> VersionRef:
-    """The ref of obj: the one refs holds for its write id, if obj's fields
-    equal that ref's, and else a new one.
-
-    refs maps a write id to (its ref, the JSON object of its first return).
-    The fields of every return are type-checked, so one equal to the first
-    in value only (false for 0, 1.0 for 1) raises TypeError.
-    """
-    seen = refs.get(obj["write_id"])
-    if seen is None:
-        ref = _ref_from_json(obj)
-        refs[ref.write_id] = (ref, obj)
-        return ref
-    ref, first = seen
-    if obj != first or not _exact_ints(obj):
-        new = _ref_from_json(obj)
-        if new != ref:
-            return new
-    return ref
+# kind -> the field of each payload entry, for the kinds whose payload has one shape
+_FIELDS = {GRAPH_CHOSEN: ("graph_id",), APPLY_START: ("replica",), ACK: ("parent", "child"), OP_COMMIT: ("latency_us",),
+           OP_FAIL: ("reason",), REPLICA_DOWN: ("replica",), REPLICA_UP: ("replica",)}
 
 
 def event_to_json(ev) -> dict:
@@ -130,96 +102,115 @@ def event_to_json(ev) -> dict:
     obj = {"seq": seq, "time_us": t, "op_id": op_id, "kind": kind}
     if kind == OP_START:
         client, op_kind, key, write_id, payload_bytes, warmup, vclock = payload
-        obj["client_id"] = client
-        obj["op"] = op_kind
-        obj["key"] = key
+        obj.update(client_id=client, op=op_kind, key=key)
         if write_id is not None:
             obj["write_id"] = write_id
-        obj["payload_bytes"] = payload_bytes
-        obj["warmup"] = warmup
+        obj.update(payload_bytes=payload_bytes, warmup=warmup)
         if vclock is not None:
             obj["vclock"] = {str(cid): n for cid, n in vclock}
-    elif kind == GRAPH_CHOSEN:
-        obj["graph_id"] = payload[0]
-    elif kind == APPLY_START:
-        obj["replica"] = payload[0]
     elif kind == APPLY_END:
-        obj["replica"] = payload[0]
-        if isinstance(payload[1], tuple):
-            obj["value"] = list(payload[1])
-        else:
-            obj["write_id"] = payload[1]
-    elif kind == ACK:
-        obj["parent"] = payload[0]
-        obj["child"] = payload[1]
+        replica, carried = payload
+        obj.update(replica=replica, **({"value": list(carried)} if isinstance(carried, tuple) else {"write_id": carried}))
     elif kind == READ_RETURN:
-        obj["participants"] = list(payload[0])
-        obj["returned"] = [_ref_to_json(r) for r in payload[1]]
-    elif kind == OP_COMMIT:
-        obj["latency_us"] = payload[0]
-    elif kind == OP_FAIL:
-        obj["reason"] = payload[0]
-    elif kind in (REPLICA_DOWN, REPLICA_UP):
-        obj["replica"] = payload[0]
+        obj.update(participants=list(payload[0]), returned=[_ref_to_json(r) for r in payload[1]])
+    elif kind in _FIELDS:
+        obj.update(zip(_FIELDS[kind], payload))
     else:
         raise ValueError(f"unknown event kind {kind!r}")
     return obj
 
 
-def event_from_json(obj, line: int | None = None, refs: dict | None = None):
-    """The event tuple of a decoded event line.
+# A kind's decoder(obj, refs, line) raises KeyError, TypeError or ValueError for a missing or wrong-typed field.
+_EXTRA_FIELD = "event has a field that its kind does not have"
 
-    Without refs this is the reference form: every returned ref is a new
-    object. With refs, the cache of one pass over a log, a returned ref
-    equal to the first return of its write id reuses that return's object.
-    An op_start's op kind is the module constant READ or WRITE. A field that
-    a stage reads and that has the wrong type, a value id, a participant or
-    a clock key included, raises MalformedLogError.
+
+def _op_start(obj, refs, line):
+    op_kind, vclock = obj["op"], obj.get("vclock")
+    if op_kind not in _OP_KINDS:
+        raise MalformedLogError(f"op_start op must be one of {', '.join(_OP_KINDS)}", line)
+    client, key, payload_bytes, warmup = obj["client_id"], obj["key"], obj["payload_bytes"], obj["warmup"]
+    if not (type(client) is type(key) is type(payload_bytes) is int and type(warmup) is bool):
+        raise TypeError("expected int fields and a bool warmup")
+    write_id = _typed(obj["write_id"]) if op_kind == WRITE else None  # a write's field, and only a write's
+    vclock = None if vclock is None else _vclock_from_json(vclock)
+    if len(obj) != 9 + (write_id is not None) + (vclock is not None):
+        raise MalformedLogError(_EXTRA_FIELD, line)
+    return (client, READ if op_kind == READ else WRITE, key, write_id, payload_bytes, warmup, vclock)
+
+
+def _apply_end(obj, refs, line):
+    replica, carried = obj["replica"], (_ints(obj["value"]) if "value" in obj else obj["write_id"])
+    if type(replica) is not int or type(carried) not in (int, tuple):  # a write id, or a read's value ids
+        raise TypeError("expected an int replica and write_id")
+    if len(obj) != 6:
+        raise MalformedLogError(_EXTRA_FIELD, line)
+    return (replica, carried)
+
+
+def _ack(obj, refs, line):
+    parent, child = obj["parent"], obj["child"]
+    if not type(parent) is type(child) is int:
+        raise TypeError("expected int parent and child")
+    if len(obj) != 6:
+        raise MalformedLogError(_EXTRA_FIELD, line)
+    return (parent, child)
+
+
+def _read_return(obj, refs, line):
+    """A returned ref equal, types included, to its write id's first return in refs reuses its ref."""
+    returned, refs_json = [], obj["returned"]
+    if type(refs_json) is not list:
+        raise TypeError("expected a list of refs")
+    for r in refs_json:
+        hit = refs.get(r["write_id"])
+        if hit is None or hit[1] != r or not type(r["write_id"]) is type(r["client_id"]) is type(r["client_ts_us"]) is int or (
+            (vclock := r.get("vclock")) is not None and not all([type(n) is int for n in vclock.values()])
+        ):
+            ref = _ref_from_json(r)  # a return like the first in value only (false for 0) raises TypeError
+            hit = refs.setdefault(ref.write_id, (ref, r))
+            returned.append(hit[0] if hit[0] == ref else ref)
+        else:
+            returned.append(hit[0])
+    participants = _ints(obj["participants"])
+    if len(obj) != 6:
+        raise MalformedLogError(_EXTRA_FIELD, line)
+    return (participants, tuple(returned))
+
+
+def _one_field(name, cls=int):
+    """The decoder of a kind whose payload is its one field name, of type cls."""
+    def decode(obj, refs, line):
+        value = obj[name]
+        if type(value) is not cls:
+            raise TypeError(f"expected {cls.__name__}")
+        if len(obj) != 5:
+            raise MalformedLogError(_EXTRA_FIELD, line)
+        return (value,)
+    return decode
+
+
+_DECODERS = {kind: (kind, decode) for kind, decode in {  # kind -> (the shared kind constant, its decoder)
+    APPLY_START: _one_field("replica"), APPLY_END: _apply_end, OP_START: _op_start, GRAPH_CHOSEN: _one_field("graph_id"),
+    OP_COMMIT: _one_field("latency_us"), READ_RETURN: _read_return, ACK: _ack, OP_FAIL: _one_field("reason", str),
+    REPLICA_DOWN: _one_field("replica"), REPLICA_UP: _one_field("replica"),
+}.items()}
+
+
+def event_from_json(obj, line: int | None = None, refs: dict | None = None):
+    """The event tuple of a decoded event line, from its kind's decoder.
+
+    refs, the cache of one pass over a log, shares the ref objects of equal
+    returns of one write id; without it, only the returns of this line do.
+    A missing, wrong-typed or unknown field raises MalformedLogError.
     """
     try:
         seq, t, op_id, kind = obj["seq"], obj["time_us"], obj["op_id"], obj["kind"]
         if type(seq) is not int or type(t) is not int or not (op_id is None or type(op_id) is int):
             raise MalformedLogError("event seq and time_us must be integers, op_id an integer or null", line)
-        if kind == OP_START:
-            op_kind, write_id = obj["op"], obj.get("write_id")
-            if op_kind not in _OP_KINDS:
-                raise MalformedLogError(f"op_start op must be one of {', '.join(_OP_KINDS)}", line)
-            payload = (
-                _typed(obj["client_id"]),
-                READ if op_kind == READ else WRITE,  # the shared constant, not the decoded copy
-                _typed(obj["key"]),
-                write_id if write_id is None else _typed(write_id),
-                _typed(obj["payload_bytes"]),
-                _typed(obj["warmup"], bool),
-                _vclock_from_json(obj.get("vclock")),
-            )
-        elif kind == GRAPH_CHOSEN:
-            payload = (_typed(obj["graph_id"]),)
-        elif kind == APPLY_START:
-            payload = (_typed(obj["replica"]),)
-        elif kind == APPLY_END:
-            if "value" in obj:
-                payload = (_typed(obj["replica"]), _ints(obj["value"]))
-            else:
-                payload = (_typed(obj["replica"]), _typed(obj["write_id"]))
-        elif kind == ACK:
-            payload = (_typed(obj["parent"]), _typed(obj["child"]))
-        elif kind == READ_RETURN:
-            returned = _typed(obj["returned"], list)
-            if refs is None:
-                returned = tuple(map(_ref_from_json, returned))
-            else:
-                returned = tuple([_interned_ref(r, refs) for r in returned])
-            payload = (_ints(obj["participants"]), returned)
-        elif kind == OP_COMMIT:
-            payload = (_typed(obj["latency_us"]),)
-        elif kind == OP_FAIL:
-            payload = (_typed(obj["reason"], str),)
-        elif kind in (REPLICA_DOWN, REPLICA_UP):
-            payload = (_typed(obj["replica"]),)
-        else:
+        if type(kind) is not str or kind not in _DECODERS:
             raise MalformedLogError(f"unknown event kind {kind!r}", line)
-        return (seq, t, op_id, kind, payload)
+        kind, decode = _DECODERS[kind]
+        return (seq, t, op_id, kind, decode(obj, {} if refs is None else refs, line))
     except KeyError as e:
         raise MalformedLogError(f"event is missing field {e.args[0]!r}", line) from None
     except (AttributeError, TypeError, ValueError):
@@ -262,12 +253,9 @@ def _ref_line(ref: VersionRef) -> str:
     return f'{{"write_id":{ref.write_id},"client_id":{ref.client_id},"client_ts_us":{ref.client_timestamp}{vclock}}}'
 
 
-_REPLICA_KINDS = frozenset((APPLY_START, REPLICA_DOWN, REPLICA_UP))
-
-
 def _event_lines(events, ref_lines: dict):
     """One line per event, the bytes ``json.dumps(event_to_json(ev))`` gives
-    with compact separators, formatted from a fixed template per kind.
+    with compact separators, formatted from one template per kind.
 
     A returned ref is formatted once per ref object: the memo ref_lines,
     kept for one file, maps a write id to (the last ref formatted for it,
@@ -281,39 +269,36 @@ def _event_lines(events, ref_lines: dict):
             hit = ref_lines[ref.write_id] = (ref, _ref_line(ref))
         return hit[1]
 
-    for seq, t, op_id, kind, payload in events:
-        head = f'{{"seq":{seq},"time_us":{t},"op_id":{"null" if op_id is None else op_id},"kind":"{kind}"'
-        if kind in _REPLICA_KINDS:
-            yield f'{head},"replica":{payload[0]}}}\n'
-        elif kind == ACK:
-            yield f'{head},"parent":{payload[0]},"child":{payload[1]}}}\n'
+    for seq, t, op_id, kind, p in events:
+        op = "null" if op_id is None else op_id
+        if kind == APPLY_START:
+            yield f'{{"seq":{seq},"time_us":{t},"op_id":{op},"kind":"apply_start","replica":{p[0]}}}\n'
         elif kind == APPLY_END:
-            replica, value = payload
-            if isinstance(value, tuple):
-                yield f'{head},"replica":{replica},"value":[{",".join(map(str, value))}]}}\n'
-            else:
-                yield f'{head},"replica":{replica},"write_id":{value}}}\n'
+            carried = f'"value":[{",".join(map(str, p[1]))}]' if isinstance(p[1], tuple) else f'"write_id":{p[1]}'
+            yield f'{{"seq":{seq},"time_us":{t},"op_id":{op},"kind":"apply_end","replica":{p[0]},{carried}}}\n'
         elif kind == OP_START:
-            client, op_kind, key, write_id, payload_bytes, warmup, vclock = payload
-            line = f'{head},"client_id":{client},"op":{_json_str(op_kind)},"key":{key}'
-            if write_id is not None:
-                line = f'{line},"write_id":{write_id}'
-            line = f'{line},"payload_bytes":{payload_bytes},"warmup":{"true" if warmup else "false"}'
-            if vclock is not None:
-                line = f'{line},"vclock":{_vclock_line(vclock)}'
-            yield line + "}\n"
-        elif kind == GRAPH_CHOSEN:
-            yield f'{head},"graph_id":{payload[0]}}}\n'
-        elif kind == READ_RETURN:
-            participants, refs = payload
+            client, op_kind, key, write_id, payload_bytes, warmup, vclock = p
+            write_id = "" if write_id is None else f',"write_id":{write_id}'
+            vclock = "" if vclock is None else f',"vclock":{_vclock_line(vclock)}'
             yield (
-                f'{head},"participants":[{",".join(map(str, participants))}],'
-                f'"returned":[{",".join(map(ref_line, refs))}]}}\n'
+                f'{{"seq":{seq},"time_us":{t},"op_id":{op},"kind":"op_start","client_id":{client},"op":{_json_str(op_kind)},'
+                f'"key":{key}{write_id},"payload_bytes":{payload_bytes},"warmup":{"true" if warmup else "false"}{vclock}}}\n'
             )
+        elif kind == GRAPH_CHOSEN:
+            yield f'{{"seq":{seq},"time_us":{t},"op_id":{op},"kind":"graph_chosen","graph_id":{p[0]}}}\n'
         elif kind == OP_COMMIT:
-            yield f'{head},"latency_us":{payload[0]}}}\n'
+            yield f'{{"seq":{seq},"time_us":{t},"op_id":{op},"kind":"op_commit","latency_us":{p[0]}}}\n'
+        elif kind == READ_RETURN:
+            yield (
+                f'{{"seq":{seq},"time_us":{t},"op_id":{op},"kind":"read_return","participants":[{",".join(map(str, p[0]))}],'
+                f'"returned":[{",".join(map(ref_line, p[1]))}]}}\n'
+            )
+        elif kind == ACK:
+            yield f'{{"seq":{seq},"time_us":{t},"op_id":{op},"kind":"ack_received","parent":{p[0]},"child":{p[1]}}}\n'
         elif kind == OP_FAIL:
-            yield f'{head},"reason":{_json_str(payload[0])}}}\n'
+            yield f'{{"seq":{seq},"time_us":{t},"op_id":{op},"kind":"op_fail","reason":{_json_str(p[0])}}}\n'
+        elif kind == REPLICA_DOWN or kind == REPLICA_UP:
+            yield f'{{"seq":{seq},"time_us":{t},"op_id":{op},"kind":"{kind}","replica":{p[0]}}}\n'
         else:
             raise ValueError(f"unknown event kind {kind!r}")
 
@@ -340,7 +325,7 @@ def write_events(log: SimulationLog, path) -> None:
     deque(written_chunks(log.meta, (log.events,), path), maxlen=0)
 
 
-_decode = json.JSONDecoder().raw_decode
+_scan = make_scanner(json.JSONDecoder())  # json's C scanner, without raw_decode's Python frame
 
 
 def iter_events(path, meta: dict):
@@ -348,31 +333,39 @@ def iter_events(path, meta: dict):
 
     A file has one run_meta header, which fills meta when the pass reaches
     it, wherever it is in the file; a second one raises MalformedLogError.
-    The returns of one write id that are equal share one ref object (see
-    ``event_from_json``).
+    Equal returns of one write id share one ref object.
     """
     refs: dict = {}  # write id -> (its ref, the JSON object of its first return)
     header_line = None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+            line = line.strip(" \t\r\n")  # JSON's whitespace, not str.strip's
             if not line:
                 continue
             try:
-                obj, end = _decode(line)
-            except json.JSONDecodeError:
-                raise MalformedLogError("line is not valid JSON", line_no) from None
+                obj, end = _scan(line, 0)
+            except (json.JSONDecodeError, StopIteration, RecursionError):  # the last: nested too deep
+                end = -1
             if end != len(line):
                 raise MalformedLogError("line is not valid JSON", line_no)
-            if not isinstance(obj, dict) or "kind" not in obj:
+            if type(obj) is not dict or "kind" not in obj:
                 raise MalformedLogError("line is not an event object", line_no)
-            if obj["kind"] == "run_meta":
+            kind = obj["kind"]
+            if kind == "run_meta":
                 if header_line is not None:
                     raise MalformedLogError(f"second run_meta header (the first is on line {header_line})", line_no)
                 header_line = line_no
                 meta.update(_meta_from_json(obj, line_no))
                 continue
-            yield event_from_json(obj, line_no, refs)
+            try:  # event_from_json inlined, for a well-formed line
+                seq, t, op_id = obj["seq"], obj["time_us"], obj["op_id"]
+                if not (type(seq) is type(t) is int and (op_id is None or type(op_id) is int)):
+                    raise TypeError("expected int head fields")
+                kind, decode = _DECODERS[kind]
+                event = (seq, t, op_id, kind, decode(obj, refs, line_no))
+            except (KeyError, AttributeError, TypeError, ValueError, MalformedLogError):  # event_from_json names the fault
+                event = event_from_json(obj, line_no, refs)
+            yield event
 
 
 def read_events(path) -> SimulationLog:
@@ -382,46 +375,92 @@ def read_events(path) -> SimulationLog:
     return SimulationLog(meta, events, {})
 
 
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_leaf(value) -> str:
+    """value, a string, number, bool or None, as ``json.dump`` writes it."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, (int, float)):  # as their types print them, but for nan and infinities
+        text = (int if isinstance(value, int) else float).__repr__(value)
+        return _FLOAT_WORDS.get(text, text)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    return _json_str(key if isinstance(key, str) else _json_leaf(key))
+
+
+def _json_text(value, indent: str) -> str:
+    """value as ``json.dump(value, fh, indent=2, sort_keys=True)`` writes it, nested at indent."""
+    if type(value) is int:  # the commonest leaf
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items, brackets = [f"{_json_key(key)}: {_json_text(item, inner)}" for key, item in sorted(value.items())], "{}"
+    elif isinstance(value, (list, tuple)):
+        items, brackets = [_json_text(item, inner) for item in value], "[]"
+    else:
+        return _json_leaf(value)
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}" if items else brackets
+
+
+def _write_json(write, value, indent: str, depth: int) -> None:
+    """Write _json_text(value, indent), one write per entry down to depth."""
+    if not (depth and value and isinstance(value, (dict, list, tuple))):
+        return write(_json_text(value, indent))
+    inner, is_dict = indent + "  ", isinstance(value, dict)
+    head = "{" if is_dict else "["
+    for key, item in sorted(value.items()) if is_dict else enumerate(value):
+        write(f"{head}\n{inner}{_json_key(key)}: " if is_dict else f"{head}\n{inner}")
+        _write_json(write, item, inner, depth - 1)
+        head = ","
+    write(f"\n{indent}}}" if is_dict else f"\n{indent}]")
+
+
 def write_json_report(report: dict, path) -> None:
+    """Write report as the bytes of ``json.dump(report, fh, indent=2, sort_keys=True)`` and a newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        _write_json(fh.write, report, "", 2)
         fh.write("\n")
+
+
+def _csv_field(text: str) -> str:
+    """text as one field of a CSV row, quoted as ``csv.QUOTE_MINIMAL`` quotes it."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 READ_VERDICT_HEADER = ["op_id", "client_id", "key", "start_us", "stale", "mrc", "rywc", "returned_writes"]
 
 
 def write_read_verdicts(verdicts, path) -> None:
-    """Per-read verdict CSV (non-warmup committed reads, one row per read)."""
+    """Per-read verdict CSV (non-warmup committed reads, one row per read):
+    the bytes of ``csv.writer``, each row from one template."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(READ_VERDICT_HEADER)
-        for v in verdicts:
-            if v.warmup:
-                continue
-            writer.writerow(
-                [
-                    v.op_id,
-                    v.client_id,
-                    v.key,
-                    v.start_us,
-                    str(v.stale).lower(),
-                    str(v.mrc).lower(),
-                    str(v.rywc).lower(),
-                    ";".join(str(w.write_id) for w in v.returned),
-                ]
-            )
+        fh.write(",".join(READ_VERDICT_HEADER) + "\r\n")
+        fh.writelines(
+            f"{v.op_id},{v.client_id},{v.key},{v.start_us},{'true' if v.stale else 'false'},{'true' if v.mrc else 'false'},"
+            f"{'true' if v.rywc else 'false'},{';'.join([str(w.write_id) for w in v.returned])}\r\n"
+            for v in verdicts if not v.warmup
+        )
 
 
 OPS_HEADER = ["op_id", "client_id", "kind", "key", "graph_id", "start_us", "status", "latency_us", "window_us", "warmup"]
+_op_fields = itemgetter(*OPS_HEADER)
 
 
 def write_op_table(records, path) -> None:
-    """Raw per-op CSV for external plotting (all ops, warmup flagged)."""
+    """Raw per-op CSV for external plotting (all ops, warmup flagged), as
+    ``csv.writer`` writes it: a graph_id, latency_us or window_us of None is empty."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(OPS_HEADER)
-        for r in records:
-            row = [r[f] for f in OPS_HEADER]  # csv writes None as an empty field
-            row[-1] = "true" if r["warmup"] else "false"
-            writer.writerow(row)
+        fh.write(",".join(OPS_HEADER) + "\r\n")
+        fh.writelines(
+            f"{op_id},{client},{kind},{key},{'' if graph_id is None else graph_id},{start},{_csv_field(status)},"
+            f"{'' if latency is None else latency},{'' if window is None else window},{'true' if warmup else 'false'}\r\n"
+            for op_id, client, kind, key, graph_id, start, status, latency, window, warmup in map(_op_fields, records)
+        )

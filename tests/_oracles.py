@@ -6,12 +6,17 @@ quorumsim.datacentric beyond shared constants). They exist to cross-check
 the production detectors on arbitrary logs. ``apply_write`` and
 ``oracle_resolve`` are the same kind of reference for the strategies' store
 and read-resolution code (quorumsim.strategies), and ``oracle_draws`` for
-the seeded samplers (quorumsim.distributions).
+the seeded samplers (quorumsim.distributions). The ``reference_*`` writers
+give the bytes of logio's output files through ``csv.writer`` and
+``json.dump``, which logio's template writers must reproduce.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
+import json
 from collections import Counter
 from itertools import accumulate
 from math import ceil, exp, floor, log1p
@@ -29,6 +34,7 @@ from quorumsim.engine import (
     OP_START,
     READ_RETURN,
 )
+from quorumsim.logio import OPS_HEADER, READ_VERDICT_HEADER
 from quorumsim.strategies import COMPETING_WRITES, LWW_ARRIVAL, LWW_TIMESTAMP, WRITE_SET
 
 
@@ -559,3 +565,39 @@ def oracle_draws(dist, seed: int, label: str, n: int) -> list[int]:
     """The first n draws of dist from a fresh stream (seed, label)."""
     uniforms = iter(oracle_uniforms(seed, label, n))
     return [oracle_draw(dist, uniforms) for _ in range(n)]
+
+
+# -- the reference writers of logio's output files -----------------------------------
+
+
+def _csv_bytes(header, rows) -> bytes:
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue().encode("utf-8")
+
+
+def reference_op_table_csv(records) -> bytes:
+    """ops.csv of records as csv.writer writes it: None as an empty field."""
+    rows = ([r[f] for f in OPS_HEADER[:-1]] + ["true" if r["warmup"] else "false"] for r in records)
+    return _csv_bytes(OPS_HEADER, rows)
+
+
+def reference_read_verdicts_csv(verdicts) -> bytes:
+    """read_verdicts.csv of verdicts as csv.writer writes it: one row per non-warmup read."""
+    rows = (
+        [v.op_id, v.client_id, v.key, v.start_us, str(v.stale).lower(), str(v.mrc).lower(), str(v.rywc).lower(),
+         ";".join(str(w.write_id) for w in v.returned)]
+        for v in verdicts
+        if not v.warmup
+    )
+    return _csv_bytes(READ_VERDICT_HEADER, rows)
+
+
+def reference_json_report(report) -> bytes:
+    """A JSON report as json.dump writes it, indented and key-sorted, plus a newline."""
+    out = io.StringIO()
+    json.dump(report, out, indent=2, sort_keys=True)
+    out.write("\n")
+    return out.getvalue().encode("utf-8")

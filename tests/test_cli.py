@@ -250,6 +250,7 @@ def test_stages_2_and_3_reject_the_same_malformed_logs(scenario_file, tmp_path, 
         "ref_with_another_writer": (every_ref(events, ref, client_id=1 - ref["client_id"]), f"returned write {ref['write_id']} unlike its op_start"),
         "ref_returned_again_with_another_start": returned_again(events, lambda r: {"client_ts_us": r["client_ts_us"] + 1}),
         "value_ids": (changed(read_apply_end, value=["x", None, 1.5]), "field of the wrong type (line "),
+        "unknown_field": (changed(apply_end, bogus=1), "event has a field that its kind does not have (line "),
     }
     # every field an analysis reads, with the wrong type: the reader names the line
     wrong_typed = {

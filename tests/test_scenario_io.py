@@ -5,6 +5,7 @@ import random
 import pytest
 
 from _builders import WRONG_TYPED_DISTRIBUTIONS, star_async
+from _oracles import reference_json_report, reference_op_table_csv, reference_read_verdicts_csv
 from _randgen import random_scenario
 
 import quorumsim as qs
@@ -24,9 +25,11 @@ from quorumsim import (
 )
 from quorumsim import engine
 from quorumsim.strategies import LWW_TIMESTAMP, STRATEGIES, VersionRef
-from quorumsim.logio import event_from_json, event_to_json, read_events, write_events
+from quorumsim.clientcentric import ReadVerdict
+from quorumsim.logio import (event_from_json, event_to_json, read_events, write_events, write_json_report, write_op_table,
+                             write_read_verdicts)
 from quorumsim.cli import _load, _write_stages, list_presets, main
-from quorumsim.optable import op_table
+from quorumsim.optable import OpRecord, op_table
 from quorumsim.scenario import Scenario
 
 
@@ -221,6 +224,20 @@ REFERENCE_SEED = 20261018
 REFERENCE_SCENARIOS = 10
 
 
+EVENT_KINDS = {
+    engine.OP_START,
+    engine.GRAPH_CHOSEN,
+    engine.APPLY_START,
+    engine.APPLY_END,
+    engine.ACK,
+    engine.READ_RETURN,
+    engine.OP_COMMIT,
+    engine.OP_FAIL,
+    engine.REPLICA_DOWN,
+    engine.REPLICA_UP,
+}
+
+
 def reference_logs():
     """Engine logs of REFERENCE_SCENARIOS random scenarios, with crash
     windows and op timeouts, each run under every strategy."""
@@ -252,18 +269,7 @@ def test_writer_lines_match_the_dict_reference(tmp_path):
             seen["empty_returned"] |= obj.get("returned") == []
             seen["null_op_id"] |= obj["op_id"] is None
             seen["timeout"] |= obj.get("reason") == engine.FAIL_TIMEOUT
-    assert kinds == {
-        engine.OP_START,
-        engine.GRAPH_CHOSEN,
-        engine.APPLY_START,
-        engine.APPLY_END,
-        engine.ACK,
-        engine.READ_RETURN,
-        engine.OP_COMMIT,
-        engine.OP_FAIL,
-        engine.REPLICA_DOWN,
-        engine.REPLICA_UP,
-    }
+    assert kinds == EVENT_KINDS
     assert all(seen.values()), seen
 
 
@@ -374,7 +380,7 @@ def test_reader_rejects_trailing_data_on_a_line(tmp_path):
     path = tmp_path / "events.jsonl"
     write_events(log, path)
     lines = path.read_text().splitlines()
-    for tail in ("x", " {}", ",", "]"):
+    for tail in ("x", " {}", ",", "]", "\x0c", "\u00a0"):  # the last two: whitespace to Python, not to JSON
         bad = lines[:3] + [lines[3] + tail] + lines[4:]
         path.write_text("\n".join(bad) + "\n")
         with pytest.raises(MalformedLogError, match="not valid JSON") as e:
@@ -382,17 +388,46 @@ def test_reader_rejects_trailing_data_on_a_line(tmp_path):
         assert e.value.line == 4, tail
 
 
-def test_reader_ignores_unknown_fields(tmp_path):
-    log = sample_log()
+def test_reader_rejects_a_line_nested_too_deep_to_decode(tmp_path):
     path = tmp_path / "events.jsonl"
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"kind": "run_meta", "format": 1, "strategy": "lww_timestamp", "graphs": {}}) + "\n")
+    path.write_text(json.dumps({"kind": "run_meta", "format": 1}) + "\n" + "[" * 100_000 + "]" * 100_000 + "\n")
+    with pytest.raises(MalformedLogError, match=r"not valid JSON \(line 2\)"):
+        read_events(path)
+
+
+def test_reader_rejects_a_field_that_the_writer_does_not_write(tmp_path):
+    """An event line carries exactly the fields the writer writes for its
+    kind and variant: one more is MALFORMED_LOG on its line, for every kind
+    and for each variant of op_start and apply_end. The run_meta header and
+    a returned ref may carry more (see the differing-fields test)."""
+    variants = {}  # (kind, its optional fields) -> the first line of it
+    for log in reference_logs():
         for ev in log.events:
             obj = event_to_json(ev)
-            obj["x_extra"] = {"ignored": True}
-            fh.write(json.dumps(obj) + "\n")
-    loaded = read_events(path)
-    assert loaded.events == log.events
+            variants.setdefault((obj["kind"], *(f in obj for f in ("write_id", "value", "vclock"))), obj)
+    assert {kind for kind, *_ in variants} == EVENT_KINDS
+    assert {v[1:] for v in variants if v[0] == "op_start"} >= {(False, False, False), (True, False, False), (True, False, True)}
+    assert {v[1:] for v in variants if v[0] == "apply_end"} == {(True, False, False), (False, True, False)}
+    write_start, read_apply_end = variants["op_start", True, False, False], variants["apply_end", False, True, False]
+    extra = [{**obj, "bogus": 1} for obj in variants.values()] + [
+        {**read_apply_end, "write_id": 0},  # both variants' fields
+        {**write_start, "vclock": None},  # null where the writer writes nothing
+        {**variants["op_start", False, False, False], "write_id": None},
+        {**variants["op_start", False, False, False], "write_id": 0},  # a write's field on a read
+    ]
+    header = {"kind": "run_meta", "format": 1, "strategy": "lww_timestamp", "graphs": {}, "x_extra": [1]}
+    path = tmp_path / "events.jsonl"
+    for obj in variants.values():
+        path.write_text(json.dumps(header) + "\n" + json.dumps(obj) + "\n")
+        assert read_events(path).events == [event_from_json(obj)]
+    for obj in extra:
+        path.write_text(json.dumps(header) + "\n" + json.dumps(obj) + "\n")
+        with pytest.raises(MalformedLogError, match=r"^event has a field that its kind does not have \(line 2\)$"):
+            read_events(path)
+    write_start.pop("write_id")
+    path.write_text(json.dumps(header) + "\n" + json.dumps(write_start) + "\n")
+    with pytest.raises(MalformedLogError, match=r"^event is missing field 'write_id' \(line 2\)$"):
+        read_events(path)
 
 
 def test_truncated_file_reports_line(tmp_path):
@@ -438,3 +473,56 @@ def test_missing_field_reports_line(tmp_path):
         with pytest.raises(MalformedLogError) as e:
             read_events(path)
         assert e.value.line == 1, fields
+
+
+# -- output files -----------------------------------------------------------------------
+
+
+def test_csv_writers_equal_csv_writer_on_the_fields_it_quotes(tmp_path):
+    """ops.csv and read_verdicts.csv are csv.writer's bytes, also where a
+    failed op's reason holds a character that csv quotes, or is empty."""
+    reasons = ["a,b", 'say "no"', "cr\r", "lf\n", "", "\r\n", '","', engine.FAIL_TIMEOUT]
+    statuses = [f"failed:{reason}" for reason in reasons] + ["committed"]
+    records = [
+        {"op_id": n, "client_id": n % 3, "kind": ("read", "write")[n % 2], "key": 7, "graph_id": None if n % 3 else 1,
+         "start_us": 100 * n, "status": status, "latency_us": 40 if status == "committed" else None,
+         "window_us": 5 if n % 2 else None, "warmup": n == 2}
+        for n, status in enumerate(statuses)
+    ]
+    write_op_table(records, tmp_path / "ops.csv")
+    assert (tmp_path / "ops.csv").read_bytes() == reference_op_table_csv(records)
+    writes = tuple(OpRecord(n, write_id=w) for n, w in enumerate((3, 10, 0)))
+    verdicts = [
+        ReadVerdict(11, 0, 7, 10, True, False, True, ()),
+        ReadVerdict(12, 1, 8, 20, False, True, False, writes),
+        ReadVerdict(13, 2, 9, 30, False, False, False, writes[:1], warmup=True),
+    ]
+    write_read_verdicts(verdicts, tmp_path / "read_verdicts.csv")
+    assert (tmp_path / "read_verdicts.csv").read_bytes() == reference_read_verdicts_csv(verdicts)
+
+
+def test_write_json_report_equals_json_dump(tmp_path):
+    report = {
+        "empty": {},
+        "empty_list": [],
+        "nested_empty": {"a": {}, "b": [[], {}], "c": [{}]},
+        "floats": [0.1, 1e-07, 1e16, 2.0, -0.0, 1.5e300, float("nan"), float("inf"), float("-inf")],
+        "ints": [0, -7, 10**20],
+        "constants": [None, True, False],
+        "tuple": (1, "two", (3.5,)),
+        "strings": ["", 'a"b\\c', "tab\tnl\n\x01", "é", "✓ 雪 😀"],
+        "ünï": {"ключ": "значение"},
+        "B": 1,
+        "a": 2,
+        "int_keys": {10: "ten", 2: "two", -1: "minus one"},
+        "float_keys": {2.5: 1, 0.1: 2},
+        "bool_keys": {True: 1, False: 0},
+        "none_key": {None: 1},
+        "deep": {"z": {"y": {"x": [2, {"w": 0, "v": []}], "u": {}}, "t": 1}, "s": 0},  # keys out of order below any depth
+    }
+    path = tmp_path / "report.json"
+    for value in (report, {}, {"only": {"deeper": [None]}}):
+        write_json_report(value, path)
+        assert path.read_bytes() == reference_json_report(value)
+    with pytest.raises(TypeError):
+        write_json_report({"x": object()}, path)
