@@ -5,14 +5,15 @@ stored log reproduces the report exactly. Ops flagged as warmup are
 excluded from the report.
 
 A write's inconsistency window is the span between the first and the last
-ApplyEnd of that write across replicas (the state-mutation instants). Writes
-that never reached every vertex of their chosen replication graph (crash-stop
-in the path, or no ApplyEnd at all) have no defined window and are counted
-separately as non-converged rather than folded into the histogram.
+ApplyEnd of that write across replicas (the state-mutation instants), the
+op table's ``window_us``. Writes that never reached every vertex of their
+chosen replication graph (crash-stop in the path, or no ApplyEnd at all)
+have no defined window and are counted separately as non-converged rather
+than folded into the histogram.
 
-``datacentric_outputs`` is stage 2's one path: it builds one row per op
-(``op_records``, the rows of ``ops.csv``) and aggregates the report from
-the non-warmup rows, a global section from all of them and one section per
+``datacentric_outputs`` is stage 2's one path: it aggregates the report
+from the op table's non-warmup records (``op_records``, the rows of
+``ops.csv``), a global section from all of them and one section per
 cooperation graph, so ``datacentric.json`` is a function of ``ops.csv``.
 ``build_datacentric_report`` is its report half. The functions read the log
 through its op table (``optable``) and accept a built table in place of the
@@ -25,27 +26,11 @@ import math
 from bisect import bisect_left
 
 from .events import READ, WRITE, gc_paused
-from .optable import COMMITTED, op_table
+from .optable import COMMITTED, OpRecord, op_table
 
 # Fixed log-scale bucket edges: 1 us .. 100 s, 5 buckets per decade. Values
 # of exactly zero get their own bucket so reports stay comparable across runs.
 HISTOGRAM_EDGES_US = tuple(round(10 ** (k / 5)) for k in range(41))
-
-
-def _window(write, graphs) -> int | None:
-    """max - min ApplyEnd time over replicas, or None when undefined.
-
-    Undefined when the write produced no ApplyEnd at all or some vertex of
-    its replication graph (when the log's metadata names it) never applied it.
-    """
-    applies = write.applies
-    if not applies:
-        return None
-    vertices = graphs.get(write.graph_id, {}).get("vertices")
-    if vertices is not None and any(v not in applies for v in vertices):
-        return None
-    times = [t for t, _ in applies.values()]
-    return max(times) - min(times)
 
 
 def _percentile(sorted_values, q):
@@ -85,18 +70,18 @@ def _rate(part: int, whole: int) -> float:
     return part / whole if whole else 0.0
 
 
-def _section(rows) -> dict:
-    """The report section aggregated from some non-warmup rows."""
-    latencies = [r["latency_us"] for r in rows if r["status"] == COMMITTED]
-    windows = [r["window_us"] for r in rows if r["window_us"] is not None]
-    reads = sum(r["kind"] == READ for r in rows)
-    writes = sum(r["kind"] == WRITE for r in rows)
-    write_fails = sum(r["kind"] == WRITE and r["status"] != COMMITTED for r in rows)
-    fails = len(rows) - len(latencies)
+def _section(ops) -> dict:
+    """The report section aggregated from some non-warmup records."""
+    latencies = [op.latency_us for op in ops if op.status == COMMITTED]
+    windows = [op.window_us for op in ops if op.window_us is not None]
+    reads = sum(op.kind == READ for op in ops)
+    writes = sum(op.kind == WRITE for op in ops)
+    write_fails = sum(op.kind == WRITE and op.status != COMMITTED for op in ops)
+    fails = len(ops) - len(latencies)
     return {
-        "counts": {"ops": len(rows), "reads": reads, "writes": writes, "commits": len(latencies), "fails": fails},
+        "counts": {"ops": len(ops), "reads": reads, "writes": writes, "commits": len(latencies), "fails": fails},
         "error_rate": {
-            "all": _rate(fails, len(rows)),
+            "all": _rate(fails, len(ops)),
             "read": _rate(fails - write_fails, reads),
             "write": _rate(write_fails, writes),
         },
@@ -106,37 +91,20 @@ def _section(rows) -> dict:
     }
 
 
-@gc_paused()
-def op_records(log) -> list[dict]:
-    """One record per op, in op-id order: identity, chosen graph, outcome, latency, window."""
-    table = op_table(log)
-    return [
-        {
-            "op_id": op.op_id,
-            "client_id": op.client,
-            "kind": op.kind,
-            "key": op.key,
-            "graph_id": op.graph_id,
-            "start_us": op.start,
-            "status": op.status,
-            "latency_us": op.latency_us,
-            "window_us": _window(op, table.graphs) if op.kind == WRITE else None,
-            "warmup": op.warmup,
-        }
-        for op in table.ops
-    ]
+def op_records(log) -> list[OpRecord]:
+    """The op table's records, in op-id order: the rows of ``ops.csv``."""
+    return op_table(log).ops
 
 
 @gc_paused()
-def datacentric_outputs(log) -> tuple[dict, list[dict]]:
+def datacentric_outputs(log) -> tuple[dict, list[OpRecord]]:
     """The stage-2 report and the op records it aggregates, from one op table."""
     table = op_table(log)
-    records = op_records(table)
-    live = [r for r in records if not r["warmup"]]
-    per_graph: dict[int, list[dict]] = {}
-    for r in live:
-        if r["graph_id"] is not None:
-            per_graph.setdefault(r["graph_id"], []).append(r)
+    live = [op for op in table.ops if not op.warmup]
+    per_graph: dict[int, list[OpRecord]] = {}
+    for op in live:
+        if op.graph_id is not None:
+            per_graph.setdefault(op.graph_id, []).append(op)
     report = {
         "kind": "datacentric_report",
         "format": 1,
@@ -146,7 +114,7 @@ def datacentric_outputs(log) -> tuple[dict, list[dict]]:
             for gid in sorted(per_graph)
         },
     }
-    return report, records
+    return report, table.ops
 
 
 def build_datacentric_report(log) -> dict:

@@ -12,9 +12,10 @@ chunk on once written, so ``run`` feeds the engine's chunks through it into
 the op table without holding the event list. ``write_events`` is that
 writer over a held log. Each line comes from one f-string per kind, equal
 to the reference ``json.dumps(event_to_json(ev), separators=(",", ":"))``.
-Each row of ``ops.csv`` and ``read_verdicts.csv`` comes from one f-string,
-as ``csv.writer`` writes it; each JSON report is streamed as the bytes of
-``json.dump(report, fh, indent=2, sort_keys=True)`` plus a newline.
+Each row of ``ops.csv`` (an op table record) and ``read_verdicts.csv``
+comes from one f-string, as ``csv.writer`` writes it; each JSON report is
+streamed as the bytes of ``json.dump(report, fh, indent=2, sort_keys=True)``
+plus a newline.
 
 The reader, ``iter_events``, is one streaming pass: it yields each event as
 its line is read, so ``analyze`` feeds the op table without holding the
@@ -23,14 +24,13 @@ scans each line with json's C scanner and decodes it with its kind's
 decoder from the table of ``event_from_json``. It accepts any valid JSON
 formatting and shuffled event lines, the header included. An event line
 carries exactly the fields the writer writes for its kind (and variant);
-the header and a returned ref may carry more. A write returned exactly as
-at its first return reuses that return's ``VersionRef``; the op table
-checks any other return against the write's op_start. The kind and an
-op_start's ``op`` are handed on as the shared module constants. A
-structural problem, a missing, wrong-typed or unknown field raises
-MalformedLogError with the 1-based line number; a clock key that is not a
-client id's canonical decimal form ("07" for 7) counts as wrong-typed, so
-no clock names a client twice.
+the header and a returned ref may carry more. Equal returned refs share
+one ``VersionRef``, which the op table checks against its write's
+op_start once. The kind and an op_start's ``op`` are handed on as the
+shared module constants. A structural problem, a missing, wrong-typed or
+unknown field raises MalformedLogError with the 1-based line number; a
+clock key that is not a client id's canonical decimal form ("07" for 7)
+counts as wrong-typed, so no clock names a client twice.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import json
 from collections import deque
 from json.scanner import make_scanner
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import itemgetter
 
 from .errors import MalformedLogError
 from .events import (ACK, APPLY_END, APPLY_START, GRAPH_CHOSEN, OP_COMMIT, OP_FAIL, OP_START, READ, READ_RETURN,
@@ -85,11 +84,6 @@ def _client_of(key: str) -> int:
 
 def _vclock_from_json(vclock) -> tuple | None:
     return None if vclock is None else tuple(sorted((_client_of(c), _typed(n)) for c, n in vclock.items()))
-
-
-def _ref_from_json(obj) -> VersionRef:
-    ids = _typed(obj["write_id"]), _typed(obj["client_id"]), _typed(obj["client_ts_us"])
-    return VersionRef(*ids, _vclock_from_json(obj.get("vclock")))
 
 
 # kind -> the field of each payload entry, for the kinds whose payload has one shape
@@ -157,20 +151,19 @@ def _ack(obj, refs, line):
 
 
 def _read_return(obj, refs, line):
-    """A returned ref equal, types included, to its write id's first return in refs reuses its ref."""
+    """Refs maps the type-checked fields of a returned ref to its one VersionRef."""
     returned, refs_json = [], obj["returned"]
     if type(refs_json) is not list:
         raise TypeError("expected a list of refs")
     for r in refs_json:
-        hit = refs.get(r["write_id"])
-        if hit is None or hit[1] != r or not type(r["write_id"]) is type(r["client_id"]) is type(r["client_ts_us"]) is int or (
-            (vclock := r.get("vclock")) is not None and not all([type(n) is int for n in vclock.values()])
-        ):
-            ref = _ref_from_json(r)  # a return like the first in value only (false for 0) raises TypeError
-            hit = refs.setdefault(ref.write_id, (ref, r))
-            returned.append(hit[0] if hit[0] == ref else ref)
-        else:
-            returned.append(hit[0])
+        write_id, client, ts, vclock = r["write_id"], r["client_id"], r["client_ts_us"], r.get("vclock")
+        if not type(write_id) is type(client) is type(ts) is int:
+            raise TypeError("expected int ref fields")
+        fields = (write_id, client, ts, None if vclock is None else _vclock_from_json(vclock))
+        ref = refs.get(fields)
+        if ref is None:
+            ref = refs[fields] = VersionRef(*fields)
+        returned.append(ref)
     participants = _ints(obj["participants"])
     if len(obj) != 6:
         raise MalformedLogError(_EXTRA_FIELD, line)
@@ -199,8 +192,9 @@ _DECODERS = {kind: (kind, decode) for kind, decode in {  # kind -> (the shared k
 def event_from_json(obj, line: int | None = None, refs: dict | None = None):
     """The event tuple of a decoded event line, from its kind's decoder.
 
-    refs, the cache of one pass over a log, shares the ref objects of equal
-    returns of one write id; without it, only the returns of this line do.
+    refs, the cache of one pass over a log, maps a returned ref's fields to
+    its one ``VersionRef``; without it, only the equal refs of this line
+    share one.
     A missing, wrong-typed or unknown field raises MalformedLogError.
     """
     try:
@@ -333,9 +327,9 @@ def iter_events(path, meta: dict):
 
     A file has one run_meta header, which fills meta when the pass reaches
     it, wherever it is in the file; a second one raises MalformedLogError.
-    Equal returns of one write id share one ref object.
+    Equal returned refs share one ``VersionRef``.
     """
-    refs: dict = {}  # write id -> (its ref, the JSON object of its first return)
+    refs: dict = {}  # a returned ref's fields -> its VersionRef
     header_line = None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -451,16 +445,18 @@ def write_read_verdicts(verdicts, path) -> None:
 
 
 OPS_HEADER = ["op_id", "client_id", "kind", "key", "graph_id", "start_us", "status", "latency_us", "window_us", "warmup"]
-_op_fields = itemgetter(*OPS_HEADER)
 
 
 def write_op_table(records, path) -> None:
-    """Raw per-op CSV for external plotting (all ops, warmup flagged), as
-    ``csv.writer`` writes it: a graph_id, latency_us or window_us of None is empty."""
+    """Raw per-op CSV of op table records for external plotting (all ops,
+    warmup flagged), as ``csv.writer`` writes it: client_id is a record's
+    client, start_us its start, and a graph_id, latency_us or window_us of
+    None is empty."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(OPS_HEADER) + "\r\n")
         fh.writelines(
-            f"{op_id},{client},{kind},{key},{'' if graph_id is None else graph_id},{start},{_csv_field(status)},"
-            f"{'' if latency is None else latency},{'' if window is None else window},{'true' if warmup else 'false'}\r\n"
-            for op_id, client, kind, key, graph_id, start, status, latency, window, warmup in map(_op_fields, records)
+            f"{op.op_id},{op.client},{op.kind},{op.key},{'' if op.graph_id is None else op.graph_id},{op.start},"
+            f"{_csv_field(op.status)},{'' if op.latency_us is None else op.latency_us},"
+            f"{'' if op.window_us is None else op.window_us},{'true' if op.warmup else 'false'}\r\n"
+            for op in records
         )

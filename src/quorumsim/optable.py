@@ -12,24 +12,28 @@ has exactly one ``read_return``, at its commit instant; no other op has one.
 An op has at most one ``apply_end`` per replica, each carrying the write's
 own ``write_id`` for a write and a ``value`` list for a read (whose ids are
 type-checked only, since no stage reads them), and at most one
-``graph_chosen``, whose graph the header lists if it lists any. Every
-returned ref names a logged write of the read's key and carries that
-write's client id, its start as the client timestamp and its clock (None
-for both outside competing_writes). Once checked, a read's returned refs
-give way to its writes' own records, so the analyses read no ref.
-``check_dots`` adds the rule of a log with vector clocks: they must have
-the dot shape, by which stage 3 judges competing writes.
+``graph_chosen``, whose graph the header lists if it lists any. An op
+carries a clock only under a strategy that logs them (competing_writes),
+when the header names one. Every returned ref names a logged write of the
+read's key and carries that write's client id, its start as the client
+timestamp and its clock. Each ref object is checked once and gives way to
+its write's own record, so the analyses read no ref. A write's
+``window_us``, its inconsistency window, is the span of its ApplyEnd
+times, None when it has none or a vertex of its graph (as the header
+lists it) never applied it. ``check_dots`` adds the rule of a log with
+vector clocks: they must have the dot shape, by which stage 3 judges
+competing writes.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import eq, ge
 
 from .errors import MalformedLogError
 from .events import APPLY_END, GRAPH_CHOSEN, OP_COMMIT, OP_FAIL, OP_START, READ, READ_RETURN, WRITE, gc_paused
+from .strategies import strategy
 
 COMMITTED = "committed"
 _MIXED = object()  # OpRecord.applied of an op whose ApplyEnds carry different things
@@ -51,6 +55,7 @@ class OpRecord:
     status: str | None = None  # "committed" or "failed:<reason>"
     commit_us: int | None = None  # time of the commit event
     latency_us: int | None = None
+    window_us: int | None = None  # a write's inconsistency window, once the table is built
     applies: dict = field(default_factory=dict)  # replica -> (time, seq) of an ApplyEnd
     applied: object = None  # what its ApplyEnds carry: a write id, or READ for a value list
     returned: tuple = ()  # a read's returned writes: their OpRecords once the table is built
@@ -144,9 +149,10 @@ def op_table(log, meta: dict | None = None) -> OpTable:
     """The op table of a log; a table is returned as it is.
 
     log is a ``SimulationLog`` or any iterable of events, such as the
-    stream of ``logio.iter_events``, which it walks once. The graphs come
-    from the log's own meta, or for a bare iterable from meta, and are read
-    after the pass, when a streamed header has filled meta.
+    stream of ``logio.iter_events``, which it walks once. The graphs and
+    the strategy come from the log's own meta, or for a bare iterable from
+    meta, and are read after the pass, when a streamed header has filled
+    meta.
 
     Raises MalformedLogError unless every op has exactly one op_start and
     one terminal event, every event naming an op has that op's op_start,
@@ -154,7 +160,8 @@ def op_table(log, meta: dict | None = None) -> OpTable:
     the committed reads have a read_return, one each, at their commit, and
     the rules of the module docstring on apply_end, graph_chosen and
     returned refs hold. Each read's ``returned`` is then its returned
-    writes' records, in the order of its refs.
+    writes' records, in the order of its refs, and each write has its
+    ``window_us``.
     """
     if isinstance(log, OpTable):
         return log
@@ -198,12 +205,16 @@ def op_table(log, meta: dict | None = None) -> OpTable:
                 op.latency_us = payload[0]
             else:
                 op.status = f"failed:{payload[0]}"
-    graphs = meta.get("graphs", {}) if meta is not None else {}
+    meta = meta or {}
+    graphs, named = meta.get("graphs", {}), meta.get("strategy")
+    clocked = named is None or strategy(named).vclocks
     for op in ops.values():
         if op.start is None:
             raise MalformedLogError(f"op {op.op_id} has events but no op_start event")
         if op.status is None:
             raise MalformedLogError(f"op {op.op_id} has no terminal event")
+        if op.vclock is not None and not clocked:
+            raise MalformedLogError(f"op {op.op_id} carries a vector clock, which strategy {named} does not log")
         if op.applies and op.applied != (READ if op.kind == READ else op.write_id):
             raise MalformedLogError(f"op {op.op_id} has an apply_end unlike its op: a write's carries its write_id, a read's a value list")
         if op.commit_us is not None and op.latency_us != op.commit_us - op.start:
@@ -216,21 +227,25 @@ def op_table(log, meta: dict | None = None) -> OpTable:
         # hand-built logs list no graphs, so only a listing header is checked
         if graphs and op.graph_id is not None and op.graph_id not in graphs:
             raise MalformedLogError(f"op {op.op_id} chose graph {op.graph_id}, which the header does not list")
+        if op.kind == WRITE and op.applies:
+            vertices = graphs.get(op.graph_id, {}).get("vertices")
+            if vertices is None or all(v in op.applies for v in vertices):
+                times = [t for t, _ in op.applies.values()]
+                op.window_us = max(times) - min(times)
     rows = [ops[op_id] for op_id in sorted(ops)]
     writes = {op.write_id: op for op in rows if op.kind == WRITE}
-    # a ref object found right for a key is not checked again for that key;
-    # once checked, a read's refs give way to its writes' records
-    checked_by_key: dict[int, dict[int, object]] = defaultdict(dict)  # key -> write id -> that ref
+    checked: dict[int, object] = {}  # write id -> the last ref object found right for it
     for op in rows:
         if op.returned:
-            checked = checked_by_key[op.key]
+            returned = []
             for ref in op.returned:
+                w = writes.get(ref.write_id)
+                if w is None or w.key != op.key:
+                    raise MalformedLogError(f"op {op.op_id} returned write {ref.write_id}, which is no logged write of key {op.key}")
                 if checked.get(ref.write_id) is not ref:
-                    w = writes.get(ref.write_id)
-                    if w is None or w.key != op.key:
-                        raise MalformedLogError(f"op {op.op_id} returned write {ref.write_id}, which is no logged write of key {op.key}")
                     if (ref.client_id, ref.client_timestamp, ref.vclock) != (w.client, w.start, w.vclock):
                         raise MalformedLogError(f"op {op.op_id} returned write {ref.write_id} unlike its op_start's client, time or clock")
                     checked[ref.write_id] = ref
-            op.returned = tuple([writes[ref.write_id] for ref in op.returned])
+                returned.append(w)
+            op.returned = tuple(returned)
     return OpTable(rows, graphs)

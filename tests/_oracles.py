@@ -1,9 +1,10 @@
 """Brute-force oracles, written independently of the analysis modules.
 
 Each oracle scans raw event tuples quadratically and re-derives its verdicts
-from first principles (no imports from quorumsim.clientcentric or
-quorumsim.datacentric beyond shared constants). They exist to cross-check
-the production detectors on arbitrary logs. ``apply_write`` and
+from first principles (no imports from quorumsim.optable,
+quorumsim.clientcentric or quorumsim.datacentric beyond shared constants).
+They exist to cross-check the production detectors on arbitrary logs, and
+``oracle_windows`` the op table's inconsistency windows. ``apply_write`` and
 ``oracle_resolve`` are the same kind of reference for the strategies' store
 and read-resolution code (quorumsim.strategies), and ``oracle_draws`` for
 the seeded samplers (quorumsim.distributions). The ``reference_*`` writers
@@ -402,6 +403,26 @@ def oracle_datacentric_sections(csv_rows) -> dict:
     }
 
 
+def oracle_windows(log) -> dict[int, int | None]:
+    """Write op id -> its inconsistency window, from the raw events: the
+    span of its ApplyEnd times, None when it has no ApplyEnd or some vertex
+    of its chosen graph, as the log's meta lists it, never applied it."""
+    graphs = log.meta.get("graphs", {}) if hasattr(log, "meta") else {}
+    by_op: dict[int, list] = {}
+    for ev in _events(log):
+        by_op.setdefault(ev[2], []).append(ev)
+    windows = {}
+    for op_id, evs in by_op.items():
+        if not any(kind == OP_START and payload[1] == "write" for _, _, _, kind, payload in evs):
+            continue
+        applied = {payload[0]: t for _, t, _, kind, payload in evs if kind == APPLY_END}
+        chosen = [payload[0] for _, _, _, kind, payload in evs if kind == GRAPH_CHOSEN]
+        vertices = (graphs.get(chosen[0], {}).get("vertices") or ()) if chosen else ()
+        converged = applied and all(v in applied for v in vertices)
+        windows[op_id] = max(applied.values()) - min(applied.values()) if converged else None
+    return windows
+
+
 def oracle_dot_shape(log) -> bool:
     """Do the log's write clocks have the dot shape, checked pair by pair?
 
@@ -579,8 +600,11 @@ def _csv_bytes(header, rows) -> bytes:
 
 
 def reference_op_table_csv(records) -> bytes:
-    """ops.csv of records as csv.writer writes it: None as an empty field."""
-    rows = ([r[f] for f in OPS_HEADER[:-1]] + ["true" if r["warmup"] else "false"] for r in records)
+    """ops.csv of op table records as csv.writer writes it: None as an empty field."""
+    rows = (
+        [r.op_id, r.client, r.kind, r.key, r.graph_id, r.start, r.status, r.latency_us, r.window_us, str(r.warmup).lower()]
+        for r in records
+    )
     return _csv_bytes(OPS_HEADER, rows)
 
 

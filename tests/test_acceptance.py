@@ -111,7 +111,7 @@ def test_criterion_02_deterministic_window():
     topo, coop = star_async(0, {1: 10_000, 2: 20_000})
     wl = write_only_workload(25, think=Constant(1_000))
     log = run_simulation(topo, coop, [], wl, LWW_TIMESTAMP, seed=7)
-    windows = [rec["window_us"] for rec in op_records(log) if rec["status"] == "committed"]
+    windows = [rec.window_us for rec in op_records(log) if rec.status == "committed"]
     ok = len(windows) == 25 and all(w == 20_000 for w in windows)
     _report(2, "async A->B(10ms)/A->C(20ms): window exactly 20000us for every write", ok, f"windows={sorted(set(windows))}")
 

@@ -222,6 +222,13 @@ def test_stages_2_and_3_reject_the_same_malformed_logs(scenario_file, tmp_path, 
                 seen.add(r["write_id"])
         raise AssertionError("no write is returned twice")
 
+    # a clock in an lww_timestamp log, on a write that no read returns, and
+    # on one whose every ref carries that clock too, so that the refs agree
+    returned_ids = {r["write_id"] for ev in events for r in ev.get("returned", ())}
+    unreturned = next(ev for ev in events if ev["kind"] == "op_start" and ev["op"] == "write" and ev["write_id"] not in returned_ids)
+    ref_start = next(ev for ev in events if ev["kind"] == "op_start" and ev.get("write_id") == ref["write_id"])
+    clock = {str(ref["client_id"]): 1}
+
     # each log that contradicts itself, and what its rejection must name
     malformed = {
         "duplicated_terminal": (events + [{**terminal, "seq": next_seq}], f"op {terminal['op_id']} "),
@@ -251,6 +258,11 @@ def test_stages_2_and_3_reject_the_same_malformed_logs(scenario_file, tmp_path, 
         "ref_returned_again_with_another_start": returned_again(events, lambda r: {"client_ts_us": r["client_ts_us"] + 1}),
         "value_ids": (changed(read_apply_end, value=["x", None, 1.5]), "field of the wrong type (line "),
         "unknown_field": (changed(apply_end, bogus=1), "event has a field that its kind does not have (line "),
+        "clock_on_an_unreturned_write": (changed(unreturned, vclock={"0": 1}), f"op {unreturned['op_id']} carries a vector clock"),
+        "clock_on_a_returned_write": (
+            [{**ev, "vclock": clock} if ev is ref_start else ev for ev in every_ref(events, ref, vclock=clock)],
+            f"op {ref_start['op_id']} carries a vector clock",
+        ),
     }
     # every field an analysis reads, with the wrong type: the reader names the line
     wrong_typed = {

@@ -7,9 +7,9 @@ import random
 import pytest
 
 from _builders import mesh_topology, simple_workload, star_async, write_only_workload
-from _oracles import oracle_datacentric_sections
+from _oracles import oracle_datacentric_sections, oracle_windows
 from _randgen import random_scenario
-from test_stage3_golden import MULTI_MASTER_CRASH, _scenario, _simulate
+from test_stage3_golden import MULTI_MASTER, MULTI_MASTER_CRASH, _scenario, _simulate
 
 import quorumsim as qs
 from quorumsim import (
@@ -85,11 +85,11 @@ def test_op_table_detects_malformed_logs():
                 op_table(variant)
 
 
-# -- inconsistency windows (op_records' window_us) --------------------------------------
+# -- inconsistency windows (the op records' window_us) --------------------------------------
 
 def test_window_of_hand_traced_write():
     log = async_star_log()
-    assert op_records(log)[0]["window_us"] == 20_000
+    assert op_records(log)[0].window_us == 20_000
 
 
 def test_window_single_replica_is_zero():
@@ -99,7 +99,7 @@ def test_window_single_replica_is_zero():
         [CooperationGraph(1, READING, 0, [])],
     )
     log = run_simulation(topo, coop, [], write_only_workload(1), LWW_TIMESTAMP, seed=1)
-    assert op_records(log)[0]["window_us"] == 0
+    assert op_records(log)[0].window_us == 0
 
 
 def test_window_undefined_without_applies():
@@ -111,8 +111,8 @@ def test_window_undefined_without_applies():
     log = run_simulation(
         topo, coop, [FailureEvent(0, 0, CRASH_STOP)], write_only_workload(1, think=Constant(100)), LWW_TIMESTAMP, seed=1
     )
-    assert op_records(log)[0]["window_us"] is None
-    assert op_records(log.events)[0]["window_us"] is None
+    assert op_records(log)[0].window_us is None
+    assert op_records(log.events)[0].window_us is None
 
 
 def test_window_undefined_when_graph_vertex_never_applied():
@@ -125,9 +125,9 @@ def test_window_undefined_when_graph_vertex_never_applied():
         LWW_TIMESTAMP,
         seed=1,
     )
-    assert op_records(log)[0]["window_us"] is None
+    assert op_records(log)[0].window_us is None
     # without the run_meta graphs the window spans the replicas that applied
-    assert op_records(log.events)[0]["window_us"] == 10_000
+    assert op_records(log.events)[0].window_us == 10_000
 
 
 # -- build_datacentric_report ----------------------------------------------------------
@@ -201,9 +201,9 @@ def test_windows_nonnegative_and_bounded_by_latency_under_all_sync():
         wl = simple_workload(2, 20, read_ratio=0.3, think=qs.Uniform(0, 2_000), keys=qs.UniformKeys(3))
         log = run_simulation(topo, coop, [], wl, LWW_TIMESTAMP, seed=rng.randrange(1_000))
         for rec in op_records(log):
-            if rec["kind"] == "write" and rec["status"] == "committed":
-                assert rec["window_us"] is not None
-                assert 0 <= rec["window_us"] <= rec["latency_us"]
+            if rec.kind == "write" and rec.status == "committed":
+                assert rec.window_us is not None
+                assert 0 <= rec.window_us <= rec.latency_us
 
 
 def test_report_is_pure_and_stable():
@@ -260,6 +260,17 @@ def test_report_is_an_aggregate_of_the_op_rows(tmp_path):
     } <= seen
 
 
+def test_windows_equal_their_reference():
+    """Every write's window_us is the one its raw events and header graphs
+    give, on the stage-2 logs and an engine log of each strategy."""
+    defined = set()
+    for log in [*_stage2_logs(), *(_simulate(_scenario(MULTI_MASTER, s)) for s in STRATEGIES)]:
+        windows = {op.op_id: op.window_us for op in op_table(log).ops if op.kind == "write"}
+        assert windows == oracle_windows(log)
+        defined.update(w is not None for w in windows.values())
+    assert defined == {True, False}
+
+
 class _GcProbe(list):
     """A list that records whether the cyclic collector is on when iterated."""
 
@@ -273,7 +284,7 @@ class _GcProbe(list):
 
 
 @pytest.mark.parametrize(
-    "call", ["op_table", "op_records", "build_datacentric_report", "datacentric_outputs", "clientcentric_outputs"]
+    "call", ["op_table", "build_datacentric_report", "datacentric_outputs", "clientcentric_outputs"]
 )
 def test_library_calls_pause_gc(call):
     log = async_star_log(n_ops=5)
@@ -287,7 +298,6 @@ def test_library_calls_pause_gc(call):
         table = op_table(log)
         arg = OpTable(_GcProbe(table.ops, seen), table.graphs)
         fn = {
-            "op_records": op_records,
             "build_datacentric_report": build_datacentric_report,
             "datacentric_outputs": datacentric_outputs,
             "clientcentric_outputs": lambda t: clientcentric_outputs(t, LWW_TIMESTAMP),

@@ -484,9 +484,8 @@ def test_csv_writers_equal_csv_writer_on_the_fields_it_quotes(tmp_path):
     reasons = ["a,b", 'say "no"', "cr\r", "lf\n", "", "\r\n", '","', engine.FAIL_TIMEOUT]
     statuses = [f"failed:{reason}" for reason in reasons] + ["committed"]
     records = [
-        {"op_id": n, "client_id": n % 3, "kind": ("read", "write")[n % 2], "key": 7, "graph_id": None if n % 3 else 1,
-         "start_us": 100 * n, "status": status, "latency_us": 40 if status == "committed" else None,
-         "window_us": 5 if n % 2 else None, "warmup": n == 2}
+        OpRecord(n, client=n % 3, kind=("read", "write")[n % 2], key=7, graph_id=None if n % 3 else 1, start=100 * n,
+                 status=status, latency_us=40 if status == "committed" else None, window_us=5 if n % 2 else None, warmup=n == 2)
         for n, status in enumerate(statuses)
     ]
     write_op_table(records, tmp_path / "ops.csv")

@@ -165,9 +165,9 @@ def test_events_file_matches_recorded_digest(golden, tmp_path, name, strategy):
 
 def test_crash_case_fails_ops_and_leaves_writes_unconverged():
     records = op_records(_simulate(_scenario(MULTI_MASTER_CRASH, STRATEGIES[0])))
-    statuses = {r["status"] for r in records}
+    statuses = {r.status for r in records}
     assert {"failed:COORDINATOR_DOWN", "failed:TIMEOUT"} <= statuses
-    assert any(r["kind"] == "write" and r["status"] == "committed" and r["window_us"] is None for r in records)
+    assert any(r.kind == "write" and r.status == "committed" and r.window_us is None for r in records)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
