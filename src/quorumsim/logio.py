@@ -10,8 +10,8 @@ The writer, ``written_chunks``, is one streaming pass too: it writes the
 header, then the lines of each chunk of events it is given, and passes each
 chunk on once written, so ``run`` feeds the engine's chunks through it into
 the op table without holding the event list. ``write_events`` is that
-writer over a held log. Each line comes from one f-string per kind, equal
-to the reference ``json.dumps(event_to_json(ev), separators=(",", ":"))``.
+writer over a held log. Each line comes from one f-string per kind, the
+bytes ``json.dumps`` gives for the event's object with compact separators.
 Each row of ``ops.csv`` (an op table record) and ``read_verdicts.csv``
 comes from one f-string, as ``csv.writer`` writes it; each JSON report is
 streamed as the bytes of ``json.dump(report, fh, indent=2, sort_keys=True)``
@@ -21,7 +21,7 @@ The reader, ``iter_events``, is one streaming pass: it yields each event as
 its line is read, so ``analyze`` feeds the op table without holding the
 event list, and ``read_events`` is that pass collected into a list. It
 scans each line with json's C scanner and decodes it with its kind's
-decoder from the table of ``event_from_json``. It accepts any valid JSON
+decoder, which names a line's first fault itself. It accepts any valid JSON
 formatting and shuffled event lines, the header included. An event line
 carries exactly the fields the writer writes for its kind (and variant);
 the header and a returned ref may carry more. Equal returned refs share
@@ -47,13 +47,6 @@ from .strategies import STRATEGIES, VersionRef
 
 FORMAT_VERSION = 1
 _OP_KINDS = (READ, WRITE)
-
-
-def _ref_to_json(ref: VersionRef) -> dict:
-    obj = {"write_id": ref.write_id, "client_id": ref.client_id, "client_ts_us": ref.client_timestamp}
-    if ref.vclock is not None:
-        obj["vclock"] = {str(cid): n for cid, n in ref.vclock}
-    return obj
 
 
 def _typed(value, cls=int):
@@ -82,39 +75,12 @@ def _client_of(key: str) -> int:
     return client
 
 
-def _vclock_from_json(vclock) -> tuple | None:
-    return None if vclock is None else tuple(sorted((_client_of(c), _typed(n)) for c, n in vclock.items()))
+def _vclock_from_json(vclock) -> tuple:
+    return tuple(sorted((_client_of(c), _typed(n)) for c, n in vclock.items()))
 
 
-# kind -> the field of each payload entry, for the kinds whose payload has one shape
-_FIELDS = {GRAPH_CHOSEN: ("graph_id",), APPLY_START: ("replica",), ACK: ("parent", "child"), OP_COMMIT: ("latency_us",),
-           OP_FAIL: ("reason",), REPLICA_DOWN: ("replica",), REPLICA_UP: ("replica",)}
-
-
-def event_to_json(ev) -> dict:
-    seq, t, op_id, kind, payload = ev
-    obj = {"seq": seq, "time_us": t, "op_id": op_id, "kind": kind}
-    if kind == OP_START:
-        client, op_kind, key, write_id, payload_bytes, warmup, vclock = payload
-        obj.update(client_id=client, op=op_kind, key=key)
-        if write_id is not None:
-            obj["write_id"] = write_id
-        obj.update(payload_bytes=payload_bytes, warmup=warmup)
-        if vclock is not None:
-            obj["vclock"] = {str(cid): n for cid, n in vclock}
-    elif kind == APPLY_END:
-        replica, carried = payload
-        obj.update(replica=replica, **({"value": list(carried)} if isinstance(carried, tuple) else {"write_id": carried}))
-    elif kind == READ_RETURN:
-        obj.update(participants=list(payload[0]), returned=[_ref_to_json(r) for r in payload[1]])
-    elif kind in _FIELDS:
-        obj.update(zip(_FIELDS[kind], payload))
-    else:
-        raise ValueError(f"unknown event kind {kind!r}")
-    return obj
-
-
-# A kind's decoder(obj, refs, line) raises KeyError, TypeError or ValueError for a missing or wrong-typed field.
+# A kind's decoder(obj, refs, line) raises KeyError, AttributeError, TypeError or ValueError for a missing or
+# wrong-typed field, which iter_events names, and MalformedLogError for any other fault.
 _EXTRA_FIELD = "event has a field that its kind does not have"
 
 
@@ -189,28 +155,6 @@ _DECODERS = {kind: (kind, decode) for kind, decode in {  # kind -> (the shared k
 }.items()}
 
 
-def event_from_json(obj, line: int | None = None, refs: dict | None = None):
-    """The event tuple of a decoded event line, from its kind's decoder.
-
-    refs, the cache of one pass over a log, maps a returned ref's fields to
-    its one ``VersionRef``; without it, only the equal refs of this line
-    share one.
-    A missing, wrong-typed or unknown field raises MalformedLogError.
-    """
-    try:
-        seq, t, op_id, kind = obj["seq"], obj["time_us"], obj["op_id"], obj["kind"]
-        if type(seq) is not int or type(t) is not int or not (op_id is None or type(op_id) is int):
-            raise MalformedLogError("event seq and time_us must be integers, op_id an integer or null", line)
-        if type(kind) is not str or kind not in _DECODERS:
-            raise MalformedLogError(f"unknown event kind {kind!r}", line)
-        kind, decode = _DECODERS[kind]
-        return (seq, t, op_id, kind, decode(obj, {} if refs is None else refs, line))
-    except KeyError as e:
-        raise MalformedLogError(f"event is missing field {e.args[0]!r}", line) from None
-    except (AttributeError, TypeError, ValueError):
-        raise MalformedLogError("event has a field of the wrong type", line) from None
-
-
 def _meta_to_json(meta: dict) -> dict:
     obj = {"kind": "run_meta", "format": FORMAT_VERSION}
     obj.update({k: v for k, v in meta.items() if k != "graphs"})
@@ -247,15 +191,15 @@ def _ref_line(ref: VersionRef) -> str:
     return f'{{"write_id":{ref.write_id},"client_id":{ref.client_id},"client_ts_us":{ref.client_timestamp}{vclock}}}'
 
 
-def _event_lines(events, ref_lines: dict):
-    """One line per event, the bytes ``json.dumps(event_to_json(ev))`` gives
-    with compact separators, formatted from one template per kind.
+def _event_lines(events):
+    """One compact JSON line per event, formatted from one template per kind.
 
-    A returned ref is formatted once per ref object: the memo ref_lines,
-    kept for one file, maps a write id to (the last ref formatted for it,
-    its line), and a different object with that id is formatted from its
-    own fields.
+    A returned ref is formatted once per ref object and call: the memo
+    ref_lines maps a write id to (the last ref formatted for it, its line),
+    and a different object with that id is formatted from its own fields.
+    The memo goes with the call, so no ref outlives the events it came in.
     """
+    ref_lines: dict[int, tuple[VersionRef, str]] = {}
 
     def ref_line(ref):
         hit = ref_lines.get(ref.write_id)
@@ -306,12 +250,11 @@ def written_chunks(meta: dict, chunks, path):
     the chained events. The header goes out when the first chunk is asked
     for, and the file is complete and closed once the chunks run out.
     """
-    ref_lines: dict[int, tuple[VersionRef, str]] = {}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(_meta_to_json(meta), separators=(",", ":")))
         fh.write("\n")
         for chunk in chunks:
-            fh.writelines(_event_lines(chunk, ref_lines))
+            fh.writelines(_event_lines(chunk))
             yield chunk
 
 
@@ -351,14 +294,19 @@ def iter_events(path, meta: dict):
                 header_line = line_no
                 meta.update(_meta_from_json(obj, line_no))
                 continue
-            try:  # event_from_json inlined, for a well-formed line
+            try:
                 seq, t, op_id = obj["seq"], obj["time_us"], obj["op_id"]
                 if not (type(seq) is type(t) is int and (op_id is None or type(op_id) is int)):
-                    raise TypeError("expected int head fields")
-                kind, decode = _DECODERS[kind]
+                    raise MalformedLogError("event seq and time_us must be integers, op_id an integer or null", line_no)
+                entry = _DECODERS.get(kind) if type(kind) is str else None
+                if entry is None:
+                    raise MalformedLogError(f"unknown event kind {kind!r}", line_no)
+                kind, decode = entry
                 event = (seq, t, op_id, kind, decode(obj, refs, line_no))
-            except (KeyError, AttributeError, TypeError, ValueError, MalformedLogError):  # event_from_json names the fault
-                event = event_from_json(obj, line_no, refs)
+            except KeyError as e:
+                raise MalformedLogError(f"event is missing field {e.args[0]!r}", line_no) from None
+            except (AttributeError, TypeError, ValueError):
+                raise MalformedLogError("event has a field of the wrong type", line_no) from None
             yield event
 
 

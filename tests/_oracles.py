@@ -8,8 +8,9 @@ They exist to cross-check the production detectors on arbitrary logs, and
 ``oracle_resolve`` are the same kind of reference for the strategies' store
 and read-resolution code (quorumsim.strategies), and ``oracle_draws`` for
 the seeded samplers (quorumsim.distributions). The ``reference_*`` writers
-give the bytes of logio's output files through ``csv.writer`` and
-``json.dump``, which logio's template writers must reproduce.
+give logio's output files through ``csv.writer`` and ``json.dump``, and
+``reference_event_json`` each event line's object, which logio's template
+writers must reproduce.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from numpy.random import PCG64, SeedSequence
 
 from quorumsim.distributions import Constant, Empirical, Exponential, LogNormal, Uniform, UniformKeys, Zipfian
 from quorumsim.engine import (
+    ACK,
     APPLY_END,
     APPLY_START,
     GRAPH_CHOSEN,
@@ -34,6 +36,8 @@ from quorumsim.engine import (
     OP_FAIL,
     OP_START,
     READ_RETURN,
+    REPLICA_DOWN,
+    REPLICA_UP,
 )
 from quorumsim.logio import OPS_HEADER, READ_VERDICT_HEADER
 from quorumsim.strategies import COMPETING_WRITES, LWW_ARRIVAL, LWW_TIMESTAMP, WRITE_SET
@@ -625,3 +629,40 @@ def reference_json_report(report) -> bytes:
     json.dump(report, out, indent=2, sort_keys=True)
     out.write("\n")
     return out.getvalue().encode("utf-8")
+
+
+def _ref_json(ref) -> dict:
+    obj = {"write_id": ref.write_id, "client_id": ref.client_id, "client_ts_us": ref.client_timestamp}
+    if ref.vclock is not None:
+        obj["vclock"] = {str(cid): n for cid, n in ref.vclock}
+    return obj
+
+
+# kind -> the field of each payload entry, for the kinds whose payload has one shape
+_FIELDS = {GRAPH_CHOSEN: ("graph_id",), APPLY_START: ("replica",), ACK: ("parent", "child"), OP_COMMIT: ("latency_us",),
+           OP_FAIL: ("reason",), REPLICA_DOWN: ("replica",), REPLICA_UP: ("replica",)}
+
+
+def reference_event_json(ev) -> dict:
+    """An event line's object, in the writer's field order:
+    ``json.dumps(reference_event_json(ev), separators=(",", ":"))`` is its line."""
+    seq, t, op_id, kind, payload = ev
+    obj = {"seq": seq, "time_us": t, "op_id": op_id, "kind": kind}
+    if kind == OP_START:
+        client, op_kind, key, write_id, payload_bytes, warmup, vclock = payload
+        obj.update(client_id=client, op=op_kind, key=key)
+        if write_id is not None:
+            obj["write_id"] = write_id
+        obj.update(payload_bytes=payload_bytes, warmup=warmup)
+        if vclock is not None:
+            obj["vclock"] = {str(cid): n for cid, n in vclock}
+    elif kind == APPLY_END:
+        replica, carried = payload
+        obj.update(replica=replica, **({"value": list(carried)} if isinstance(carried, tuple) else {"write_id": carried}))
+    elif kind == READ_RETURN:
+        obj.update(participants=list(payload[0]), returned=[_ref_json(r) for r in payload[1]])
+    elif kind in _FIELDS:
+        obj.update(zip(_FIELDS[kind], payload))
+    else:
+        raise ValueError(f"unknown event kind {kind!r}")
+    return obj

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from _builders import mesh_topology, simple_workload, star_async, write_only_workload
-from _oracles import oracle_datacentric_sections, oracle_windows
+from _oracles import oracle_datacentric_sections, oracle_windows, scrape
 from _randgen import random_scenario
 from test_stage3_golden import MULTI_MASTER, MULTI_MASTER_CRASH, _scenario, _simulate
 
@@ -236,7 +236,13 @@ def test_report_is_an_aggregate_of_the_op_rows(tmp_path):
     for n, log in enumerate(_stage2_logs()):
         table = op_table(log)
         report, records = datacentric_outputs(table)
-        assert records == op_records(table)
+        views = scrape(log)
+        assert [r.op_id for r in records] == sorted(views)
+        for r in records:
+            v = views[r.op_id]
+            assert (r.client, r.kind, r.key, r.start, r.warmup, r.write_id, r.commit_us, r.applies) == (
+                v.client, v.kind, v.key, v.start, v.warmup, v.write_id, v.commit, v.applies
+            ), r.op_id
         assert report == build_datacentric_report(table)
         out = tmp_path / str(n)
         _write_stages(table, log.meta["strategy"], (2,), out)

@@ -1,11 +1,13 @@
 import dataclasses
 import json
 import random
+import sys
+from collections import deque
 
 import pytest
 
 from _builders import WRONG_TYPED_DISTRIBUTIONS, star_async
-from _oracles import reference_json_report, reference_op_table_csv, reference_read_verdicts_csv
+from _oracles import reference_event_json, reference_json_report, reference_op_table_csv, reference_read_verdicts_csv
 from _randgen import random_scenario
 
 import quorumsim as qs
@@ -26,8 +28,8 @@ from quorumsim import (
 from quorumsim import engine
 from quorumsim.strategies import LWW_TIMESTAMP, STRATEGIES, VersionRef
 from quorumsim.clientcentric import ReadVerdict
-from quorumsim.logio import (event_from_json, event_to_json, read_events, write_events, write_json_report, write_op_table,
-                             write_read_verdicts)
+from quorumsim.logio import (_event_lines, read_events, write_events, write_json_report, write_op_table, write_read_verdicts,
+                             written_chunks)
 from quorumsim.cli import _load, _write_stages, list_presets, main
 from quorumsim.optable import OpRecord, op_table
 from quorumsim.scenario import Scenario
@@ -194,12 +196,13 @@ def sample_log():
     return run_simulation(topo, coop, [], wl, LWW_TIMESTAMP, seed=21)
 
 
-def test_event_json_round_trip_every_kind():
+def test_event_json_round_trip_every_kind(tmp_path):
     log = sample_log()
+    path = tmp_path / "events.jsonl"
     kinds = set()
     for ev in log.events:
-        obj = event_to_json(ev)
-        assert event_from_json(json.loads(json.dumps(obj))) == ev
+        path.write_text(json.dumps({"kind": "run_meta", "format": 1}) + "\n" + json.dumps(reference_event_json(ev)) + "\n")
+        assert read_events(path).events == [ev]
         kinds.add(ev[3])
     assert {"op_start", "graph_chosen", "apply_start", "apply_end", "op_commit", "read_return"} <= kinds
 
@@ -251,7 +254,7 @@ def reference_logs():
 
 
 def test_writer_lines_match_the_dict_reference(tmp_path):
-    """Every line of write_events is json.dumps of event_to_json, compact."""
+    """Every line of write_events is json.dumps of reference_event_json, compact."""
     kinds = set()
     seen = {"vclock": False, "value_list": False, "empty_returned": False, "null_op_id": False, "timeout": False}
     for log in reference_logs():
@@ -261,7 +264,7 @@ def test_writer_lines_match_the_dict_reference(tmp_path):
         assert lines.pop() == ""
         assert len(lines) == len(log.events)
         for line, ev in zip(lines, log.events):
-            obj = event_to_json(ev)
+            obj = reference_event_json(ev)
             assert line == json.dumps(obj, separators=(",", ":")), ev
             kinds.add(ev[3])
             seen["vclock"] |= "vclock" in obj or any("vclock" in r for r in obj.get("returned", ()))
@@ -275,7 +278,7 @@ def test_writer_lines_match_the_dict_reference(tmp_path):
 
 def test_writer_formats_each_ref_object_from_its_own_fields(tmp_path):
     """Two ref objects with one write id but different fields each write
-    what event_to_json gives: the writer's memo never trusts the id alone."""
+    what reference_event_json gives: the writer's memo never trusts the id alone."""
     a = VersionRef(7, 0, 100, None)
     b = VersionRef(7, 0, 200, None)
     clocked = VersionRef(7, 0, 100, ((0, 1),))
@@ -285,20 +288,99 @@ def test_writer_formats_each_ref_object_from_its_own_fields(tmp_path):
     path = tmp_path / "events.jsonl"
     write_events(qs.SimulationLog({}, events, {}), path)
     _, *lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines == [json.dumps(event_to_json(ev), separators=(",", ":")) for ev in events]
+    assert lines == [json.dumps(reference_event_json(ev), separators=(",", ":")) for ev in events]
 
 
-def test_reader_matches_the_per_line_reference_with_one_ref_per_write(tmp_path):
-    """read_events gives the tuples event_from_json gives line by line, and
-    every returned ref of one write id is one object."""
+def test_writer_keeps_no_ref_past_its_chunk(tmp_path):
+    """The writer formats a ref once per chunk and keeps it no longer: while
+    chunk 2 is written, a ref that only chunk 1 returned has no reference
+    left from the writer."""
+    ref = VersionRef(7, 0, 100, None)
+    during = []
+
+    def second_chunk():  # a generator, so the count is taken while the writer walks it
+        during.append(sys.getrefcount(ref))
+        yield (2, 30, 1, engine.OP_COMMIT, (5,))
+
+    def chunks():  # made on demand, so no chunk list holds a chunk
+        yield [(1, 20, 0, engine.READ_RETURN, ((0,), (ref,)))]
+        yield second_chunk()
+
+    before = sys.getrefcount(ref)
+    path = tmp_path / "events.jsonl"
+    deque(written_chunks({}, chunks(), path), maxlen=0)
+    assert during == [before]
+    _, *lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 2
+    assert lines[0].endswith('"returned":[{"write_id":7,"client_id":0,"client_ts_us":100}]}')
+
+
+# A mutation's new value for a field: each wrong in some place, right in another
+MUTANT_VALUES = [None, True, 0, -3, 1.5, "1", "x", [], [1], {}, {"0": 1}]
+
+
+def _mutated(obj: dict, rng: random.Random) -> dict:
+    """obj, a decoded event line, with one field dropped, added or given another value, at its top level or below."""
+    obj = json.loads(json.dumps(obj))
+    places = [obj]  # every object and list in obj
+    for place in places:
+        places.extend(v for v in (place.values() if isinstance(place, dict) else place) if isinstance(v, (dict, list)))
+    place = rng.choice(places)
+    if isinstance(place, dict) and place and rng.random() < 0.3:
+        del place[rng.choice(list(place))]
+    elif isinstance(place, dict) and (not place or rng.random() < 0.3):
+        place[rng.choice(["bogus", "write_id", "value", "vclock", "7", "07"])] = rng.choice(MUTANT_VALUES)
+    elif isinstance(place, dict):
+        place[rng.choice(list(place))] = rng.choice(MUTANT_VALUES)
+    elif place and rng.random() < 0.7:
+        place[rng.randrange(len(place))] = rng.choice(MUTANT_VALUES)
+    else:
+        place.append(rng.choice(MUTANT_VALUES))
+    return obj
+
+
+REF_FIELDS = ("write_id", "client_id", "client_ts_us", "vclock")
+
+
+def test_every_line_the_reader_accepts_is_the_line_its_event_writes(tmp_path):
+    """Mutated lines of engine logs, under every strategy: each is read or
+    is MALFORMED_LOG on its line, and an event that is read, written back,
+    decodes to the same JSON object. A returned ref is an open object, so it
+    is compared on the fields the writer writes (a null clock being none)."""
+    rng = random.Random(20261020)
+    path = tmp_path / "events.jsonl"
+    header = json.dumps({"kind": "run_meta", "format": 1})
+    outcomes = {"read": 0, "rejected": 0, "open ref": 0}
+    for log in reference_logs():
+        returns = [ev for ev in log.events if ev[3] == engine.READ_RETURN]  # the lines with open objects in them
+        for ev in rng.sample(log.events, min(len(log.events), 20)) + rng.sample(returns, min(len(returns), 10)):
+            obj = _mutated(reference_event_json(ev), rng)
+            path.write_text(header + "\n" + json.dumps(obj) + "\n", encoding="utf-8")
+            try:
+                events = read_events(path).events
+            except MalformedLogError as e:
+                assert e.line == 2, obj
+                outcomes["rejected"] += 1
+                continue
+            if "returned" in obj:
+                refs = [{f: r[f] for f in REF_FIELDS if r.get(f) is not None} for r in obj["returned"]]
+                outcomes["open ref"] += refs != obj["returned"]
+                obj["returned"] = refs
+            assert json.loads("".join(_event_lines(events))) == obj
+            outcomes["read"] += 1
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def test_reader_gives_the_engine_events_with_one_ref_per_write(tmp_path):
+    """read_events gives the engine's own event tuples, and every returned
+    ref of one write id is one object."""
     path = tmp_path / "events.jsonl"
     kinds = set()
     repeated = 0
     for log in reference_logs():
         write_events(log, path)
-        _, *lines = path.read_text(encoding="utf-8").splitlines()
         loaded = read_events(path)
-        assert loaded.events == [event_from_json(json.loads(line)) for line in lines]
+        assert loaded.events == log.events
         first = {}
         for ev in loaded.events:
             kinds.add(ev[3])
@@ -371,7 +453,7 @@ def test_reader_skips_blank_lines_and_accepts_any_json_formatting(tmp_path):
     with open(path, "w") as fh:
         fh.write(json.dumps({"kind": "run_meta", "format": 1, "graphs": {}}) + "\n\n")
         for ev in log.events:
-            fh.write("  " + json.dumps(event_to_json(ev), sort_keys=True, separators=(" , ", " : ")) + "\t\n\n")
+            fh.write("  " + json.dumps(reference_event_json(ev), sort_keys=True, separators=(" , ", " : ")) + "\t\n\n")
     assert read_events(path).events == log.events
 
 
@@ -400,11 +482,13 @@ def test_reader_rejects_a_field_that_the_writer_does_not_write(tmp_path):
     kind and variant: one more is MALFORMED_LOG on its line, for every kind
     and for each variant of op_start and apply_end. The run_meta header and
     a returned ref may carry more (see the differing-fields test)."""
-    variants = {}  # (kind, its optional fields) -> the first line of it
+    variants, event_of = {}, {}  # (kind, its optional fields) -> the first line of it, and its event
     for log in reference_logs():
         for ev in log.events:
-            obj = event_to_json(ev)
-            variants.setdefault((obj["kind"], *(f in obj for f in ("write_id", "value", "vclock"))), obj)
+            obj = reference_event_json(ev)
+            variant = (obj["kind"], *(f in obj for f in ("write_id", "value", "vclock")))
+            if variant not in variants:
+                variants[variant], event_of[variant] = obj, ev
     assert {kind for kind, *_ in variants} == EVENT_KINDS
     assert {v[1:] for v in variants if v[0] == "op_start"} >= {(False, False, False), (True, False, False), (True, False, True)}
     assert {v[1:] for v in variants if v[0] == "apply_end"} == {(True, False, False), (False, True, False)}
@@ -417,9 +501,9 @@ def test_reader_rejects_a_field_that_the_writer_does_not_write(tmp_path):
     ]
     header = {"kind": "run_meta", "format": 1, "strategy": "lww_timestamp", "graphs": {}, "x_extra": [1]}
     path = tmp_path / "events.jsonl"
-    for obj in variants.values():
+    for variant, obj in variants.items():
         path.write_text(json.dumps(header) + "\n" + json.dumps(obj) + "\n")
-        assert read_events(path).events == [event_from_json(obj)]
+        assert read_events(path).events == [event_of[variant]]
     for obj in extra:
         path.write_text(json.dumps(header) + "\n" + json.dumps(obj) + "\n")
         with pytest.raises(MalformedLogError, match=r"^event has a field that its kind does not have \(line 2\)$"):
