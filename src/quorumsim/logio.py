@@ -13,9 +13,9 @@ the op table without holding the event list. ``write_events`` is that
 writer over a held log. Each line comes from one f-string per kind, the
 bytes ``json.dumps`` gives for the event's object with compact separators.
 Each row of ``ops.csv`` (an op table record) and ``read_verdicts.csv``
-comes from one f-string, as ``csv.writer`` writes it; each JSON report is
-streamed as the bytes of ``json.dump(report, fh, indent=2, sort_keys=True)``
-plus a newline.
+comes from one f-string too, as ``csv.writer`` writes it. Each JSON report
+is ``json.dump(report, fh, indent=2, sort_keys=True)``'s own output plus a
+newline.
 
 The reader, ``iter_events``, is one streaming pass: it yields each event as
 its line is read, so ``analyze`` feeds the op table without holding the
@@ -28,9 +28,9 @@ the header and a returned ref may carry more. Equal returned refs share
 one ``VersionRef``, which the op table checks against its write's
 op_start once. The kind and an op_start's ``op`` are handed on as the
 shared module constants. A structural problem, a missing, wrong-typed or
-unknown field raises MalformedLogError with the 1-based line number; a
-clock key that is not a client id's canonical decimal form ("07" for 7)
-counts as wrong-typed, so no clock names a client twice.
+unknown field raises MalformedLogError with the 1-based line number. A
+clock key or header graph key must be its id's canonical decimal ("7", not
+"07"), so no id is named twice, and the header's ``format`` must be 1.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from json.scanner import make_scanner
-from json.encoder import encode_basestring_ascii as _json_str
+from json.encoder import encode_basestring_ascii as _quoted
 
 from .errors import MalformedLogError
 from .events import (ACK, APPLY_END, APPLY_START, GRAPH_CHOSEN, OP_COMMIT, OP_FAIL, OP_START, READ, READ_RETURN,
@@ -66,17 +66,18 @@ def _ints(values) -> tuple:
     return tuple(values)
 
 
-def _client_of(key: str) -> int:
-    """The client id that a clock key names, which must be its canonical
-    decimal form: a second spelling of one id ("07", "+7") would repeat it."""
-    client = int(key)
-    if str(client) != key:
-        raise ValueError("clock key is not a canonical decimal")
-    return client
+def _int_key(key: str) -> int:
+    """The id that a clock key (a client) or a header graph key names, which
+    must be its canonical decimal form: a second spelling of one id ("07",
+    "+7", " 7") would repeat it."""
+    n = int(key)
+    if str(n) != key:
+        raise ValueError("key is not a canonical decimal")
+    return n
 
 
 def _vclock_from_json(vclock) -> tuple:
-    return tuple(sorted((_client_of(c), _typed(n)) for c, n in vclock.items()))
+    return tuple(sorted((_int_key(c), _typed(n)) for c, n in vclock.items()))
 
 
 # A kind's decoder(obj, refs, line) raises KeyError, AttributeError, TypeError or ValueError for a missing or
@@ -172,9 +173,12 @@ def _graph_from_json(info) -> dict:
 
 
 def _meta_from_json(obj, line: int) -> dict:
+    fmt = obj.get("format")
+    if type(fmt) is not int or fmt != FORMAT_VERSION:  # so neither true nor 1.0
+        raise MalformedLogError(f"run_meta header format must be {FORMAT_VERSION}, not {fmt!r}", line)
     meta = {k: v for k, v in obj.items() if k not in ("kind", "format", "graphs")}
     try:
-        meta["graphs"] = {int(gid): _graph_from_json(info) for gid, info in obj.get("graphs", {}).items()}
+        meta["graphs"] = {_int_key(gid): _graph_from_json(info) for gid, info in obj.get("graphs", {}).items()}
     except (AttributeError, TypeError, ValueError):
         raise MalformedLogError("run_meta header has a field of the wrong type", line) from None
     if "strategy" in meta and meta["strategy"] not in STRATEGIES:
@@ -219,7 +223,7 @@ def _event_lines(events):
             write_id = "" if write_id is None else f',"write_id":{write_id}'
             vclock = "" if vclock is None else f',"vclock":{_vclock_line(vclock)}'
             yield (
-                f'{{"seq":{seq},"time_us":{t},"op_id":{op},"kind":"op_start","client_id":{client},"op":{_json_str(op_kind)},'
+                f'{{"seq":{seq},"time_us":{t},"op_id":{op},"kind":"op_start","client_id":{client},"op":{_quoted(op_kind)},'
                 f'"key":{key}{write_id},"payload_bytes":{payload_bytes},"warmup":{"true" if warmup else "false"}{vclock}}}\n'
             )
         elif kind == GRAPH_CHOSEN:
@@ -234,7 +238,7 @@ def _event_lines(events):
         elif kind == ACK:
             yield f'{{"seq":{seq},"time_us":{t},"op_id":{op},"kind":"ack_received","parent":{p[0]},"child":{p[1]}}}\n'
         elif kind == OP_FAIL:
-            yield f'{{"seq":{seq},"time_us":{t},"op_id":{op},"kind":"op_fail","reason":{_json_str(p[0])}}}\n'
+            yield f'{{"seq":{seq},"time_us":{t},"op_id":{op},"kind":"op_fail","reason":{_quoted(p[0])}}}\n'
         elif kind == REPLICA_DOWN or kind == REPLICA_UP:
             yield f'{{"seq":{seq},"time_us":{t},"op_id":{op},"kind":"{kind}","replica":{p[0]}}}\n'
         else:
@@ -317,56 +321,10 @@ def read_events(path) -> SimulationLog:
     return SimulationLog(meta, events, {})
 
 
-_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_leaf(value) -> str:
-    """value, a string, number, bool or None, as ``json.dump`` writes it."""
-    if isinstance(value, str):
-        return _json_str(value)
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, (int, float)):  # as their types print them, but for nan and infinities
-        text = (int if isinstance(value, int) else float).__repr__(value)
-        return _FLOAT_WORDS.get(text, text)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _json_key(key) -> str:
-    return _json_str(key if isinstance(key, str) else _json_leaf(key))
-
-
-def _json_text(value, indent: str) -> str:
-    """value as ``json.dump(value, fh, indent=2, sort_keys=True)`` writes it, nested at indent."""
-    if type(value) is int:  # the commonest leaf
-        return int.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        items, brackets = [f"{_json_key(key)}: {_json_text(item, inner)}" for key, item in sorted(value.items())], "{}"
-    elif isinstance(value, (list, tuple)):
-        items, brackets = [_json_text(item, inner) for item in value], "[]"
-    else:
-        return _json_leaf(value)
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}" if items else brackets
-
-
-def _write_json(write, value, indent: str, depth: int) -> None:
-    """Write _json_text(value, indent), one write per entry down to depth."""
-    if not (depth and value and isinstance(value, (dict, list, tuple))):
-        return write(_json_text(value, indent))
-    inner, is_dict = indent + "  ", isinstance(value, dict)
-    head = "{" if is_dict else "["
-    for key, item in sorted(value.items()) if is_dict else enumerate(value):
-        write(f"{head}\n{inner}{_json_key(key)}: " if is_dict else f"{head}\n{inner}")
-        _write_json(write, item, inner, depth - 1)
-        head = ","
-    write(f"\n{indent}}}" if is_dict else f"\n{indent}]")
-
-
 def write_json_report(report: dict, path) -> None:
-    """Write report as the bytes of ``json.dump(report, fh, indent=2, sort_keys=True)`` and a newline."""
+    """Write report as ``json.dump(report, fh, indent=2, sort_keys=True)`` and a newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        _write_json(fh.write, report, "", 2)
+        json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

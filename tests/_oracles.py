@@ -8,9 +8,8 @@ They exist to cross-check the production detectors on arbitrary logs, and
 ``oracle_resolve`` are the same kind of reference for the strategies' store
 and read-resolution code (quorumsim.strategies), and ``oracle_draws`` for
 the seeded samplers (quorumsim.distributions). The ``reference_*`` writers
-give logio's output files through ``csv.writer`` and ``json.dump``, and
-``reference_event_json`` each event line's object, which logio's template
-writers must reproduce.
+give logio's CSV files through ``csv.writer``, and ``reference_event_json``
+each event line's object, which logio's template writers must reproduce.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import json
 from collections import Counter
 from itertools import accumulate
 from math import ceil, exp, floor, log1p
@@ -621,14 +619,6 @@ def reference_read_verdicts_csv(verdicts) -> bytes:
         if not v.warmup
     )
     return _csv_bytes(READ_VERDICT_HEADER, rows)
-
-
-def reference_json_report(report) -> bytes:
-    """A JSON report as json.dump writes it, indented and key-sorted, plus a newline."""
-    out = io.StringIO()
-    json.dump(report, out, indent=2, sort_keys=True)
-    out.write("\n")
-    return out.getvalue().encode("utf-8")
 
 
 def _ref_json(ref) -> dict:

@@ -3,11 +3,12 @@ import json
 import random
 import sys
 from collections import deque
+from itertools import islice
 
 import pytest
 
 from _builders import WRONG_TYPED_DISTRIBUTIONS, star_async
-from _oracles import reference_event_json, reference_json_report, reference_op_table_csv, reference_read_verdicts_csv
+from _oracles import reference_event_json, reference_op_table_csv, reference_read_verdicts_csv
 from _randgen import random_scenario
 
 import quorumsim as qs
@@ -28,7 +29,7 @@ from quorumsim import (
 from quorumsim import engine
 from quorumsim.strategies import LWW_TIMESTAMP, STRATEGIES, VersionRef
 from quorumsim.clientcentric import ReadVerdict
-from quorumsim.logio import (_event_lines, read_events, write_events, write_json_report, write_op_table, write_read_verdicts,
+from quorumsim.logio import (_event_lines, _meta_to_json, read_events, write_events, write_op_table, write_read_verdicts,
                              written_chunks)
 from quorumsim.cli import _load, _write_stages, list_presets, main
 from quorumsim.optable import OpRecord, op_table
@@ -371,6 +372,60 @@ def test_every_line_the_reader_accepts_is_the_line_its_event_writes(tmp_path):
     assert min(outcomes.values()) > 0, outcomes
 
 
+# A header mutation's new value for its format, a graph id's spelling, a graph entry, or its strategy
+HEADER_FORMATS = [1, 99, 0, True, 1.0, "1", "one", None]
+GRAPH_KEYS = ["0", "1", "7", "00", "+0", " 0", "0 ", "0_0", "-0", "-1", "x", ""]
+GRAPH_ENTRIES = [{}, {"kind": "reading", "root": 0, "vertices": [0]}, {"vertices": None}, {"vertices": []}, {"vertices": [True]},
+                 {"vertices": 5}, [0], None, 1]
+STRATEGY_VALUES = list(STRATEGIES) + ["bogus", "LWW_TIMESTAMP"] + MUTANT_VALUES
+
+
+def _mutated_header(obj: dict, rng: random.Random) -> dict:
+    """obj, a decoded run_meta header, with its format, a graph id's
+    spelling, a graph entry or its strategy changed, a field added or
+    dropped, or one of _mutated's changes."""
+    obj = json.loads(json.dumps(obj))
+    graphs = obj["graphs"]
+    gid, change = rng.choice(list(graphs)), rng.randrange(6)
+    if change == 0:
+        obj["format"] = rng.choice(HEADER_FORMATS)
+    elif change == 1:  # a second spelling of a graph's id, beside it or in its place, or another id
+        graphs[rng.choice(GRAPH_KEYS)] = graphs[gid] if rng.random() < 0.5 else graphs.pop(gid)
+    elif change == 2:
+        graphs[gid] = rng.choice(GRAPH_ENTRIES)
+    elif change == 3:
+        obj["strategy"] = rng.choice(STRATEGY_VALUES)
+    elif change == 4:
+        obj[rng.choice(["bogus", "scenario", "seed", "graphs"])] = rng.choice(MUTANT_VALUES)
+    elif rng.random() < 0.5:
+        del obj[rng.choice([f for f in obj if f != "kind"])]
+    else:
+        obj = _mutated(obj, rng)
+    return obj
+
+
+def test_every_header_the_reader_accepts_is_the_header_its_meta_writes(tmp_path):
+    """Mutated run_meta headers of engine logs: each is read or is
+    MALFORMED_LOG on line 1, and the meta of one that is read, written back,
+    decodes to the same JSON object (a header without graphs has none)."""
+    rng = random.Random(20261021)
+    path = tmp_path / "events.jsonl"
+    outcomes = {"read": 0, "rejected": 0}
+    for log in islice(reference_logs(), 8):  # two scenarios, each under every strategy
+        for _ in range(40):
+            obj = _mutated_header(_meta_to_json(log.meta), rng)
+            path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+            try:
+                meta = read_events(path).meta
+            except MalformedLogError as e:
+                assert e.line == 1, obj
+                outcomes["rejected"] += 1
+                continue
+            assert json.loads(json.dumps(_meta_to_json(meta))) == {"graphs": {}, **obj}
+            outcomes["read"] += 1
+    assert min(outcomes.values()) > 0, outcomes
+
+
 def test_reader_gives_the_engine_events_with_one_ref_per_write(tmp_path):
     """read_events gives the engine's own event tuples, and every returned
     ref of one write id is one object."""
@@ -547,16 +602,20 @@ def test_missing_field_reports_line(tmp_path):
         with pytest.raises(MalformedLogError) as e:
             read_events(path)
         assert e.value.line == 2, bad
-    # run_meta graphs not an object, keyed by a non-integer, an entry not an
-    # object, or vertices not a list of integers; a strategy that is not one
-    bad_graphs = ([], {"x": {}}, {"0": [1]}, {"0": {"vertices": 5}}, {"0": {"vertices": ["1"]}})
-    bad_headers = [{"graphs": graphs} for graphs in bad_graphs]
-    bad_headers += [{"strategy": strategy} for strategy in ("bogus", None, ["lww_timestamp"])]
-    for fields in bad_headers:
-        path.write_text(json.dumps({"kind": "run_meta", "format": 1, **fields}) + "\n")
+    # run_meta graphs not an object, keyed by a non-integer or by a second
+    # spelling of one, an entry not an object, or vertices not a list of
+    # integers; a strategy that is not one; a format that is not the integer 1
+    bad_graphs = ([], {"x": {}}, {"0": [1]}, {"0": {"vertices": 5}}, {"0": {"vertices": ["1"]}},
+                  {"0": {}, "00": {"vertices": [0]}}, {"+0": {}}, {" 0": {}}, {"0_0": {}})
+    header = {"kind": "run_meta", "format": 1}
+    bad_headers = [{**header, "graphs": graphs} for graphs in bad_graphs]
+    bad_headers += [{**header, "strategy": strategy} for strategy in ("bogus", None, ["lww_timestamp"])]
+    bad_headers += [{**header, "format": fmt} for fmt in (99, "one", True, 1.0, "1", None)] + [{"kind": "run_meta"}]
+    for bad in bad_headers:
+        path.write_text(json.dumps(bad) + "\n")
         with pytest.raises(MalformedLogError) as e:
             read_events(path)
-        assert e.value.line == 1, fields
+        assert e.value.line == 1, bad
 
 
 # -- output files -----------------------------------------------------------------------
@@ -582,30 +641,3 @@ def test_csv_writers_equal_csv_writer_on_the_fields_it_quotes(tmp_path):
     ]
     write_read_verdicts(verdicts, tmp_path / "read_verdicts.csv")
     assert (tmp_path / "read_verdicts.csv").read_bytes() == reference_read_verdicts_csv(verdicts)
-
-
-def test_write_json_report_equals_json_dump(tmp_path):
-    report = {
-        "empty": {},
-        "empty_list": [],
-        "nested_empty": {"a": {}, "b": [[], {}], "c": [{}]},
-        "floats": [0.1, 1e-07, 1e16, 2.0, -0.0, 1.5e300, float("nan"), float("inf"), float("-inf")],
-        "ints": [0, -7, 10**20],
-        "constants": [None, True, False],
-        "tuple": (1, "two", (3.5,)),
-        "strings": ["", 'a"b\\c', "tab\tnl\n\x01", "é", "✓ 雪 😀"],
-        "ünï": {"ключ": "значение"},
-        "B": 1,
-        "a": 2,
-        "int_keys": {10: "ten", 2: "two", -1: "minus one"},
-        "float_keys": {2.5: 1, 0.1: 2},
-        "bool_keys": {True: 1, False: 0},
-        "none_key": {None: 1},
-        "deep": {"z": {"y": {"x": [2, {"w": 0, "v": []}], "u": {}}, "t": 1}, "s": 0},  # keys out of order below any depth
-    }
-    path = tmp_path / "report.json"
-    for value in (report, {}, {"only": {"deeper": [None]}}):
-        write_json_report(value, path)
-        assert path.read_bytes() == reference_json_report(value)
-    with pytest.raises(TypeError):
-        write_json_report({"x": object()}, path)
