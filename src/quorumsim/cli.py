@@ -211,13 +211,8 @@ def cmd_run(args) -> int:
         rows = [_run_one(scenario, seed, out / f"seed_{seed}", stages) for seed in seeds]
     else:
         # Seeds are CPU-bound Python, so they run in worker processes; the
-        # imports stay here because they cost every other command time.
-        # numpy is imported before the pool starts, so forked workers share
-        # its core. Each still imports numpy.random at its first draw:
-        # importing that here costs the parent more memory than it saves.
+        # import stays here because it costs every other command time.
         from concurrent.futures import ProcessPoolExecutor
-
-        import numpy  # noqa: F401
 
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(seeds))) as pool:
             futures = [pool.submit(_run_one, scenario, seed, out / f"seed_{seed}", stages) for seed in seeds]
@@ -254,11 +249,8 @@ def cmd_analyze(args) -> int:
     meta: dict = {}
     # one pass from the file into the op table: the event list is never held
     table = op_table(logio.iter_events(args.events, meta), meta)
-    strategy = meta.get("strategy")
-    if strategy is None and 3 in stages:
-        raise MalformedLogError("events file lacks the run_meta header needed for stage 3")
     out = Path(args.out)
-    _write_stages(table, strategy, stages, out)
+    _write_stages(table, meta["strategy"], stages, out)
     _say(args, f"wrote stage {list(stages)} metrics to {out}")
     return EXIT_OK
 

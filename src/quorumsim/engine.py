@@ -4,7 +4,8 @@ One run is single-threaded and fully deterministic: a single virtual clock,
 one event queue ordered by (time, schedule sequence), and labeled RNG streams
 per purpose (arrivals, op kind, keys, payload sizes, graph choice, one per
 directed edge, one per replica's processing). Identical (scenario, seed)
-pairs produce identical logs. One counter numbers the events in the order
+pairs produce identical logs. A run with one replication and one reading
+graph draws no graph choice. One counter numbers the events in the order
 they are emitted; under lww_arrival a write's ApplyEnd number is also the
 arrival order its replica stores.
 
@@ -179,7 +180,8 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout, final
     read_graphs = [_CompiledGraph(g, streams, topology.edges) for g in coop.reading_graphs]
     rep_cum = list(accumulate(g.weight for g in coop.replication_graphs))
     read_cum = list(accumulate(g.weight for g in coop.reading_graphs))
-    graph_u = streams.stream("graph_choice").uniform
+    # with one graph of each kind no choice is drawn: it could pick no other
+    graph_u = streams.stream("graph_choice").uniform if len(rep_graphs) > 1 or len(read_graphs) > 1 else None
 
     store = [dict() for _ in range(n)]
     replica_state = [_UP] * n
@@ -292,7 +294,7 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout, final
     def issue(t, req):
         is_write = req.kind == WRITE
         graphs, cum = (rep_graphs, rep_cum) if is_write else (read_graphs, read_cum)
-        graph = graphs[min(bisect_right(cum, graph_u()), len(graphs) - 1)]
+        graph = graphs[min(bisect_right(cum, graph_u()), len(graphs) - 1)] if graph_u else graphs[0]
         ref = vclock = None
         if is_write:
             if vclocks:

@@ -14,8 +14,8 @@ writer over a held log. Each line comes from one f-string per kind, the
 bytes ``json.dumps`` gives for the event's object with compact separators.
 Each row of ``ops.csv`` (an op table record) and ``read_verdicts.csv``
 comes from one f-string too, as ``csv.writer`` writes it. Each JSON report
-is ``json.dump(report, fh, indent=2, sort_keys=True)``'s own output plus a
-newline.
+is ``json.dumps(report, indent=2, sort_keys=True)`` plus a newline, written
+at once.
 
 The reader, ``iter_events``, is one streaming pass: it yields each event as
 its line is read, so ``analyze`` feeds the op table without holding the
@@ -30,7 +30,9 @@ op_start once. The kind and an op_start's ``op`` are handed on as the
 shared module constants. A structural problem, a missing, wrong-typed or
 unknown field raises MalformedLogError with the 1-based line number. A
 clock key or header graph key must be its id's canonical decimal ("7", not
-"07"), so no id is named twice, and the header's ``format`` must be 1.
+"07"), so no id is named twice, and the header's ``format`` must be 1. A
+file without a header, or a header that names no strategy, is
+MalformedLogError: the strategy and the graphs shape both stages' reports.
 """
 
 from __future__ import annotations
@@ -181,7 +183,9 @@ def _meta_from_json(obj, line: int) -> dict:
         meta["graphs"] = {_int_key(gid): _graph_from_json(info) for gid, info in obj.get("graphs", {}).items()}
     except (AttributeError, TypeError, ValueError):
         raise MalformedLogError("run_meta header has a field of the wrong type", line) from None
-    if "strategy" in meta and meta["strategy"] not in STRATEGIES:
+    if "strategy" not in meta:
+        raise MalformedLogError("run_meta header names no strategy", line)
+    if meta["strategy"] not in STRATEGIES:
         raise MalformedLogError(f"run_meta header names unknown strategy {meta['strategy']!r}", line)
     return meta
 
@@ -273,7 +277,8 @@ def iter_events(path, meta: dict):
     """Yield the events of an events file in file order, in one pass.
 
     A file has one run_meta header, which fills meta when the pass reaches
-    it, wherever it is in the file; a second one raises MalformedLogError.
+    it, wherever it is in the file; a second one raises MalformedLogError,
+    and so does reaching the end without one.
     Equal returned refs share one ``VersionRef``.
     """
     refs: dict = {}  # a returned ref's fields -> its VersionRef
@@ -312,6 +317,8 @@ def iter_events(path, meta: dict):
             except (AttributeError, TypeError, ValueError):
                 raise MalformedLogError("event has a field of the wrong type", line_no) from None
             yield event
+    if header_line is None:
+        raise MalformedLogError("events file has no run_meta header")
 
 
 def read_events(path) -> SimulationLog:
@@ -322,10 +329,10 @@ def read_events(path) -> SimulationLog:
 
 
 def write_json_report(report: dict, path) -> None:
-    """Write report as ``json.dump(report, fh, indent=2, sort_keys=True)`` and a newline."""
+    """Write report as ``json.dumps(report, indent=2, sort_keys=True)`` and a
+    newline, in one write: ``json.dump`` writes each token on its own."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def _csv_field(text: str) -> str:

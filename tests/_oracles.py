@@ -18,10 +18,10 @@ import csv
 import hashlib
 import io
 from collections import Counter
-from itertools import accumulate
 from math import ceil, exp, floor, log1p
 from statistics import NormalDist
 
+import numpy as np
 from numpy.random import PCG64, SeedSequence
 
 from quorumsim.distributions import Constant, Empirical, Exponential, LogNormal, Uniform, UniformKeys, Zipfian
@@ -578,8 +578,13 @@ def oracle_draw(dist, uniforms) -> int:
     if isinstance(dist, UniformKeys):
         return int(u * dist.n)
     if isinstance(dist, Zipfian):
-        # the ranks below the last take their cumulative mass; the last rank the rest
-        cdf = list(accumulate(dist.pmf().tolist()))[:-1]
+        # The ranks below the last take their cumulative mass; the last rank
+        # the rest. numpy's float64 ** and pairwise sum may differ from libm
+        # pow and fsum in a last bit: for Zipfian(50, 0.99) on one AVX-512
+        # machine, 49 entries differed by one ulp, so a uniform in such a gap
+        # (about 1e-14 per draw) would draw another key than the sampler's.
+        weights = np.arange(1, dist.n + 1, dtype=np.float64) ** (-dist.s)
+        cdf = (weights / weights.sum()).cumsum().tolist()[:-1]
         return next((r for r, c in enumerate(cdf) if c > u), len(cdf))
     raise TypeError(f"no reference draw for {dist!r}")
 

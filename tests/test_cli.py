@@ -455,6 +455,26 @@ def test_analyze_rejects_an_unknown_strategy_in_the_header(scenario_file, tmp_pa
     assert not (tmp_path / "out").exists()
 
 
+def test_analyze_rejects_a_log_without_a_header_or_its_strategy_under_every_stage(scenario_file, tmp_path, capsys):
+    # stage 2 alone needs no strategy, but a lost header changes its report
+    run_dir = tmp_path / "run"
+    assert main(["run", str(scenario_file), "--out", str(run_dir), "--stages", "1", "--quiet"]) == 0
+    header, *lines = (run_dir / "events.jsonl").read_text().splitlines()
+    unnamed = {k: v for k, v in json.loads(header).items() if k != "strategy"}
+    for name, kept, message in (
+        ("headerless", lines, "MALFORMED_LOG: events file has no run_meta header\n"),
+        ("unnamed", [json.dumps(unnamed), *lines], "MALFORMED_LOG: run_meta header names no strategy (line 1)\n"),
+    ):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text("\n".join(kept) + "\n")
+        for stages in ("2", "3", "2,3"):
+            out = tmp_path / f"{name}_{stages}"
+            capsys.readouterr()
+            assert main(["analyze", str(path), "--out", str(out), "--stages", stages]) == 1, (name, stages)
+            assert capsys.readouterr().err == message, (name, stages)
+            assert not out.exists(), (name, stages)
+
+
 def test_run_rejects_repeat_below_one(scenario_file, tmp_path, capsys):
     for repeat in ("0", "-2"):
         out = tmp_path / f"repeat{repeat}"
@@ -713,7 +733,7 @@ def test_a_failing_seed_fails_alike_in_a_worker_process(scenario_file, tmp_path,
     assert errors["1"] == errors["2"] == (2, "error: [Errno 21] Is a directory: 'OUT/seed_12/events.jsonl'\n"), errors
 
 
-# -- only a draw loads numpy --------------------------------------------------------------
+# -- no command loads numpy ---------------------------------------------------------------
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 _REPORTS = ("datacentric.json", "ops.csv", "clientcentric.json", "read_verdicts.csv")
@@ -748,6 +768,24 @@ def test_validate_quorum_check_and_analyze_run_without_numpy(tmp_path):
     assert proc.stdout.splitlines()[-2:] == ["OK", "W=2 R=1 RF=3 EVENTUAL"]
     for name in _REPORTS:
         assert (analyzed / name).read_bytes() == (ran / name).read_bytes(), name
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("preset", ["preset:one_zipfian", "preset:one_uniform"])
+def test_run_without_numpy_writes_the_same_files(tmp_path, preset):
+    # the seeded draws are pure Python: blocking numpy changes no byte, in
+    # one run or in a batch whose seeds run in worker processes
+    for name, extra in (("one", []), ("batch", ["--repeat", "2", "--jobs", "2"])):
+        ran, blocked = tmp_path / f"{name}_ran", tmp_path / f"{name}_blocked"
+        assert main(["run", preset, "--out", str(ran), "--quiet", *extra]) == 0
+        proc = _python("-c", _WITH_BLOCKED, "numpy", "run", preset, "--out", str(blocked), "--quiet", *extra)
+        assert proc.returncode == 0, (name, proc.stderr)
+        expected = _tree(ran)
+        assert len(expected) == (5 if name == "one" else 11), name  # events.jsonl and four reports per seed
+        assert _tree(blocked) == expected, name
 
 
 # -- each command loads only its own layers -----------------------------------------------

@@ -3,10 +3,12 @@ import gc
 import math
 import pickle
 import random
+from itertools import chain, islice, repeat
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.random import PCG64
 
 from _oracles import oracle_draw, oracle_draws, oracle_uniform, oracle_uniforms
 from quorumsim import (
@@ -19,7 +21,7 @@ from quorumsim import (
     UniformKeys,
     Zipfian,
 )
-from quorumsim.distributions import _uniform_batch
+from quorumsim.distributions import _uniform_batches
 
 ALL_KINDS = (
     Constant(3),
@@ -100,8 +102,18 @@ def test_stream_uniforms_match_reference():
     assert [rng.uniform() for _ in range(10_000)] == oracle_uniforms(5, "x", 10_000)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**64 - 1, -1])
+def test_stream_words_match_numpy_pcg64_for_every_seed_width(seed):
+    # The seed takes one or two u32 words, masked to 64 bits (-1 is 2**64 - 1);
+    # the labels' sha256 words vary too. 5,000 words each cross the stream's
+    # batch boundaries many times.
+    for label in ("", "x", "proc:12", "arrivals", "ключ", "k" * 1_000):
+        rng = RngStream(seed, label)
+        assert [rng.uniform() for _ in range(5_000)] == oracle_uniforms(seed, label, 5_000), (seed, label)
+
+
 def test_sampler_matches_reference_draws():
-    # 10,000 draws cross the stream's 4,096-word batch boundary twice.
+    # 10,000 draws cross the stream's batch boundaries many times.
     for d in ALL_KINDS:
         assert draws(d, RngStream(5, "x"), 10_000) == oracle_draws(d, 5, "x", 10_000), d
 
@@ -124,20 +136,32 @@ def test_interleaved_samplers_on_one_stream_match_reference(label, dists):
     assert [samplers[i]() for i in order] == [oracle_draw(dists[i], uniforms) for i in order]
 
 
-class _TopWordGenerator:
-    """A bit generator stub whose every raw word is 2**64 - 1."""
-
-    def random_raw(self, n):
-        return np.full(n, 2**64 - 1, dtype=np.uint64)
+# PCG's 128-bit multiplier, written out here rather than imported
+_PCG_MULT = 47026247687942121848144207491837523525
 
 
 def test_top_word_maps_to_the_largest_double_below_one():
     # (2**53 - 1 + 0.5) * 2**-53 rounds to 1.0, which no draw may see
     below_one = math.nextafter(1.0, 0.0)
-    batch = _uniform_batch(_TopWordGenerator())
-    assert batch[0] == oracle_uniform(2**64 - 1) == below_one
+    # State 2**64 - 1 (halves 0 and 2**64 - 1, rotation 0) outputs the top
+    # word; step back from it by the inverse of the multiplier, so that the
+    # top word is the generator's word number position.
+    inc = 2 * 0xDA3E39CB94B95BDB + 1
+    step_back = pow(_PCG_MULT, -1, 2**128)
+    for position in (0, 100, 255, 256, 1_000):
+        st = 2**64 - 1
+        for _ in range(position + 1):
+            st = (st - inc) * step_back % 2**128
+        bg = PCG64()
+        bg.state = {"bit_generator": "PCG64", "state": {"state": st, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+        raw = bg.random_raw(position + 600).tolist()
+        assert raw[position] == 2**64 - 1, position
+        words = list(islice(chain.from_iterable(_uniform_batches(st, inc)), len(raw)))
+        assert words == [oracle_uniform(w) for w in raw], position
+        assert words[position] == below_one, position
+    assert oracle_uniform(2**64 - 1) == below_one
     assert oracle_uniform(2**64 - 2**11 - 1) < below_one  # the next word down keeps its value
-    rng = SimpleNamespace(uniform=iter(batch).__next__)
+    rng = SimpleNamespace(uniform=repeat(below_one).__next__)
     at_top = {d: d.sampler(rng)() for d in ALL_KINDS + (LogNormal(701.0, 1.0), Exponential(4.8e306))}
     assert at_top[ALL_KINDS[1]] <= 9
     assert at_top[ALL_KINDS[4]] == 8
@@ -228,8 +252,7 @@ def test_zipfian_rank_ratio():
 
 def test_zipfian_mass_sums_to_one():
     for n in (10, 1_000, 1_000_000):
-        pmf = Zipfian(n, 0.99).pmf()
-        assert abs(math.fsum(pmf.tolist()) - 1.0) < 1e-12
+        assert abs(math.fsum(Zipfian(n, 0.99).pmf()) - 1.0) < 1e-12
 
 
 def test_zipfian_is_its_two_parameters_and_builds_its_cdf_on_the_first_draw():

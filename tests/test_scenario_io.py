@@ -191,6 +191,10 @@ def test_load_scenario_bad_json(tmp_path):
 
 # -- events file round trips ----------------------------------------------------------
 
+# the least header the reader accepts: its format and a strategy
+HEADER = {"kind": "run_meta", "format": 1, "strategy": LWW_TIMESTAMP}
+
+
 def sample_log():
     topo, coop = star_async(0, {1: 10_000, 2: 20_000})
     wl = qs.WorkloadSpec(2, 6, 0.5, Constant(700), qs.UniformKeys(2), Constant(64))
@@ -202,7 +206,7 @@ def test_event_json_round_trip_every_kind(tmp_path):
     path = tmp_path / "events.jsonl"
     kinds = set()
     for ev in log.events:
-        path.write_text(json.dumps({"kind": "run_meta", "format": 1}) + "\n" + json.dumps(reference_event_json(ev)) + "\n")
+        path.write_text(json.dumps(HEADER) + "\n" + json.dumps(reference_event_json(ev)) + "\n")
         assert read_events(path).events == [ev]
         kinds.add(ev[3])
     assert {"op_start", "graph_chosen", "apply_start", "apply_end", "op_commit", "read_return"} <= kinds
@@ -350,7 +354,7 @@ def test_every_line_the_reader_accepts_is_the_line_its_event_writes(tmp_path):
     is compared on the fields the writer writes (a null clock being none)."""
     rng = random.Random(20261020)
     path = tmp_path / "events.jsonl"
-    header = json.dumps({"kind": "run_meta", "format": 1})
+    header = json.dumps(HEADER)
     outcomes = {"read": 0, "rejected": 0, "open ref": 0}
     for log in reference_logs():
         returns = [ev for ev in log.events if ev[3] == engine.READ_RETURN]  # the lines with open objects in them
@@ -506,7 +510,7 @@ def test_reader_skips_blank_lines_and_accepts_any_json_formatting(tmp_path):
     log = sample_log()
     path = tmp_path / "events.jsonl"
     with open(path, "w") as fh:
-        fh.write(json.dumps({"kind": "run_meta", "format": 1, "graphs": {}}) + "\n\n")
+        fh.write(json.dumps({**HEADER, "graphs": {}}) + "\n\n")
         for ev in log.events:
             fh.write("  " + json.dumps(reference_event_json(ev), sort_keys=True, separators=(" , ", " : ")) + "\t\n\n")
     assert read_events(path).events == log.events
@@ -527,7 +531,7 @@ def test_reader_rejects_trailing_data_on_a_line(tmp_path):
 
 def test_reader_rejects_a_line_nested_too_deep_to_decode(tmp_path):
     path = tmp_path / "events.jsonl"
-    path.write_text(json.dumps({"kind": "run_meta", "format": 1}) + "\n" + "[" * 100_000 + "]" * 100_000 + "\n")
+    path.write_text(json.dumps(HEADER) + "\n" + "[" * 100_000 + "]" * 100_000 + "\n")
     with pytest.raises(MalformedLogError, match=r"not valid JSON \(line 2\)"):
         read_events(path)
 
@@ -597,20 +601,19 @@ def test_missing_field_reports_line(tmp_path):
     for bad in bad_lines:
         path = tmp_path / "events.jsonl"
         with open(path, "w") as fh:
-            fh.write(json.dumps({"kind": "run_meta", "format": 1}) + "\n")
+            fh.write(json.dumps(HEADER) + "\n")
             fh.write(json.dumps(bad) + "\n")
         with pytest.raises(MalformedLogError) as e:
             read_events(path)
         assert e.value.line == 2, bad
     # run_meta graphs not an object, keyed by a non-integer or by a second
     # spelling of one, an entry not an object, or vertices not a list of
-    # integers; a strategy that is not one; a format that is not the integer 1
+    # integers; a strategy that is not one, or none; a format that is not the integer 1
     bad_graphs = ([], {"x": {}}, {"0": [1]}, {"0": {"vertices": 5}}, {"0": {"vertices": ["1"]}},
                   {"0": {}, "00": {"vertices": [0]}}, {"+0": {}}, {" 0": {}}, {"0_0": {}})
-    header = {"kind": "run_meta", "format": 1}
-    bad_headers = [{**header, "graphs": graphs} for graphs in bad_graphs]
-    bad_headers += [{**header, "strategy": strategy} for strategy in ("bogus", None, ["lww_timestamp"])]
-    bad_headers += [{**header, "format": fmt} for fmt in (99, "one", True, 1.0, "1", None)] + [{"kind": "run_meta"}]
+    bad_headers = [{**HEADER, "graphs": graphs} for graphs in bad_graphs]
+    bad_headers += [{**HEADER, "strategy": strategy} for strategy in ("bogus", None, ["lww_timestamp"])] + [{"kind": "run_meta", "format": 1}]
+    bad_headers += [{**HEADER, "format": fmt} for fmt in (99, "one", True, 1.0, "1", None)] + [{"kind": "run_meta"}]
     for bad in bad_headers:
         path.write_text(json.dumps(bad) + "\n")
         with pytest.raises(MalformedLogError) as e:

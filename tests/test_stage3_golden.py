@@ -15,8 +15,9 @@ stages were moved onto one op table, the log digests before the events writer
 moved from ``json.dumps`` to per-kind line templates; any change to them is a
 change of the output. ``analyze`` under Python 3.10, 3.12 and 3.13 must
 reproduce the stage-2 and stage-3 digests from logs written by the running
-interpreter; a version not installed is skipped. To re-record after a
-deliberate output change:
+interpreter, and simulating each case there with numpy blocked must
+reproduce its log digest; a version not installed is skipped. To re-record
+after a deliberate output change:
 
     PYTHONPATH=src python tests/test_stage3_golden.py
 """
@@ -276,6 +277,49 @@ def test_analyze_under_other_pythons_matches_recorded_digests(golden, case_logs,
     assert proc.returncode == 0, proc.stderr
     expected = {case: {f: golden[case][f] for f in STAGE2_FILES + STAGE3_FILES} for case in cases}
     assert json.loads(proc.stdout) == expected
+
+
+_SIMULATE_EVERY_CASE = """
+import hashlib, json, sys
+sys.modules["numpy"] = None  # from here on, any import of numpy raises ImportError
+from pathlib import Path
+from quorumsim import logio, run_simulation, scenario_from_json
+root, seed, cases = Path(sys.argv[1]), int(sys.argv[2]), sys.argv[3:]
+digests = {}
+for case in cases:
+    sc = scenario_from_json(json.loads((root / case / "scenario.json").read_text(encoding="utf-8")))
+    log = run_simulation(sc.topology, sc.coop, list(sc.failures), sc.workload, sc.strategy, seed, sc.op_timeout_us)
+    path = root / case / ("python" + sys.version.split()[0] + ".jsonl")
+    logio.write_events(log, path)
+    digests[case] = hashlib.sha256(path.read_bytes()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+@pytest.fixture(scope="module")
+def case_scenarios(tmp_path_factory):
+    """root/<name>/<strategy>/scenario.json for every case."""
+    root = tmp_path_factory.mktemp("scenarios")
+    for name, strategy in CASES:
+        (root / name / strategy).mkdir(parents=True)
+        doc = scenario_to_json(_scenario(name, strategy))
+        (root / name / strategy / "scenario.json").write_text(json.dumps(doc), encoding="utf-8")
+    return root
+
+
+@pytest.mark.parametrize("version", OTHER_PYTHONS)
+def test_simulate_under_other_pythons_matches_recorded_digests(golden, case_scenarios, version):
+    """The seeded draws are pure Python, so another interpreter with only the
+    sources, numpy blocked, writes every case's recorded ``events.jsonl``."""
+    python = _interpreter(version)
+    if python is None:
+        pytest.skip(f"no working Python {version} interpreter found")
+    cases = [f"{name}/{s}" for name, s in CASES]
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    argv = [python, "-c", _SIMULATE_EVERY_CASE, str(case_scenarios), str(GOLDEN_SEED), *cases]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {case: golden[case][EVENTS_FILE] for case in cases}
 
 
 if __name__ == "__main__":
