@@ -15,8 +15,8 @@ per-read verdicts from one op table, and ``build_clientcentric_report``
 and ``read_verdicts`` are its two halves. It reads the log through its op
 table (``optable``) and accepts a built table in place of the log. The
 table holds each read's returned writes as their own records, checked to
-be logged writes of the read's key, and a verdict keeps its read's own
-tuple of them. Under competing_writes it judges reads
+be logged writes of the read's key, and a verdict holds its read's own
+record. Under competing_writes it judges reads
 by dots and rejects, with MalformedLogError, a log whose vector clocks
 lack the dot shape (``optable.check_dots``).
 """
@@ -35,15 +35,10 @@ from .optable import OpRecord, check_dots, op_table
 
 
 class ReadVerdict(NamedTuple):
-    op_id: int
-    client_id: int
-    key: int
-    start_us: int
+    read: OpRecord  # the op table's own record of the read
     stale: bool
     mrc: bool
     rywc: bool
-    returned: tuple  # the read's returned writes' OpRecords, the op table's own tuple
-    warmup: bool = False
 
 
 # -- internal scans over the op table ------------------------------------------
@@ -203,20 +198,7 @@ def _verdicts(committed, writes, strat, mrc, rywc) -> list[ReadVerdict]:
     """Verdicts of the committed reads, given their MRC and RYWC op-id sets."""
     history = _commit_orders(writes, strat, _key_of)
     stale = _misses(committed, history, _key_of, strat)[0]
-    return [
-        ReadVerdict(
-            r.op_id,
-            r.client,
-            r.key,
-            r.start,
-            r.op_id in stale,
-            r.op_id in mrc,
-            r.op_id in rywc,
-            r.returned,
-            r.warmup,
-        )
-        for r in committed
-    ]
+    return [ReadVerdict(r, r.op_id in stale, r.op_id in mrc, r.op_id in rywc) for r in committed]
 
 
 def _last_unseen(writes_in_order, read_sessions, own, strat):
@@ -277,16 +259,17 @@ def clientcentric_outputs(log, strategy: str) -> tuple[dict, list[ReadVerdict]]:
     clients = {r.client for r in reads} | {w.client for w in writes_in_order}
     per_client = {cid: dict.fromkeys(_PER_CLIENT, 0) for cid in sorted(clients)}
     for v in verdicts:
+        r = v.read
         # Internal consistency: an RYWC violation is always also a stale read.
         if v.rywc and not v.stale:
-            raise MalformedLogError(f"read {v.op_id} violates RYWC but is not stale")
-        if v.warmup:
+            raise MalformedLogError(f"read {r.op_id} violates RYWC but is not stale")
+        if r.warmup:
             continue
-        stats = per_client[v.client_id]
+        stats = per_client[r.client]
         stats["reads"] += 1
         stats["stale"] += v.stale
         stats["mrc_violations"] += v.mrc
-        if v.op_id in rywc_applicable:
+        if r.op_id in rywc_applicable:
             stats["rywc_applicable"] += 1
             stats["rywc_violations"] += v.rywc
     for cid, (triples, violating) in mwc_per_client.items():

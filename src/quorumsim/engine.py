@@ -134,24 +134,6 @@ class _CompiledGraph:
             self.up_of[c] = (p, group, back.base.sampler(streams.stream(f"latency:{c}->{p}")))
 
 
-class _Op:
-    __slots__ = ("op_id", "client", "is_write", "key", "write_id", "ref", "payload", "graph", "start", "terminal", "vstate", "warmup")
-
-    def __init__(self, req, graph, ref):
-        self.op_id = req.op_id
-        self.client = req.client_id
-        self.is_write = req.kind == WRITE
-        self.key = req.key
-        self.write_id = req.write_id
-        self.ref = ref
-        self.payload = req.payload_bytes
-        self.graph = graph
-        self.start = req.issue_time
-        self.terminal = False
-        self.vstate = {}
-        self.warmup = req.warmup
-
-
 # Per-(op, vertex) traversal state list indices.
 _VS_APPLIED, _VS_NEED, _VS_RESPONDED, _VS_CONTRIBS = range(4)
 
@@ -216,7 +198,7 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout, final
         """End op at t with its one terminal event and draw its client's next request."""
         op.terminal = True
         events.append((seq(), t, op.op_id, kind, (detail,)))
-        req = next_request(op.client, t)
+        req = next_request(op.client_id, t)
         if req is not None:
             push(heap, (req.issue_time, tick(), _A_ISSUE, req, None, None))
 
@@ -224,7 +206,7 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout, final
         """Send the op from v along each outgoing edge of its graph."""
         fwd = op.graph.fwd_of[v]
         if fwd:
-            payload = op.payload
+            payload = op.payload_bytes
             for c, draw, per_byte in fwd:
                 delay = draw()
                 if per_byte:
@@ -242,20 +224,20 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout, final
         if v == graph.root:
             if op.terminal:
                 return
-            if not op.is_write:
+            if op.kind != WRITE:
                 contribs = vs[_VS_CONTRIBS]
                 refs = tuple(resolve(contribs))
                 events.append((seq(), t, op.op_id, READ_RETURN, (tuple(sorted(r for r, _ in contribs)), refs)))
                 if vclocks and refs:
-                    ctx = read_ctx[op.client].setdefault(op.key, {})
+                    ctx = read_ctx[op.client_id].setdefault(op.key, {})
                     for ref in refs:
                         for cid, cnt in ref.vclock or ():
                             if ctx.get(cid, 0) < cnt:
                                 ctx[cid] = cnt
-            finish(t, op, OP_COMMIT, t - op.start)
+            finish(t, op, OP_COMMIT, t - op.issue_time)
             return
         parent, group, ack_draw = graph.up_of[v]
-        if group is None and op.is_write:
+        if group is None and op.kind == WRITE:
             return  # an async copy imposes no obligation and sends no ack
         push(heap, (t + ack_draw(), tick(), _A_ACK, op, parent, (v, vs[_VS_CONTRIBS])))
 
@@ -264,7 +246,7 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout, final
         vs = op.vstate[v]
         vs[_VS_APPLIED] = True
         n = seq()
-        if op.is_write:
+        if op.kind == WRITE:
             events.append((n, t, op.op_id, APPLY_END, (v, op.write_id)))
             apply(store[v], op.key, op.ref, n)
             # the copy carries the applied data, so it leaves after ApplyEnd
@@ -279,11 +261,12 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout, final
     def deliver(t, op, v):
         """Arrival of the op at up replica v."""
         events.append((seq(), t, op.op_id, APPLY_START, (v,)))
-        if not op.is_write:
+        is_write = op.kind == WRITE
+        if not is_write:
             # a read query carries no data; it fans out on arrival while the
             # local serve (proc_read) proceeds in parallel
             forward(t, op, v)
-        proc = (pw_draw[v] if op.is_write else pr_draw[v])()
+        proc = (pw_draw[v] if is_write else pr_draw[v])()
         need = op.graph.need_of[v]
         op.vstate[v] = [False, dict(need) if need else None, False, []]
         if proc:
@@ -291,20 +274,21 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout, final
         else:
             apply_end(t, op, v)
 
-    def issue(t, req):
-        is_write = req.kind == WRITE
+    def issue(t, op):
+        """Run the driver's request op from t: choose its graph, stamp a write's ref."""
+        is_write = op.kind == WRITE
         graphs, cum = (rep_graphs, rep_cum) if is_write else (read_graphs, read_cum)
         graph = graphs[min(bisect_right(cum, graph_u()), len(graphs) - 1)] if graph_u else graphs[0]
-        ref = vclock = None
+        vclock = None
         if is_write:
             if vclocks:
-                ctx = read_ctx[req.client_id].setdefault(req.key, {})
-                ctx[req.client_id] = ctx.get(req.client_id, 0) + 1
+                ctx = read_ctx[op.client_id].setdefault(op.key, {})
+                ctx[op.client_id] = ctx.get(op.client_id, 0) + 1
                 vclock = tuple(sorted(ctx.items()))
-            ref = VersionRef(req.write_id, req.client_id, req.issue_time, vclock)
-
-        op = _Op(req, graph, ref)
-        events.append((seq(), t, op.op_id, OP_START, (req.client_id, req.kind, req.key, req.write_id, req.payload_bytes, req.warmup, vclock)))
+            op.ref = VersionRef(op.write_id, op.client_id, op.issue_time, vclock)
+        op.graph = graph
+        op.vstate = {}
+        events.append((seq(), t, op.op_id, OP_START, (op.client_id, op.kind, op.key, op.write_id, op.payload_bytes, op.warmup, vclock)))
         events.append((seq(), t, op.op_id, GRAPH_CHOSEN, (graph.id,)))
 
         root = graph.root

@@ -31,8 +31,9 @@ shared module constants. A structural problem, a missing, wrong-typed or
 unknown field raises MalformedLogError with the 1-based line number. A
 clock key or header graph key must be its id's canonical decimal ("7", not
 "07"), so no id is named twice, and the header's ``format`` must be 1. A
-file without a header, or a header that names no strategy, is
-MalformedLogError: the strategy and the graphs shape both stages' reports.
+file without a header, or a header that names no strategy or has no
+``graphs`` (``{}`` lists none), is MalformedLogError: the strategy and the
+graphs shape both stages' reports.
 """
 
 from __future__ import annotations
@@ -179,8 +180,10 @@ def _meta_from_json(obj, line: int) -> dict:
     if type(fmt) is not int or fmt != FORMAT_VERSION:  # so neither true nor 1.0
         raise MalformedLogError(f"run_meta header format must be {FORMAT_VERSION}, not {fmt!r}", line)
     meta = {k: v for k, v in obj.items() if k not in ("kind", "format", "graphs")}
+    if "graphs" not in obj:
+        raise MalformedLogError("run_meta header lists no graphs", line)
     try:
-        meta["graphs"] = {_int_key(gid): _graph_from_json(info) for gid, info in obj.get("graphs", {}).items()}
+        meta["graphs"] = {_int_key(gid): _graph_from_json(info) for gid, info in obj["graphs"].items()}
     except (AttributeError, TypeError, ValueError):
         raise MalformedLogError("run_meta header has a field of the wrong type", line) from None
     if "strategy" not in meta:
@@ -347,13 +350,14 @@ READ_VERDICT_HEADER = ["op_id", "client_id", "key", "start_us", "stale", "mrc", 
 
 def write_read_verdicts(verdicts, path) -> None:
     """Per-read verdict CSV (non-warmup committed reads, one row per read):
-    the bytes of ``csv.writer``, each row from one template."""
+    the bytes of ``csv.writer``, each row from one template. A row's
+    client_id is its read's client and start_us its start."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(READ_VERDICT_HEADER) + "\r\n")
         fh.writelines(
-            f"{v.op_id},{v.client_id},{v.key},{v.start_us},{'true' if v.stale else 'false'},{'true' if v.mrc else 'false'},"
-            f"{'true' if v.rywc else 'false'},{';'.join([str(w.write_id) for w in v.returned])}\r\n"
-            for v in verdicts if not v.warmup
+            f"{r.op_id},{r.client},{r.key},{r.start},{'true' if stale else 'false'},{'true' if mrc else 'false'},"
+            f"{'true' if rywc else 'false'},{';'.join([str(w.write_id) for w in r.returned])}\r\n"
+            for r, stale, mrc, rywc in verdicts if not r.warmup
         )
 
 

@@ -9,8 +9,11 @@ The field tables below, one per JSON object (``_SCENARIO`` and the objects it
 nests, down to each distribution kind), are the one definition of the format:
 each field gives its JSON name, the attribute it sets, its type, and a
 default or REQUIRED. ``scenario_from_json`` and ``scenario_to_json`` are both
-built from them. A missing field or a wrong-typed value raises
-ScenarioFormatError (CLI exit 2) naming the object and field; level-domain
+built from them. A missing field, a field its object does not define (a
+misspelling would otherwise take the default) or a wrong-typed value raises
+ScenarioFormatError (CLI exit 2) naming the object and field, and so does
+an id that names two entries: a topology edge listed twice, or a quorum
+group id that is not its canonical decimal ("00" beside "0"); level-domain
 problems raise LevelError (exit 1); value ranges are left to
 validate_scenario (exit 1).
 """
@@ -109,7 +112,7 @@ class _EdgeClass:
             return SYNC_EDGE
         if value == "async":
             return ASYNC_EDGE
-        if type(value) is dict and type(value.get("quorum")) is int:
+        if type(value) is dict and value.keys() == {"quorum"} and type(value["quorum"]) is int:
             return quorum_edge(value["quorum"])
         raise ScenarioFormatError(f"{at}: must be \"sync\", \"async\" or {{\"quorum\": integer}}, got {value!r}")
 
@@ -118,15 +121,16 @@ class _EdgeClass:
 
 
 class _Thresholds:
-    """Quorum group id -> threshold; JSON object keys are the ids as text."""
+    """Quorum group id -> threshold; JSON object keys are the ids as their
+    canonical decimal text, so no group is named twice ("0" and "00")."""
 
     def read(self, value, at, up):
-        if type(value) is dict and all(type(q) is int for q in value.values()):
-            try:
+        try:
+            if type(value) is dict and all(type(q) is int and str(int(group)) == group for group, q in value.items()):
                 return {int(group): q for group, q in value.items()}
-            except ValueError:
-                pass
-        raise ScenarioFormatError(f"{at}: must map integer group ids to integers, got {value!r}")
+        except ValueError:
+            pass
+        raise ScenarioFormatError(f"{at}: must map integer group ids, in canonical decimal, to integers, got {value!r}")
 
     def write(self, value):
         return {str(group): q for group, q in sorted(value.items())}
@@ -171,6 +175,10 @@ class _Object(NamedTuple):
                 got[f.attr] = None if f.default is None else f.type.read(f.default, f"{where} {f.json}", where)
             if self.key and f.attr == self.key[-1]:
                 where += " " + "->".join(str(got[k]) for k in self.key)
+        known = [f.json for f in self.fields]
+        for name in value:
+            if name not in known:
+                raise ScenarioFormatError(f"{where} {name}: unknown field; expected one of {', '.join(known)}")
         return self.build(**got)
 
     def write(self, value) -> dict:
@@ -194,7 +202,8 @@ class _Kinds(NamedTuple):
             raise ScenarioFormatError(f"{at}: must be an object with a string 'kind', got {value!r}")
         if kind not in self.kinds:
             raise ScenarioFormatError(f"{at}: unknown kind {kind!r}; expected one of {', '.join(self.kinds)}")
-        return self.kinds[kind].read(value, f"{at}: {kind}", up)
+        rest = {name: v for name, v in value.items() if name != "kind"}
+        return self.kinds[kind].read(rest, f"{at}: {kind}", up)
 
     def write(self, value) -> dict:
         kind = next(k for k, table in self.kinds.items() if table.build is type(value))
@@ -236,11 +245,20 @@ _EDGE = _Object("edge", (
     _Field("per_byte_us", "per_byte_us", _REAL, 0.0),
 ), _Edge, key=("src", "dst"))
 
+
+def _topology(replicas, edges) -> ReplicaGraph:
+    models = {}
+    for e in edges:
+        if (e.src, e.dst) in models:
+            raise ScenarioFormatError(f"topology edges: edge {e.src}->{e.dst} is listed twice")
+        models[(e.src, e.dst)] = LatencyModel(e.base, e.per_byte_us)
+    return ReplicaGraph(replicas, models)
+
+
 _TOPOLOGY = _Object("topology", (
     _Field("replicas", "replicas", _List(_REPLICA)),
     _Field("edges", "edges", _List(_EDGE), []),
-), lambda replicas, edges: ReplicaGraph(replicas, {(e.src, e.dst): LatencyModel(e.base, e.per_byte_us) for e in edges}),
-    view=lambda g: SimpleNamespace(replicas=g.replicas, edges=[_Edge(*k, m.base, m.per_byte_us) for k, m in sorted(g.edges.items())]))
+), _topology, view=lambda g: SimpleNamespace(replicas=g.replicas, edges=[_Edge(*k, m.base, m.per_byte_us) for k, m in sorted(g.edges.items())]))
 
 _GraphEdge = namedtuple("_GraphEdge", "parent child cls")
 

@@ -72,6 +72,9 @@ class WorkloadSpec:
             if ov.think_time is not None:
                 for p in ov.think_time.problems():
                     out.append(f"override think_time: {p}")
+        ids = [ov.client_id for ov in self.overrides]
+        for cid in sorted({c for c in ids if ids.count(c) > 1}):
+            out.append(f"overrides name client {cid} more than once")
         return out
 
 
@@ -85,6 +88,11 @@ class Request:
     payload_bytes: int
     write_id: int | None = None
     warmup: bool = False
+    # The engine runs the request as its op and sets these when it issues it.
+    graph: object = None  # the cooperation graph it travels, compiled for the run
+    ref: object = None  # a write's VersionRef
+    terminal: bool = False  # its commit or failure is logged
+    vstate: dict | None = None  # vertex -> its traversal state
 
 
 @dataclass

@@ -71,7 +71,7 @@ def stage3_findings(log, strategy) -> dict:
     brute-force form.
     """
     report, verdicts = clientcentric_outputs(log, strategy)
-    findings = {name: {v.op_id for v in verdicts if getattr(v, name)} for name in ("stale", "mrc", "rywc")}
+    findings = {name: {v.read.op_id for v in verdicts if getattr(v, name)} for name in ("stale", "mrc", "rywc")}
     for name in ("mwc", "wfrc"):
         counts = {int(cid): stats[f"{name}_violations"] for cid, stats in report["per_client"].items()}
         findings[name] = {cid: n for cid, n in counts.items() if n}

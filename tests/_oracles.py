@@ -618,10 +618,10 @@ def reference_op_table_csv(records) -> bytes:
 def reference_read_verdicts_csv(verdicts) -> bytes:
     """read_verdicts.csv of verdicts as csv.writer writes it: one row per non-warmup read."""
     rows = (
-        [v.op_id, v.client_id, v.key, v.start_us, str(v.stale).lower(), str(v.mrc).lower(), str(v.rywc).lower(),
-         ";".join(str(w.write_id) for w in v.returned)]
+        [v.read.op_id, v.read.client, v.read.key, v.read.start, str(v.stale).lower(), str(v.mrc).lower(), str(v.rywc).lower(),
+         ";".join(str(w.write_id) for w in v.read.returned)]
         for v in verdicts
-        if not v.warmup
+        if not v.read.warmup
     )
     return _csv_bytes(READ_VERDICT_HEADER, rows)
 

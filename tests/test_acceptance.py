@@ -137,11 +137,11 @@ def test_criterion_03_staleness_positive_control():
     # hand enumeration: write k commits at k*100000 and lands on the read
     # replica at k*100000 + 50000; reads start on the 10 ms grid
     expected = {
-        v.op_id
+        v.read.op_id
         for v in verdicts
-        if any(100_000 * k <= v.start_us < 100_000 * k + 50_000 for k in range(1, 9))
+        if any(100_000 * k <= v.read.start < 100_000 * k + 50_000 for k in range(1, 9))
     }
-    got = {v.op_id for v in verdicts if v.stale}
+    got = {v.read.op_id for v in verdicts if v.stale}
     ok = got == expected and len(verdicts) == 100
     _report(3, "W=1/R=1 50ms propagation: stale reads equal the [commit, apply) windows", ok, f"stale={len(got)} expected={len(expected)}")
 

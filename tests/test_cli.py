@@ -525,7 +525,7 @@ def test_distribution_whose_largest_draw_overflows_is_invalid(scenario_file, tmp
         shutil.rmtree(out, ignore_errors=True)
 
 
-# -- the scenario reader meets wrong-typed fields -----------------------------------------
+# -- the scenario reader meets wrong-typed and unknown fields --------------------------
 
 def _preset_doc(name):
     return json.loads((resources.files("quorumsim") / "presets" / f"{name}.json").read_text(encoding="utf-8"))
@@ -575,6 +575,25 @@ WRONG_TYPED_FIELDS = [
     ("level", ("consistency", "rf"), "3", "consistency rf:"),
     ("level", ("consistency", "coordinator"), "0", "consistency coordinator:"),
     ("graphs", (*G0, "root"), "0", "graph 0 root:"),
+    # a field that its object does not define, one row per nesting level
+    ("level", ("op_timout_us",), 5, "scenario op_timout_us:"),
+    ("level", ("meta", "nme"), "x", "meta nme:"),
+    ("level", ("topology", "replica"), [], "topology replica:"),
+    ("level", ("topology", "replicas", 0, "dc"), "dc1", "replica 0 dc:"),
+    ("level", ("topology", "replicas", 0, "proc_write", "mean_us"), 1, "replica 0 proc_write: constant mean_us:"),
+    ("level", ("topology", "edges", 0, "per_byte"), 0.0, "edge 0->1 per_byte:"),
+    ("level", ("consistency", "w"), "ONE", "consistency w:"),
+    ("level", ("workload", "warmup_op"), 50, "workload warmup_op:"),
+    ("level", ("workload", "keys", "s"), 1.0, "workload keys: uniform s:"),
+    ("level", ("workload", "overrides"), [{"client_id": 0, "read_rate": 1.0}], "workload override 0 read_rate:"),
+    ("level", ("failures",), [{"replica": 0, "at_us": 1, "kind": "crash_stop", "down_for": 5}], "failure down_for:"),
+    ("graphs", ("cooperation", "graphs"), [], "cooperation graphs:"),
+    ("graphs", (*G0, "weigth"), 1, "graph 0 weigth:"),
+    ("graphs", (*G0, "edges", 0, "cls"), "async", "graph 0 edge 0->1 cls:"),
+    ("graphs", (*G0, "edges", 0, "class"), {"quorum": 0, "size": 2}, "graph 0 edge 0->1 class:"),
+    # an id that names two entries
+    ("level", ("topology", "edges", 1), {"src": 0, "dst": 1, "base": {"kind": "constant", "value_us": 1}}, "topology edges:"),
+    ("graphs", (*G0, "quorum_thresholds"), {"0": 1, "00": 2}, "graph 0 quorum_thresholds:"),
 ]
 
 

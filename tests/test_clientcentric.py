@@ -122,11 +122,11 @@ def test_staleness_positive_control_matches_hand_enumeration():
     _, verdicts = clientcentric_outputs(log, LWW_TIMESTAMP)
     assert len(verdicts) == 100
     expected_stale = {
-        v.op_id
+        v.read.op_id
         for v in verdicts
-        if any(100_000 * k <= v.start_us < 100_000 * k + 50_000 for k in range(1, 9))
+        if any(100_000 * k <= v.read.start < 100_000 * k + 50_000 for k in range(1, 9))
     }
-    got_stale = {v.op_id for v in verdicts if v.stale}
+    got_stale = {v.read.op_id for v in verdicts if v.stale}
     assert got_stale == expected_stale
     assert len(got_stale) == 40  # five stale reads per write window
 
@@ -319,7 +319,7 @@ def test_detectors_agree_with_oracles_on_engine_logs(strategy):
         # a read's returned writes, in its record and its verdict, are the
         # table's own records of those writes
         records = {op.write_id: op for op in table.ops if op.kind == WRITE}
-        for r in [*table.ops, *clientcentric_outputs(table, strategy)[1]]:
+        for r in [*table.ops, *(v.read for v in clientcentric_outputs(table, strategy)[1])]:
             assert all(w is records[w.write_id] for w in r.returned)
             returned += len(r.returned)
     assert returned

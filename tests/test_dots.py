@@ -56,9 +56,9 @@ def _matches_the_oracles(events, report, verdicts):
     """Do stage 3's outputs on events equal the brute-force detectors'?"""
     counts = oracle_report_counts(events, COMPETING_WRITES)
     return (
-        {v.op_id for v in verdicts if v.stale} == oracle_stale(events, COMPETING_WRITES)
-        and {v.op_id for v in verdicts if v.mrc} == oracle_mrc(events, COMPETING_WRITES)
-        and {v.op_id for v in verdicts if v.rywc} == oracle_rywc(events, COMPETING_WRITES)
+        {v.read.op_id for v in verdicts if v.stale} == oracle_stale(events, COMPETING_WRITES)
+        and {v.read.op_id for v in verdicts if v.mrc} == oracle_mrc(events, COMPETING_WRITES)
+        and {v.read.op_id for v in verdicts if v.rywc} == oracle_rywc(events, COMPETING_WRITES)
         and all(report[field] == counts[field] for field in ("violations", "denominators", "per_client"))
         and report["writes"] == oracle_last_unseen(events, COMPETING_WRITES)
     )

@@ -11,6 +11,7 @@ from _randgen import random_scenario
 import quorumsim as qs
 from quorumsim import engine
 from quorumsim.logio import write_events
+from quorumsim.workload import Request
 from quorumsim import (
     ASYNC_EDGE,
     CRASH_RECOVERY,
@@ -724,7 +725,8 @@ def _live_ops_at_chunk_boundaries(failures, op_timeout, strategy):
         for chunk in chunks:
             now = chunk[-1][1]
             del chunk
-            seen.append((now, sum(type(o) is engine._Op for o in gc.get_objects())))
+            # an issued request is the engine's op; one still waiting to issue has no graph
+            seen.append((now, sum(type(o) is Request and o.graph is not None for o in gc.get_objects())))
     assert len(seen) >= 5  # the run spans several chunks
     return seen
 

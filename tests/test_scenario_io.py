@@ -191,8 +191,8 @@ def test_load_scenario_bad_json(tmp_path):
 
 # -- events file round trips ----------------------------------------------------------
 
-# the least header the reader accepts: its format and a strategy
-HEADER = {"kind": "run_meta", "format": 1, "strategy": LWW_TIMESTAMP}
+# the least header the reader accepts: its format, a strategy and its graphs (none)
+HEADER = {"kind": "run_meta", "format": 1, "strategy": LWW_TIMESTAMP, "graphs": {}}
 
 
 def sample_log():
@@ -411,7 +411,7 @@ def _mutated_header(obj: dict, rng: random.Random) -> dict:
 def test_every_header_the_reader_accepts_is_the_header_its_meta_writes(tmp_path):
     """Mutated run_meta headers of engine logs: each is read or is
     MALFORMED_LOG on line 1, and the meta of one that is read, written back,
-    decodes to the same JSON object (a header without graphs has none)."""
+    decodes to the same JSON object."""
     rng = random.Random(20261021)
     path = tmp_path / "events.jsonl"
     outcomes = {"read": 0, "rejected": 0}
@@ -425,7 +425,7 @@ def test_every_header_the_reader_accepts_is_the_header_its_meta_writes(tmp_path)
                 assert e.line == 1, obj
                 outcomes["rejected"] += 1
                 continue
-            assert json.loads(json.dumps(_meta_to_json(meta))) == {"graphs": {}, **obj}
+            assert json.loads(json.dumps(_meta_to_json(meta))) == obj
             outcomes["read"] += 1
     assert min(outcomes.values()) > 0, outcomes
 
@@ -510,7 +510,7 @@ def test_reader_skips_blank_lines_and_accepts_any_json_formatting(tmp_path):
     log = sample_log()
     path = tmp_path / "events.jsonl"
     with open(path, "w") as fh:
-        fh.write(json.dumps({**HEADER, "graphs": {}}) + "\n\n")
+        fh.write(json.dumps(HEADER) + "\n\n")
         for ev in log.events:
             fh.write("  " + json.dumps(reference_event_json(ev), sort_keys=True, separators=(" , ", " : ")) + "\t\n\n")
     assert read_events(path).events == log.events
@@ -608,10 +608,11 @@ def test_missing_field_reports_line(tmp_path):
         assert e.value.line == 2, bad
     # run_meta graphs not an object, keyed by a non-integer or by a second
     # spelling of one, an entry not an object, or vertices not a list of
-    # integers; a strategy that is not one, or none; a format that is not the integer 1
+    # integers, or no graphs at all; a strategy that is not one, or none; a
+    # format that is not the integer 1
     bad_graphs = ([], {"x": {}}, {"0": [1]}, {"0": {"vertices": 5}}, {"0": {"vertices": ["1"]}},
                   {"0": {}, "00": {"vertices": [0]}}, {"+0": {}}, {" 0": {}}, {"0_0": {}})
-    bad_headers = [{**HEADER, "graphs": graphs} for graphs in bad_graphs]
+    bad_headers = [{**HEADER, "graphs": graphs} for graphs in bad_graphs] + [{k: v for k, v in HEADER.items() if k != "graphs"}]
     bad_headers += [{**HEADER, "strategy": strategy} for strategy in ("bogus", None, ["lww_timestamp"])] + [{"kind": "run_meta", "format": 1}]
     bad_headers += [{**HEADER, "format": fmt} for fmt in (99, "one", True, 1.0, "1", None)] + [{"kind": "run_meta"}]
     for bad in bad_headers:
@@ -638,9 +639,9 @@ def test_csv_writers_equal_csv_writer_on_the_fields_it_quotes(tmp_path):
     assert (tmp_path / "ops.csv").read_bytes() == reference_op_table_csv(records)
     writes = tuple(OpRecord(n, write_id=w) for n, w in enumerate((3, 10, 0)))
     verdicts = [
-        ReadVerdict(11, 0, 7, 10, True, False, True, ()),
-        ReadVerdict(12, 1, 8, 20, False, True, False, writes),
-        ReadVerdict(13, 2, 9, 30, False, False, False, writes[:1], warmup=True),
+        ReadVerdict(OpRecord(11, client=0, key=7, start=10), True, False, True),
+        ReadVerdict(OpRecord(12, client=1, key=8, start=20, returned=writes), False, True, False),
+        ReadVerdict(OpRecord(13, client=2, key=9, start=30, returned=writes[:1], warmup=True), False, False, False),
     ]
     write_read_verdicts(verdicts, tmp_path / "read_verdicts.csv")
     assert (tmp_path / "read_verdicts.csv").read_bytes() == reference_read_verdicts_csv(verdicts)

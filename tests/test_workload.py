@@ -137,4 +137,6 @@ def test_workload_problem_reporting():
     assert simple_workload(1, 5, read_ratio=-0.1).problems()
     bad_override = simple_workload(1, 5, overrides=[ClientOverride(5)])
     assert bad_override.problems()
+    twice = simple_workload(2, 5, overrides=[ClientOverride(1, read_ratio=0.0), ClientOverride(0), ClientOverride(1, read_ratio=1.0)])
+    assert twice.problems() == ["overrides name client 1 more than once"]
     assert not simple_workload(2, 5).problems()
