@@ -3,7 +3,7 @@
 Run:  python demos/quorum_arithmetic.py
 """
 
-from quorumsim import ALL, LOCAL_ONE, LOCAL_QUORUM, ONE, QUORUM, QuorumSpec, THREE, TWO, is_immediately_consistent, required_acks
+from quorumsim import ALL, LOCAL_ONE, LOCAL_QUORUM, ONE, QUORUM, THREE, TWO, is_immediately_consistent, required_acks
 
 print("Required acknowledgments per level (single datacenter):")
 print(f"{'level':>14} " + " ".join(f"rf={rf}" for rf in (1, 3, 5)))
@@ -24,7 +24,7 @@ rf = 3
 for write_cl, read_cl in [(ALL, ONE), (ONE, ALL), (QUORUM, QUORUM), (ONE, ONE), (QUORUM, ONE)]:
     w = required_acks(write_cl, rf)
     r = required_acks(read_cl, rf)
-    verdict = "IMMEDIATE" if is_immediately_consistent(QuorumSpec(w, r, rf)) else "EVENTUAL"
+    verdict = "IMMEDIATE" if is_immediately_consistent(w, r, rf) else "EVENTUAL"
     print(f"{write_cl:>14} {read_cl:>14} {w:>3} {r:>3} {rf:>3}  {verdict}")
 
 print("\nLocal variants count only the coordinator datacenter's replicas:")
@@ -33,6 +33,6 @@ for level in (LOCAL_ONE, LOCAL_QUORUM):
     print(f"  {level}: {required_acks(level, 6, dc, 'NY')} ack(s) out of NY's 3 replicas (cluster rf=6)")
 w = required_acks(LOCAL_QUORUM, 6, dc, "NY")
 r = required_acks(LOCAL_QUORUM, 6, dc, "NY")
-verdict = "IMMEDIATE" if is_immediately_consistent(QuorumSpec(w, r, 6)) else "EVENTUAL"
+verdict = "IMMEDIATE" if is_immediately_consistent(w, r, 6) else "EVENTUAL"
 print(f"  LOCAL_QUORUM/LOCAL_QUORUM across the whole 6-replica cluster: {verdict}")
 print("  (local quorums guarantee intersection inside one datacenter, not globally)")

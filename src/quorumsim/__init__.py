@@ -22,7 +22,7 @@ _EXPORTS = {
     "levels": "ALL LOCAL_ONE LOCAL_QUORUM ONE QUORUM THREE TWO"
     " build_cooperation_model is_immediately_consistent parse_level required_acks",
     "model": "ASYNC_EDGE CRASH_RECOVERY CRASH_STOP READING REPLICATION SYNC_EDGE CooperationGraph CooperationModel"
-    " EdgeClass FailureEvent LatencyModel QuorumSpec Replica ReplicaGraph ValidationReport Violation"
+    " EdgeClass FailureEvent LatencyModel Replica ReplicaGraph ValidationReport Violation"
     " quorum_edge validate_scenario",
     "optable": "OpRecord OpTable op_table",
     "scenario": "Scenario load_scenario scenario_from_json scenario_to_json",

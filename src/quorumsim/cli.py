@@ -281,7 +281,6 @@ def _parse_dc_counts(text: str | None, rf: int) -> dict[str, int] | None:
 
 def cmd_quorum_check(args) -> int:
     from .levels import is_immediately_consistent, parse_level, required_acks
-    from .model import QuorumSpec
 
     write_cl = parse_level(args.write_cl)
     read_cl = parse_level(args.read_cl)
@@ -291,7 +290,7 @@ def cmd_quorum_check(args) -> int:
         coordinator_dc = next(iter(dc_counts))
     w = required_acks(write_cl, args.rf, dc_counts, coordinator_dc)
     r = required_acks(read_cl, args.rf, dc_counts, coordinator_dc)
-    verdict = "IMMEDIATE" if is_immediately_consistent(QuorumSpec(w, r, args.rf)) else "EVENTUAL"
+    verdict = "IMMEDIATE" if is_immediately_consistent(w, r, args.rf) else "EVENTUAL"
     print(f"W={w} R={r} RF={args.rf} {verdict}")
     if write_cl == "ALL" and read_cl == "ALL":
         print("note: ALL/ALL is redundant; pair ALL with ONE (or ONE with ALL) instead")

@@ -4,7 +4,8 @@
 included) that must acknowledge an operation; ``is_immediately_consistent``
 is the W + R > RF test; ``build_cooperation_model`` turns (placement,
 coordinator, write level, read level) into a one-level star cooperation
-model whose quorum thresholds realize those ack counts.
+model whose quorum thresholds realize those ack counts. Both stars follow
+one rule, and a reading star keeps only the edges a read waits on.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .model import (
     SYNC_EDGE,
     CooperationGraph,
     CooperationModel,
-    QuorumSpec,
     ReplicaGraph,
     quorum_edge,
 )
@@ -38,6 +38,8 @@ UNSUPPORTED_LEVELS = ("ANY", "SERIAL", "LOCAL_SERIAL", "EACH_QUORUM")
 
 LOCAL_LEVELS = (LOCAL_ONE, LOCAL_QUORUM)
 
+_FIXED_ACKS = {ONE: 1, TWO: 2, THREE: 3}
+
 
 def parse_level(text: str) -> str:
     name = text.strip().upper()
@@ -57,16 +59,11 @@ def required_acks(
     """Number of acknowledging replicas (the coordinator counts as one of them)."""
     if rf < 1:
         raise LevelError("LEVEL_UNSATISFIABLE", f"replication factor {rf} < 1")
-    if level == ONE:
-        return 1
-    if level == TWO:
-        if rf < 2:
-            raise LevelError("LEVEL_UNSATISFIABLE", f"TWO requires rf >= 2, got {rf}")
-        return 2
-    if level == THREE:
-        if rf < 3:
-            raise LevelError("LEVEL_UNSATISFIABLE", f"THREE requires rf >= 3, got {rf}")
-        return 3
+    if level in _FIXED_ACKS:
+        n = _FIXED_ACKS[level]
+        if rf < n:
+            raise LevelError("LEVEL_UNSATISFIABLE", f"{level} requires rf >= {n}, got {rf}")
+        return n
     if level == QUORUM:
         return rf // 2 + 1
     if level == ALL:
@@ -81,30 +78,31 @@ def required_acks(
     raise LevelError("UNSUPPORTED_LEVEL", f"unknown consistency level {level!r}")
 
 
-def is_immediately_consistent(q: QuorumSpec) -> bool:
+def is_immediately_consistent(write_acks: int, read_acks: int, rf: int) -> bool:
     """True iff every read set intersects every write set: W + R > RF."""
-    return q.write_acks + q.read_acks > q.replication_factor
+    return write_acks + read_acks > rf
 
 
-def _star_edges(others: list[int], local: set[int], acks: int, level: str):
-    """Edges for one star graph. The coordinator's own apply is the first ack,
-    so the group threshold is acks - 1, counted over the edges eligible for
-    the level (all of them, or only same-datacenter ones for LOCAL levels)."""
-    eligible = [v for v in others if v in local] if level in LOCAL_LEVELS else list(others)
-    rest = [v for v in others if v not in eligible]
-    q = acks - 1
-    if q == 0:
-        classes = {v: ASYNC_EDGE for v in others}
-        thresholds = {}
-    elif q == len(eligible):
-        classes = {v: SYNC_EDGE for v in eligible}
-        classes.update({v: ASYNC_EDGE for v in rest})
-        thresholds = {}
+def _star(graph_id: int, kind: str, coordinator: int, level: str, placement: list[int], dc_of: dict) -> CooperationGraph:
+    """The level's star of one kind at the coordinator, weight 1.
+
+    The coordinator's apply is the first ack, so the edges the level counts (to
+    every other replica, or to those in its datacenter under a LOCAL level) wait
+    for acks - 1 acks: none (async), all (sync) or a quorum group. Other edges
+    are async, and a reading star drops its async edges."""
+    home = dc_of[coordinator]
+    counted = [v for v in placement if level not in LOCAL_LEVELS or dc_of[v] == home]  # the coordinator included
+    waits = required_acks(level, len(placement), {home: len(counted)}, home) - 1
+    if waits == 0:
+        cls, thresholds = ASYNC_EDGE, {}
+    elif waits == len(counted) - 1:
+        cls, thresholds = SYNC_EDGE, {}
     else:
-        classes = {v: quorum_edge(0) for v in eligible}
-        classes.update({v: ASYNC_EDGE for v in rest})
-        thresholds = {0: q}
-    return classes, thresholds
+        cls, thresholds = quorum_edge(0), {0: waits}
+    edges = [(coordinator, v, cls if v in counted else ASYNC_EDGE) for v in placement if v != coordinator]
+    if kind == READING:
+        edges = [e for e in edges if e[2] != ASYNC_EDGE]
+    return CooperationGraph(graph_id, kind, coordinator, edges, thresholds, 1.0)
 
 
 def build_cooperation_model(
@@ -114,50 +112,24 @@ def build_cooperation_model(
     write_cl: str,
     read_cl: str,
 ) -> CooperationModel:
-    """One replication star and one reading star over the placement, weights 1.
+    """One replication star (graph 0) and one reading star (graph 1) over the
+    placement, both rooted at the coordinator.
 
-    The replication graph always fans out to every other placement member
-    (writes propagate regardless of the level); the reading graph contacts
-    other replicas only when the read level needs more than the coordinator.
+    Writes propagate to every other placement member whatever the level; a
+    reading star keeps only the edges a read waits on.
     """
     if coordinator not in placement:
         raise LevelError("LEVEL_UNSATISFIABLE", f"coordinator {coordinator} is not in the placement")
     if len(set(placement)) != len(placement):
         raise LevelError("LEVEL_UNSATISFIABLE", "placement lists a replica twice")
-    rf = len(placement)
-    by_id = {r.id: r for r in topology.replicas}
-    try:
-        coordinator_dc = by_id[coordinator].datacenter
-        dc_counts: dict[str, int] = {}
-        for rid in placement:
-            dc_counts[by_id[rid].datacenter] = dc_counts.get(by_id[rid].datacenter, 0) + 1
-    except KeyError as e:
-        raise LevelError("LEVEL_UNSATISFIABLE", f"placement names unknown replica {e.args[0]}") from None
-
-    others = [rid for rid in placement if rid != coordinator]
-    for rid in others:
-        if (coordinator, rid) not in topology.edges:
+    dc_of = {r.id: r.datacenter for r in topology.replicas}
+    unknown = [rid for rid in (coordinator, *placement) if rid not in dc_of]  # an unknown coordinator is named first
+    if unknown:
+        raise LevelError("LEVEL_UNSATISFIABLE", f"placement names unknown replica {unknown[0]}")
+    for rid in placement:
+        if rid != coordinator and (coordinator, rid) not in topology.edges:
             raise LevelError("MISSING_EDGE", f"topology lacks edge {coordinator}->{rid}")
-    local = {rid for rid in placement if by_id[rid].datacenter == coordinator_dc}
-
-    w_acks = required_acks(write_cl, rf, dc_counts, coordinator_dc)
-    r_acks = required_acks(read_cl, rf, dc_counts, coordinator_dc)
-
-    w_classes, w_thresholds = _star_edges(others, local, w_acks, write_cl)
-    replication = CooperationGraph(
-        0, REPLICATION, coordinator,
-        [(coordinator, v, w_classes[v]) for v in others],
-        w_thresholds, 1.0,
+    return CooperationModel(
+        [_star(0, REPLICATION, coordinator, write_cl, placement, dc_of)],
+        [_star(1, READING, coordinator, read_cl, placement, dc_of)],
     )
-
-    if r_acks == 1:
-        reading = CooperationGraph(1, READING, coordinator, [], {}, 1.0)
-    else:
-        r_others = [v for v in others if v in local] if read_cl in LOCAL_LEVELS else others
-        r_classes, r_thresholds = _star_edges(r_others, local, r_acks, read_cl)
-        reading = CooperationGraph(
-            1, READING, coordinator,
-            [(coordinator, v, r_classes[v]) for v in r_others],
-            r_thresholds, 1.0,
-        )
-    return CooperationModel([replication], [reading])

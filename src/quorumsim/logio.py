@@ -286,40 +286,45 @@ def iter_events(path, meta: dict):
     """
     refs: dict = {}  # a returned ref's fields -> its VersionRef
     header_line = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip(" \t\r\n")  # JSON's whitespace, not str.strip's
-            if not line:
-                continue
-            try:
-                obj, end = _scan(line, 0)
-            except (json.JSONDecodeError, StopIteration, RecursionError):  # the last: nested too deep
-                end = -1
-            if end != len(line):
-                raise MalformedLogError("line is not valid JSON", line_no)
-            if type(obj) is not dict or "kind" not in obj:
-                raise MalformedLogError("line is not an event object", line_no)
-            kind = obj["kind"]
-            if kind == "run_meta":
-                if header_line is not None:
-                    raise MalformedLogError(f"second run_meta header (the first is on line {header_line})", line_no)
-                header_line = line_no
-                meta.update(_meta_from_json(obj, line_no))
-                continue
-            try:
-                seq, t, op_id = obj["seq"], obj["time_us"], obj["op_id"]
-                if not (type(seq) is type(t) is int and (op_id is None or type(op_id) is int)):
-                    raise MalformedLogError("event seq and time_us must be integers, op_id an integer or null", line_no)
-                entry = _DECODERS.get(kind) if type(kind) is str else None
-                if entry is None:
-                    raise MalformedLogError(f"unknown event kind {kind!r}", line_no)
-                kind, decode = entry
-                event = (seq, t, op_id, kind, decode(obj, refs, line_no))
-            except KeyError as e:
-                raise MalformedLogError(f"event is missing field {e.args[0]!r}", line_no) from None
-            except (AttributeError, TypeError, ValueError):
-                raise MalformedLogError("event has a field of the wrong type", line_no) from None
-            yield event
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip(" \t\r\n")  # JSON's whitespace, not str.strip's
+                if not line:
+                    continue
+                try:
+                    obj, end = _scan(line, 0)
+                except (ValueError, StopIteration, RecursionError):  # JSONDecodeError, an integer too long, nested too deep
+                    end = -1
+                if end != len(line):
+                    raise MalformedLogError("line is not valid JSON", line_no)
+                if type(obj) is not dict or "kind" not in obj:
+                    raise MalformedLogError("line is not an event object", line_no)
+                kind = obj["kind"]
+                if kind == "run_meta":
+                    if header_line is not None:
+                        raise MalformedLogError(f"second run_meta header (the first is on line {header_line})", line_no)
+                    header_line = line_no
+                    meta.update(_meta_from_json(obj, line_no))
+                    continue
+                try:
+                    seq, t, op_id = obj["seq"], obj["time_us"], obj["op_id"]
+                    if not (type(seq) is type(t) is int and (op_id is None or type(op_id) is int)):
+                        raise MalformedLogError("event seq and time_us must be integers, op_id an integer or null", line_no)
+                    entry = _DECODERS.get(kind) if type(kind) is str else None
+                    if entry is None:
+                        raise MalformedLogError(f"unknown event kind {kind!r}", line_no)
+                    kind, decode = entry
+                    event = (seq, t, op_id, kind, decode(obj, refs, line_no))
+                except KeyError as e:
+                    raise MalformedLogError(f"event is missing field {e.args[0]!r}", line_no) from None
+                except (AttributeError, TypeError, ValueError):
+                    raise MalformedLogError("event has a field of the wrong type", line_no) from None
+                yield event
+    except UnicodeDecodeError:  # the bad line is looked for on this path only, so a valid file pays no check per line
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:  # a byte not UTF-8 -> U+DC80-U+DCFF
+            line_no = next((n for n, line in enumerate(fh, start=1) if any("\udc80" <= c <= "\udcff" for c in line)), None)
+        raise MalformedLogError("line is not UTF-8", line_no) from None
     if header_line is None:
         raise MalformedLogError("events file has no run_meta header")
 

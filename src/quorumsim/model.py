@@ -139,13 +139,6 @@ class FailureEvent:
     down_for: Span = 0
 
 
-@dataclass(frozen=True)
-class QuorumSpec:
-    write_acks: int
-    read_acks: int
-    replication_factor: int
-
-
 WEIGHT_TOLERANCE = 1e-9
 
 

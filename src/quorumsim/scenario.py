@@ -364,7 +364,7 @@ def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # JSONDecodeError, not UTF-8, an integer too long, nested too deep
             raise ScenarioFormatError(f"invalid JSON: {e}") from None
     return scenario_from_json(doc)
 

@@ -297,7 +297,7 @@ class _CompetingWrites(_Strategy):
         kv[key] = _add_head(kv.get(key) or (), ref)
 
     def snapshot(self, state):
-        return state, tuple(sorted(r.write_id for r in state))
+        return state, tuple([r.write_id for r in state])  # _add_head keeps the heads in write-id order
 
     def resolve(self, contribs):
         if not contribs:

@@ -25,7 +25,6 @@ from quorumsim import (
     CooperationModel,
     FailureEvent,
     LatencyModel,
-    QuorumSpec,
     ReplicaGraph,
     build_datacentric_report,
     clientcentric_outputs,
@@ -281,7 +280,7 @@ def test_criterion_06b_crash_recovery_commit_time():
 
 def test_criterion_07_quorum_arithmetic():
     exhaustive = all(
-        is_immediately_consistent(QuorumSpec(w, r, rf)) == (w + r > rf)
+        is_immediately_consistent(w, r, rf) == (w + r > rf)
         for rf in range(1, 6)
         for w in range(1, rf + 1)
         for r in range(1, rf + 1)

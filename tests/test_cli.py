@@ -156,6 +156,30 @@ def test_analyze_malformed_log(tmp_path, capsys):
     assert "MALFORMED_LOG" in capsys.readouterr().err
 
 
+# an events line that json reads into no object: (which line, how its bytes change, the reader's message);
+# the middle line is an event past the reader's first chunks
+UNREADABLE_LOG_LINES = {
+    "header_not_utf8": ("header", lambda line: line.replace(b'"kind":"', b'"kind":"\xff', 1), "line is not UTF-8"),
+    "event_not_utf8": ("middle", lambda line: line.replace(b'"kind":"', b'"kind":"\xff', 1), "line is not UTF-8"),
+    "integer_too_long": ("middle", lambda line: line.replace(b'"time_us":', b'"time_us":' + b"9" * 5_000, 1), "line is not valid JSON"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_LOG_LINES))
+def test_an_unreadable_log_line_is_malformed_log_naming_it(scenario_file, tmp_path, capsys, case):
+    run_dir = tmp_path / "run"
+    assert main(["run", str(scenario_file), "--out", str(run_dir), "--stages", "1", "--quiet"]) == 0
+    lines = (run_dir / "events.jsonl").read_bytes().splitlines()
+    where, change, message = UNREADABLE_LOG_LINES[case]
+    index = {"header": 0, "middle": len(lines) // 2}[where]
+    bad = change(lines[index])
+    assert bad != lines[index]
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b"\n".join([*lines[:index], bad, *lines[index + 1:]]) + b"\n")
+    assert main(["analyze", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"MALFORMED_LOG: {message} (line {index + 1})\n"
+
+
 def test_run_and_analyze_build_the_op_table_once(scenario_file, tmp_path, monkeypatch):
     built = []
 
@@ -606,6 +630,27 @@ def test_wrong_typed_field_is_one_error_line(tmp_path, capsys, base, path, value
         assert main(argv) == 2, argv[0]
         err = capsys.readouterr().err
         assert err.startswith(f"error: {where} ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+
+# a scenario file that json reads into no document: how its bytes change from the preset's
+UNREADABLE_SCENARIOS = {
+    "not_utf8": lambda text: text.replace(b'"name": "', b'"name": "\xff', 1),
+    "nested_too_deep": lambda text: text[:-1] + b', "x": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    "integer_too_long": lambda text: text.replace(b'"seed": ', b'"seed": ' + b"9" * 5_000, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_SCENARIOS))
+def test_an_unreadable_scenario_file_is_one_error_line(tmp_path, capsys, case):
+    text = json.dumps(_preset_doc("one_uniform")).encode()
+    scenario, out = tmp_path / "bad.json", tmp_path / "out"
+    scenario.write_bytes(UNREADABLE_SCENARIOS[case](text))
+    assert scenario.read_bytes() != text
+    for argv in (["validate", str(scenario)], ["run", str(scenario), "--out", str(out), "--quiet"]):
+        assert main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1, err
         assert not out.exists()
 
 

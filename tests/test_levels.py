@@ -1,3 +1,6 @@
+import itertools
+from collections import Counter
+
 import pytest
 
 from _builders import mesh_topology
@@ -9,7 +12,6 @@ from quorumsim import (
     LevelError,
     ONE,
     QUORUM,
-    QuorumSpec,
     THREE,
     TWO,
     build_cooperation_model,
@@ -18,7 +20,8 @@ from quorumsim import (
     required_acks,
     validate_scenario,
 )
-from quorumsim.model import ASYNC, SYNC
+from quorumsim.levels import LOCAL_LEVELS, SUPPORTED_LEVELS
+from quorumsim.model import ASYNC, READING, REPLICATION, SYNC
 
 
 def test_required_acks_basic_levels():
@@ -61,16 +64,16 @@ def test_parse_level_rejects_unsupported():
 
 
 def test_immediate_consistency_known_instances():
-    assert is_immediately_consistent(QuorumSpec(2, 2, 3)) is True  # "four is greater than three"
-    assert is_immediately_consistent(QuorumSpec(1, 1, 1)) is True
-    assert is_immediately_consistent(QuorumSpec(1, 1, 3)) is False
+    assert is_immediately_consistent(2, 2, 3) is True  # "four is greater than three"
+    assert is_immediately_consistent(1, 1, 1) is True
+    assert is_immediately_consistent(1, 1, 3) is False
 
 
 def test_immediate_consistency_exhaustive():
     for rf in range(1, 6):
         for w in range(1, rf + 1):
             for r in range(1, rf + 1):
-                assert is_immediately_consistent(QuorumSpec(w, r, rf)) == (w + r > rf)
+                assert is_immediately_consistent(w, r, rf) == (w + r > rf)
 
 
 def test_level_pairings_from_the_tables_are_immediate():
@@ -88,7 +91,7 @@ def test_level_pairings_from_the_tables_are_immediate():
         for write_cl, read_cl in pairings:
             w = required_acks(write_cl, rf, dc, "dc1")
             r = required_acks(read_cl, rf, dc, "dc1")
-            assert is_immediately_consistent(QuorumSpec(w, r, rf)), (write_cl, read_cl, rf)
+            assert is_immediately_consistent(w, r, rf), (write_cl, read_cl, rf)
 
 
 def _edges_by_class(graph):
@@ -143,6 +146,45 @@ def test_build_local_quorum_splits_by_datacenter():
     assert by_class[SYNC] == [(0, 1)]
     assert sorted(by_class[ASYNC]) == [(0, 2), (0, 3)]
     assert model.reading_graphs[0].edges == ()
+
+
+def _waits(graph):
+    """The acks a star waits for beyond its root's own: its sync edges, or its one quorum group's threshold."""
+    sync = sum(cls.kind == SYNC for _, _, cls in graph.edges)
+    assert len(graph.quorum_thresholds) <= 1 and not (sync and graph.quorum_thresholds), graph
+    return sync + sum(graph.quorum_thresholds.values())
+
+
+def test_every_star_follows_the_level_rule():
+    """Every supported level pair, rf 1-6, placements in one and in two
+    datacenters, every coordinator: each star waits for required_acks - 1
+    acks, writes reach every other placement member, and a read waits on
+    each edge it has, inside the coordinator's datacenter under a LOCAL level."""
+    for rf in range(1, 7):
+        for dcs in {"A" * rf, ("AB" * rf)[:rf], "A" + "B" * (rf - 1)}:
+            topo = mesh_topology(rf, dc_of=dcs.__getitem__)
+            placement = list(range(rf))
+            for coordinator, (write_cl, read_cl) in itertools.product(placement, itertools.product(SUPPORTED_LEVELS, repeat=2)):
+                case = (dcs, coordinator, write_cl, read_cl)
+                home = dcs[coordinator]
+                try:
+                    acks = {cl: required_acks(cl, rf, Counter(dcs), home) for cl in (write_cl, read_cl)}
+                except LevelError as e:
+                    with pytest.raises(LevelError) as raised:
+                        build_cooperation_model(topo, placement, coordinator, write_cl, read_cl)
+                    assert (raised.value.code, str(raised.value)) == (e.code, str(e)), case
+                    continue
+                model = build_cooperation_model(topo, placement, coordinator, write_cl, read_cl)
+                assert validate_scenario(topo, model, []).ok, case
+                (rep,), (read,) = model.replication_graphs, model.reading_graphs
+                assert (rep.kind, read.kind) == (REPLICATION, READING), case
+                for graph, level in ((rep, write_cl), (read, read_cl)):
+                    assert graph.root == coordinator and all(p == coordinator for p, _, _ in graph.edges), case
+                    assert _waits(graph) == acks[level] - 1, case
+                    if level in LOCAL_LEVELS:  # only the coordinator's datacenter acks
+                        assert all(cls.kind == ASYNC or dcs[c] == home for _, c, cls in graph.edges), case
+                assert [c for _, c, _ in rep.edges] == [v for v in placement if v != coordinator], case
+                assert all(cls.kind != ASYNC for _, _, cls in read.edges), case
 
 
 def test_build_output_passes_validation():
