@@ -12,7 +12,6 @@ a stage that ``--stages`` leaves out.
 from __future__ import annotations
 
 import argparse
-import json
 import shutil
 import sys
 from collections import deque
@@ -47,18 +46,18 @@ def list_presets() -> list[str]:
 
 
 def _load(path_arg: str) -> Scenario:
-    from .scenario import load_scenario, scenario_from_json
+    from .scenario import load_scenario, read_scenario
 
     if path_arg.startswith("preset:"):
         name = path_arg[len("preset:"):]
         ref = resources.files("quorumsim") / "presets" / f"{name}.json"
         try:
-            doc = json.loads(ref.read_text(encoding="utf-8"))
+            data = ref.read_bytes()
         except FileNotFoundError:
             raise ScenarioFormatError(
                 f"unknown preset {name!r}; available: {', '.join(list_presets())}"
             ) from None
-        return scenario_from_json(doc)
+        return read_scenario(data)
     return load_scenario(path_arg)
 
 
@@ -186,19 +185,22 @@ def _run_one(scenario: Scenario, seed: int, out_dir: Path, stages) -> dict:
 
 def cmd_run(args) -> int:
     from . import logio
+    from .scenario import check_seed
 
     if args.repeat is not None and args.repeat < 1:
         raise ScenarioFormatError(f"--repeat must be at least 1, got {args.repeat}")
     if args.jobs < 1:
         raise ScenarioFormatError(f"--jobs must be at least 1, got {args.jobs}")
     scenario = _load(args.scenario)
+    base_seed = args.seed if args.seed is not None else (scenario.seed if scenario.seed is not None else 0)
+    check_seed(base_seed, "--seed")
+    check_seed(base_seed + (args.repeat or 1) - 1, f"the last seed of --repeat {args.repeat}")
     report = _validate(scenario)
     if not report.ok:
         for v in report.violations:
             print(f"{v.code}: {v.message}", file=sys.stderr)
         return EXIT_DOMAIN
     stages = args.stages
-    base_seed = args.seed if args.seed is not None else (scenario.seed if scenario.seed is not None else 0)
     out = Path(args.out)
 
     if args.repeat is None:

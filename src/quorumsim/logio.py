@@ -14,8 +14,8 @@ writer over a held log. Each line comes from one f-string per kind, the
 bytes ``json.dumps`` gives for the event's object with compact separators.
 Each row of ``ops.csv`` (an op table record) and ``read_verdicts.csv``
 comes from one f-string too, as ``csv.writer`` writes it. Each JSON report
-is ``json.dumps(report, indent=2, sort_keys=True)`` plus a newline, written
-at once.
+is ``json.dump(report, fh, indent=2, sort_keys=True)`` plus a newline, which
+writes the text as it encodes it and never holds all of it.
 
 The reader, ``iter_events``, is one streaming pass: it yields each event as
 its line is read, so ``analyze`` feeds the op table without holding the
@@ -337,10 +337,11 @@ def read_events(path) -> SimulationLog:
 
 
 def write_json_report(report: dict, path) -> None:
-    """Write report as ``json.dumps(report, indent=2, sort_keys=True)`` and a
-    newline, in one write: ``json.dump`` writes each token on its own."""
+    """Write report as ``json.dump(report, fh, indent=2, sort_keys=True)`` and
+    a newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _csv_field(text: str) -> str:

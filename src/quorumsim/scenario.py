@@ -13,7 +13,9 @@ built from them. A missing field, a field its object does not define (a
 misspelling would otherwise take the default) or a wrong-typed value raises
 ScenarioFormatError (CLI exit 2) naming the object and field, and so does
 an id that names two entries: a topology edge listed twice, or a quorum
-group id that is not its canonical decimal ("00" beside "0"); level-domain
+group id that is not its canonical decimal ("00" beside "0"). A file that
+json reads into no single document (not UTF-8, not JSON, or an object
+with a key given twice) is ScenarioFormatError too; level-domain
 problems raise LevelError (exit 1); value ranges are left to
 validate_scenario (exit 1).
 """
@@ -86,6 +88,9 @@ class _Scalar(NamedTuple):
 _INT = _Scalar("an integer", lambda v: type(v) is int)
 _REAL = _Scalar("a finite number", lambda v: type(v) is int or (type(v) is float and isfinite(v)))
 _STR = _Scalar("a string", lambda v: type(v) is str)
+# RngStream keeps a seed's low 64 bits, so a seed outside them would repeat another's draws
+_SEEDS = range(2**64)
+_SEED = _Scalar(f"an integer in 0..{_SEEDS[-1]}", lambda v: type(v) is int and v in _SEEDS)
 
 
 def _one_of(names) -> _Scalar:
@@ -348,7 +353,7 @@ _SCENARIO = _Object("scenario", (
     _Field("failures", "failures", _List(_FAILURE), []),
     _Field("strategy", "strategy", _one_of(STRATEGIES)),
     _Field("op_timeout_us", "op_timeout_us", _INT, DEFAULT_OP_TIMEOUT),
-    _Field("seed", "seed", _INT, None),
+    _Field("seed", "seed", _SEED, None),
 ), _scenario, view=lambda sc: SimpleNamespace(
     **vars(sc),
     meta=SimpleNamespace(name=sc.name, description=sc.description),
@@ -360,13 +365,32 @@ def scenario_from_json(doc) -> Scenario:
     return _SCENARIO.read(doc, "scenario document", None)
 
 
-def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (ValueError, RecursionError) as e:  # JSONDecodeError, not UTF-8, an integer too long, nested too deep
-            raise ScenarioFormatError(f"invalid JSON: {e}") from None
+def check_seed(seed: int, at: str) -> None:
+    """Raise ScenarioFormatError, naming at, unless a run can take seed."""
+    _SEED.read(seed, at, None)
+
+
+def _unique_keys(pairs: list) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
+def read_scenario(data: bytes) -> Scenario:
+    """The scenario of a file's bytes: the one reader of scenario text."""
+    try:
+        doc = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as e:  # JSONDecodeError, not UTF-8, a repeated key, an integer too long, nested too deep
+        raise ScenarioFormatError(f"invalid JSON: {e}") from None
     return scenario_from_json(doc)
+
+
+def load_scenario(path) -> Scenario:
+    with open(path, "rb") as fh:
+        return read_scenario(fh.read())
 
 
 def scenario_to_json(sc: Scenario) -> dict:

@@ -5,7 +5,7 @@ Every ``ops.csv`` and ``read_verdicts.csv`` that a test writes in this
 process through ``logio`` must equal, byte for byte, what ``csv.writer``
 writes for the same rows (see the ``reference_*`` writers in ``_oracles``).
 The JSON reports need no such check: ``logio`` writes them with
-``json.dumps`` itself.
+``json.dump`` itself.
 """
 
 from pathlib import Path

@@ -1,5 +1,3 @@
-import copy
-import dataclasses
 import json
 import multiprocessing
 import os
@@ -9,12 +7,11 @@ import shutil
 import subprocess
 import sys
 import weakref
-from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from _builders import WRONG_TYPED_DISTRIBUTIONS
+from _bad_inputs import BASE_SCENARIO, RULES, Runner, in_process, preset_doc, replaced
 from _randgen import random_scenario
 from quorumsim import Scenario, clientcentric, datacentric, optable, scenario_from_json, scenario_to_json
 from quorumsim.cli import _load, list_presets, main
@@ -23,34 +20,8 @@ from quorumsim.events import READ, WRITE
 
 @pytest.fixture()
 def scenario_file(tmp_path):
-    doc = {
-        "meta": {"name": "cli-test", "description": ""},
-        "topology": {
-            "replicas": [
-                {"id": i, "datacenter": "dc1", "proc_write": {"kind": "constant", "value_us": 100}, "proc_read": {"kind": "constant", "value_us": 100}}
-                for i in range(3)
-            ],
-            "edges": [
-                {"src": i, "dst": j, "base": {"kind": "exponential", "mean_us": 2000}}
-                for i in range(3)
-                for j in range(3)
-                if i != j
-            ],
-        },
-        "consistency": {"placement": [0, 1, 2], "coordinator": 0, "write_cl": "QUORUM", "read_cl": "QUORUM"},
-        "workload": {
-            "clients": 2,
-            "ops_per_client": 40,
-            "read_ratio": 0.5,
-            "think_time": {"kind": "constant", "value_us": 500},
-            "keys": {"kind": "uniform", "n": 8},
-            "write_payload_bytes": {"kind": "constant", "value_us": 64},
-        },
-        "strategy": "lww_timestamp",
-        "seed": 11,
-    }
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(BASE_SCENARIO))
     return path
 
 
@@ -72,16 +43,6 @@ def test_validate_reports_violations(scenario_file, capsys):
     scenario_file.write_text(json.dumps(doc))
     assert main(["validate", str(scenario_file)]) == 1
     assert "WEIGHTS_NOT_NORMALIZED" in capsys.readouterr().out
-
-
-def test_validate_missing_file_is_io_error(tmp_path):
-    assert main(["validate", str(tmp_path / "nope.json")]) == 2
-
-
-def test_validate_unparsable_file(tmp_path):
-    path = tmp_path / "x.json"
-    path.write_text("{")
-    assert main(["validate", str(path)]) == 2
 
 
 def test_run_stage_gating(scenario_file, tmp_path):
@@ -149,37 +110,6 @@ def test_jobs_do_not_change_outputs(scenario_file, tmp_path):
     assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
 
 
-def test_analyze_malformed_log(tmp_path, capsys):
-    path = tmp_path / "events.jsonl"
-    path.write_text('{"kind":"run_meta","format":1,"strategy":"lww_timestamp","graphs":{}}\n{"seq":0')
-    assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 1
-    assert "MALFORMED_LOG" in capsys.readouterr().err
-
-
-# an events line that json reads into no object: (which line, how its bytes change, the reader's message);
-# the middle line is an event past the reader's first chunks
-UNREADABLE_LOG_LINES = {
-    "header_not_utf8": ("header", lambda line: line.replace(b'"kind":"', b'"kind":"\xff', 1), "line is not UTF-8"),
-    "event_not_utf8": ("middle", lambda line: line.replace(b'"kind":"', b'"kind":"\xff', 1), "line is not UTF-8"),
-    "integer_too_long": ("middle", lambda line: line.replace(b'"time_us":', b'"time_us":' + b"9" * 5_000, 1), "line is not valid JSON"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(UNREADABLE_LOG_LINES))
-def test_an_unreadable_log_line_is_malformed_log_naming_it(scenario_file, tmp_path, capsys, case):
-    run_dir = tmp_path / "run"
-    assert main(["run", str(scenario_file), "--out", str(run_dir), "--stages", "1", "--quiet"]) == 0
-    lines = (run_dir / "events.jsonl").read_bytes().splitlines()
-    where, change, message = UNREADABLE_LOG_LINES[case]
-    index = {"header": 0, "middle": len(lines) // 2}[where]
-    bad = change(lines[index])
-    assert bad != lines[index]
-    path = tmp_path / "bad.jsonl"
-    path.write_bytes(b"\n".join([*lines[:index], bad, *lines[index + 1:]]) + b"\n")
-    assert main(["analyze", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
-    assert capsys.readouterr().err == f"MALFORMED_LOG: {message} (line {index + 1})\n"
-
-
 def test_run_and_analyze_build_the_op_table_once(scenario_file, tmp_path, monkeypatch):
     built = []
 
@@ -194,191 +124,6 @@ def test_run_and_analyze_build_the_op_table_once(scenario_file, tmp_path, monkey
     assert len(built) == 1
     assert main(["analyze", str(run_dir / "events.jsonl"), "--out", str(tmp_path / "analyzed"), "--quiet"]) == 0
     assert len(built) == 2
-
-
-def test_stages_2_and_3_reject_the_same_malformed_logs(scenario_file, tmp_path, capsys):
-    def logged(strategy):
-        """The header line and the events of the fixture's run under strategy, stage 1 only."""
-        path, run_dir = tmp_path / f"{strategy}.json", tmp_path / f"run_{strategy}"
-        path.write_text(json.dumps({**json.loads(scenario_file.read_text()), "strategy": strategy}))
-        assert main(["run", str(path), "--out", str(run_dir), "--stages", "1", "--quiet"]) == 0
-        header, *lines = (run_dir / "events.jsonl").read_text().splitlines()
-        return header, [json.loads(line) for line in lines]
-
-    header, events = logged("lww_timestamp")
-
-    def first(kind, *fields):
-        return next(ev for ev in events if ev["kind"] == kind and all(ev.get(f) for f in fields))
-
-    def changed(ev, **fields):
-        return [{**e, **fields} if e is ev else e for e in events]
-
-    terminal = first("op_commit")
-    apply_start = first("apply_start")
-    write_start = first("op_start", "write_id")
-    read_return = first("read_return", "returned")
-    ref = read_return["returned"][0]
-    write_ids = {ev["op_id"] for ev in events if ev["kind"] == "op_start" and ev["op"] == "write"}
-    write_commit = next(ev for ev in events if ev["kind"] == "op_commit" and ev["op_id"] in write_ids)
-    next_seq = events[-1]["seq"] + 1
-    read, write = read_return["op_id"], write_commit["op_id"]
-    apply_end, graph_chosen = first("apply_end"), first("graph_chosen")
-    write_apply_end, read_apply_end = first("apply_end", "write_id"), first("apply_end", "value")
-
-    def every_ref(evs, ref, **fields):
-        """evs with fields changed in every returned ref to ref's write."""
-
-        def change(r):
-            return {**r, **fields} if r["write_id"] == ref["write_id"] else r
-
-        return [{**ev, "returned": list(map(change, ev["returned"]))} if ev["kind"] == "read_return" else ev for ev in evs]
-
-    def returned_again(evs, fields):
-        """evs with the fields that fields(ref) gives changed in a later
-        return of a write an earlier read returned right, and what its
-        rejection must name."""
-        seen = set()
-        for ev in evs:
-            for r in ev.get("returned", ()):
-                if r["write_id"] in seen:
-                    bad = {**ev, "returned": [{**x, **fields(x)} if x is r else x for x in ev["returned"]]}
-                    return [bad if e is ev else e for e in evs], f"op {ev['op_id']} returned write {r['write_id']} unlike its op_start"
-                seen.add(r["write_id"])
-        raise AssertionError("no write is returned twice")
-
-    # a clock in an lww_timestamp log, on a write that no read returns, and
-    # on one whose every ref carries that clock too, so that the refs agree
-    returned_ids = {r["write_id"] for ev in events for r in ev.get("returned", ())}
-    unreturned = next(ev for ev in events if ev["kind"] == "op_start" and ev["op"] == "write" and ev["write_id"] not in returned_ids)
-    ref_start = next(ev for ev in events if ev["kind"] == "op_start" and ev.get("write_id") == ref["write_id"])
-    clock = {str(ref["client_id"]): 1}
-
-    # each log that contradicts itself, and what its rejection must name
-    malformed = {
-        "duplicated_terminal": (events + [{**terminal, "seq": next_seq}], f"op {terminal['op_id']} "),
-        "unknown_op": (events + [{**apply_start, "seq": next_seq, "op_id": 10_000}], "op 10000 "),
-        "latency": (changed(terminal, latency_us=-5_000_000), f"op {terminal['op_id']} has latency_us -5000000"),
-        "deleted_read_return": ([ev for ev in events if ev is not read_return], f"op {read} "),
-        "moved_read_return": (changed(read_return, time_us=read_return["time_us"] - 1), f"op {read} "),
-        "read_return_of_a_write": (
-            events + [{**read_return, "seq": next_seq, "op_id": write, "time_us": write_commit["time_us"]}],
-            f"op {write} ",
-        ),
-        "second_read_return": (events + [{**read_return, "seq": next_seq, "participants": [], "returned": []}], f"op {read} "),
-        "second_header": (events + [{**json.loads(header), "strategy": "write_set"}], "second run_meta header (the first is on line "),
-        "second_apply_end": (
-            events + [{**apply_end, "seq": next_seq, "time_us": apply_end["time_us"] + 10_000_000}],
-            f"op {apply_end['op_id']} has more than one apply_end at replica {apply_end['replica']}",
-        ),
-        "apply_end_of_another_write": (changed(write_apply_end, write_id=99_999), f"op {write_apply_end['op_id']} has an apply_end unlike its op"),
-        "apply_end_form_of_the_other_kind": (
-            [{**{f: v for f, v in ev.items() if f != "value"}, "write_id": write_start["write_id"]} if ev is read_apply_end else ev for ev in events],
-            f"op {read_apply_end['op_id']} has an apply_end unlike its op",
-        ),
-        "second_graph_chosen":(events + [{**graph_chosen, "seq": next_seq}], f"op {graph_chosen['op_id']} has more than one graph_chosen"),
-        "unknown_graph": (changed(graph_chosen, graph_id=999), f"op {graph_chosen['op_id']} chose graph 999, which the header"),
-        "ref_with_another_start": (every_ref(events, ref, client_ts_us=ref["client_ts_us"] + 10_000_000), f"returned write {ref['write_id']} unlike its op_start"),
-        "ref_with_another_writer": (every_ref(events, ref, client_id=1 - ref["client_id"]), f"returned write {ref['write_id']} unlike its op_start"),
-        "ref_returned_again_with_another_start": returned_again(events, lambda r: {"client_ts_us": r["client_ts_us"] + 1}),
-        "value_ids": (changed(read_apply_end, value=["x", None, 1.5]), "field of the wrong type (line "),
-        "unknown_field": (changed(apply_end, bogus=1), "event has a field that its kind does not have (line "),
-        "clock_on_an_unreturned_write": (changed(unreturned, vclock={"0": 1}), f"op {unreturned['op_id']} carries a vector clock"),
-        "clock_on_a_returned_write": (
-            [{**ev, "vclock": clock} if ev is ref_start else ev for ev in every_ref(events, ref, vclock=clock)],
-            f"op {ref_start['op_id']} carries a vector clock",
-        ),
-    }
-    # every field an analysis reads, with the wrong type: the reader names the line
-    wrong_typed = {
-        "client_id": changed(write_start, client_id=[0]),
-        "key": changed(write_start, key="k"),
-        "payload_bytes": changed(write_start, payload_bytes=True),
-        "op": changed(write_start, op="delete"),
-        "warmup": changed(write_start, warmup="no"),
-        "op_start_write_id": changed(write_start, write_id="1"),
-        "vclock_entry": changed(write_start, vclock={"0": "1"}),
-        "graph_id": changed(first("graph_chosen"), graph_id="0"),
-        "replica": changed(apply_start, replica=None),
-        "parent": changed(first("ack_received"), parent="0"),
-        "child": changed(first("ack_received"), child=1.0),
-        "latency_us": changed(terminal, latency_us="x"),
-        "apply_end_write_id": changed(first("apply_end", "write_id"), write_id=[1]),
-        "value": changed(first("apply_end", "value"), value="1"),
-        "participants": changed(read_return, participants=0),
-        "participant_ids": changed(read_return, participants=["a", None]),
-        "ref_write_id": changed(read_return, returned=[{**ref, "write_id": str(ref["write_id"])}]),
-        "ref_client_id": changed(read_return, returned=[{**ref, "client_id": str(ref["client_id"])}]),
-        "ref_client_ts_us": changed(read_return, returned=[{**ref, "client_ts_us": 1.5}]),
-        "reason": changed(terminal, kind="op_fail", reason=5),
-    }
-    cases = {name: (header, bad, named) for name, (bad, named) in malformed.items()}
-    cases.update((name, (header, bad, "(line ")) for name, bad in wrong_typed.items())
-
-    # a returned write that is not the logged write of the read's key, under
-    # each strategy: every returned ref must name one and carry its fields
-    for strategy in ("lww_timestamp", "write_set"):
-        header_s, evs = logged(strategy)
-        key_of = {ev["op_id"]: ev["key"] for ev in evs if ev["kind"] == "op_start"}
-        returns = [ev for ev in evs if ev["kind"] == "read_return" and ev["returned"]]
-        # another key's write, returned right by an earlier read of its key
-        earlier = returns[0]
-        read_return = next(ev for ev in returns if ev["op_id"] > earlier["op_id"] and key_of[ev["op_id"]] != key_of[earlier["op_id"]])
-        key = key_of[read_return["op_id"]]
-        for name, ref in (
-            ("ref_of_another_key", earlier["returned"][0]),
-            ("ref_of_an_unlogged_write", {"write_id": 99_999, "client_id": 0, "client_ts_us": 0}),
-        ):
-            bad = [{**ev, "returned": [ref]} if ev is read_return else ev for ev in evs]
-            named = f"op {read_return['op_id']} returned write {ref['write_id']}, which is no logged write of key {key}"
-            cases[f"{name}_{strategy}"] = (header_s, bad, named)
-    header_s, evs = logged("competing_writes")
-    clocked = next(ev for ev in evs if ev["kind"] == "read_return" and ev["returned"])["returned"][0]
-    clock = {**clocked["vclock"], "9": 1}  # an entry of no client: not its write's clock
-    named = f"returned write {clocked['write_id']} unlike its op_start"
-    cases["ref_with_another_clock"] = (header_s, every_ref(evs, clocked, vclock=clock), named)
-    raised = returned_again(evs, lambda r: {"vclock": {**r["vclock"], "0": r["vclock"].get("0", 0) + 1}})
-    cases["ref_returned_again_with_a_raised_clock_entry"] = (header_s, *raised)
-    # a clock key that is not its client's canonical decimal ("07" for 7)
-    # names that client a second time: the reader names the line
-    last_write = [ev for ev in evs if ev["kind"] == "op_start" and ev.get("vclock")][-1]
-    cid, n = next(iter(last_write["vclock"].items()))
-    twice = {"0" + cid: n, **last_write["vclock"], cid: n + 1}
-    cases["op_start_clock_naming_a_client_twice"] = (header_s, [{**ev, "vclock": twice} if ev is last_write else ev for ev in evs], "(line ")
-    cid, n = next(iter(clocked["vclock"].items()))
-    twice = {**clocked["vclock"], "+" + cid: n}
-    cases["ref_clock_naming_a_client_twice"] = (header_s, every_ref(evs, clocked, vclock=twice), "(line ")
-
-    rng = random.Random(7)
-    for name, (head, bad, named) in cases.items():
-        shuffled = list(bad)
-        rng.shuffle(shuffled)
-        for order, evs in (("ordered", bad), ("shuffled", shuffled)):
-            path = tmp_path / f"{name}_{order}.jsonl"
-            path.write_text("\n".join([head, *map(json.dumps, evs)]) + "\n")
-            for stages in ("2", "3"):
-                capsys.readouterr()
-                argv = ["analyze", str(path), "--out", str(tmp_path / "out"), "--stages", stages]
-                assert main(argv) == 1, (name, order, stages)
-                err = capsys.readouterr().err
-                assert "MALFORMED_LOG" in err and "Traceback" not in err, (name, order, stages, err)
-                assert named in err, (name, order, stages, err)
-                assert not (tmp_path / "out").exists()
-
-
-def test_analyze_rejects_malformed_graph_entries_in_the_header(scenario_file, tmp_path, capsys):
-    run_dir = tmp_path / "run"
-    assert main(["run", str(scenario_file), "--out", str(run_dir), "--stages", "1", "--quiet"]) == 0
-    header, *lines = (run_dir / "events.jsonl").read_text().splitlines()
-    meta = json.loads(header)
-    for entry in ([1], {"vertices": 5}):
-        path = tmp_path / "events.jsonl"
-        bad = {**meta, "graphs": {gid: entry for gid in meta["graphs"]}}
-        path.write_text("\n".join([json.dumps(bad), *lines]) + "\n")
-        for stages in ("2", "3"):
-            capsys.readouterr()
-            argv = ["analyze", str(path), "--out", str(tmp_path / "out"), "--stages", stages]
-            assert main(argv) == 1, (entry, stages)
-            assert "MALFORMED_LOG" in capsys.readouterr().err
 
 
 def test_run_and_analyze_check_the_dot_shape_once(scenario_file, tmp_path, monkeypatch):
@@ -466,70 +211,6 @@ def test_analyze_rejects_a_competing_writes_log_without_the_dot_shape(scenario_f
     assert main(["analyze", str(path), "--out", str(tmp_path / "out2"), "--stages", "2", "--quiet"]) == 0
 
 
-def test_analyze_rejects_an_unknown_strategy_in_the_header(scenario_file, tmp_path, capsys):
-    run_dir = tmp_path / "run"
-    assert main(["run", str(scenario_file), "--out", str(run_dir), "--stages", "1", "--quiet"]) == 0
-    header, *lines = (run_dir / "events.jsonl").read_text().splitlines()
-    path = tmp_path / "events.jsonl"
-    path.write_text("\n".join([json.dumps({**json.loads(header), "strategy": "bogus"}), *lines]) + "\n")
-    capsys.readouterr()
-    assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert "MALFORMED_LOG" in err and "'bogus'" in err and "(line 1)" in err
-    assert not (tmp_path / "out").exists()
-
-
-def test_analyze_rejects_a_log_without_a_header_or_its_strategy_under_every_stage(scenario_file, tmp_path, capsys):
-    # stage 2 alone needs no strategy, but a lost header changes its report
-    run_dir = tmp_path / "run"
-    assert main(["run", str(scenario_file), "--out", str(run_dir), "--stages", "1", "--quiet"]) == 0
-    header, *lines = (run_dir / "events.jsonl").read_text().splitlines()
-    unnamed = {k: v for k, v in json.loads(header).items() if k != "strategy"}
-    for name, kept, message in (
-        ("headerless", lines, "MALFORMED_LOG: events file has no run_meta header\n"),
-        ("unnamed", [json.dumps(unnamed), *lines], "MALFORMED_LOG: run_meta header names no strategy (line 1)\n"),
-    ):
-        path = tmp_path / f"{name}.jsonl"
-        path.write_text("\n".join(kept) + "\n")
-        for stages in ("2", "3", "2,3"):
-            out = tmp_path / f"{name}_{stages}"
-            capsys.readouterr()
-            assert main(["analyze", str(path), "--out", str(out), "--stages", stages]) == 1, (name, stages)
-            assert capsys.readouterr().err == message, (name, stages)
-            assert not out.exists(), (name, stages)
-
-
-def test_run_rejects_repeat_below_one(scenario_file, tmp_path, capsys):
-    for repeat in ("0", "-2"):
-        out = tmp_path / f"repeat{repeat}"
-        assert main(["run", str(scenario_file), "--out", str(out), "--repeat", repeat]) == 2
-        assert f"--repeat must be at least 1, got {repeat}" in capsys.readouterr().err
-        assert not out.exists()
-
-
-def test_wrong_typed_distribution_fields_are_one_error_line(scenario_file, tmp_path, capsys):
-    doc = json.loads(scenario_file.read_text())
-    for field, dist in WRONG_TYPED_DISTRIBUTIONS:
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({**doc, "workload": {**doc["workload"], field: dist}}))
-        out = tmp_path / "out"
-        for argv in (["validate", str(path)], ["run", str(path), "--out", str(out), "--quiet"]):
-            capsys.readouterr()
-            assert main(argv) == 2, (argv[0], dist)
-            err = capsys.readouterr().err
-            assert err.startswith(f"error: workload {field}:") and err.count("\n") == 1, err
-            assert not out.exists()
-
-
-def test_run_rejects_jobs_below_one(scenario_file, tmp_path, capsys):
-    for jobs in ("0", "-3"):
-        out = tmp_path / f"jobs{jobs}"
-        assert main(["run", str(scenario_file), "--out", str(out), "--repeat", "2", "--jobs", jobs]) == 2
-        err = capsys.readouterr().err
-        assert err == f"error: --jobs must be at least 1, got {jobs}\n", err
-        assert not out.exists()
-
-
 def test_distribution_whose_largest_draw_overflows_is_invalid(scenario_file, tmp_path, capsys):
     doc = json.loads(scenario_file.read_text())
     path, out = tmp_path / "dist.json", tmp_path / "out"
@@ -549,110 +230,32 @@ def test_distribution_whose_largest_draw_overflows_is_invalid(scenario_file, tmp
         shutil.rmtree(out, ignore_errors=True)
 
 
-# -- the scenario reader meets wrong-typed and unknown fields --------------------------
+# -- the bad-input corpus: each input rule is the test named after it -------------------
 
-def _preset_doc(name):
-    return json.loads((resources.files("quorumsim") / "presets" / f"{name}.json").read_text(encoding="utf-8"))
-
-
-def _replaced(doc, path, value):
-    doc = copy.deepcopy(doc)
-    *parents, last = path
-    node = doc
-    for key in parents:
-        node = node[key]
-    node[last] = value
-    return doc
+@pytest.fixture(scope="module")
+def bad_input(tmp_path_factory):
+    return Runner(tmp_path_factory.mktemp("bad_inputs"), in_process).check
 
 
-def _one_uniform_docs():
-    """preset:one_uniform, and the same scenario with its level block expanded into graphs."""
-    doc = _preset_doc("one_uniform")
-    return {"level": doc, "graphs": scenario_to_json(dataclasses.replace(scenario_from_json(doc), consistency=None))}
+def _rule_test(cases, one_test_per_case):
+    if one_test_per_case:
+        @pytest.mark.parametrize("case", cases, ids=[case.name for case in cases])
+        def test(bad_input, case):
+            bad_input(case)
+    else:
+        def test(bad_input):
+            for case in cases:
+                bad_input(case)
+    return test
 
 
-G0 = ("cooperation", "replication_graphs", 0)
-WRONG_TYPED_FIELDS = [
-    # (base, path, value, start of the error line)
-    ("level", ("topology", "edges", 0, "per_byte_us"), "x", "edge 0->1 per_byte_us:"),
-    ("level", ("workload", "read_ratio"), "a", "workload read_ratio:"),
-    ("level", ("workload", "clients"), 2.5, "workload clients:"),
-    ("level", ("workload", "warmup_ops"), "1", "workload warmup_ops:"),
-    ("level", ("seed",), "abc", "scenario seed:"),
-    ("level", ("topology", "replicas"), 5, "topology replicas:"),
-    ("graphs", (*G0, "quorum_thresholds"), {"a": 1}, "graph 0 quorum_thresholds:"),
-    ("graphs", (*G0, "quorum_thresholds"), {"0": "1"}, "graph 0 quorum_thresholds:"),
-    ("graphs", (*G0, "edges", 0, "class"), {"quorum": "x"}, "graph 0 edge 0->1 class:"),
-    ("graphs", (*G0, "weight"), "1", "graph 0 weight:"),
-    ("graphs", ("cooperation", "reading_graphs"), 5, "cooperation reading_graphs:"),
-    ("level", ("consistency", "placement"), 3, "consistency placement:"),
-    ("level", ("consistency", "write_cl"), 1, "consistency write_cl:"),
-    ("level", ("meta",), [], "scenario meta:"),
-    ("level", ("workload", "overrides"), [{"client_id": "0"}], "workload override client_id:"),
-    ("level", ("failures",), [{"replica": 0, "at_us": "1", "kind": "crash_stop"}], "failure at_us:"),
-    ("level", ("topology", "edges", 0, "src"), [0], "edge src:"),
-    ("level", ("op_timeout_us",), 1.5, "scenario op_timeout_us:"),
-    ("level", ("topology", "replicas", 0, "id"), 0.0, "replica id:"),
-    ("level", ("topology", "replicas", 0, "datacenter"), 5, "replica 0 datacenter:"),
-    ("level", ("workload", "read_request_bytes"), 1.5, "workload read_request_bytes:"),
-    ("level", ("failures",), [{"replica": "0", "at_us": 1, "kind": "crash_stop"}], "failure replica:"),
-    ("level", ("consistency", "rf"), "3", "consistency rf:"),
-    ("level", ("consistency", "coordinator"), "0", "consistency coordinator:"),
-    ("graphs", (*G0, "root"), "0", "graph 0 root:"),
-    # a field that its object does not define, one row per nesting level
-    ("level", ("op_timout_us",), 5, "scenario op_timout_us:"),
-    ("level", ("meta", "nme"), "x", "meta nme:"),
-    ("level", ("topology", "replica"), [], "topology replica:"),
-    ("level", ("topology", "replicas", 0, "dc"), "dc1", "replica 0 dc:"),
-    ("level", ("topology", "replicas", 0, "proc_write", "mean_us"), 1, "replica 0 proc_write: constant mean_us:"),
-    ("level", ("topology", "edges", 0, "per_byte"), 0.0, "edge 0->1 per_byte:"),
-    ("level", ("consistency", "w"), "ONE", "consistency w:"),
-    ("level", ("workload", "warmup_op"), 50, "workload warmup_op:"),
-    ("level", ("workload", "keys", "s"), 1.0, "workload keys: uniform s:"),
-    ("level", ("workload", "overrides"), [{"client_id": 0, "read_rate": 1.0}], "workload override 0 read_rate:"),
-    ("level", ("failures",), [{"replica": 0, "at_us": 1, "kind": "crash_stop", "down_for": 5}], "failure down_for:"),
-    ("graphs", ("cooperation", "graphs"), [], "cooperation graphs:"),
-    ("graphs", (*G0, "weigth"), 1, "graph 0 weigth:"),
-    ("graphs", (*G0, "edges", 0, "cls"), "async", "graph 0 edge 0->1 cls:"),
-    ("graphs", (*G0, "edges", 0, "class"), {"quorum": 0, "size": 2}, "graph 0 edge 0->1 class:"),
-    # an id that names two entries
-    ("level", ("topology", "edges", 1), {"src": 0, "dst": 1, "base": {"kind": "constant", "value_us": 1}}, "topology edges:"),
-    ("graphs", (*G0, "quorum_thresholds"), {"0": 1, "00": 2}, "graph 0 quorum_thresholds:"),
-]
+# the rules whose cases were tables keep one test per case
+_ONE_TEST_PER_CASE = {"wrong_typed_field_is_one_error_line", "an_unreadable_scenario_file_is_one_error_line", "an_unreadable_log_line_is_malformed_log_naming_it"}
+for _rule, _cases in RULES.items():
+    globals()[f"test_{_rule}"] = _rule_test(_cases, _rule in _ONE_TEST_PER_CASE)
 
 
-@pytest.mark.parametrize("base, path, value, where", WRONG_TYPED_FIELDS, ids=[f"{c[3]} {c[2]!r}" for c in WRONG_TYPED_FIELDS])
-def test_wrong_typed_field_is_one_error_line(tmp_path, capsys, base, path, value, where):
-    scenario = tmp_path / "bad.json"
-    scenario.write_text(json.dumps(_replaced(_one_uniform_docs()[base], path, value)))
-    out = tmp_path / "out"
-    for argv in (["validate", str(scenario)], ["run", str(scenario), "--out", str(out), "--quiet"]):
-        assert main(argv) == 2, argv[0]
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {where} ") and err.count("\n") == 1, err
-        assert not out.exists()
-
-
-# a scenario file that json reads into no document: how its bytes change from the preset's
-UNREADABLE_SCENARIOS = {
-    "not_utf8": lambda text: text.replace(b'"name": "', b'"name": "\xff', 1),
-    "nested_too_deep": lambda text: text[:-1] + b', "x": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
-    "integer_too_long": lambda text: text.replace(b'"seed": ', b'"seed": ' + b"9" * 5_000, 1),
-}
-
-
-@pytest.mark.parametrize("case", sorted(UNREADABLE_SCENARIOS))
-def test_an_unreadable_scenario_file_is_one_error_line(tmp_path, capsys, case):
-    text = json.dumps(_preset_doc("one_uniform")).encode()
-    scenario, out = tmp_path / "bad.json", tmp_path / "out"
-    scenario.write_bytes(UNREADABLE_SCENARIOS[case](text))
-    assert scenario.read_bytes() != text
-    for argv in (["validate", str(scenario)], ["run", str(scenario), "--out", str(out), "--quiet"]):
-        assert main(argv) == 2, argv[0]
-        err = capsys.readouterr().err
-        assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1, err
-        assert not out.exists()
-
+# -- the scenario reader meets a value of every type in every leaf ----------------------
 
 def _leaves(node, path=()):
     """The path of every scalar and every empty list or object in a JSON document."""
@@ -669,7 +272,7 @@ SWEEP_VALUES = ("x", 1.5, True, None, [], {})
 def _sweep_bases():
     """Every preset, and a random cooperation-graph scenario with failures; a
     few ops each, since the sweep checks how the reader meets each value."""
-    bases = {name: _preset_doc(name) for name in list_presets()}
+    bases = {name: preset_doc(name) for name in list_presets()}
     topo, coop, failures, workload = random_scenario(random.Random("type-sweep"), allow_crash_stop=True, max_total_ops=20)
     sc = Scenario("random", "", topo, coop, workload, tuple(failures), "competing_writes", 5_000_000, 3)
     bases["random_graphs"] = scenario_to_json(sc)
@@ -686,7 +289,7 @@ def test_every_leaf_of_any_type_exits_cleanly(tmp_path, capsys, base):
     scenario, out = tmp_path / "swept.json", tmp_path / "out"
     for path in _leaves(doc):
         for value in SWEEP_VALUES:
-            scenario.write_text(json.dumps(_replaced(doc, path, value)))
+            scenario.write_text(json.dumps(replaced(doc, path, value)))
             rc = main(["validate", str(scenario)])
             captured = capsys.readouterr()
             case = (path, value, captured.err)
@@ -700,13 +303,6 @@ def test_every_leaf_of_any_type_exits_cleanly(tmp_path, capsys, base):
                 shutil.rmtree(out)
 
 
-def test_quorum_check_bad_dc_counts_is_one_line(capsys):
-    for entry in ("NY=x", "NY", "NY=3,SF=", "NY=-3", "NY=0", "=3", "NY=1,LA=1", "NY=2,NY=1"):
-        assert main(["quorum-check", "--rf", "3", "--write-cl", "ONE", "--read-cl", "ONE", "--dc-counts", entry]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: bad --dc-counts entry") and err.count("\n") == 1, err
-
-
 def test_quorum_check_verdicts(capsys):
     assert main(["quorum-check", "--rf", "3", "--write-cl", "QUORUM", "--read-cl", "QUORUM"]) == 0
     out = capsys.readouterr().out
@@ -718,13 +314,6 @@ def test_quorum_check_verdicts(capsys):
     assert main(["quorum-check", "--rf", "3", "--write-cl", "ALL", "--read-cl", "ALL"]) == 0
     out = capsys.readouterr().out
     assert "IMMEDIATE" in out and "redundant" in out
-
-
-def test_quorum_check_domain_errors(capsys):
-    assert main(["quorum-check", "--rf", "2", "--write-cl", "THREE", "--read-cl", "ONE"]) == 1
-    assert "LEVEL_UNSATISFIABLE" in capsys.readouterr().err
-    assert main(["quorum-check", "--rf", "3", "--write-cl", "ANY", "--read-cl", "ONE"]) == 1
-    assert "UNSUPPORTED_LEVEL" in capsys.readouterr().err
 
 
 def test_quorum_check_local_levels(capsys):
@@ -747,24 +336,12 @@ def test_presets_exist_and_validate(capsys):
 
 # -- run-time limits checked by validate -------------------------------------------------
 
-def test_op_timeout_must_be_positive(tmp_path, capsys):
-    path, out = tmp_path / "timeout.json", tmp_path / "out"
-    for value in (0, -5):
-        path.write_text(json.dumps(_replaced(_preset_doc("one_uniform"), ("op_timeout_us",), value)))
-        line = f"OP_TIMEOUT_NOT_POSITIVE: op_timeout_us {value} <= 0\n"
-        assert main(["validate", str(path)]) == 1
-        assert capsys.readouterr().out == line
-        assert main(["run", str(path), "--out", str(out), "--quiet"]) == 1
-        assert capsys.readouterr().err == line
-        assert not out.exists()
-
-
 def test_edge_delay_must_stay_finite_at_the_largest_payload(tmp_path, capsys):
     # preset:one_uniform writes 256-byte payloads
-    doc = _replaced(_preset_doc("one_uniform"), ("workload", "ops_per_client"), 20)
+    doc = replaced(preset_doc("one_uniform"), ("workload", "ops_per_client"), 20)
     path, out = tmp_path / "per_byte.json", tmp_path / "out"
     for per_byte, rc in ((1e308, 1), (1e305, 0)):
-        path.write_text(json.dumps(_replaced(doc, ("topology", "edges", 0, "per_byte_us"), per_byte)))
+        path.write_text(json.dumps(replaced(doc, ("topology", "edges", 0, "per_byte_us"), per_byte)))
         assert main(["validate", str(path)]) == rc, per_byte
         assert ("EDGE_DELAY_OVERFLOWS: edge 0->1" in capsys.readouterr().out) == (rc == 1)
         assert main(["run", str(path), "--out", str(out), "--quiet"]) == rc, per_byte
