@@ -21,17 +21,23 @@ The reader, ``iter_events``, is one streaming pass: it yields each event as
 its line is read, so ``analyze`` feeds the op table without holding the
 event list, and ``read_events`` is that pass collected into a list. It
 scans each line with json's C scanner and decodes it with its kind's
-decoder, which names a line's first fault itself. It accepts any valid JSON
-formatting and shuffled event lines, the header included. An event line
-carries exactly the fields the writer writes for its kind (and variant);
-the header and a returned ref may carry more. Equal returned refs share
-one ``VersionRef``, which the op table checks against its write's
-op_start once. The kind and an op_start's ``op`` are handed on as the
-shared module constants. A structural problem, a missing, wrong-typed or
-unknown field raises MalformedLogError with the 1-based line number. A
-clock key or header graph key must be its id's canonical decimal ("7", not
-"07"), so no id is named twice, and the header's ``format`` must be 1. A
-file without a header, or a header that names no strategy or has no
+decoder, which names a line's first fault itself. A ``read_return`` line
+that ends with a compact list of two or more returned refs, as the writer
+writes a merged set (``,"returned":[{...},{...}]}``), is read in parts: each
+ref's text is decoded once per pass and looked up on every later line that
+repeats it, and the rest of the line is scanned with an empty list in its
+place (``_split_read_return``). Any other line, and a line whose parts do
+not each scan as one complete object, is scanned whole, so every valid JSON
+formatting reads the same. It accepts shuffled event lines, the header
+included. An event line carries exactly the fields the writer writes for
+its kind (and variant); the header and a returned ref may carry more.
+Equal returned refs share one ``VersionRef``, which the op table checks
+against its write's op_start once. The kind and an op_start's ``op`` are
+handed on as the shared module constants. A structural problem, a missing,
+wrong-typed or unknown field raises MalformedLogError with the 1-based line
+number. A clock key or header graph key must be its id's canonical decimal
+("7", not "07"), so no id is named twice, and the header's ``format`` must
+be 1. A file without a header, or a header that names no strategy or has no
 ``graphs`` (``{}`` lists none), is MalformedLogError: the strategy and the
 graphs shape both stages' reports.
 """
@@ -120,24 +126,28 @@ def _ack(obj, refs, line):
     return (parent, child)
 
 
+def _ref(r, refs) -> VersionRef:
+    """The one VersionRef of returned ref r, which refs maps its type-checked fields to."""
+    write_id, client, ts, vclock = r["write_id"], r["client_id"], r["client_ts_us"], r.get("vclock")
+    if not type(write_id) is type(client) is type(ts) is int:
+        raise TypeError("expected int ref fields")
+    fields = (write_id, client, ts, None if vclock is None else _vclock_from_json(vclock))
+    ref = refs.get(fields)
+    if ref is None:
+        ref = refs[fields] = VersionRef(*fields)
+    return ref
+
+
 def _read_return(obj, refs, line):
-    """Refs maps the type-checked fields of a returned ref to its one VersionRef."""
-    returned, refs_json = [], obj["returned"]
-    if type(refs_json) is not list:
+    returned = obj["returned"]
+    if type(returned) is list:
+        returned = tuple([_ref(r, refs) for r in returned])
+    elif type(returned) is not tuple:  # a tuple is the refs that _split_read_return decoded, as no JSON value is
         raise TypeError("expected a list of refs")
-    for r in refs_json:
-        write_id, client, ts, vclock = r["write_id"], r["client_id"], r["client_ts_us"], r.get("vclock")
-        if not type(write_id) is type(client) is type(ts) is int:
-            raise TypeError("expected int ref fields")
-        fields = (write_id, client, ts, None if vclock is None else _vclock_from_json(vclock))
-        ref = refs.get(fields)
-        if ref is None:
-            ref = refs[fields] = VersionRef(*fields)
-        returned.append(ref)
     participants = _ints(obj["participants"])
     if len(obj) != 6:
         raise MalformedLogError(_EXTRA_FIELD, line)
-    return (participants, tuple(returned))
+    return (participants, returned)
 
 
 def _one_field(name, cls=int):
@@ -274,6 +284,45 @@ def write_events(log: SimulationLog, path) -> None:
 
 
 _scan = make_scanner(json.JSONDecoder())  # json's C scanner, without raw_decode's Python frame
+_RETURNED = ',"returned":[{'
+
+
+def _split_read_return(line: str, texts: dict, refs: dict):
+    """The object of a read_return line that ends with a compact list of two
+    or more returned refs (``,"returned":[{...},{...}]}``; the caller checks
+    the ``}]}``), its "returned" the refs' tuple, or None for any other line.
+
+    Each element's text (between its braces) is decoded once: texts maps it
+    to its VersionRef. The rest of the line is scanned with ``[]`` in place
+    of the list. The split is exact. ``,"`` cannot occur inside a JSON
+    string, so a head that scans as one complete object puts the cut at its
+    top level. Elements that each scan alone as one complete object, joined
+    by commas, are exactly the array's elements. And the last "returned"
+    key wins in both readings. A line that fails a step gives None, and the
+    scanner reads it whole.
+    """
+    cut = line.find(_RETURNED)
+    elements = line[cut + len(_RETURNED):-3].split("},{") if cut >= 0 else ()
+    if len(elements) < 2:
+        return None
+    head = line[:cut] + ',"returned":[]}'
+    try:
+        obj, end = _scan(head, 0)
+        if end != len(head) or type(obj) is not dict or obj.get("kind") != READ_RETURN:
+            return None
+        returned = []
+        for text in elements:
+            ref = texts.get(text)
+            if ref is None:
+                r, end = _scan("{" + text + "}", 0)
+                if end != len(text) + 2:
+                    return None
+                ref = texts[text] = _ref(r, refs)
+            returned.append(ref)
+    except (KeyError, AttributeError, TypeError, ValueError, StopIteration, RecursionError):
+        return None
+    obj["returned"] = tuple(returned)
+    return obj
 
 
 def iter_events(path, meta: dict):
@@ -285,6 +334,7 @@ def iter_events(path, meta: dict):
     Equal returned refs share one ``VersionRef``.
     """
     refs: dict = {}  # a returned ref's fields -> its VersionRef
+    texts: dict = {}  # a returned ref's text in a compact list -> its VersionRef
     header_line = None
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -292,12 +342,14 @@ def iter_events(path, meta: dict):
                 line = line.strip(" \t\r\n")  # JSON's whitespace, not str.strip's
                 if not line:
                     continue
-                try:
-                    obj, end = _scan(line, 0)
-                except (ValueError, StopIteration, RecursionError):  # JSONDecodeError, an integer too long, nested too deep
-                    end = -1
-                if end != len(line):
-                    raise MalformedLogError("line is not valid JSON", line_no)
+                obj = _split_read_return(line, texts, refs) if line.endswith("}]}") and "},{" in line else None
+                if obj is None:
+                    try:
+                        obj, end = _scan(line, 0)
+                    except (ValueError, StopIteration, RecursionError):  # JSONDecodeError, an integer too long, nested too deep
+                        end = -1
+                    if end != len(line):
+                        raise MalformedLogError("line is not valid JSON", line_no)
                 if type(obj) is not dict or "kind" not in obj:
                     raise MalformedLogError("line is not an event object", line_no)
                 kind = obj["kind"]

@@ -34,7 +34,8 @@ class Case(NamedTuple):
     base: "preset:NAME" (its document), "graphs:NAME" (the same with its
     level block expanded into graphs), "log:STRATEGY" (a ``Log`` of
     BASE_SCENARIO under STRATEGY), or None. mutate(base) gives a document, a
-    log's lines as objects or raw bytes, written as the file {input}; None
+    log's lines as objects or raw bytes, written as the file {input} (a
+    log's lines twice: spaced, and compact as the writer writes them); None
     writes no file. Each command's argv may name {input}, and {out}, a
     directory it must not leave behind. expect is the one line each command
     prints: "..." stands for any text and, under a log base, "{line}" for
@@ -84,13 +85,13 @@ def replaced(doc: dict, path: tuple, value) -> dict:
     return doc
 
 
-def _encoded(value) -> bytes:
-    """The file of a document, of a log's lines or of raw bytes."""
+def _encoded(value, separators=None) -> bytes:
+    """The file of a document, of a log's lines (spaced, or with separators) or of raw bytes."""
     if isinstance(value, bytes):
         return value
     if isinstance(value, dict):
         return json.dumps(value).encode()
-    return "".join(json.dumps(line) + "\n" for line in value).encode()
+    return "".join(json.dumps(line, separators=separators) + "\n" for line in value).encode()
 
 
 class Log:
@@ -167,8 +168,15 @@ def _ref_clock_naming_a_client_twice(log):
     return log.every_ref(vclock={**log.ref["vclock"], "+" + cid: n})
 
 
+# a read_return line that repeats a line's list of two or more refs, with one more field before the list,
+# so that the writer's compact form of it still ends with the list
+def _read_return_with_an_extra_field_before_refs_read_before(log):
+    ev = next(ev for ev in log.events if ev["kind"] == "read_return" and len(ev["returned"]) > 1)
+    return log.plus({k: v for k, v in ev.items() if k != "returned"}, bogus=1, returned=ev["returned"])
+
+
 _ONE, _GRAPHS = "preset:one_uniform", "graphs:one_uniform"
-_LWW, _COMPETING = "log:lww_timestamp", "log:competing_writes"
+_LWW, _COMPETING, _WRITE_SET = "log:lww_timestamp", "log:competing_writes", "log:write_set"
 _UNLIKE = "...returned write {ref[write_id]} unlike its op_start..."
 _AGAIN_UNLIKE = "...op {again[op_id]} returned write {again_ref[write_id]} unlike its op_start..."
 _NOT_OF_THE_KEY = "...op {{foreign_read[op_id]}} returned write {}, which is no logged write of key {{foreign_key}}..."
@@ -211,6 +219,12 @@ _MALFORMED_LOGS = [
         _LWW,
         lambda log: log.changed(log.read_return, seq=str(log.read_return["seq"])),
         "event seq and time_us must be integers, op_id an integer or null (line {line})",
+    ),
+    (
+        "read_return_with_an_extra_field_before_refs_read_before",
+        _WRITE_SET,
+        _read_return_with_an_extra_field_before_refs_read_before,
+        "event has a field that its kind does not have (line {line})",
     ),
     ("clock_on_an_unreturned_write", _LWW, lambda log: log.changed(log.unreturned, vclock={"0": 1}), "op {unreturned[op_id]} carries a vector clock..."),
     # the write and every ref to it with one clock, so that the refs agree with their write
@@ -461,21 +475,26 @@ class Runner:
     def check(self, case: Case) -> None:
         """Raise AssertionError, naming the case, unless each of its commands
         exits with its code, prints its line and no traceback, and leaves no
-        output directory."""
+        output directory, under each form of a log's lines."""
         base = self.base(case.base) if case.base else None
+        value = case.mutate(base) if case.mutate is not None else None
+        for separators in (None, (",", ":")) if isinstance(value, list) else (None,):
+            self._check(case, base, value, separators)
+
+    def _check(self, case: Case, base, value, separators) -> None:
+        name = case.name + (" (compact)" if separators else "")
         expect = case.expect
         where = Path(tempfile.mkdtemp(dir=self.workdir))
         path, out = where / "input", where / "out"
         try:
             if case.mutate is not None:
-                value = case.mutate(base)
-                path.write_bytes(data := _encoded(value))
+                path.write_bytes(data := _encoded(value, separators))
                 if base is not None:
-                    unchanged = _encoded(base.raw if isinstance(value, bytes) else base.lines) if isinstance(base, Log) else _encoded(base)
+                    unchanged = _encoded(base.raw if isinstance(value, bytes) else base.lines, separators) if isinstance(base, Log) else _encoded(base)
                     old = set(unchanged.splitlines())
                     new = [n for n, line in enumerate(data.splitlines(), 1) if line not in old]
                     if data == unchanged or ("{line}" in expect and len(new) != 1):
-                        raise AssertionError(f"{case.name}: the mutation changed {len(new)} lines of its base")
+                        raise AssertionError(f"{name}: the mutation changed {len(new)} lines of its base")
                     if isinstance(base, Log):
                         expect = expect.format(line=new[0] if new else None, **vars(base))
             for argv in case.commands:
@@ -485,7 +504,7 @@ class Runner:
                 said, other = (stdout, stderr) if argv[0] == "validate" and code == 1 else (stderr, stdout)
                 if (code, "Traceback" in stderr, bool(_pattern(expect).fullmatch(said)), other, out.exists()) != (case.code, False, True, "", False):
                     raise AssertionError(
-                        f"{case.name}: quorumsim {argv[0]} exited {code}, printed {stdout!r} and {stderr!r}"
+                        f"{name}: quorumsim {argv[0]} exited {code}, printed {stdout!r} and {stderr!r}"
                         f"{' and left ' + out.name if out.exists() else ''}; expected exit {case.code} and the line {expect!r}"
                     )
         finally:

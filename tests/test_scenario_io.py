@@ -26,7 +26,7 @@ from quorumsim import (
     validate_scenario,
     Zipfian,
 )
-from quorumsim import engine
+from quorumsim import engine, logio
 from quorumsim.strategies import LWW_TIMESTAMP, STRATEGIES, VersionRef
 from quorumsim.clientcentric import ReadVerdict
 from quorumsim.logio import (_event_lines, _meta_to_json, read_events, write_events, write_op_table, write_read_verdicts,
@@ -325,13 +325,20 @@ MUTANT_VALUES = [None, True, 0, -3, 1.5, "1", "x", [], [1], {}, {"0": 1}]
 
 
 def _mutated(obj: dict, rng: random.Random) -> dict:
-    """obj, a decoded event line, with one field dropped, added or given another value, at its top level or below."""
+    """obj, a decoded event line, with one field dropped, added or given another value, at its top level or below.
+    A returned ref may instead get a field of [{}, {}], or a "returned" list of its own: each puts a "},{" or a
+    ',"returned":[{' inside one element of a compact list of refs."""
     obj = json.loads(json.dumps(obj))
     places = [obj]  # every object and list in obj
     for place in places:
         places.extend(v for v in (place.values() if isinstance(place, dict) else place) if isinstance(v, (dict, list)))
     place = rng.choice(places)
-    if isinstance(place, dict) and place and rng.random() < 0.3:
+    if any(place is ref for ref in obj.get("returned", ())) and rng.random() < 0.4:
+        if rng.random() < 0.5:
+            place[rng.choice([*place, "bogus"])] = [{}, {}]
+        else:
+            place["returned"] = json.loads(json.dumps(obj["returned"]))
+    elif isinstance(place, dict) and place and rng.random() < 0.3:
         del place[rng.choice(list(place))]
     elif isinstance(place, dict) and (not place or rng.random() < 0.3):
         place[rng.choice(["bogus", "write_id", "value", "vclock", "7", "07"])] = rng.choice(MUTANT_VALUES)
@@ -351,29 +358,110 @@ def test_every_line_the_reader_accepts_is_the_line_its_event_writes(tmp_path):
     """Mutated lines of engine logs, under every strategy: each is read or
     is MALFORMED_LOG on its line, and an event that is read, written back,
     decodes to the same JSON object. A returned ref is an open object, so it
-    is compared on the fields the writer writes (a null clock being none)."""
+    is compared on the fields the writer writes (a null clock being none).
+    Each mutated line is written spaced and compact, after its event's own
+    line, so a compact line repeats that line's refs text for text where
+    the mutation left them: both forms give the same events, with equal
+    refs as one object, or the same fault on the same line."""
     rng = random.Random(20261020)
     path = tmp_path / "events.jsonl"
     header = json.dumps(HEADER)
-    outcomes = {"read": 0, "rejected": 0, "open ref": 0}
+    outcomes = {"read": 0, "rejected": 0, "open ref": 0, "split read": 0, "split rejected": 0}
     for log in reference_logs():
         returns = [ev for ev in log.events if ev[3] == engine.READ_RETURN]  # the lines with open objects in them
         for ev in rng.sample(log.events, min(len(log.events), 20)) + rng.sample(returns, min(len(returns), 10)):
             obj = _mutated(reference_event_json(ev), rng)
-            path.write_text(header + "\n" + json.dumps(obj) + "\n", encoding="utf-8")
-            try:
-                events = read_events(path).events
-            except MalformedLogError as e:
-                assert e.line == 2, obj
+            read = []
+            for separators in ((", ", ": "), (",", ":")):
+                line = json.dumps(obj, separators=separators)
+                path.write_text(header + "\n" + "".join(_event_lines([ev])) + line + "\n", encoding="utf-8")
+                try:
+                    read.append(read_events(path).events)
+                except MalformedLogError as e:
+                    read.append(e)
+            spaced, compact = read
+            split = '"returned":[{' in line and "},{" in line  # a compact list that the reader may split
+            if isinstance(spaced, MalformedLogError):
+                assert (type(compact), str(compact), spaced.line) == (MalformedLogError, str(spaced), 3), obj
                 outcomes["rejected"] += 1
+                outcomes["split rejected"] += split
                 continue
+            assert compact == spaced, obj
+            refs = [ref for e in compact if e[3] == engine.READ_RETURN for ref in e[4][1]]
+            assert len(set(map(id, refs))) == len(set(refs)), obj
             if "returned" in obj:
                 refs = [{f: r[f] for f in REF_FIELDS if r.get(f) is not None} for r in obj["returned"]]
                 outcomes["open ref"] += refs != obj["returned"]
                 obj["returned"] = refs
-            assert json.loads("".join(_event_lines(events))) == obj
+            assert json.loads("".join(_event_lines(compact[1:]))) == obj
             outcomes["read"] += 1
+            outcomes["split read"] += split
     assert min(outcomes.values()) > 0, outcomes
+
+
+# A read_return line whose list of two refs the reader splits, and lines that break one step of the split
+_SPLIT = ('{"seq":1,"time_us":10,"op_id":1,"kind":"read_return","participants":[0,1],"returned":[{"write_id":1,"client_id":0,'
+          '"client_ts_us":5},{"write_id":2,"client_id":1,"client_ts_us":6,"vclock":{"0":1,"1":2}}]}')
+_LIST = _SPLIT.split(',"returned":')[1]
+SPLIT_CHANGES = {  # name: (change, whether the reader still splits the line)
+    "as written": (lambda line: line, True),
+    "head with an extra field": (lambda line: line.replace('"participants"', '"bogus":1,"participants"'), True),
+    "head without participants": (lambda line: line.replace('"participants":[0,1],', ""), True),
+    "head with a string seq": (lambda line: line.replace('"seq":1', '"seq":"1"'), True),
+    "a },{ in the head": (lambda line: line.replace('"participants"', '"x":[{},{}],"participants"'), True),
+    "an earlier returned key": (lambda line: line.replace('"participants"', '"returned":5,"participants"'), True),
+    "head with text after its object": (lambda line: line.replace('"participants":[0,1]', '"participants":[0,1]}x'), False),
+    "head of another kind": (lambda line: line.replace('"read_return","participants":[0,1]', '"apply_end","replica":0,"write_id":1'), False),
+    "a list of one ref": (lambda line: line.replace('{"write_id":1,"client_id":0,"client_ts_us":5},', ""), False),
+    "a header with a list of refs": (lambda line: '{"kind":"run_meta","format":1,"strategy":"write_set","graphs":{},"returned":' + _LIST, False),
+    "a },{ inside a string": (lambda line: line.replace('"client_ts_us":5}', '"client_ts_us":5,"note":"a},{b"}'), False),
+    "a },{ inside a ref": (lambda line: line.replace('"client_ts_us":5}', '"client_ts_us":5,"x":[{},{}]}'), False),
+    "a list of refs inside a ref": (lambda line: line.replace('"client_ts_us":5}', '"client_ts_us":5,"returned":' + _LIST[:-1] + "}"), False),
+    "an element that breaks the ref rules": (lambda line: line.replace('"write_id":2', '"write_id":"2"'), False),
+    "an element without a field": (lambda line: line.replace('"client_id":1,', ""), False),
+    "an empty element": (lambda line: line.replace("[{", "[{},{"), False),
+    "an element that is no object": (lambda line: line.replace("[{", "[1,{"), False),
+    "a space between elements": (lambda line: line.replace("},{", "}, {", 1), False),
+    "a later returned key": (lambda line: line[:-1] + ',"returned":' + _LIST[:-1] + "}", False),
+    "a returned key in a later field": (lambda line: line[:-1] + ',"x":{"returned":' + _LIST + "}", False),
+}
+
+
+@pytest.mark.parametrize("change", SPLIT_CHANGES)
+def test_a_split_line_reads_as_the_scanner_reads_it(tmp_path, monkeypatch, change):
+    """A line whose list of returned refs the reader splits, changed to
+    break one step of the split, after a line with the same refs: the file
+    gives what the scanner alone gives for it (the same events, meta and
+    shared refs, or the same fault on the same line), and only a line whose
+    steps all hold is split."""
+    mutate, splits = SPLIT_CHANGES[change]
+    line = mutate(_SPLIT)
+    path = tmp_path / "events.jsonl"
+    header = "" if '"run_meta"' in line else json.dumps(HEADER) + "\n"
+    path.write_text(header + _SPLIT + "\n" + line + "\n", encoding="utf-8")
+
+    def read():
+        meta = {}
+        try:
+            events = list(logio.iter_events(path, meta))
+        except MalformedLogError as e:
+            return str(e)
+        refs = [r for e in events if e[3] == engine.READ_RETURN for r in e[4][1]]
+        return meta, events, [next(i for i, other in enumerate(refs) if other is r) for r in refs]  # which refs are one object
+
+    split_lines, split_read_return = [], logio._split_read_return
+
+    def spied(line, texts, refs):
+        obj = split_read_return(line, texts, refs)
+        if obj is not None:
+            split_lines.append(line)
+        return obj
+
+    monkeypatch.setattr(logio, "_split_read_return", spied)
+    read_in_parts = read()
+    assert split_lines == [_SPLIT] + [line] * splits
+    monkeypatch.setattr(logio, "_split_read_return", lambda line, texts, refs: None)
+    assert read_in_parts == read()
 
 
 # A header mutation's new value for its format, a graph id's spelling, a graph entry, or its strategy
