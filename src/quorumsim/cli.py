@@ -98,9 +98,10 @@ def _write_stages(table, strategy: str, stages, out_dir: Path) -> tuple[dict | N
 
     Stage 3, which can reject a log, runs before any file is written, so a
     rejected log leaves no report behind. Its files are written and its
-    verdicts released before stage 2 builds its rows, so memory peaks at the
-    op table plus the larger stage, not plus both. Returns the (data-centric,
-    client-centric) reports, None for a stage not run.
+    verdicts released before stage 2 builds its non-warmup and per-graph
+    lists of records and each section's latency and window lists, so memory
+    peaks at the op table plus the larger stage, not plus both. Returns the
+    (data-centric, client-centric) reports, None for a stage not run.
     """
     from . import logio
 

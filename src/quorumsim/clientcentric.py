@@ -143,8 +143,8 @@ def _wfrc_scan(read_sessions, write_sessions):
     preceding own read is its returned write ids; the write violates when
     it applied at some replica without having applied every member of that
     set there first (log order). That holds iff the replica is missing
-    from the read's frontier (replica -> latest ApplyEnd of the set, over
-    replicas that applied all of it) or the frontier's ApplyEnd there is
+    from the set's last ApplyEnds (replica -> latest ApplyEnd of the set,
+    over replicas that applied all of it) or the last ApplyEnd there is
     later than the write's.
     """
     per_client: dict[int, list[int]] = {}
@@ -154,7 +154,7 @@ def _wfrc_scan(read_sessions, write_sessions):
             continue
         counts = per_client.setdefault(ck[0], [0, 0])
         prior = 0  # the reads issued before w
-        cached = None  # (read, its frontier)
+        cached = None  # (read, its returned writes' last ApplyEnds)
         for w in writes:
             while prior < len(reads) and reads[prior].op_id < w.op_id:
                 prior += 1
@@ -165,17 +165,17 @@ def _wfrc_scan(read_sessions, write_sessions):
             if not last_read.returned:
                 continue
             if cached is None or cached[0] is not last_read:
-                cached = (last_read, _frontier(last_read.returned))
-            frontier = cached[1]
+                cached = (last_read, _last_apply_ends(last_read.returned))
+            last_ends = cached[1]
             for replica, at_w in w.applies.items():
-                at_s = frontier.get(replica)
+                at_s = last_ends.get(replica)
                 if at_s is None or at_s > at_w:
                     counts[1] += 1
                     break
     return per_client
 
 
-def _frontier(writes) -> dict:
+def _last_apply_ends(writes) -> dict:
     """replica -> latest ApplyEnd of writes, over replicas that applied every one.
 
     Folded replica by replica, one lookup per write at each replica of the
@@ -184,12 +184,12 @@ def _frontier(writes) -> dict:
     first, *rest = [w.applies for w in writes]
     if not rest:
         return first
-    frontier = {}
+    last_ends = {}
     for replica, at in first.items():
         ats = list(map(dict.get, rest, repeat(replica)))
         if None not in ats:
-            frontier[replica] = max(at, *ats)
-    return frontier
+            last_ends[replica] = max(at, *ats)
+    return last_ends
 
 
 # -- verdicts and report -------------------------------------------------------

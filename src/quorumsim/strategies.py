@@ -4,12 +4,15 @@
 per-replica arrival order or by client timestamp (write id as tiebreak),
 write sets, and competing writes kept as the maximal antichain under
 vector-clock dominance. A replica's state per key is, in that order,
-(ref, arrival seq), a ref, a set of refs (copied on read) or a tuple of heads.
+(ref, arrival seq), a ref, a tuple of every applied ref or a tuple of heads;
+both tuples are in write-id order.
 
 The engine binds ``apply`` (a write, in place), ``snapshot`` (a read of one
 replica), ``resolve`` (a read's result from its non-empty contributions,
 empty when none holds a version), ``canonical`` (the final store) and the
-``vclocks`` flag once per run.
+``vclocks`` flag once per run. A many-version snapshot is the state tuple
+itself, so ``resolve`` takes tuples in write-id order, with one ref object
+per write id (the engine makes one per write).
 
 Stage 3 asks whether a result "reflects" a write: order-key dominance under
 LWW, set inclusion under write_set, vector-clock dominance under
@@ -118,9 +121,10 @@ class _Strategy:
     def judge(self, reads):
         return type(self)(reads)
 
-    def canonical(self, state):
-        """The final store's form of a many-version state: its refs by write id."""
-        return tuple(sorted(state, key=_write_id))
+    def snapshot(self, state):
+        return state, tuple(map(_write_id, state))  # a many-version state is a tuple by write id
+
+    canonical = staticmethod(lambda state: state)
 
 
 class _LastWriteWins(_Strategy):
@@ -194,7 +198,6 @@ class _LwwTimestamp(_LastWriteWins):
     name = LWW_TIMESTAMP
     stored = staticmethod(lambda ref, seq: ref)
     order = staticmethod(attrgetter("client_timestamp", "write_id"))
-    canonical = staticmethod(lambda state: state)
 
     def write_key(self, w):
         return (0, w.start, w.write_id)  # a write's client timestamp is its issue instant
@@ -206,23 +209,18 @@ class _WriteSet(_Strategy):
     name = WRITE_SET
 
     def apply(self, kv, key, ref, seq):
-        cur = kv.get(key)
-        if cur is None:
-            kv[key] = {ref}
-        else:
-            cur.add(ref)
-
-    def snapshot(self, state):
-        return frozenset(state), tuple(sorted(r.write_id for r in state))
+        state = kv.get(key, ())
+        i = bisect_left(state, ref.write_id, key=_write_id)
+        kv[key] = state[:i] + (ref,) + state[i:]  # a replica applies each write once: graphs are trees
 
     def resolve(self, contribs):
         if not contribs:
             raise ValueError(_NO_CONTRIBUTIONS)
-        union: set[VersionRef] = set()
+        by_id: dict[int, VersionRef] = {}
         for _, snap in contribs:
             if snap:
-                union |= snap
-        return sorted(union, key=_write_id)
+                by_id.update(zip(map(_write_id, snap), snap))
+        return [by_id[i] for i in sorted(by_id)]
 
     def marks(self, writes):
         return [w.write_id for w in writes]
@@ -295,9 +293,6 @@ class _CompetingWrites(_Strategy):
 
     def apply(self, kv, key, ref, seq):
         kv[key] = _add_head(kv.get(key) or (), ref)
-
-    def snapshot(self, state):
-        return state, tuple([r.write_id for r in state])  # _add_head keeps the heads in write-id order
 
     def resolve(self, contribs):
         if not contribs:

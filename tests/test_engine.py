@@ -278,7 +278,7 @@ def test_resolve_read_lww_timestamp_picks_max():
 
 def test_resolve_read_write_set_union():
     w1, w2 = r(1, 0, 10), r(2, 0, 20)
-    out = strategy(WRITE_SET).resolve([(0, frozenset({w1})), (1, frozenset({w1, w2}))])
+    out = strategy(WRITE_SET).resolve([(0, (w1,)), (1, (w1, w2))])
     assert out == [w1, w2]
 
 
@@ -327,7 +327,7 @@ def test_strategy_apply_cases():
     cases = [
         (LWW_TIMESTAMP, cur, stale, 99, cur),
         (LWW_ARRIVAL, (cur, 5), stale, 99, (stale, 99)),
-        (WRITE_SET, {cur}, stale, 0, {cur, stale}),
+        (WRITE_SET, (cur,), stale, 0, (cur, stale)),
         (COMPETING_WRITES, (head,), incoming, 0, (incoming,)),
     ]
     for name, state, ref, seq, want in cases:
@@ -363,11 +363,31 @@ def _causal_refs(rng):
     return pool
 
 
+def test_many_version_store_is_a_tuple_by_write_id():
+    # refs applied in random arrival orders: the store is the oracle's set
+    # as a tuple by write id, and a read takes it uncopied
+    rng = random.Random("many-version store")
+    for _ in range(500):
+        for name, pool in ((WRITE_SET, _clashing_refs(rng)), (COMPETING_WRITES, _causal_refs(rng))):
+            strat = strategy(name)
+            kv, want = {}, None
+            for seq, ref in enumerate(rng.sample(pool, len(pool))):
+                strat.apply(kv, 0, ref, seq)
+                want = apply_write(name, want, ref, seq)
+            state = kv[0]
+            ids = [x.write_id for x in state]
+            assert type(state) is tuple and ids == sorted(set(ids))
+            assert set(state) == set(want)
+            assert strat.snapshot(state) == (state, tuple(ids))
+            assert strat.snapshot(state)[0] is state
+
+
 def _random_contributions(rng, name):
-    """1-4 (replica, snapshot) pairs drawn from a pool of refs; some snapshots
-    are empty. Under competing_writes the clocks are causal, as the engine
-    builds them (the shape its resolve relies on); under the other
-    strategies they clash."""
+    """1-4 (replica, snapshot) pairs drawn from a pool of refs, one ref per
+    write id; some snapshots are empty. A many-version snapshot is a tuple in
+    write-id order, as the engine keeps it. Under competing_writes the clocks
+    are causal, as the engine builds them (the shape its resolve relies on);
+    under the other strategies they clash."""
     pool = _causal_refs(rng) if name == COMPETING_WRITES else _clashing_refs(rng)
     contribs = []
     for replica_id in range(rng.randint(1, 4)):
@@ -378,10 +398,8 @@ def _random_contributions(rng, name):
             snap = (refs[0], rng.randrange(6))
         elif name == LWW_TIMESTAMP:
             snap = refs[0]
-        elif name == WRITE_SET:
-            snap = frozenset(refs)
         else:
-            snap = tuple(refs)
+            snap = tuple(sorted(refs, key=lambda x: x.write_id))
         contribs.append((replica_id, snap))
     return contribs
 
