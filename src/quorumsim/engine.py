@@ -226,7 +226,7 @@ def _simulate(topology, coop, failures, workload, strat, seed, op_timeout, final
                 return
             if op.kind != WRITE:
                 contribs = vs[_VS_CONTRIBS]
-                refs = tuple(resolve(contribs))
+                refs = resolve(contribs)
                 events.append((seq(), t, op.op_id, READ_RETURN, (tuple(sorted(r for r, _ in contribs)), refs)))
                 if vclocks and refs:
                     ctx = read_ctx[op.client_id].setdefault(op.key, {})

@@ -12,8 +12,13 @@ chunk on once written, so ``run`` feeds the engine's chunks through it into
 the op table without holding the event list. ``write_events`` is that
 writer over a held log. Each line comes from one f-string per kind, the
 bytes ``json.dumps`` gives for the event's object with compact separators.
-Each row of ``ops.csv`` (an op table record) and ``read_verdicts.csv``
-comes from one f-string too, as ``csv.writer`` writes it. Each JSON report
+Within a chunk, the writer builds the text of a list of returned refs or of
+a read's value ids from the chunk's last list with the same first write id
+(``_joined``): a list that extends it costs only its new items' text, as a
+write_set key's merged set mostly grows between reads. Each row of
+``ops.csv`` (an op table record) and ``read_verdicts.csv`` comes from one
+f-string too, as ``csv.writer`` writes it, and a row's returned writes
+extend the text of its key's last row in the same way. Each JSON report
 is ``json.dump(report, fh, indent=2, sort_keys=True)`` plus a newline, which
 writes the text as it encodes it and never holds all of it.
 
@@ -212,15 +217,43 @@ def _ref_line(ref: VersionRef) -> str:
     return f'{{"write_id":{ref.write_id},"client_id":{ref.client_id},"client_ts_us":{ref.client_timestamp}{vclock}}}'
 
 
+def _joined(memo: dict, key, items, text_of, sep=",") -> str:
+    """sep.join(map(text_of, items)), built from the last list of two or
+    more items joined under key: memo maps key to (that list, its text).
+
+    When items starts with that list, the text is the list's text with only
+    the new items' text appended; otherwise it is formatted whole. The test
+    is ``==`` on the prefix, which is exact when equal items give equal
+    text, as a ref's fields or a write id do. Items of two or more become
+    the key's last list.
+    """
+    last = memo.get(key)
+    if last is not None and items[:len(last[0])] == last[0]:
+        prev, text = last
+        if len(items) > len(prev):
+            text = sep.join([text, *map(text_of, items[len(prev):])])
+    else:
+        text = sep.join(map(text_of, items))
+    if len(items) > 1:
+        memo[key] = (items, text)
+    return text
+
+
 def _event_lines(events):
     """One compact JSON line per event, formatted from one template per kind.
 
     A returned ref is formatted once per ref object and call: the memo
     ref_lines maps a write id to (the last ref formatted for it, its line),
     and a different object with that id is formatted from its own fields.
-    The memo goes with the call, so no ref outlives the events it came in.
+    A list of two or more returned refs, and a read's apply_end list of
+    value ids, extends the last such list with the same first write id
+    (``_joined``): a key's merged set mostly grows between reads, so only
+    its new versions are formatted. The memos go with the call, so no ref
+    outlives the events it came in.
     """
     ref_lines: dict[int, tuple[VersionRef, str]] = {}
+    ref_lists: dict[int, tuple] = {}  # first write id -> (the last list of refs, its text)
+    id_lists: dict[int, tuple] = {}  # first write id -> (the last list of value ids, its text)
 
     def ref_line(ref):
         hit = ref_lines.get(ref.write_id)
@@ -233,7 +266,12 @@ def _event_lines(events):
         if kind == APPLY_START:
             yield f'{{"seq":{seq},"time_us":{t},"op_id":{op},"kind":"apply_start","replica":{p[0]}}}\n'
         elif kind == APPLY_END:
-            carried = f'"value":[{",".join(map(str, p[1]))}]' if isinstance(p[1], tuple) else f'"write_id":{p[1]}'
+            carried = p[1]
+            if isinstance(carried, tuple):
+                ids = _joined(id_lists, carried[0], carried, str) if len(carried) > 1 else ",".join(map(str, carried))
+                carried = f'"value":[{ids}]'
+            else:
+                carried = f'"write_id":{carried}'
             yield f'{{"seq":{seq},"time_us":{t},"op_id":{op},"kind":"apply_end","replica":{p[0]},{carried}}}\n'
         elif kind == OP_START:
             client, op_kind, key, write_id, payload_bytes, warmup, vclock = p
@@ -248,9 +286,11 @@ def _event_lines(events):
         elif kind == OP_COMMIT:
             yield f'{{"seq":{seq},"time_us":{t},"op_id":{op},"kind":"op_commit","latency_us":{p[0]}}}\n'
         elif kind == READ_RETURN:
+            refs = p[1]
+            refs = _joined(ref_lists, refs[0].write_id, refs, ref_line) if len(refs) > 1 else ",".join(map(ref_line, refs))
             yield (
                 f'{{"seq":{seq},"time_us":{t},"op_id":{op},"kind":"read_return","participants":[{",".join(map(str, p[0]))}],'
-                f'"returned":[{",".join(map(ref_line, p[1]))}]}}\n'
+                f'"returned":[{refs}]}}\n'
             )
         elif kind == ACK:
             yield f'{{"seq":{seq},"time_us":{t},"op_id":{op},"kind":"ack_received","parent":{p[0]},"child":{p[1]}}}\n'
@@ -406,15 +446,21 @@ def _csv_field(text: str) -> str:
 READ_VERDICT_HEADER = ["op_id", "client_id", "key", "start_us", "stale", "mrc", "rywc", "returned_writes"]
 
 
+def _id_text(w) -> str:
+    return str(w.write_id)
+
+
 def write_read_verdicts(verdicts, path) -> None:
     """Per-read verdict CSV (non-warmup committed reads, one row per read):
     the bytes of ``csv.writer``, each row from one template. A row's
-    client_id is its read's client and start_us its start."""
+    client_id is its read's client and start_us its start. A row's
+    returned_writes extends the text of its key's last row (``_joined``)."""
+    lists: dict[int, tuple] = {}  # key -> (the last read's returned writes, their text)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(READ_VERDICT_HEADER) + "\r\n")
         fh.writelines(
             f"{r.op_id},{r.client},{r.key},{r.start},{'true' if stale else 'false'},{'true' if mrc else 'false'},"
-            f"{'true' if rywc else 'false'},{';'.join([str(w.write_id) for w in r.returned])}\r\n"
+            f"{'true' if rywc else 'false'},{_joined(lists, r.key, r.returned, _id_text, ';')}\r\n"
             for r, stale, mrc, rywc in verdicts if not r.warmup
         )
 

@@ -17,7 +17,11 @@ carries a clock only under a strategy that logs them (competing_writes),
 when the header names one. Every returned ref names a logged write of the
 read's key and carries that write's client id, its start as the client
 timestamp and its clock. Each ref object is checked once and gives way to
-its write's own record, so the analyses read no ref. A write's
+its write's own record, so the analyses read no ref. A read checks only the
+refs that are new since its key's last read: when its refs start with that
+read's (by ``==``, and equal refs of one key name the same records), it
+keeps those records and adds the new refs' ones, and a read with the same
+refs shares the same records tuple. A write's
 ``window_us``, its inconsistency window, is the span of its ApplyEnd
 times, None when it has none or a vertex of its graph (as the header
 lists it) never applied it. ``check_dots`` adds the rule of a log with
@@ -235,10 +239,17 @@ def op_table(log, meta: dict | None = None) -> OpTable:
     rows = [ops[op_id] for op_id in sorted(ops)]
     writes = {op.write_id: op for op in rows if op.kind == WRITE}
     checked: dict[int, object] = {}  # write id -> the last ref object found right for it
+    last: dict[int, tuple] = {}  # key -> (the refs of its last read with refs, their records)
     for op in rows:
-        if op.returned:
+        refs = op.returned
+        if refs:
+            prev = last.get(op.key)
+            if prev is not None and refs[:len(prev[0])] == prev[0]:  # equal refs of one key give the same records
+                new, records = refs[len(prev[0]):], prev[1]
+            else:
+                new, records = refs, ()
             returned = []
-            for ref in op.returned:
+            for ref in new:
                 w = writes.get(ref.write_id)
                 if w is None or w.key != op.key:
                     raise MalformedLogError(f"op {op.op_id} returned write {ref.write_id}, which is no logged write of key {op.key}")
@@ -247,5 +258,8 @@ def op_table(log, meta: dict | None = None) -> OpTable:
                         raise MalformedLogError(f"op {op.op_id} returned write {ref.write_id} unlike its op_start's client, time or clock")
                     checked[ref.write_id] = ref
                 returned.append(w)
-            op.returned = tuple(returned)
+            if returned:
+                records += tuple(returned)
+            op.returned = records
+            last[op.key] = (refs, records)
     return OpTable(rows, graphs)

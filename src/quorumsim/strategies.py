@@ -8,11 +8,16 @@ vector-clock dominance. A replica's state per key is, in that order,
 both tuples are in write-id order.
 
 The engine binds ``apply`` (a write, in place), ``snapshot`` (a read of one
-replica), ``resolve`` (a read's result from its non-empty contributions,
-empty when none holds a version), ``canonical`` (the final store) and the
-``vclocks`` flag once per run. A many-version snapshot is the state tuple
-itself, so ``resolve`` takes tuples in write-id order, with one ref object
-per write id (the engine makes one per write).
+replica), ``resolve`` (a read's result from its non-empty contributions, a
+tuple, empty when none holds a version), ``canonical`` (the final store)
+and the ``vclocks`` flag once per run. A many-version snapshot is the state
+tuple itself, so ``resolve`` takes tuples in write-id order, with one ref
+object per write id (the engine makes one per write). Under write_set, a
+read with one contribution that holds versions returns that tuple itself,
+with no merge: ``apply`` puts a new tuple in the store and never mutates a
+state, so a returned tuple stays as it was read. competing_writes merges
+even one contribution, so its result is the antichain of heads without
+assuming that the snapshot already is one.
 
 Stage 3 asks whether a result "reflects" a write: order-key dominance under
 LWW, set inclusion under write_set, vector-clock dominance under
@@ -153,7 +158,7 @@ class _LastWriteWins(_Strategy):
         if not contribs:
             raise ValueError(_NO_CONTRIBUTIONS)
         snaps = [snap for _, snap in contribs if snap is not None]
-        return [self.canonical(max(snaps, key=self.order))] if snaps else []
+        return (self.canonical(max(snaps, key=self.order)),) if snaps else ()
 
     def marks(self, writes):
         return list(accumulate(map(self.write_key, writes), max))
@@ -216,11 +221,13 @@ class _WriteSet(_Strategy):
     def resolve(self, contribs):
         if not contribs:
             raise ValueError(_NO_CONTRIBUTIONS)
+        snaps = [snap for _, snap in contribs if snap]
+        if len(snaps) == 1:
+            return snaps[0]  # a replica's state tuple: apply replaces it, never mutates it
         by_id: dict[int, VersionRef] = {}
-        for _, snap in contribs:
-            if snap:
-                by_id.update(zip(map(_write_id, snap), snap))
-        return [by_id[i] for i in sorted(by_id)]
+        for snap in snaps:
+            by_id.update(zip(map(_write_id, snap), snap))
+        return tuple([by_id[i] for i in sorted(by_id)])
 
     def marks(self, writes):
         return [w.write_id for w in writes]
@@ -301,7 +308,7 @@ class _CompetingWrites(_Strategy):
         for _, snap in contribs:
             for ref in snap or ():
                 heads = _add_head(heads, ref)
-        return list(heads)
+        return heads
 
     def marks(self, writes):
         writers = sorted({w.client for w in writes})

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import json
 import random
+from itertools import count
 
 import pytest
 
@@ -29,8 +30,9 @@ from quorumsim import (
 )
 from quorumsim.cli import _write_stages
 from quorumsim.engine import ACK, OP_COMMIT, OP_FAIL, OP_START
+from quorumsim.events import READ, READ_RETURN, WRITE
 from quorumsim.model import CRASH_STOP, READING, REPLICATION, SYNC_EDGE
-from quorumsim.strategies import LWW_TIMESTAMP, STRATEGIES
+from quorumsim.strategies import LWW_TIMESTAMP, STRATEGIES, VersionRef
 
 
 def async_star_log(n_ops=1, think=1_000, seed=3):
@@ -83,6 +85,72 @@ def test_op_table_detects_malformed_logs():
         for variant in (bad, shuffled):
             with pytest.raises(MalformedLogError):
                 op_table(variant)
+
+
+def _hand_log(writes, reads):
+    """Events of writes, each (key, client, start), where write i has op id
+    and write id i, then of committed reads, each (key, refs), with the next
+    op ids."""
+    events, seq = [], count()
+    for w, (key, client, start) in enumerate(writes):
+        events.append((next(seq), start, w, OP_START, (client, WRITE, key, w, 0, False, None)))
+        events.append((next(seq), start + 1, w, OP_COMMIT, (1,)))
+    for op_id, (key, refs) in enumerate(reads, start=len(writes)):
+        t = 1_000 + 10 * op_id
+        events.append((next(seq), t, op_id, OP_START, (0, READ, key, None, 0, False, None)))
+        events.append((next(seq), t + 1, op_id, READ_RETURN, ((0,), refs)))
+        events.append((next(seq), t + 1, op_id, OP_COMMIT, (1,)))
+    return events
+
+
+_HAND_WRITES = [(0, 0, 10), (0, 1, 20), (0, 0, 30), (1, 1, 40)]  # writes 0-2 of key 0, write 3 of key 1
+
+
+def _hand_ref(w, **fields):
+    key, client, start = _HAND_WRITES[w]
+    return VersionRef(w, fields.get("client", client), fields.get("ts", start))
+
+
+def test_op_table_checks_only_the_refs_new_since_the_keys_last_read():
+    """A read whose refs extend its key's last read's, one with the same
+    refs, one with equal but distinct refs, one on another key and one that
+    drops a ref: each read's records are its refs' writes' own records, and
+    a read with the same refs as its key's last read shares its tuple."""
+    a, b, c, d = (_hand_ref(w) for w in range(4))
+    reads = [(0, (a, b)), (0, (a, b, c)), (0, (a, b, c)), (0, tuple(_hand_ref(w) for w in range(3))),
+             (1, (d,)), (0, (a, c)), (0, (a, b)), (1, (d,))]
+    table = op_table(_hand_log(_HAND_WRITES, reads))
+    records = table.ops
+    for (_, refs), op in zip(reads, records[len(_HAND_WRITES):]):
+        assert len(op.returned) == len(refs)
+        assert all(rec is records[ref.write_id] for rec, ref in zip(op.returned, refs)), op.op_id
+    read = records[len(_HAND_WRITES):]
+    assert read[2].returned is read[1].returned  # the same refs
+    assert read[3].returned is read[2].returned  # equal refs, other objects
+    assert read[7].returned is read[4].returned  # another key's read came between
+
+
+@pytest.mark.parametrize("reads, message", [
+    # a ref of the new part unlike its write
+    ([(0, (_hand_ref(0), _hand_ref(1))), (0, (_hand_ref(0), _hand_ref(1), _hand_ref(2, ts=31)))],
+     "op 5 returned write 2 unlike its op_start's client, time or clock"),
+    ([(0, (_hand_ref(0), _hand_ref(1))), (0, (_hand_ref(0), _hand_ref(1), _hand_ref(2, client=1)))],
+     "op 5 returned write 2 unlike its op_start's client, time or clock"),
+    # a ref of the new part that names a write of another key, or none
+    ([(0, (_hand_ref(0), _hand_ref(1))), (0, (_hand_ref(0), _hand_ref(1), _hand_ref(3)))],
+     "op 5 returned write 3, which is no logged write of key 0"),
+    ([(0, (_hand_ref(0), _hand_ref(1))), (0, (_hand_ref(0), _hand_ref(1), VersionRef(9, 0, 10)))],
+     "op 5 returned write 9, which is no logged write of key 0"),
+    # refs equal to the last read's of another key
+    ([(0, (_hand_ref(0), _hand_ref(1))), (1, (_hand_ref(0), _hand_ref(1)))],
+     "op 5 returned write 0, which is no logged write of key 1"),
+    ([(1, (_hand_ref(3),)), (0, (_hand_ref(0),)), (0, (_hand_ref(3),))],
+     "op 6 returned write 3, which is no logged write of key 0"),
+])
+def test_op_table_checks_the_new_refs_of_a_read_that_extends_its_keys_last(reads, message):
+    with pytest.raises(MalformedLogError) as e:
+        op_table(_hand_log(_HAND_WRITES, reads))
+    assert str(e.value) == message
 
 
 # -- inconsistency windows (the op records' window_us) --------------------------------------

@@ -271,15 +271,18 @@ def r(write_id, client, ts, vclock=None):
 
 def test_resolve_read_lww_timestamp_picks_max():
     a, b = r(1, 0, 5_000), r(2, 1, 9_000)
-    assert strategy(LWW_TIMESTAMP).resolve([(0, a), (1, b)]) == [b]
+    assert strategy(LWW_TIMESTAMP).resolve([(0, a), (1, b)]) == (b,)
     for name in STRATEGIES:  # no replica holds a version: the read returns none
-        assert strategy(name).resolve([(0, None), (1, None)]) == []
+        assert strategy(name).resolve([(0, None), (1, None)]) == ()
 
 
 def test_resolve_read_write_set_union():
     w1, w2 = r(1, 0, 10), r(2, 0, 20)
     out = strategy(WRITE_SET).resolve([(0, (w1,)), (1, (w1, w2))])
-    assert out == [w1, w2]
+    assert out == (w1, w2)
+    # one contribution holds versions: its snapshot, the replica's state tuple, is the result
+    snap = (w1, w2)
+    assert strategy(WRITE_SET).resolve([(0, None), (1, snap)]) is snap
 
 
 def test_resolve_read_competing_antichain():
@@ -291,7 +294,7 @@ def test_resolve_read_competing_antichain():
     dominated = r(3, 1, 30, vclock=((1, 1), (2, 1)))
     dominating = r(4, 1, 40, vclock=((1, 2), (2, 1)))
     out = strategy(COMPETING_WRITES).resolve([(0, (dominating,)), (1, (r(5, 1, 5, vclock=((1, 1),)), dominated))])
-    assert out == [dominating]
+    assert out == (dominating,)
 
 
 def test_resolve_read_lww_arrival_uses_apply_seq():
@@ -410,7 +413,7 @@ def test_resolve_agrees_with_oracle_on_random_contributions(name):
     resolve = strategy(name).resolve
     for _ in range(2_000):
         contribs = _random_contributions(rng, name)
-        assert resolve(contribs) == oracle_resolve(name, contribs), contribs
+        assert resolve(contribs) == tuple(oracle_resolve(name, contribs)), contribs
 
 
 # -- failures ----------------------------------------------------------------------

@@ -301,23 +301,96 @@ def test_writer_keeps_no_ref_past_its_chunk(tmp_path):
     chunk 2 is written, a ref that only chunk 1 returned has no reference
     left from the writer."""
     ref = VersionRef(7, 0, 100, None)
+    pair = (VersionRef(8, 1, 110, None), VersionRef(9, 0, 120, None))  # a list, which the writer extends
     during = []
 
     def second_chunk():  # a generator, so the count is taken while the writer walks it
-        during.append(sys.getrefcount(ref))
-        yield (2, 30, 1, engine.OP_COMMIT, (5,))
+        during.append([sys.getrefcount(x) for x in (ref, pair, *pair)])
+        yield (3, 30, 1, engine.OP_COMMIT, (5,))
 
     def chunks():  # made on demand, so no chunk list holds a chunk
-        yield [(1, 20, 0, engine.READ_RETURN, ((0,), (ref,)))]
+        yield [(1, 20, 0, engine.READ_RETURN, ((0,), (ref,))), (2, 20, 2, engine.READ_RETURN, ((0,), pair))]
         yield second_chunk()
 
-    before = sys.getrefcount(ref)
+    before = [sys.getrefcount(x) for x in (ref, pair, *pair)]
     path = tmp_path / "events.jsonl"
     deque(written_chunks({}, chunks(), path), maxlen=0)
     assert during == [before]
     _, *lines = path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 2
+    assert len(lines) == 3
     assert lines[0].endswith('"returned":[{"write_id":7,"client_id":0,"client_ts_us":100}]}')
+    assert lines[1].endswith('"returned":[{"write_id":8,"client_id":1,"client_ts_us":110},{"write_id":9,"client_id":0,"client_ts_us":120}]}')
+
+
+def _joined_cases(rng, pool, twin):
+    """Runs of lists for ``logio._joined``: each run starts from a random
+    list and steps to an extension, an equal list of distinct objects, a
+    prefix, a list of one or none, or a new list, then tries a mismatch at
+    every position of its last list. Yields (run number, list, what it is)."""
+    for run in range(150):
+        last = tuple(rng.sample(pool, rng.randint(2, 6)))
+        yield run, last, "new"
+        for _ in range(rng.randint(1, 8)):
+            step = rng.choice(["extension", "equal", "prefix", "one", "empty", "new"])
+            if step == "extension":
+                items = last + tuple(rng.sample(pool, rng.randint(1, 3)))
+            elif step == "equal":
+                items = tuple(map(twin, last))
+            elif step == "prefix":
+                items = last[:rng.randrange(len(last))]
+            elif step == "one":
+                items = (rng.choice(pool),)
+            elif step == "empty":
+                items = ()
+            else:
+                items = tuple(rng.sample(pool, rng.randint(2, 6)))
+            yield run, items, step
+            last = items if len(items) > 1 else last
+        for i in range(len(last)):
+            other = rng.choice([x for x in pool if x != last[i]])
+            yield run, last[:i] + (other,) + last[i + 1:], f"mismatch at {i}"
+            yield run, tuple(map(twin, last)), "equal"
+
+
+@pytest.mark.parametrize("kind", ["refs", "ids"])
+def test_joined_text_is_the_whole_join_of_each_list(kind):
+    """``logio._joined`` gives ``sep.join(map(text_of, items))`` for every
+    list of a run, whatever the last list under its key was: extensions,
+    equal lists of distinct objects, mismatches at every position, lists of
+    one item and of none."""
+    rng = random.Random(f"joined:{kind}")
+    if kind == "refs":
+        pool = [VersionRef(w, w % 3, 10 * w, rng.choice([None, ((w % 3, w),)])) for w in range(10)]
+        pool.append(VersionRef(3, 1, 30, None))  # a write id twice, with other fields
+        text_of, sep, twin = logio._ref_line, ",", lambda ref: dataclasses.replace(ref)
+    else:
+        pool = list(range(10))
+        text_of, sep, twin = str, ";", int
+    seen = set()
+    memo: dict = {}
+    for run, items, step in _joined_cases(rng, pool, twin):
+        key = run % 3  # runs share keys, so a key's last list may come from an earlier run
+        assert logio._joined(memo, key, items, text_of, sep) == sep.join(map(text_of, items)), (items, step)
+        seen.add(step)
+        assert all(len(prev) > 1 for prev, _ in memo.values())
+    assert seen >= {"new", "extension", "equal", "prefix", "one", "empty", *(f"mismatch at {i}" for i in range(8))}
+
+
+def test_a_write_set_log_of_several_chunks_matches_the_dict_reference(tmp_path):
+    """A write_set run streamed through the writer, over engine chunks, has
+    every line of reference_event_json: the per-chunk memos that extend
+    read_return and apply_end lists start afresh at each chunk."""
+    sc = _load("preset:quorum_zipfian")
+    wl = dataclasses.replace(sc.workload, n_clients=4, ops_per_client=300)
+    meta, chunks = engine.simulation_chunks(sc.topology, sc.coop, list(sc.failures), wl, qs.WRITE_SET, sc.seed)
+    path = tmp_path / "events.jsonl"
+    events = [ev for chunk in written_chunks(meta, chunks, path) for ev in chunk]
+    assert len(events) > 2 * engine._CHUNK_EVENTS  # at least 3 chunks
+    assert sum(ev[3] == engine.READ_RETURN and len(ev[4][1]) > 1 for ev in events[2 * engine._CHUNK_EVENTS:]) > 10
+    _, *lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == len(events)
+    for line, ev in zip(lines, events):
+        assert line == json.dumps(reference_event_json(ev), separators=(",", ":")), ev
 
 
 # A mutation's new value for a field: each wrong in some place, right in another
